@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -204,27 +205,60 @@ def _get(cfg, key, default=None):
     return cfg[key] if key in cfg else default
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """A finite int or float (an int alone when ``integer``), never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def config_number(field: str, value, integer: bool = False, sign: str | None = "positive"):
+    """Check one numeric config field and return it as an int or a float.
+
+    ``sign`` is "positive" (> 0), "nonnegative" (>= 0) or None (any sign).
+    Raises :class:`ConfigError` naming the field when the value is not a
+    finite number of that kind.
+    """
+    ok = _is_number(value, integer)
+    if ok and sign == "positive":
+        ok = value > 0
+    elif ok and sign == "nonnegative":
+        ok = value >= 0
+    if not ok:
+        what = "integer" if integer else "finite number"
+        if sign:
+            what = f"{sign} {what}"
+        raise ConfigError([f"{field}: expected a {what}, got {value!r}"])
+    return value if integer else float(value)
+
+
 def build_setup(cfg: dict, config_dir: Path) -> Setup:
     errors: list[str] = []
 
     def fail(field, msg):
         errors.append(f"{field}: {msg}")
 
+    def number(field, value, **kind):
+        try:
+            return config_number(field, value, **kind)
+        except ConfigError as exc:
+            errors.extend(exc.errors)
+            return None
+
     grid_cfg = _get(cfg, "grid", {}) or {}
-    ell = grid_cfg.get("ell", 1.0)
-    n = grid_cfg.get("n", 127)
-    if not isinstance(n, int) or n < 1:
-        fail("grid.n", f"expected a positive integer, got {n!r}")
-        n = 127
-    if not isinstance(ell, (int, float)) or ell <= 0:
-        fail("grid.ell", f"expected a positive number, got {ell!r}")
+    n = number("grid.n", grid_cfg.get("n", 127), integer=True)
+    ell = number("grid.ell", grid_cfg.get("ell", 1.0))
+    if ell is None:
         ell = 1.0
 
     omega_cfg = _get(cfg, "omega")
     omega = None
     if omega_cfg is not None:
         if (not isinstance(omega_cfg, (list, tuple)) or len(omega_cfg) != 2
-                or not all(isinstance(v, (int, float)) for v in omega_cfg)):
+                or not all(_is_number(v) for v in omega_cfg)):
             fail("omega", f"expected [a, b], got {omega_cfg!r}")
         elif not (0.0 <= omega_cfg[0] < omega_cfg[1] <= ell):
             fail("omega", f"interval ({omega_cfg[0]}, {omega_cfg[1]}) must sit inside (0, {ell})")
@@ -234,25 +268,22 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
     grid = None
     if not errors:
         try:
-            grid = SpatialGrid.build(n=n, ell=float(ell), omega=omega)
+            grid = SpatialGrid.build(n=n, ell=ell, omega=omega)
         except ValueError as exc:
             fail("omega", str(exc))
 
     nl_cfg = _get(cfg, "nonlinearity", {"kind": "zero"}) or {"kind": "zero"}
     kind = nl_cfg.get("kind", "zero")
-    L = nl_cfg.get("L", 1.0)
+    L = number("nonlinearity.L", nl_cfg.get("L", 1.0), sign="nonnegative")
     f = None
-    try:
-        f = make_nonlinearity(kind, float(L))
-    except (ValueError, TypeError) as exc:
-        fail("nonlinearity", str(exc))
+    if L is not None:
+        try:
+            f = make_nonlinearity(kind, L)
+        except ValueError as exc:
+            fail("nonlinearity", str(exc))
 
-    r = _get(cfg, "r")
-    ball = None
-    if not isinstance(r, (int, float)) or r <= 0:
-        fail("r", f"expected a positive number, got {r!r}")
-    else:
-        ball = TargetBall(r=float(r))
+    r = number("r", _get(cfg, "r"))
+    ball = None if r is None else TargetBall(r=r)
 
     y0 = None
     y0_cfg = _get(cfg, "y0")
@@ -262,16 +293,19 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
         if "modes" in y0_cfg:
             modes_map = y0_cfg["modes"]
             try:
-                pairs = sorted((int(k), float(v)) for k, v in modes_map.items())
-                if any(i < 1 or i > grid.n for i, _ in pairs):
-                    fail("y0.modes", f"mode indices must lie in [1, {grid.n}]")
-                else:
-                    spec = dirichlet_eigs(grid, max(i for i, _ in pairs))
-                    y0 = np.zeros(grid.n)
-                    for i, c in pairs:
-                        y0 += c * spec.eigenvectors[i - 1]
-            except (TypeError, ValueError):
-                fail("y0.modes", f"expected a map of mode index to coefficient, got {modes_map!r}")
+                pairs = sorted((int(k), v) for k, v in modes_map.items())
+            except (AttributeError, TypeError, ValueError):
+                pairs = []
+            if not pairs or not all(_is_number(c) for _, c in pairs):
+                fail("y0.modes", "expected a map of mode index to finite coefficient, "
+                                 f"got {modes_map!r}")
+            elif any(i < 1 or i > grid.n for i, _ in pairs):
+                fail("y0.modes", f"mode indices must lie in [1, {grid.n}]")
+            else:
+                spec = dirichlet_eigs(grid, max(i for i, _ in pairs))
+                y0 = np.zeros(grid.n)
+                for i, c in pairs:
+                    y0 += float(c) * spec.eigenvectors[i - 1]
         else:
             path = Path(y0_cfg["file"])
             if not path.is_absolute():
@@ -280,37 +314,30 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
                 vec = np.loadtxt(path, dtype=float).ravel()
                 if vec.shape != (grid.n,):
                     fail("y0.file", f"{path} holds {vec.size} values, expected {grid.n}")
+                elif not np.isfinite(vec).all():
+                    fail("y0.file", f"{path} holds non-finite values")
                 else:
                     y0 = vec
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 fail("y0.file", str(exc))
 
     nt = _get(cfg, "nt")
     dt = _get(cfg, "dt")
-    if nt is not None and (not isinstance(nt, int) or nt < 1):
-        fail("nt", f"expected a positive integer, got {nt!r}")
-        nt = None
-    if dt is not None and (not isinstance(dt, (int, float)) or dt <= 0):
-        fail("dt", f"expected a positive number, got {dt!r}")
-        dt = None
+    if nt is not None:
+        nt = number("nt", nt, integer=True)
+    if dt is not None:
+        dt = number("dt", dt)
     if nt is None and dt is None:
         nt = 300
 
     sol = _get(cfg, "solver", {}) or {}
-    tol_t = sol.get("tol_t", 1e-3)
-    tol_m = sol.get("tol_m", 1e-3)
-    opts = None
-    try:
-        opts = ReachOptions(
-            max_iters=sol.get("max_iters", 200),
-            eps_stag=sol.get("eps_stag", 1e-7),
-            eps_feas_rel=sol.get("eps_feas", 1e-3),
-        )
-    except (ValueError, TypeError) as exc:
-        fail("solver", str(exc))
-    for name, val in (("solver.tol_t", tol_t), ("solver.tol_m", tol_m)):
-        if not isinstance(val, (int, float)) or val <= 0:
-            fail(name, f"expected a positive number, got {val!r}")
+    tol_t = number("solver.tol_t", sol.get("tol_t", 1e-3))
+    tol_m = number("solver.tol_m", sol.get("tol_m", 1e-3))
+    reach_opts = dict(
+        max_iters=number("solver.max_iters", sol.get("max_iters", 200), integer=True),
+        eps_stag=number("solver.eps_stag", sol.get("eps_stag", 1e-7)),
+        eps_feas_rel=number("solver.eps_feas", sol.get("eps_feas", 1e-3)),
+    )
 
     experiment = _get(cfg, "experiment", {}) or {}
     if not isinstance(experiment, dict):
@@ -319,19 +346,15 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
 
     if errors:
         raise ConfigError(errors)
-    return Setup(raw=cfg, grid=grid, f=f, y0=y0, ball=ball, nt=nt,
-                 dt=None if dt is None else float(dt),
-                 tol_t=float(tol_t), tol_m=float(tol_m), opts=opts,
+    return Setup(raw=cfg, grid=grid, f=f, y0=y0, ball=ball, nt=nt, dt=dt,
+                 tol_t=tol_t, tol_m=tol_m, opts=ReachOptions(**reach_opts),
                  experiment=experiment)
 
 
-def _require_number(exp: dict, key: str, positive: bool = True) -> float:
+def _require_number(exp: dict, key: str, sign: str = "positive") -> float:
     if key not in exp:
         raise ConfigError([f"experiment.{key}: required by this subcommand"])
-    val = exp[key]
-    if not isinstance(val, (int, float)) or (positive and val <= 0):
-        raise ConfigError([f"experiment.{key}: expected a positive number, got {val!r}"])
-    return float(val)
+    return config_number(f"experiment.{key}", exp[key], sign=sign)
 
 
 def _number_list(exp: dict, key: str, required: bool = True, allow_empty: bool = False):
@@ -341,9 +364,9 @@ def _number_list(exp: dict, key: str, required: bool = True, allow_empty: bool =
         return None
     val = exp[key]
     if (not isinstance(val, (list, tuple)) or (not val and not allow_empty)
-            or not all(isinstance(v, (int, float)) for v in val)):
+            or not all(_is_number(v) for v in val)):
         what = "a list" if allow_empty else "a nonempty list"
-        raise ConfigError([f"experiment.{key}: expected {what} of numbers"])
+        raise ConfigError([f"experiment.{key}: expected {what} of finite numbers"])
     return [float(v) for v in val]
 
 
@@ -383,7 +406,8 @@ def _point_record(point: ValuePoint) -> dict:
 
 def run_simulate(setup: Setup):
     T = _require_number(setup.experiment, "horizon")
-    tol = float(setup.experiment.get("envelope_tol", 1e-3))
+    tol = config_number("experiment.envelope_tol",
+                        setup.experiment.get("envelope_tol", 1e-3), sign="nonnegative")
     nt = setup.steps_for(T)
     traj = solve_forward(setup.y0, ControlSignal.zeros(nt, T / nt, setup.grid),
                          setup.f, setup.grid)
@@ -431,9 +455,7 @@ def run_minnorm(setup: Setup):
 
 
 def run_mintime(setup: Setup):
-    M = _require_number(setup.experiment, "M", positive=False)
-    if M < 0:
-        raise ConfigError(["experiment.M: must be nonnegative"])
+    M = _require_number(setup.experiment, "M", sign="nonnegative")
     nt = setup.steps_for(1.0) if setup.nt is None else setup.nt
     point = minimal_time(M, setup.y0, setup.ball, setup.f, setup.grid,
                          tol_T=setup.tol_t, opts=setup.opts, nt=nt)
@@ -579,13 +601,13 @@ def run_oracle_compare(setup: Setup):
 
 
 def run_gradcheck(setup: Setup):
-    T = float(setup.experiment.get("T", 0.1))
-    pairs = int(setup.experiment.get("pairs", 8))
-    seed = int(setup.experiment.get("seed", 0))
-    fd_step = float(setup.experiment.get("fd_step", 1e-5))
-    amplitude = float(setup.experiment.get("amplitude", 1.0))
-    if T <= 0 or pairs < 1 or fd_step <= 0:
-        raise ConfigError(["experiment: gradcheck needs T > 0, pairs >= 1, fd_step > 0"])
+    exp = setup.experiment
+    T = config_number("experiment.T", exp.get("T", 0.1))
+    pairs = config_number("experiment.pairs", exp.get("pairs", 8), integer=True)
+    seed = config_number("experiment.seed", exp.get("seed", 0), integer=True,
+                         sign="nonnegative")
+    fd_step = config_number("experiment.fd_step", exp.get("fd_step", 1e-5))
+    amplitude = config_number("experiment.amplitude", exp.get("amplitude", 1.0), sign=None)
     nt = setup.steps_for(T)
     dt = T / nt
     rng = np.random.default_rng(seed)

@@ -121,16 +121,22 @@ class NonlinearitySpec:
     fprime: Callable[[np.ndarray], np.ndarray]
 
 
+def zero_reaction(y: np.ndarray) -> np.ndarray:
+    """The built-in ``zero`` reaction term, which is also its own derivative.
+
+    The integrators in :mod:`heatctl.pde` recognise this function by identity
+    and skip it, so a custom spec that merely has ``kind="zero"`` is still
+    evaluated.
+    """
+    return np.zeros_like(y)
+
+
 def make_nonlinearity(kind: str, L: float = 1.0) -> NonlinearitySpec:
     """Built-in reaction terms: ``zero``, ``scaled_tanh``, ``bounded_odd_rational``."""
     if L < 0.0:
         raise ValueError(f"derivative bound must be nonnegative, got {L}")
     if kind == "zero":
-        return NonlinearitySpec(
-            kind=kind, L=L,
-            f=lambda y: np.zeros_like(y),
-            fprime=lambda y: np.zeros_like(y),
-        )
+        return NonlinearitySpec(kind=kind, L=L, f=zero_reaction, fprime=zero_reaction)
     if kind == "scaled_tanh":
         # f' = L / cosh^2, peaks at L; y*tanh(y) >= 0.
         return NonlinearitySpec(

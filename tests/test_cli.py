@@ -257,3 +257,61 @@ def test_nonlinearity_failing_validation_rejected(tmp_path, capsys):
     code = main(["gamma", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert "nonlinearity" in capsys.readouterr().err
+
+
+def run_gamma_with(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return main(["gamma", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_nan_radius_is_field_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(LINEAR_CONFIG))
+    cfg["r"] = float("nan")
+    assert run_gamma_with(tmp_path, cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "r:" in err
+    assert "inside" not in err
+
+
+def test_nan_time_tolerance_is_field_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(LINEAR_CONFIG))
+    cfg["solver"] = {"tol_t": float("nan")}
+    assert run_gamma_with(tmp_path, cfg) == EXIT_CONFIG
+    assert "solver.tol_t" in capsys.readouterr().err
+
+
+def test_bool_grid_size_is_field_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(LINEAR_CONFIG))
+    cfg["grid"]["n"] = True
+    assert run_gamma_with(tmp_path, cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "grid.n" in err
+    assert "y0.modes" not in err
+
+
+def test_gradcheck_non_numeric_horizon_is_field_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment={"T": "abc"})
+    code = main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "experiment.T" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nonlinearity.L", float("nan")),
+    ("dt", float("inf")),
+    ("nt", 300.0),
+    ("solver.max_iters", True),
+    ("solver.eps_feas", float("nan")),
+    ("omega", [0.1, True]),
+    ("y0.modes", {"1": float("nan")}),
+])
+def test_numeric_fields_reject_non_finite_and_bool(tmp_path, capsys, field, value):
+    cfg = json.loads(json.dumps(LINEAR_CONFIG))
+    node = cfg
+    *parents, leaf = field.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    assert run_gamma_with(tmp_path, cfg) == EXIT_CONFIG
+    assert field in capsys.readouterr().err

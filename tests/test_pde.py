@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
 from heatctl import (
     ControlSignal,
@@ -212,6 +213,80 @@ def test_adjoint_duality_identity(f):
         lhs = g.h * float(d @ xi)
         rhs = g.h * float(dy0 @ psi.costates[0]) + dt * g.h * float(np.sum(du * psi.costates[:nt]))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the integrators with the plain per-step formulas
+
+def reference_forward(y0, u, f, g):
+    """One scipy banded solve per step, written as the scheme reads."""
+    factor = diffusion_factor(g, u.dt)
+    dt = u.dt
+    states = np.empty((u.nt + 1, g.n))
+    stages = np.empty((u.nt, g.n))
+    states[0] = y0
+    y = y0
+    for k in range(u.nt):
+        z = y + dt * u.values[k]
+        stages[k] = z
+        y = cho_solve_banded((factor, False), z - dt * f.f(z), check_finite=False)
+        states[k + 1] = y
+    norms = np.sqrt(g.h * np.einsum("ij,ij->i", states, states))
+    return states, stages, norms
+
+
+def reference_adjoint(stages, xi, f, g, dt):
+    factor = diffusion_factor(g, dt)
+    nt = stages.shape[0]
+    costates = np.empty((nt + 1, g.n))
+    costates[nt] = xi
+    psi = xi
+    for k in range(nt - 1, -1, -1):
+        w = cho_solve_banded((factor, False), psi, check_finite=False)
+        psi = w - dt * f.fprime(stages[k]) * w
+        costates[k] = psi
+    return costates
+
+
+def assert_bit_identical(y0, u, xi, f, g):
+    states, stages, norms = reference_forward(y0, u, f, g)
+    traj = solve_forward(y0, u, f, g)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.stage_states, stages)
+    assert np.array_equal(traj.norms, norms)
+    psi = solve_adjoint(traj, xi, f, g)
+    assert np.array_equal(psi.costates, reference_adjoint(stages, xi, f, g, u.dt))
+
+
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH, F_RATIONAL], ids=lambda f: f.kind)
+@pytest.mark.parametrize("g", [GRID, MASKED], ids=["full", "masked"])
+def test_integrators_bit_identical_to_step_formula(f, g):
+    rng = np.random.default_rng(11)
+    nt, dt = 70, 1.3e-3
+    y0 = 3.0 * rng.standard_normal(g.n)
+    u = ControlSignal(dt=dt, nt=nt, values=5.0 * rng.standard_normal((nt, g.n)), grid=g)
+    assert_bit_identical(y0, u, rng.standard_normal(g.n), f, g)
+
+
+def test_custom_zero_kind_with_reaction_is_integrated():
+    # only the built-in zero reaction is skipped, whatever the kind says
+    fake = NonlinearitySpec(kind="zero", L=1.0, f=lambda y: np.tanh(y),
+                            fprime=lambda y: 1.0 - np.tanh(y) ** 2)
+    rng = np.random.default_rng(12)
+    nt, dt = 40, 2e-3
+    y0 = 3.0 * rng.standard_normal(MASKED.n)
+    u = ControlSignal(dt=dt, nt=nt, values=rng.standard_normal((nt, MASKED.n)), grid=MASKED)
+    xi = rng.standard_normal(MASKED.n)
+    assert_bit_identical(y0, u, xi, fake, MASKED)
+    assert not np.array_equal(solve_forward(y0, u, fake, MASKED).states,
+                              solve_forward(y0, u, F_ZERO, MASKED).states)
+
+
+@pytest.mark.parametrize("length", [GRID.n - 1, GRID.n + 1])
+def test_diffusion_solve_rejects_wrong_length(length):
+    factor = diffusion_factor(GRID, 1e-3)
+    with pytest.raises(ValueError, match="length"):
+        diffusion_solve(factor, np.ones(length))
 
 
 # ---------------------------------------------------------------------------
