@@ -37,9 +37,11 @@ from .pde import (
     solve_forward,
 )
 from .reach import (
+    FreeRun,
     ReachOptions,
     ReachResult,
     feasible,
+    free_run,
     gradient_fd_check,
     min_terminal_norm,
     project_pointwise,

@@ -248,7 +248,16 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             errors.extend(exc.errors)
             return None
 
-    grid_cfg = _get(cfg, "grid", {}) or {}
+    def section(name):
+        value = _get(cfg, name)
+        if value is None:
+            return {}
+        if not isinstance(value, dict):
+            fail(name, f"expected an object, got {value!r}")
+            return {}
+        return value
+
+    grid_cfg = section("grid")
     n = number("grid.n", grid_cfg.get("n", 127), integer=True)
     ell = number("grid.ell", grid_cfg.get("ell", 1.0))
     if ell is None:
@@ -272,7 +281,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
         except ValueError as exc:
             fail("omega", str(exc))
 
-    nl_cfg = _get(cfg, "nonlinearity", {"kind": "zero"}) or {"kind": "zero"}
+    nl_cfg = section("nonlinearity")
     kind = nl_cfg.get("kind", "zero")
     L = number("nonlinearity.L", nl_cfg.get("L", 1.0), sign="nonnegative")
     f = None
@@ -330,7 +339,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
     if nt is None and dt is None:
         nt = 300
 
-    sol = _get(cfg, "solver", {}) or {}
+    sol = section("solver")
     tol_t = number("solver.tol_t", sol.get("tol_t", 1e-3))
     tol_m = number("solver.tol_m", sol.get("tol_m", 1e-3))
     reach_opts = dict(
@@ -339,10 +348,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
         eps_feas_rel=number("solver.eps_feas", sol.get("eps_feas", 1e-3)),
     )
 
-    experiment = _get(cfg, "experiment", {}) or {}
-    if not isinstance(experiment, dict):
-        fail("experiment", f"expected an object, got {experiment!r}")
-        experiment = {}
+    experiment = section("experiment")
 
     if errors:
         raise ConfigError(errors)

@@ -124,9 +124,9 @@ class NonlinearitySpec:
 def zero_reaction(y: np.ndarray) -> np.ndarray:
     """The built-in ``zero`` reaction term, which is also its own derivative.
 
-    The integrators in :mod:`heatctl.pde` recognise this function by identity
-    and skip it, so a custom spec that merely has ``kind="zero"`` is still
-    evaluated.
+    The integrators in :mod:`heatctl.pde` and the brute-force enumerator in
+    :mod:`heatctl.oracle` recognise this function by identity and skip it, so
+    a custom spec that merely has ``kind="zero"`` is still evaluated.
     """
     return np.zeros_like(y)
 

@@ -23,6 +23,7 @@ from .core import (
     NonlinearitySpec,
     SpatialGrid,
     TargetBall,
+    zero_reaction,
 )
 from .pde import dirichlet_eigs
 
@@ -149,7 +150,7 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
     steps_per_slice = max(1, -(-n_steps // m_intervals))
     dt = T / (steps_per_slice * m_intervals)
 
-    if f.kind == "zero":
+    if f.f is zero_reaction:
         def rhs(a, force):
             return -(a * lam) + force
     else:

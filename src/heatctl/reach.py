@@ -7,6 +7,14 @@ precision and the only sources of looseness are the iteration budget and, for
 nonlinear reaction terms, nonconvexity.  The mitigation for the latter is to
 warm-start both from the zero control and from a full-amplitude control
 aligned with the costate of the uncontrolled run, and keep the better one.
+
+Both warm starts come from the uncontrolled run, which depends on the initial
+state and the step grid but not on M.  :func:`free_run` solves it once, with
+its masked costate, and a caller that probes many bounds at one horizon (the
+minimal-norm bisection) passes that :class:`FreeRun` to every oracle call.
+:func:`masked_costate` and :func:`bangbang_values` are the one definition of
+the full-amplitude costate direction, shared with
+:func:`heatctl.solvers.extract_bangbang`.
 """
 
 from __future__ import annotations
@@ -18,13 +26,15 @@ import numpy as np
 
 from .core import (
     ControlSignal,
+    DegenerateCostateError,
     DimensionMismatchError,
     NonlinearitySpec,
     SolverDivergenceError,
     SpatialGrid,
+    StateTrajectory,
     TargetBall,
 )
-from .pde import principal_eigenvalue, solve_adjoint, solve_forward
+from .pde import AdjointTrajectory, principal_eigenvalue, solve_adjoint, solve_forward
 
 
 @dataclass(frozen=True)
@@ -94,19 +104,47 @@ def project_pointwise(u: ControlSignal, M: float) -> ControlSignal:
                          values=_project_values(u.values, M, u.grid.h), grid=u.grid)
 
 
-def _bangbang_from_free_run(y0, nt, dt, M, f, g):
-    """Full-amplitude descent control aligned against the free run's costate.
+def masked_costate(psi: AdjointTrajectory, g: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The costate on the control region at each of psi's nt steps, and the
+    pointwise norm of each step."""
+    masked = psi.costates[: psi.nt] * g.omega_mask
+    return masked, np.sqrt(g.h * np.einsum("ij,ij->i", masked, masked))
 
-    Returns None when the masked costate degenerates somewhere (no usable
-    direction).
+
+def bangbang_values(masked: np.ndarray, norms: np.ndarray, level: float) -> np.ndarray:
+    """``level * masked / norms`` step by step: pointwise norm |level| everywhere.
+
+    Raises :class:`DegenerateCostateError` when some step norm is below 1e-14,
+    which leaves the direction undefined.
     """
-    free = solve_forward(y0, ControlSignal.zeros(nt, dt, g), f, g)
-    psi = solve_adjoint(free, free.states[-1], f, g)
-    masked = psi.costates[:nt] * g.omega_mask
-    norms = np.sqrt(g.h * np.einsum("ij,ij->i", masked, masked))
-    if np.min(norms) < 1e-14:
-        return None
-    return -M * masked / norms[:, None]
+    if float(np.min(norms)) < 1e-14:
+        raise DegenerateCostateError(
+            "masked costate vanished at some step; cannot normalize a direction"
+        )
+    return level * masked / norms[:, None]
+
+
+@dataclass(frozen=True)
+class FreeRun:
+    """The uncontrolled run on one step grid, with its masked costate.
+
+    ``trajectory`` is read-only; ``masked`` and ``norms`` are the output of
+    :func:`masked_costate` for the adjoint with terminal datum y(T).
+    """
+
+    trajectory: StateTrajectory
+    masked: np.ndarray
+    norms: np.ndarray
+
+
+def free_run(y0: np.ndarray, T: float, nt: int, f: NonlinearitySpec,
+             g: SpatialGrid) -> FreeRun:
+    """Solve the uncontrolled run over (0, T] in nt steps, and its costate."""
+    traj = solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), f, g)
+    masked, norms = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
+    masked.setflags(write=False)
+    norms.setflags(write=False)
+    return FreeRun(trajectory=traj, masked=masked, norms=norms)
 
 
 def _resample_steps(values: np.ndarray, nt: int) -> np.ndarray:
@@ -120,12 +158,17 @@ def _resample_steps(values: np.ndarray, nt: int) -> np.ndarray:
 def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
                       f: NonlinearitySpec, g: SpatialGrid,
                       opts: ReachOptions | None = None, nt: int = 300,
-                      warm_start: ControlSignal | None = None) -> ReachResult:
+                      warm_start: ControlSignal | None = None,
+                      free: FreeRun | None = None) -> ReachResult:
     """Minimize the terminal norm over pointwise-bounded controls.
 
     Terminates early as feasible once J drops below 0.5*(r - eps_feas)^2,
     otherwise on stagnation of the projected step or on the iteration budget.
     Backtracking enforces a non-increasing objective sequence.
+
+    ``free`` is the :func:`free_run` of the same y0, f and g on this call's
+    step grid; without it the call solves its own (only the forward run when
+    M == 0).  A ``free`` on another step grid raises :class:`ValueError`.
     """
     if opts is None:
         opts = ReachOptions()
@@ -143,24 +186,38 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
     eps_feas = opts.eps_feas_rel * r
     target_j = 0.5 * max(r - eps_feas, 0.0) ** 2
 
-    def run(values):
-        traj = solve_forward(y0, ControlSignal(dt=dt, nt=nt, values=values, grid=g), f, g)
+    if free is not None and (free.trajectory.nt != nt or free.trajectory.dt != dt):
+        raise ValueError(
+            f"free run has {free.trajectory.nt} steps of {free.trajectory.dt!r}, "
+            f"expected {nt} steps of {dt!r}"
+        )
+
+    def objective(traj):
         j = 0.5 * float(traj.norms[-1]) ** 2
         if not math.isfinite(j):
             raise SolverDivergenceError("terminal objective is not finite")
         return j, traj
 
+    def run(values):
+        return objective(solve_forward(y0, ControlSignal(dt=dt, nt=nt, values=values,
+                                                         grid=g), f, g))
+
     # Warm starts: zero control, bang-bang against the free costate, and the
-    # caller's control (projected); keep the best.
-    candidates = [np.zeros((nt, g.n))]
+    # caller's control (projected); keep the best.  The zero control's run is
+    # the free run.
+    if free is None and M > 0.0:
+        free = free_run(y0, T, nt, f, g)
+    v = np.zeros((nt, g.n))
+    j, traj = run(v) if free is None else objective(free.trajectory)
+    candidates = []
     if M > 0.0:
-        bb = _bangbang_from_free_run(y0, nt, dt, M, f, g)
-        if bb is not None:
-            candidates.append(bb)
+        try:
+            candidates.append(bangbang_values(free.masked, free.norms, -M))
+        except DegenerateCostateError:
+            pass
         if warm_start is not None:
             ws = _resample_steps(warm_start.values, nt) * g.omega_mask
             candidates.append(_project_values(ws, M, h))
-    v, j, traj = None, math.inf, None
     for cand in candidates:
         j_c, traj_c = run(cand)
         if j_c < j:

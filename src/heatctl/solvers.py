@@ -9,7 +9,11 @@ out Newton-type updates here.
 
 Near-boundary oracle calls reuse the control from the previous feasible probe
 as a warm start; this typically cuts oracle iterations by an order of
-magnitude.
+magnitude.  The minimal-norm bisection keeps its horizon fixed, so it solves
+the uncontrolled run and its costate once per point
+(:func:`heatctl.reach.free_run`) and hands them to every probe; the
+minimal-time bisection moves the horizon on every probe, so each of its
+oracle calls solves its own.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .core import (
     ControlSignal,
     NoFeasibleBoundError,
     NonlinearitySpec,
-    DegenerateCostateError,
     SpatialGrid,
     TargetBall,
     l2_norm,
@@ -35,7 +38,13 @@ from .pde import (
     principal_eigenvalue,
     solve_forward,
 )
-from .reach import ReachOptions, min_terminal_norm
+from .reach import (
+    ReachOptions,
+    bangbang_values,
+    free_run,
+    masked_costate,
+    min_terminal_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -135,10 +144,12 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     calls = 0
     inconclusive = 0
     best_control = None
+    free = free_run(y0, T, nt, f, g)
 
     def probe(M, warm):
         nonlocal calls, inconclusive
-        res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm)
+        res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm,
+                                free=free)
         calls += 1
         if res.inconclusive:
             inconclusive += 1
@@ -250,15 +261,10 @@ def extract_bangbang(psi: AdjointTrajectory, M: float, g: SpatialGrid) -> Contro
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
-    masked = psi.costates[: psi.nt] * g.omega_mask
     if M == 0.0:
         return ControlSignal.zeros(psi.nt, psi.dt, g)
-    norms = np.sqrt(g.h * np.einsum("ij,ij->i", masked, masked))
-    if float(np.min(norms)) < 1e-14:
-        raise DegenerateCostateError(
-            "masked costate vanished at some step; cannot normalize a direction"
-        )
-    return ControlSignal(dt=psi.dt, nt=psi.nt, values=M * masked / norms[:, None], grid=g)
+    return ControlSignal(dt=psi.dt, nt=psi.nt,
+                         values=bangbang_values(*masked_costate(psi, g), M), grid=g)
 
 
 def bangbang_report(v: ControlSignal, level: float, delta: float) -> float:

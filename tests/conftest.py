@@ -1,0 +1,36 @@
+import sys
+from types import SimpleNamespace
+
+import pytest
+
+from heatctl import pde
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Record every ``solve_forward`` and ``solve_adjoint`` call.
+
+    Modules that imported a solver by name hold their own reference to it, so
+    the recorder replaces it in every heatctl module that holds the original.
+    ``forward`` collects ``(control, trajectory)`` pairs and ``adjoint`` the
+    trajectory each costate was solved along.
+    """
+    calls = SimpleNamespace(forward=[], adjoint=[])
+
+    def recorded_forward(y0, u, f, g):
+        traj = original_forward(y0, u, f, g)
+        calls.forward.append((u, traj))
+        return traj
+
+    def recorded_adjoint(y, xi, f, g):
+        calls.adjoint.append(y)
+        return original_adjoint(y, xi, f, g)
+
+    original_forward, original_adjoint = pde.solve_forward, pde.solve_adjoint
+    for name, original, recorded in (("solve_forward", original_forward, recorded_forward),
+                                     ("solve_adjoint", original_adjoint, recorded_adjoint)):
+        for module_name, module in list(sys.modules.items()):
+            if ((module_name == "heatctl" or module_name.startswith("heatctl."))
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, recorded)
+    return calls

@@ -315,3 +315,15 @@ def test_numeric_fields_reject_non_finite_and_bool(tmp_path, capsys, field, valu
     node[leaf] = value
     assert run_gamma_with(tmp_path, cfg) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid", [1]),
+    ("nonlinearity", "scaled_tanh"),
+    ("solver", 5),
+])
+def test_non_object_section_is_field_error(tmp_path, capsys, field, value):
+    cfg = json.loads(json.dumps(LINEAR_CONFIG))
+    cfg[field] = value
+    assert run_gamma_with(tmp_path, cfg) == EXIT_CONFIG
+    assert f"config: {field}: expected an object" in capsys.readouterr().err

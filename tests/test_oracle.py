@@ -5,6 +5,7 @@ import pytest
 
 from heatctl import (
     EnumerationBudgetError,
+    NonlinearitySpec,
     ScalarInstance,
     SpatialGrid,
     TargetBall,
@@ -158,3 +159,20 @@ def test_bruteforce_two_mode_nonlinear_bracket():
     point = minimal_norm(0.1, Y0, BALL, f_tanh, GRID)
     assert bracket.lower is not None and bracket.upper is not None
     assert bracket.lower < point.value <= bracket.upper
+
+
+def test_bruteforce_integrates_custom_reaction_of_zero_kind():
+    """Only the built-in zero reaction skips the reaction term; a custom spec
+    that merely says kind="zero" gets the bracket of its callables."""
+    grid = SpatialGrid.build(n=31, ell=1.0)
+    y0 = 2.0 * dirichlet_eigs(grid, 1).eigenvectors[0]
+    f, fprime = (lambda y: 5.0 * np.tanh(y)), (lambda y: 5.0 / np.cosh(y) ** 2)
+    amp = np.linspace(-32.0, 32.0, 9)
+    levels = [2.0, 4.0, 8.0, 16.0, 32.0]
+    brackets = [
+        bruteforce_minimal_norm_bracket(
+            y0, 0.05, 2, 2, amp, levels,
+            NonlinearitySpec(kind=kind, L=5.0, f=f, fprime=fprime), grid, BALL)
+        for kind in ("zero", "custom")
+    ]
+    assert [(b.lower, b.upper) for b in brackets] == [(8.0, 16.0)] * 2

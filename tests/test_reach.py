@@ -10,6 +10,7 @@ from heatctl import (
     TargetBall,
     dirichlet_eigs,
     feasible,
+    free_run,
     gradient_fd_check,
     make_nonlinearity,
     min_terminal_norm,
@@ -179,3 +180,31 @@ def test_gradient_fd_zero_direction():
     v = ControlSignal.zeros(50, 1e-3, MASKED)
     d = ControlSignal.zeros(50, 1e-3, MASKED)
     assert gradient_fd_check(Y0_MASKED, 0.05, v, d, F_TANH, MASKED) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Shared free run
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("g, y0", [(GRID, Y0), (MASKED, Y0_MASKED)], ids=["full", "masked"])
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
+def test_shared_free_run_keeps_every_bit(f, g, y0, warm):
+    T, M, nt = 0.06, 3.0, 120
+    ws = (ControlSignal(dt=T / 40, nt=40, values=np.full((40, g.n), -2.0), grid=g)
+          if warm else None)
+    alone = min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws)
+    shared = min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws,
+                               free=free_run(y0, T, nt, f, g))
+    assert alone.iterations > 0
+    assert np.array_equal(shared.control.values, alone.control.values)
+    for attr in ("terminal_norm", "objective_history", "iterations", "feasible",
+                 "converged"):
+        assert getattr(shared, attr) == getattr(alone, attr)
+
+
+@pytest.mark.parametrize("T_free, nt_free", [(0.05, 120), (0.06, 100)])
+def test_free_run_on_another_step_grid_is_refused(T_free, nt_free):
+    free = free_run(Y0, T_free, nt_free, F_ZERO, GRID)
+    with pytest.raises(ValueError, match="free run"):
+        min_terminal_norm(Y0, 0.06, 3.0, BALL, F_ZERO, GRID, nt=120, free=free)

@@ -102,6 +102,16 @@ def test_minimal_norm_control_is_certified(gamma_zero):
 # ---------------------------------------------------------------------------
 # Minimal time
 
+def test_minimal_norm_point_solves_the_free_run_once(gamma_zero, solve_calls):
+    T, nt = 0.5 * gamma_zero, 300
+    point = minimal_norm(T, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+    assert point.diagnostics["oracle_calls"] > 1
+    free = [traj for u, traj in solve_calls.forward
+            if u.nt == nt and u.dt == T / nt and not u.values.any()]
+    assert len(free) == 1
+    assert sum(traj is free[0] for traj in solve_calls.adjoint) == 1
+
+
 def test_minimal_time_zero_bound_is_free_decay(gamma_zero):
     point = minimal_time(0.0, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
     assert point.value == gamma_zero
