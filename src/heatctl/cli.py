@@ -8,7 +8,9 @@ All numbers are emitted with 17 significant digits so results can be diffed
 across machines and reimplementations.
 
 Exit codes: 0 success, 2 invalid config (field-level diagnostics on stderr),
-3 initial state inside the target ball.
+3 initial state inside the target ball, 4 failed computation (no feasible
+bound or a diverging solve; one ``failed:`` line on stderr).  Every handler
+takes its step count from the one rule in :meth:`Setup.steps_for`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import numpy as np
 
 from .core import (
     ControlSignal,
+    NoFeasibleBoundError,
+    SolverDivergenceError,
     SpatialGrid,
     TargetBall,
     l2_norm,
@@ -57,6 +61,7 @@ from .solvers import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INITIAL_STATE = 3
+EXIT_FAILED = 4
 
 SUBCOMMANDS = ("simulate", "gamma", "minnorm", "mintime", "equivalence",
                "sweep", "oracle-compare", "gradcheck")
@@ -195,7 +200,9 @@ class Setup:
     opts: ReachOptions
     experiment: dict
 
-    def steps_for(self, T: float) -> int:
+    def steps_for(self, T: float = 1.0) -> int:
+        """Time steps per solve over a horizon T: ``nt`` when the config gives
+        it, otherwise ``round(T / dt)`` clipped to [200, 2000]."""
         if self.nt is not None:
             return self.nt
         return int(np.clip(round(T / self.dt), 200, 2000))
@@ -435,7 +442,7 @@ def run_simulate(setup: Setup):
 
 
 def run_gamma(setup: Setup):
-    nt = setup.steps_for(1.0) if setup.nt is None else setup.nt
+    nt = setup.steps_for()
     value = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
     horizon = value * 1.05 if value > 0 else 1.0
     traj = solve_forward(setup.y0, ControlSignal.zeros(nt, horizon / nt, setup.grid),
@@ -446,38 +453,33 @@ def run_gamma(setup: Setup):
     return outputs, {"nt": nt}, {"free_decay.csv": (["t", "norm"], rows)}
 
 
-def run_minnorm(setup: Setup):
-    T = _require_number(setup.experiment, "T")
-    nt = setup.steps_for(T)
-    point = minimal_norm(T, setup.y0, setup.ball, setup.f, setup.grid,
-                         tol_M=setup.tol_m, opts=setup.opts, nt=nt)
-    rows = []
-    if point.control is not None:
-        norms = point.control.step_norms()
-        rows = [[k * point.control.dt, norms[k]] for k in range(point.control.nt)]
-    outputs = {"T": T, "alpha": point.value, **_point_record(point)}
+def _value_point_run(point: ValuePoint, parameter: str, value: str):
+    """Outputs (parameter and value also under the given names), diagnostics and
+    control-norm series of one value point."""
+    rows = [[k * point.control.dt, norm] for k, norm in enumerate(point.control.step_norms())]
+    outputs = {parameter: point.parameter, value: point.value, **_point_record(point)}
     return outputs, dict(point.diagnostics), {
         "control_norms.csv": (["t", "control_norm"], rows)}
+
+
+def run_minnorm(setup: Setup):
+    T = _require_number(setup.experiment, "T")
+    point = minimal_norm(T, setup.y0, setup.ball, setup.f, setup.grid,
+                         tol_M=setup.tol_m, opts=setup.opts, nt=setup.steps_for(T))
+    return _value_point_run(point, "T", "alpha")
 
 
 def run_mintime(setup: Setup):
     M = _require_number(setup.experiment, "M", sign="nonnegative")
-    nt = setup.steps_for(1.0) if setup.nt is None else setup.nt
     point = minimal_time(M, setup.y0, setup.ball, setup.f, setup.grid,
-                         tol_T=setup.tol_t, opts=setup.opts, nt=nt)
-    rows = []
-    if point.control is not None:
-        norms = point.control.step_norms()
-        rows = [[k * point.control.dt, norms[k]] for k in range(point.control.nt)]
-    outputs = {"M": M, "tau": point.value, **_point_record(point)}
-    return outputs, dict(point.diagnostics), {
-        "control_norms.csv": (["t", "control_norm"], rows)}
+                         tol_T=setup.tol_t, opts=setup.opts, nt=setup.steps_for())
+    return _value_point_run(point, "M", "tau")
 
 
 def run_equivalence(setup: Setup):
     T_grid = _number_list(setup.experiment, "T_grid", allow_empty=True)
     M_grid = _number_list(setup.experiment, "M_grid", allow_empty=True)
-    nt = setup.steps_for(1.0) if setup.nt is None else setup.nt
+    nt = setup.steps_for()
     gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
     beyond = [T for T in T_grid if T > gamma]
     if beyond:
@@ -528,40 +530,30 @@ def run_sweep(setup: Setup):
     T_grid = _number_list(setup.experiment, "T_grid", required=False)
     if M_grid is None and T_grid is None:
         raise ConfigError(["experiment: sweep needs an M_grid and/or a T_grid"])
-    nt = setup.steps_for(1.0) if setup.nt is None else setup.nt
+    nt = setup.steps_for()
     inst = scalar_instance_for(setup)
     outputs = {}
-    diagnostics = {"nt": nt}
     series = {}
-    if M_grid is not None:
-        curve = minimal_time_curve(M_grid, setup.y0, setup.ball, setup.f, setup.grid,
-                                   tol_T=setup.tol_t, opts=setup.opts, nt=nt)
+    specs = (("tau", M_grid, minimal_time_curve, setup.tol_t, scalar_minimal_time,
+              "strictly_decreasing"),
+             ("alpha", T_grid, minimal_norm_curve, setup.tol_m, scalar_minimal_norm,
+              "non_increasing"))
+    for name, grid, curve_of, tol, closed_form, monotone_key in specs:
+        if grid is None:
+            continue
+        curve = curve_of(grid, setup.y0, setup.ball, setup.f, setup.grid, tol,
+                         opts=setup.opts, nt=nt)
         if inst is not None:
-            curve = ValueCurve(points=tuple(
-                dataclasses.replace(p, oracle_value=scalar_minimal_time(inst, p.parameter))
-                for p in curve.points),
-                monotone=curve.monotone, diagnostics=curve.diagnostics)
-        series["tau_curve.csv"] = curve
-        outputs["tau"] = {
+            curve = dataclasses.replace(curve, points=tuple(
+                dataclasses.replace(p, oracle_value=closed_form(inst, p.parameter))
+                for p in curve.points))
+        series[f"{name}_curve.csv"] = curve
+        outputs[name] = {
             "points": [_point_record(p) for p in curve.points],
-            "strictly_decreasing": bool(curve.monotone),
-            **{k: v for k, v in curve.diagnostics.items()},
+            monotone_key: bool(curve.monotone),
+            **curve.diagnostics,
         }
-    if T_grid is not None:
-        curve = minimal_norm_curve(T_grid, setup.y0, setup.ball, setup.f, setup.grid,
-                                   tol_M=setup.tol_m, opts=setup.opts, nt=nt)
-        if inst is not None:
-            curve = ValueCurve(points=tuple(
-                dataclasses.replace(p, oracle_value=scalar_minimal_norm(inst, p.parameter))
-                for p in curve.points),
-                monotone=curve.monotone, diagnostics=curve.diagnostics)
-        series["alpha_curve.csv"] = curve
-        outputs["alpha"] = {
-            "points": [_point_record(p) for p in curve.points],
-            "non_increasing": bool(curve.monotone),
-            **{k: v for k, v in curve.diagnostics.items()},
-        }
-    return outputs, diagnostics, series
+    return outputs, {"nt": nt}, series
 
 
 def run_oracle_compare(setup: Setup):
@@ -575,28 +567,21 @@ def run_oracle_compare(setup: Setup):
     T_values = _number_list(setup.experiment, "T_values", required=False) or []
     if not M_values and not T_values:
         raise ConfigError(["experiment: oracle-compare needs M_values and/or T_values"])
-    nt = setup.steps_for(1.0) if setup.nt is None else setup.nt
+    nt = setup.steps_for()
     gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
     rows = []
     records = []
-    for M in M_values:
-        point = minimal_time(M, setup.y0, setup.ball, setup.f, setup.grid,
-                             tol_T=setup.tol_t, opts=setup.opts, nt=nt,
-                             gamma_hint=gamma)
-        target = scalar_minimal_time(inst, M)
-        gap = abs(point.value - target) / max(abs(target), 1e-300)
-        records.append({"kind": "minimal_time", "parameter": M,
-                        "solver": point.value, "oracle": target, "rel_gap": gap})
-        rows.append(["minimal_time", M, point.value, target, gap])
-    for T in T_values:
-        point = minimal_norm(T, setup.y0, setup.ball, setup.f, setup.grid,
-                             tol_M=setup.tol_m, opts=setup.opts, nt=nt,
-                             gamma_hint=gamma)
-        target = scalar_minimal_norm(inst, T)
-        gap = abs(point.value - target) / max(abs(target), 1e-300)
-        records.append({"kind": "minimal_norm", "parameter": T,
-                        "solver": point.value, "oracle": target, "rel_gap": gap})
-        rows.append(["minimal_norm", T, point.value, target, gap])
+    specs = (("minimal_time", M_values, minimal_time, setup.tol_t, scalar_minimal_time),
+             ("minimal_norm", T_values, minimal_norm, setup.tol_m, scalar_minimal_norm))
+    for kind, parameters, solve, tol, closed_form in specs:
+        for x in parameters:
+            point = solve(x, setup.y0, setup.ball, setup.f, setup.grid, tol,
+                          opts=setup.opts, nt=nt, gamma_hint=gamma)
+            target = closed_form(inst, x)
+            gap = abs(point.value - target) / max(abs(target), 1e-300)
+            records.append({"kind": kind, "parameter": x,
+                            "solver": point.value, "oracle": target, "rel_gap": gap})
+            rows.append([kind, x, point.value, target, gap])
     outputs = {
         "rows": records,
         "max_rel_gap": max((r["rel_gap"] for r in records), default=0.0),
@@ -728,6 +713,9 @@ def main(argv=None) -> int:
     except RefusedRunError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (NoFeasibleBoundError, SolverDivergenceError) as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     wall = time.perf_counter() - started
 
     out_dir = Path(args.out)

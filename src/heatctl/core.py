@@ -31,7 +31,7 @@ class EnumerationBudgetError(RuntimeError):
 
 
 class NoFeasibleBoundError(RuntimeError):
-    """Doubling the norm bound never produced a feasible control."""
+    """No feasible end to bisect from: no bound, horizon or free decay reaches the ball."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,11 @@ class SpatialGrid:
     @property
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(1, self.n + 1)
+
+
+def step_l2_norms(values: np.ndarray, h: float) -> np.ndarray:
+    """Discrete L2 norm sqrt(h * sum_i values[k, i]^2) of each row k."""
+    return np.sqrt(h * np.einsum("ij,ij->i", values, values))
 
 
 def l2_norm(v: np.ndarray, g: SpatialGrid) -> float:
@@ -241,7 +246,7 @@ class ControlSignal:
 
     def step_norms(self) -> np.ndarray:
         """Pointwise-in-time L2 norms, one per step."""
-        return np.sqrt(self.grid.h * np.einsum("ij,ij->i", self.values, self.values))
+        return step_l2_norms(self.values, self.grid.h)
 
     @property
     def horizon(self) -> float:

@@ -49,6 +49,7 @@ from .core import (
     SpatialGrid,
     StateTrajectory,
     TargetBall,
+    step_l2_norms,
     zero_reaction,
 )
 
@@ -170,7 +171,7 @@ def solve_forward(y0: np.ndarray, u: ControlSignal, f: NonlinearitySpec,
         states[k + 1] = y
     if not np.isfinite(states).all():
         raise SolverDivergenceError("forward solve produced non-finite states; reduce dt")
-    norms = np.sqrt(g.h * np.einsum("ij,ij->i", states, states))
+    norms = step_l2_norms(states, g.h)
     return StateTrajectory(dt=dt, nt=nt, states=states, norms=norms, stage_states=stages)
 
 
@@ -308,7 +309,7 @@ def control_scaling_gap(y0: np.ndarray, u: ControlSignal, theta: float,
     traj_full = solve_forward(y0, u, f, g)
     traj_scaled = solve_forward(y0, scaled, f, g)
     diff = traj_full.states - traj_scaled.states
-    sup_gap = float(np.max(np.sqrt(g.h * np.einsum("ij,ij->i", diff, diff))))
+    sup_gap = float(np.max(step_l2_norms(diff, g.h)))
     level = float(np.max(u.step_norms()))
     T = u.horizon
     bound = (1.0 - theta) * level * math.sqrt(T) * math.exp((2.0 * f.L + 1.0) * T / 2.0)

@@ -33,6 +33,7 @@ from .core import (
     SpatialGrid,
     StateTrajectory,
     TargetBall,
+    step_l2_norms,
 )
 from .pde import AdjointTrajectory, principal_eigenvalue, solve_adjoint, solve_forward
 
@@ -90,7 +91,7 @@ class ReachResult:
 
 def _project_values(values: np.ndarray, M: float, h: float) -> np.ndarray:
     """Radially rescale every step whose pointwise norm exceeds M."""
-    norms = np.sqrt(h * np.einsum("ij,ij->i", values, values))
+    norms = step_l2_norms(values, h)
     scale = np.where(norms > M, np.divide(M, norms, out=np.ones_like(norms),
                                           where=norms > 0.0), 1.0)
     return values * scale[:, None]
@@ -108,7 +109,7 @@ def masked_costate(psi: AdjointTrajectory, g: SpatialGrid) -> tuple[np.ndarray, 
     """The costate on the control region at each of psi's nt steps, and the
     pointwise norm of each step."""
     masked = psi.costates[: psi.nt] * g.omega_mask
-    return masked, np.sqrt(g.h * np.einsum("ij,ij->i", masked, masked))
+    return masked, step_l2_norms(masked, g.h)
 
 
 def bangbang_values(masked: np.ndarray, norms: np.ndarray, level: float) -> np.ndarray:

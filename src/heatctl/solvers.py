@@ -1,11 +1,11 @@
 """Value functions of the control problems, bang-bang tools, and round trips.
 
 The minimal time for a given norm bound and the minimal norm bound for a given
-horizon are both computed by bisection over the reachability oracle, which is
-valid because feasibility is monotone: enlarging the admissible set (bigger M)
-or the horizon (reach the ball, then coast) can only help.  Bisection is also
-robust to the small oracle noise near the feasibility boundary, which rules
-out Newton-type updates here.
+horizon are the same search: one bisection driver, :func:`_bisect`, over the
+reachability oracle.  Bisection is valid because feasibility is monotone:
+enlarging the admissible set (bigger M) or the horizon (reach the ball, then
+coast) can only help.  It is also robust to the small oracle noise near the
+feasibility boundary, which rules out Newton-type updates here.
 
 Near-boundary oracle calls reuse the control from the previous feasible probe
 as a warm start; this typically cuts oracle iterations by an order of
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -53,7 +54,8 @@ class ValuePoint:
 
     ``bracket_lo``/``bracket_hi`` is the final bisection bracket (equal values
     for degenerate cases decided without bisection); ``control`` is the
-    certified control from the feasible endpoint, when one was produced.
+    certified control from the feasible endpoint, or the zero control when no
+    bisection ran (None only for points parsed back from a curve CSV).
     """
 
     parameter: float
@@ -114,10 +116,59 @@ def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
             t = hitting_time(traj, ball)
             return t if t is not None else t_rough
         horizon *= 2.0
-    raise RuntimeError(
+    raise NoFeasibleBoundError(
         f"free decay did not enter the ball within horizon {horizon:.3g}; "
         "check the target radius against the initial norm"
     )
+
+
+def _unbisected(parameter: float, value: float, horizon: float, gamma: float,
+                nt: int, g: SpatialGrid) -> ValuePoint:
+    """A point decided without the oracle: the zero control reaches the ball."""
+    return ValuePoint(parameter=parameter, value=value, bracket_lo=value, bracket_hi=value,
+                      iterations=0, control=ControlSignal.zeros(nt, horizon / nt, g),
+                      diagnostics={"free_decay_time": gamma, "oracle_calls": 0,
+                                   "inconclusive": 0})
+
+
+def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
+            gamma: float) -> ValuePoint:
+    """Smallest feasible x of a monotone oracle, called as ``oracle(x, warm_start=u)``.
+
+    While the upper end ``hi`` is infeasible, ``widen(k, lo, hi, res)`` gives
+    the k-th wider bracket or raises :class:`NoFeasibleBoundError`.  Then
+    [lo, hi] is halved until ``hi - lo <= width(hi)``, each probe warm-started
+    from the last feasible control.
+    """
+    inconclusive = []  # one flag per oracle call
+
+    def probe(x, warm):
+        res = oracle(x, warm_start=warm)
+        inconclusive.append(res.inconclusive)
+        return res
+
+    lo = 0.0
+    res = probe(hi, None)
+    widenings = 0
+    while not res.feasible:
+        widenings += 1
+        lo, hi = widen(widenings, lo, hi, res)
+        res = probe(hi, res.control)
+    best_control = res.control
+
+    while hi - lo > width(hi):
+        mid = 0.5 * (lo + hi)
+        res = probe(mid, best_control)
+        if res.feasible:
+            hi = mid
+            best_control = res.control
+        else:
+            lo = mid
+
+    return ValuePoint(parameter=parameter, value=0.5 * (lo + hi), bracket_lo=lo,
+                      bracket_hi=hi, iterations=len(inconclusive), control=best_control,
+                      diagnostics={"free_decay_time": gamma, "oracle_calls": len(inconclusive),
+                                   "inconclusive": sum(inconclusive), widen_key: widenings})
 
 
 def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -135,54 +186,19 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if T >= gamma:
-        return ValuePoint(parameter=T, value=0.0, bracket_lo=0.0, bracket_hi=0.0,
-                          iterations=0,
-                          control=ControlSignal.zeros(nt, T / nt, g),
-                          diagnostics={"free_decay_time": gamma, "oracle_calls": 0,
-                                       "inconclusive": 0})
+        return _unbisected(T, 0.0, T, gamma, nt, g)
+    oracle = partial(min_terminal_norm, y0, T, ball=ball, f=f, g=g, opts=opts, nt=nt,
+                     free=free_run(y0, T, nt, f, g))
 
-    calls = 0
-    inconclusive = 0
-    best_control = None
-    free = free_run(y0, T, nt, f, g)
-
-    def probe(M, warm):
-        nonlocal calls, inconclusive
-        res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm,
-                                free=free)
-        calls += 1
-        if res.inconclusive:
-            inconclusive += 1
-        return res
-
-    lo, hi = 0.0, 1.0
-    res = probe(hi, None)
-    doublings = 0
-    while not res.feasible:
-        lo = hi
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
+    def double(k, lo, hi, res):
+        if k > 60:
             raise NoFeasibleBoundError(
-                f"no feasible control found up to norm bound {hi:.3g} at T={T}"
+                f"no feasible control found up to norm bound {2.0 * hi:.3g} at T={T}"
             )
-        res = probe(hi, res.control)
-    best_control = res.control
+        return hi, 2.0 * hi
 
-    while hi - lo > tol_M * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        res = probe(mid, best_control)
-        if res.feasible:
-            hi = mid
-            best_control = res.control
-        else:
-            lo = mid
-
-    return ValuePoint(parameter=T, value=0.5 * (lo + hi), bracket_lo=lo, bracket_hi=hi,
-                      iterations=calls, control=best_control,
-                      diagnostics={"free_decay_time": gamma, "oracle_calls": calls,
-                                   "inconclusive": inconclusive,
-                                   "doublings": doublings})
+    return _bisect(oracle, T, 1.0, double, lambda hi: tol_M * (1.0 + hi), "doublings",
+                   gamma)
 
 
 def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -201,55 +217,22 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if M == 0.0:
-        return ValuePoint(parameter=M, value=gamma, bracket_lo=gamma, bracket_hi=gamma,
-                          iterations=0,
-                          control=ControlSignal.zeros(nt, gamma / nt, g),
-                          diagnostics={"free_decay_time": gamma, "oracle_calls": 0,
-                                       "inconclusive": 0})
+        return _unbisected(M, gamma, gamma, gamma, nt, g)
 
-    calls = 0
-    inconclusive = 0
+    oracle = partial(min_terminal_norm, y0, M=M, ball=ball, f=f, g=g, opts=opts, nt=nt)
 
-    def probe(T, warm):
-        nonlocal calls, inconclusive
-        res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm)
-        calls += 1
-        if res.inconclusive:
-            inconclusive += 1
-        return res
-
-    # Certify the upper end: the free decay itself reaches the ball there, so
-    # only discretization slop can make it fail; nudge up a little if it does.
-    hi = gamma
-    res = probe(hi, None)
-    expansions = 0
-    while not res.feasible:
-        expansions += 1
-        if expansions > 4:
-            raise RuntimeError(
+    # The free decay itself reaches the ball at gamma, so only discretization
+    # slop can make the upper end fail; nudge it up a little if it does.
+    def nudge(k, lo, hi, res):
+        if k > 4:
+            raise NoFeasibleBoundError(
                 f"could not certify feasibility near the free-decay time {gamma:.6g} "
                 f"for M={M}; oracle terminal norm {res.terminal_norm:.6g}"
             )
-        hi = gamma * (1.0 + 0.02 * 2 ** (expansions - 1))
-        res = probe(hi, res.control)
-    best_control = res.control
-    lo = 0.0
+        return lo, gamma * (1.0 + 0.02 * 2 ** (k - 1))
 
     tol_abs = tol_T * gamma
-    while hi - lo > tol_abs:
-        mid = 0.5 * (lo + hi)
-        res = probe(mid, best_control)
-        if res.feasible:
-            hi = mid
-            best_control = res.control
-        else:
-            lo = mid
-
-    return ValuePoint(parameter=M, value=0.5 * (lo + hi), bracket_lo=lo, bracket_hi=hi,
-                      iterations=calls, control=best_control,
-                      diagnostics={"free_decay_time": gamma, "oracle_calls": calls,
-                                   "inconclusive": inconclusive,
-                                   "upper_expansions": expansions})
+    return _bisect(oracle, M, gamma, nudge, lambda hi: tol_abs, "upper_expansions", gamma)
 
 
 def extract_bangbang(psi: AdjointTrajectory, M: float, g: SpatialGrid) -> ControlSignal:
@@ -305,17 +288,13 @@ def verify_equivalence_time(T: float, y0: np.ndarray, ball: TargetBall,
                             nt=nt, gamma_hint=gamma)
     residual = abs(tp_point.value - T)
 
-    ext_hit = None
-    ext_residual = None
     ctrl = np_point.control
-    if ctrl is not None:
-        extra = max(nt // 2, 1)
-        extended = np.vstack([ctrl.values, np.zeros((extra, g.n))])
-        traj = solve_forward(y0, ControlSignal(dt=ctrl.dt, nt=ctrl.nt + extra,
-                                               values=extended, grid=g), f, g)
-        ext_hit = hitting_time(traj, ball)
-        if ext_hit is not None:
-            ext_residual = abs(ext_hit - T)
+    extra = max(nt // 2, 1)
+    extended = np.vstack([ctrl.values, np.zeros((extra, g.n))])
+    traj = solve_forward(y0, ControlSignal(dt=ctrl.dt, nt=ctrl.nt + extra,
+                                           values=extended, grid=g), f, g)
+    ext_hit = hitting_time(traj, ball)
+    ext_residual = None if ext_hit is None else abs(ext_hit - T)
     return EquivalenceTimeReport(T=T, norm_value=np_point.value,
                                  time_roundtrip=tp_point.value, residual=residual,
                                  extension_hitting_time=ext_hit,
@@ -353,14 +332,8 @@ def verify_equivalence_bound(M: float, y0: np.ndarray, ball: TargetBall,
                             nt=nt, gamma_hint=gamma)
     residual = abs(np_point.value - M) / max(M, 1.0)
 
-    ctrl = tp_point.control
-    max_norm = float(np.max(ctrl.step_norms())) if ctrl is not None else 0.0
-    if ctrl is not None and M > 0.0:
-        traj = solve_forward(y0, ctrl, f, g)
-        terminal = float(traj.norms[-1])
-    else:
-        terminal = float(solve_forward(y0, ControlSignal.zeros(nt, max(tp_point.value, 1e-12) / nt, g),
-                                       f, g).norms[-1])
+    max_norm = float(np.max(tp_point.control.step_norms()))
+    terminal = float(solve_forward(y0, tp_point.control, f, g).norms[-1])
     opts_eff = opts if opts is not None else ReachOptions()
     restriction_ok = (max_norm <= M * (1.0 + 1e-6) + 1e-300
                       and terminal <= ball.r * (1.0 + opts_eff.eps_feas_rel))
@@ -378,8 +351,8 @@ def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
                        opts: ReachOptions | None = None, nt: int = 300) -> ValueCurve:
     """Minimal-time values over a strictly increasing grid of norm bounds."""
     M_grid = [float(m) for m in M_grid]
-    if any(b <= a for a, b in zip(M_grid, M_grid[1:])):
-        raise ValueError("norm-bound grid must be strictly increasing")
+    if not M_grid or any(b <= a for a, b in zip(M_grid, M_grid[1:])):
+        raise ValueError("norm-bound grid must be nonempty and strictly increasing")
     y0 = np.asarray(y0, dtype=float)
     gamma = free_decay_time(y0, ball, f, g, nt=nt)
     points = tuple(minimal_time(M, y0, ball, f, g, tol_T=tol_T, opts=opts, nt=nt,
@@ -401,11 +374,11 @@ def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
     identically zero and the sweep refuses the grid.
     """
     T_grid = [float(t) for t in T_grid]
-    if any(b <= a for a, b in zip(T_grid, T_grid[1:])):
-        raise ValueError("horizon grid must be strictly increasing")
+    if not T_grid or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
+        raise ValueError("horizon grid must be nonempty and strictly increasing")
     y0 = np.asarray(y0, dtype=float)
     gamma = free_decay_time(y0, ball, f, g, nt=nt)
-    if T_grid and (T_grid[0] <= 0.0 or T_grid[-1] > gamma * (1.0 + 1e-9)):
+    if T_grid[0] <= 0.0 or T_grid[-1] > gamma * (1.0 + 1e-9):
         raise ValueError(
             f"horizon grid must lie in (0, {gamma:.6g}] (the free-decay time)"
         )

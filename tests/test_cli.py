@@ -6,6 +6,7 @@ import pytest
 
 from heatctl.cli import (
     EXIT_CONFIG,
+    EXIT_FAILED,
     EXIT_INITIAL_STATE,
     EXIT_OK,
     canonical_json,
@@ -193,6 +194,54 @@ def test_gradcheck_errors_small(tmp_path):
     out = tmp_path / "out"
     assert main(["gradcheck", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert read_summary(out)["outputs"]["max_rel_error"] <= 1e-6
+
+
+@pytest.mark.parametrize("dt", [1e-4, 5e-4, 1e-2])
+def test_step_count_rule_from_dt(tmp_path, dt):
+    """With nt null every subcommand takes round(T / dt) steps clipped to
+    [200, 2000]; T is the subcommand's own horizon for simulate, minnorm and
+    gradcheck, and 1 for the rest."""
+    def steps(T):
+        return int(np.clip(round(T / dt), 200, 2000))
+
+    runs = {
+        "gamma": ({}, steps(1.0)),
+        "mintime": ({"M": 0.0}, steps(1.0)),
+        "equivalence": ({"T_grid": [], "M_grid": []}, steps(1.0)),
+        "sweep": ({"M_grid": [0.0]}, steps(1.0)),
+        "oracle-compare": ({"M_values": [0.0]}, steps(1.0)),
+        "simulate": ({"horizon": 0.3}, steps(0.3)),
+        "minnorm": ({"T": 0.2}, steps(0.2)),
+        "gradcheck": ({"T": 0.25, "pairs": 1}, steps(0.25)),
+    }
+    for command, (experiment, expected) in runs.items():
+        cfg = write_config(tmp_path, grid={"ell": 1.0, "n": 15}, nt=None, dt=dt,
+                           experiment=experiment)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        if command in ("minnorm", "mintime"):
+            nt = len((out / "control_norms.csv").read_text().splitlines()) - 1
+        else:
+            nt = read_summary(out)["diagnostics"]["nt"]
+        assert nt == expected, command
+
+
+@pytest.mark.parametrize("command, updates, message", [
+    ("mintime", {"omega": [0.3, 0.8], "nonlinearity": {"kind": "scaled_tanh", "L": 1e6},
+                 "experiment": {"M": 5.0}}, "free decay did not enter the ball"),
+    ("mintime", {"experiment": {"M": 1e300}}, "terminal objective is not finite"),
+    ("minnorm", {"omega": [0.3, 0.8], "nonlinearity": {"kind": "scaled_tanh", "L": 1.0},
+                 "experiment": {"T": 0.01}, "solver": {"max_iters": 1}},
+     "no feasible control found up to norm bound 2.31e+18"),
+], ids=["free-decay-never-enters", "diverging-solve", "no-feasible-bound"])
+def test_failed_computation_exits_with_one_line(tmp_path, capsys, command, updates, message):
+    cfg = write_config(tmp_path, grid={"ell": 1.0, "n": 31}, nt=60, **updates)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("failed: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_override_changes_result_and_hash(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,19 @@ import pytest
 from heatctl import (
     ControlSignal,
     DegenerateCostateError,
+    NoFeasibleBoundError,
+    ReachOptions,
     ScalarInstance,
     SpatialGrid,
     TargetBall,
+    ValuePoint,
     bangbang_report,
     dirichlet_eigs,
     extract_bangbang,
     free_decay_time,
+    free_run,
     make_nonlinearity,
+    min_terminal_norm,
     minimal_norm,
     minimal_norm_curve,
     minimal_time,
@@ -248,3 +254,181 @@ def test_curves_require_increasing_grids():
         minimal_time_curve([1.0, 1.0], Y0, BALL, F_ZERO, GRID)
     with pytest.raises(ValueError):
         minimal_norm_curve([0.1, 0.05], Y0, BALL, F_ZERO, GRID)
+    with pytest.raises(ValueError):
+        minimal_time_curve([], Y0, BALL, F_ZERO, GRID)
+    with pytest.raises(ValueError):
+        minimal_norm_curve([], Y0, BALL, F_ZERO, GRID)
+
+
+# ---------------------------------------------------------------------------
+# The bisection driver against the two loops it replaced
+
+def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=None, nt=300,
+                           gamma_hint=None):
+    y0 = np.asarray(y0, dtype=float)
+    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
+    if T >= gamma:
+        return ValuePoint(parameter=T, value=0.0, bracket_lo=0.0, bracket_hi=0.0,
+                          iterations=0,
+                          control=ControlSignal.zeros(nt, T / nt, g),
+                          diagnostics={"free_decay_time": gamma, "oracle_calls": 0,
+                                       "inconclusive": 0})
+
+    calls = 0
+    inconclusive = 0
+    best_control = None
+    free = free_run(y0, T, nt, f, g)
+
+    def probe(M, warm):
+        nonlocal calls, inconclusive
+        res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm,
+                                free=free)
+        calls += 1
+        if res.inconclusive:
+            inconclusive += 1
+        return res
+
+    lo, hi = 0.0, 1.0
+    res = probe(hi, None)
+    doublings = 0
+    while not res.feasible:
+        lo = hi
+        hi *= 2.0
+        doublings += 1
+        if doublings > 60:
+            raise NoFeasibleBoundError(
+                f"no feasible control found up to norm bound {hi:.3g} at T={T}"
+            )
+        res = probe(hi, res.control)
+    best_control = res.control
+
+    while hi - lo > tol_M * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        res = probe(mid, best_control)
+        if res.feasible:
+            hi = mid
+            best_control = res.control
+        else:
+            lo = mid
+
+    return ValuePoint(parameter=T, value=0.5 * (lo + hi), bracket_lo=lo, bracket_hi=hi,
+                      iterations=calls, control=best_control,
+                      diagnostics={"free_decay_time": gamma, "oracle_calls": calls,
+                                   "inconclusive": inconclusive,
+                                   "doublings": doublings})
+
+
+def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=None, nt=300,
+                           gamma_hint=None):
+    y0 = np.asarray(y0, dtype=float)
+    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
+    if M == 0.0:
+        return ValuePoint(parameter=M, value=gamma, bracket_lo=gamma, bracket_hi=gamma,
+                          iterations=0,
+                          control=ControlSignal.zeros(nt, gamma / nt, g),
+                          diagnostics={"free_decay_time": gamma, "oracle_calls": 0,
+                                       "inconclusive": 0})
+
+    calls = 0
+    inconclusive = 0
+
+    def probe(T, warm):
+        nonlocal calls, inconclusive
+        res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm)
+        calls += 1
+        if res.inconclusive:
+            inconclusive += 1
+        return res
+
+    hi = gamma
+    res = probe(hi, None)
+    expansions = 0
+    while not res.feasible:
+        expansions += 1
+        if expansions > 4:
+            raise RuntimeError(
+                f"could not certify feasibility near the free-decay time {gamma:.6g} "
+                f"for M={M}; oracle terminal norm {res.terminal_norm:.6g}"
+            )
+        hi = gamma * (1.0 + 0.02 * 2 ** (expansions - 1))
+        res = probe(hi, res.control)
+    best_control = res.control
+    lo = 0.0
+
+    tol_abs = tol_T * gamma
+    while hi - lo > tol_abs:
+        mid = 0.5 * (lo + hi)
+        res = probe(mid, best_control)
+        if res.feasible:
+            hi = mid
+            best_control = res.control
+        else:
+            lo = mid
+
+    return ValuePoint(parameter=M, value=0.5 * (lo + hi), bracket_lo=lo, bracket_hi=hi,
+                      iterations=calls, control=best_control,
+                      diagnostics={"free_decay_time": gamma, "oracle_calls": calls,
+                                   "inconclusive": inconclusive,
+                                   "upper_expansions": expansions})
+
+
+SMALL = SpatialGrid.build(n=31, ell=1.0)
+SMALL_MASKED = SpatialGrid.build(n=31, ell=1.0, omega=(0.3, 0.8))
+SMALL_NT = 60
+
+
+def assert_same_point(point, ref):
+    assert dataclasses.replace(point, control=None) == dataclasses.replace(ref, control=None)
+    assert (point.control.dt, point.control.nt) == (ref.control.dt, ref.control.nt)
+    assert np.array_equal(point.control.values, ref.control.values)
+
+
+@pytest.mark.parametrize("g", [SMALL, SMALL_MASKED], ids=["full", "masked"])
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
+def test_bisection_driver_matches_reference_loops(f, g):
+    y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
+    gamma = free_decay_time(y0, BALL, f, g, nt=SMALL_NT)
+    doublings = []
+    for T in (0.3 * gamma, 0.7 * gamma, gamma):
+        point = minimal_norm(T, y0, BALL, f, g, nt=SMALL_NT, gamma_hint=gamma)
+        assert_same_point(point, reference_minimal_norm(T, y0, BALL, f, g, nt=SMALL_NT,
+                                                        gamma_hint=gamma))
+        doublings.append(point.diagnostics.get("doublings", 0))
+    assert doublings[0] > 0
+    for M in (0.0, 1.0, 20.0):
+        point = minimal_time(M, y0, BALL, f, g, nt=SMALL_NT, gamma_hint=gamma)
+        assert_same_point(point, reference_minimal_time(M, y0, BALL, f, g, nt=SMALL_NT,
+                                                        gamma_hint=gamma))
+    # a slightly short free-decay time makes the upper end widen before bisecting
+    point = minimal_time(0.01, y0, BALL, f, g, nt=SMALL_NT, gamma_hint=0.97 * gamma)
+    assert_same_point(point, reference_minimal_time(0.01, y0, BALL, f, g, nt=SMALL_NT,
+                                                    gamma_hint=0.97 * gamma))
+    assert point.diagnostics["upper_expansions"] > 0
+    # a short iteration budget leaves some probes inconclusive
+    few = ReachOptions(max_iters=5)
+    for value_fn, reference, x in ((minimal_norm, reference_minimal_norm, 0.3 * gamma),
+                                   (minimal_time, reference_minimal_time, 5.0)):
+        point = value_fn(x, y0, BALL, f, g, opts=few, nt=SMALL_NT, gamma_hint=gamma)
+        assert_same_point(point, reference(x, y0, BALL, f, g, opts=few, nt=SMALL_NT,
+                                           gamma_hint=gamma))
+
+
+def test_bisection_driver_exhaustion_errors_match_reference_loops():
+    y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
+    args = (y0, BALL, F_TANH, SMALL_MASKED)
+    one_step = ReachOptions(max_iters=1)
+    with pytest.raises(NoFeasibleBoundError) as new:
+        minimal_norm(0.002, *args, opts=one_step, nt=SMALL_NT)
+    with pytest.raises(NoFeasibleBoundError) as ref:
+        reference_minimal_norm(0.002, *args, opts=one_step, nt=SMALL_NT)
+    assert str(new.value) == str(ref.value)
+    assert "norm bound 2.31e+18" in str(new.value)
+
+    # a free-decay time that is too short leaves the upper end infeasible
+    short = 0.5 * free_decay_time(*args, nt=SMALL_NT)
+    with pytest.raises(NoFeasibleBoundError) as new:
+        minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
+    with pytest.raises(RuntimeError) as ref:
+        reference_minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
+    assert str(new.value) == str(ref.value)
+    assert "could not certify" in str(new.value)

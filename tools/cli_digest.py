@@ -1,0 +1,126 @@
+"""Digest every CLI run on ``configs/*.json``, to compare two checkouts byte for byte.
+
+Runs each subcommand on each config in a fresh interpreter (``python -m
+heatctl.cli``), adding only the experiment fields the config lacks, plus
+step-count (``dt``), free-decay-edge and failure variants.  Prints one line per
+run:
+
+    <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
+
+where ``out`` hashes ``summary.json`` without ``wall_time_s`` and every CSV
+the run wrote, and ends with one overall digest of those lines.  Two
+checkouts give the same digest exactly when they give the same exit codes,
+stderr and outputs on every run.
+
+    python tools/cli_digest.py [CHECKOUT]
+
+CHECKOUT defaults to the one holding this script; its ``src`` and
+``configs`` are used.  Standard library only, besides the heatctl under test.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SUBCOMMANDS = ("simulate", "gamma", "minnorm", "mintime", "equivalence",
+               "sweep", "oracle-compare", "gradcheck")
+
+# Experiment fields a subcommand needs; each is added only when the config
+# does not set it.
+NEEDS = {
+    "simulate": {"horizon": 0.1},
+    "minnorm": {"T": 0.05},
+    "mintime": {"M": 5.0},
+    "equivalence": {"T_grid": [0.05], "M_grid": [5.0]},
+    "sweep": {"M_grid": [1.0, 10.0]},
+    "oracle-compare": {"M_values": [10.0], "T_values": [0.07]},
+    "gradcheck": {"pairs": 2},
+}
+
+# (label, config, subcommand, extra overrides) beyond the plain runs.
+VARIANTS = [
+    # step count from dt instead of nt
+    *[(f"dt={dt}", "linear_equivalence", cmd, ["nt=null", f"dt={dt}"])
+      for dt in (0.004, 0.0005)
+      for cmd in ("simulate", "gamma", "minnorm", "mintime", "sweep")],
+    ("dt=0.004", "linear_equivalence", "equivalence",
+     ["nt=null", "dt=0.004", "experiment.T_grid=[0.08]", "experiment.M_grid=[5]"]),
+    ("dt=0.004", "oracle_compare", "oracle-compare", ["nt=null", "dt=0.004"]),
+    ("dt=0.004", "linear_equivalence", "gradcheck",
+     ["nt=null", "dt=0.004", "experiment.T=0.9"]),
+    # free-decay edge: zero bound, horizon past the free-decay time
+    ("edge", "tanh_sweep", "mintime", ["experiment.M=0"]),
+    ("edge", "tanh_sweep", "minnorm", ["experiment.T=1"]),
+    ("edge", "linear_equivalence", "equivalence",
+     ["experiment.T_grid=[]", "experiment.M_grid=[0]"]),
+    ("edge", "tanh_sweep", "sweep", ["experiment.M_grid=[0]"]),
+    # failures
+    ("fail", "tanh_sweep", "mintime", ["experiment.M=5", "nonlinearity.L=1e6"]),
+    ("fail", "linear_equivalence", "mintime", ["experiment.M=1e300"]),
+    ("fail", "tanh_sweep", "minnorm", ["experiment.T=0.01", "solver.max_iters=1"]),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _outputs_digest(out_dir: Path) -> str:
+    h = hashlib.sha256()
+    summary = out_dir / "summary.json"
+    if summary.exists():
+        data = json.loads(summary.read_text())
+        data.pop("wall_time_s", None)
+        h.update(json.dumps(data, sort_keys=True).encode())
+    for csv in sorted(out_dir.glob("*.csv")):
+        h.update(csv.name.encode() + b"\0" + csv.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def run(root: Path, config: str, command: str, overrides: list[str]) -> str:
+    """Run one subcommand and return its digest line (without the label)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        argv = [sys.executable, "-m", "heatctl.cli", command,
+                "--config", str(root / "configs" / f"{config}.json"), "--out", str(out_dir)]
+        for spec in overrides:
+            argv += ["--override", spec]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(argv, capture_output=True, env=env, cwd=tmp)
+        return (f"exit={proc.returncode} stderr={_sha(proc.stderr)} "
+                f"out={_outputs_digest(out_dir)}")
+
+
+def plan(root: Path):
+    """(label, config, subcommand, overrides) of every run, in order."""
+    configs = sorted(path.stem for path in (root / "configs").glob("*.json"))
+    runs = [("plain", config, command, []) for config in configs for command in SUBCOMMANDS]
+    for label, config, command, extra in runs + VARIANTS:
+        cfg = json.loads((root / "configs" / f"{config}.json").read_text())
+        experiment = cfg.get("experiment") or {}
+        needs = [f"experiment.{key}={json.dumps(value)}"
+                 for key, value in NEEDS.get(command, {}).items() if key not in experiment]
+        yield label, config, command, needs + extra
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
+    total = hashlib.sha256()
+    for label, config, command, overrides in plan(root.resolve()):
+        line = (f"{label:10s} {config:20s} {command:15s} "
+                f"{run(root.resolve(), config, command, overrides)}")
+        print(line, flush=True)
+        total.update(line.encode() + b"\n")
+    print(f"overall {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
