@@ -40,7 +40,6 @@ from .reach import (
     FreeRun,
     ReachOptions,
     ReachResult,
-    feasible,
     free_run,
     gradient_fd_check,
     min_terminal_norm,

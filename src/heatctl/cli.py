@@ -370,17 +370,28 @@ def _require_number(exp: dict, key: str, sign: str = "positive") -> float:
     return config_number(f"experiment.{key}", exp[key], sign=sign)
 
 
-def _number_list(exp: dict, key: str, required: bool = True, allow_empty: bool = False):
+def _number_list(exp: dict, key: str, sign: str, required: bool = True,
+                 allow_empty: bool = False):
+    """A list of numbers, each checked by :func:`config_number` with ``sign``."""
     if key not in exp:
         if required:
             raise ConfigError([f"experiment.{key}: required by this subcommand"])
         return None
     val = exp[key]
-    if (not isinstance(val, (list, tuple)) or (not val and not allow_empty)
-            or not all(_is_number(v) for v in val)):
+    if not isinstance(val, (list, tuple)) or (not val and not allow_empty):
         what = "a list" if allow_empty else "a nonempty list"
         raise ConfigError([f"experiment.{key}: expected {what} of finite numbers"])
-    return [float(v) for v in val]
+    return [config_number(f"experiment.{key}[{i}]", v, sign=sign) for i, v in enumerate(val)]
+
+
+def _refuse_horizons_past(key: str, horizons, limit: float, what: str) -> None:
+    """Refuse the run when some horizon exceeds ``limit`` (a free-decay time)."""
+    beyond = [T for T in horizons if T > limit]
+    if beyond:
+        raise RefusedRunError(
+            f"{key} entries {beyond} exceed {what} {limit:.17g}; "
+            "minimal-norm horizons must stay within (0, gamma]"
+        )
 
 
 def scalar_instance_for(setup: Setup) -> ScalarInstance | None:
@@ -477,16 +488,11 @@ def run_mintime(setup: Setup):
 
 
 def run_equivalence(setup: Setup):
-    T_grid = _number_list(setup.experiment, "T_grid", allow_empty=True)
-    M_grid = _number_list(setup.experiment, "M_grid", allow_empty=True)
+    T_grid = _number_list(setup.experiment, "T_grid", "positive", allow_empty=True)
+    M_grid = _number_list(setup.experiment, "M_grid", "nonnegative", allow_empty=True)
     nt = setup.steps_for()
     gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
-    beyond = [T for T in T_grid if T > gamma]
-    if beyond:
-        raise RefusedRunError(
-            f"T_grid entries {beyond} exceed the free-decay time {gamma:.17g}; "
-            "minimal-norm horizons must stay within (0, gamma]"
-        )
+    _refuse_horizons_past("T_grid", T_grid, gamma, "the free-decay time")
     rows = []
     time_reports = []
     for T in T_grid:
@@ -526,12 +532,21 @@ def run_equivalence(setup: Setup):
 
 
 def run_sweep(setup: Setup):
-    M_grid = _number_list(setup.experiment, "M_grid", required=False)
-    T_grid = _number_list(setup.experiment, "T_grid", required=False)
+    M_grid = _number_list(setup.experiment, "M_grid", "nonnegative", required=False)
+    T_grid = _number_list(setup.experiment, "T_grid", "positive", required=False)
     if M_grid is None and T_grid is None:
         raise ConfigError(["experiment: sweep needs an M_grid and/or a T_grid"])
+    for key, grid in (("M_grid", M_grid), ("T_grid", T_grid)):
+        if grid is not None and any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError([f"experiment.{key}: expected a strictly increasing list"])
     nt = setup.steps_for()
     inst = scalar_instance_for(setup)
+    gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
+    if T_grid is not None:
+        _refuse_horizons_past("T_grid", T_grid, gamma, "the free-decay time")
+        if inst is not None:
+            _refuse_horizons_past("T_grid", T_grid, inst.free_decay_time,
+                                  "the closed-form free-decay time")
     outputs = {}
     series = {}
     specs = (("tau", M_grid, minimal_time_curve, setup.tol_t, scalar_minimal_time,
@@ -542,7 +557,7 @@ def run_sweep(setup: Setup):
         if grid is None:
             continue
         curve = curve_of(grid, setup.y0, setup.ball, setup.f, setup.grid, tol,
-                         opts=setup.opts, nt=nt)
+                         opts=setup.opts, nt=nt, gamma_hint=gamma)
         if inst is not None:
             curve = dataclasses.replace(curve, points=tuple(
                 dataclasses.replace(p, oracle_value=closed_form(inst, p.parameter))
@@ -563,10 +578,12 @@ def run_oracle_compare(setup: Setup):
             "experiment: oracle-compare needs the closed-form instance "
             "(omega covering the whole interval, zero nonlinearity, y0 on mode 1)"
         ])
-    M_values = _number_list(setup.experiment, "M_values", required=False) or []
-    T_values = _number_list(setup.experiment, "T_values", required=False) or []
+    M_values = _number_list(setup.experiment, "M_values", "nonnegative", required=False) or []
+    T_values = _number_list(setup.experiment, "T_values", "positive", required=False) or []
     if not M_values and not T_values:
         raise ConfigError(["experiment: oracle-compare needs M_values and/or T_values"])
+    _refuse_horizons_past("T_values", T_values, inst.free_decay_time,
+                          "the closed-form free-decay time")
     nt = setup.steps_for()
     gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
     rows = []

@@ -12,9 +12,15 @@ Both warm starts come from the uncontrolled run, which depends on the initial
 state and the step grid but not on M.  :func:`free_run` solves it once, with
 its masked costate, and a caller that probes many bounds at one horizon (the
 minimal-norm bisection) passes that :class:`FreeRun` to every oracle call.
-:func:`masked_costate` and :func:`bangbang_values` are the one definition of
-the full-amplitude costate direction, shared with
-:func:`heatctl.solvers.extract_bangbang`.
+
+Each quantity has one definition here: ``_objective`` is J,
+:func:`masked_costate` is its gradient (also the direction of
+:func:`bangbang_values`, shared with :func:`heatctl.solvers.extract_bangbang`),
+and :func:`reaches_ball` is the feasibility test, shared with
+:func:`heatctl.solvers.verify_equivalence_bound`.  The step rule is fixed:
+the first step is 1/lambda_1, a rejected step is halved (at most
+``MAX_BACKTRACKS`` times per iteration), and an accepted one doubles, up to
+1e4 times the first.
 """
 
 from __future__ import annotations
@@ -38,33 +44,30 @@ from .core import (
 from .pde import AdjointTrajectory, principal_eigenvalue, solve_adjoint, solve_forward
 
 
+STEP_SHRINK = 0.5
+STEP_GROWTH = 2.0
+MAX_BACKTRACKS = 45
+
+
 @dataclass(frozen=True)
 class ReachOptions:
-    """Iteration and tolerance knobs for the oracle.
+    """The oracle's iteration budget and tolerances, as a config sets them.
 
-    ``eps_feas_rel`` is relative to the target radius; stagnation is measured
-    by the norm of the accepted step relative to M*sqrt(T).
+    ``max_iters`` bounds the descent iterations; ``eps_stag`` ends the descent
+    once an accepted step moves the control by less than eps_stag*M*sqrt(T);
+    ``eps_feas_rel`` is the feasibility slack relative to the target radius
+    (see :func:`reaches_ball`).  The step rule is fixed (module docstring).
     """
 
     max_iters: int = 200
-    step_init: float | None = None
-    step_shrink: float = 0.5
-    step_growth: float = 2.0
-    max_backtracks: int = 45
     eps_stag: float = 1e-7
     eps_feas_rel: float = 1e-3
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration budgets must be positive")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if self.step_growth < 1.0:
-            raise ValueError("step_growth must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("the iteration budget must be positive")
         if self.eps_stag <= 0.0 or self.eps_feas_rel <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.step_init is not None and self.step_init <= 0.0:
-            raise ValueError("step_init must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,11 +108,38 @@ def project_pointwise(u: ControlSignal, M: float) -> ControlSignal:
                          values=_project_values(u.values, M, u.grid.h), grid=u.grid)
 
 
-def masked_costate(psi: AdjointTrajectory, g: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The costate on the control region at each of psi's nt steps, and the
-    pointwise norm of each step."""
-    masked = psi.costates[: psi.nt] * g.omega_mask
-    return masked, step_l2_norms(masked, g.h)
+def reaches_ball(terminal_norm: float, ball: TargetBall,
+                 opts: ReachOptions | None = None) -> bool:
+    """Whether a terminal norm counts as reaching the ball: at most r plus the
+    slack ``eps_feas_rel * r``."""
+    eps_feas_rel = (ReachOptions() if opts is None else opts).eps_feas_rel
+    return terminal_norm <= ball.r + eps_feas_rel * ball.r
+
+
+def _objective(traj: StateTrajectory) -> float:
+    """J = 0.5*||y(T)||^2 of a run; raises :class:`SolverDivergenceError` when
+    it is not finite."""
+    j = 0.5 * float(traj.norms[-1]) ** 2
+    if not math.isfinite(j):
+        raise SolverDivergenceError("terminal objective is not finite")
+    return j
+
+
+def _run(y0: np.ndarray, values: np.ndarray, dt: float, f: NonlinearitySpec,
+         g: SpatialGrid) -> tuple[float, StateTrajectory]:
+    """Solve the run of the control ``values`` on steps of dt; J and the run."""
+    traj = solve_forward(y0, ControlSignal(dt=dt, nt=len(values), values=values, grid=g),
+                         f, g)
+    return _objective(traj), traj
+
+
+def masked_costate(psi: AdjointTrajectory, g: SpatialGrid) -> np.ndarray:
+    """The costate on the control region at each of psi's nt steps.
+
+    For the adjoint with terminal datum y(T), this is the gradient of J with
+    respect to the control values.
+    """
+    return psi.costates[: psi.nt] * g.omega_mask
 
 
 def bangbang_values(masked: np.ndarray, norms: np.ndarray, level: float) -> np.ndarray:
@@ -129,8 +159,9 @@ def bangbang_values(masked: np.ndarray, norms: np.ndarray, level: float) -> np.n
 class FreeRun:
     """The uncontrolled run on one step grid, with its masked costate.
 
-    ``trajectory`` is read-only; ``masked`` and ``norms`` are the output of
-    :func:`masked_costate` for the adjoint with terminal datum y(T).
+    ``trajectory`` is read-only; ``masked`` is :func:`masked_costate` for the
+    adjoint with terminal datum y(T) (the gradient of J at the zero control)
+    and ``norms`` its pointwise norm at each step.
     """
 
     trajectory: StateTrajectory
@@ -142,7 +173,8 @@ def free_run(y0: np.ndarray, T: float, nt: int, f: NonlinearitySpec,
              g: SpatialGrid) -> FreeRun:
     """Solve the uncontrolled run over (0, T] in nt steps, and its costate."""
     traj = solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), f, g)
-    masked, norms = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
+    masked = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
+    norms = step_l2_norms(masked, g.h)
     masked.setflags(write=False)
     norms.setflags(write=False)
     return FreeRun(trajectory=traj, masked=masked, norms=norms)
@@ -163,7 +195,7 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
                       free: FreeRun | None = None) -> ReachResult:
     """Minimize the terminal norm over pointwise-bounded controls.
 
-    Terminates early as feasible once J drops below 0.5*(r - eps_feas)^2,
+    Terminates early as feasible once J drops below 0.5*(r - eps_feas_rel*r)^2,
     otherwise on stagnation of the projected step or on the iteration budget.
     Backtracking enforces a non-increasing objective sequence.
 
@@ -184,8 +216,7 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
     dt = T / nt
     h = g.h
     r = ball.r
-    eps_feas = opts.eps_feas_rel * r
-    target_j = 0.5 * max(r - eps_feas, 0.0) ** 2
+    target_j = 0.5 * max(r - opts.eps_feas_rel * r, 0.0) ** 2
 
     if free is not None and (free.trajectory.nt != nt or free.trajectory.dt != dt):
         raise ValueError(
@@ -193,23 +224,18 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
             f"expected {nt} steps of {dt!r}"
         )
 
-    def objective(traj):
-        j = 0.5 * float(traj.norms[-1]) ** 2
-        if not math.isfinite(j):
-            raise SolverDivergenceError("terminal objective is not finite")
-        return j, traj
-
-    def run(values):
-        return objective(solve_forward(y0, ControlSignal(dt=dt, nt=nt, values=values,
-                                                         grid=g), f, g))
-
     # Warm starts: zero control, bang-bang against the free costate, and the
     # caller's control (projected); keep the best.  The zero control's run is
-    # the free run.
+    # the free run, and its gradient is the free run's masked costate.  ``grad``
+    # is the gradient at the current iterate v, or None until it is solved.
     if free is None and M > 0.0:
         free = free_run(y0, T, nt, f, g)
     v = np.zeros((nt, g.n))
-    j, traj = run(v) if free is None else objective(free.trajectory)
+    grad = None
+    if free is None:
+        j, traj = _run(y0, v, dt, f, g)
+    else:
+        j, traj, grad = _objective(free.trajectory), free.trajectory, free.masked
     candidates = []
     if M > 0.0:
         try:
@@ -220,65 +246,51 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
             ws = _resample_steps(warm_start.values, nt) * g.omega_mask
             candidates.append(_project_values(ws, M, h))
     for cand in candidates:
-        j_c, traj_c = run(cand)
+        j_c, traj_c = _run(y0, cand, dt, f, g)
         if j_c < j:
-            v, j, traj = cand, j_c, traj_c
+            v, j, traj, grad = cand, j_c, traj_c, None
     history = [j]
 
-    if M == 0.0:
-        terminal = float(traj.norms[-1])
-        return ReachResult(terminal_norm=terminal,
-                           control=ControlSignal(dt=dt, nt=nt, values=v, grid=g),
-                           iterations=0, feasible=terminal <= r + eps_feas,
-                           converged=True, objective_history=tuple(history))
-
-    step = opts.step_init if opts.step_init is not None else 1.0 / principal_eigenvalue(g)
-    step_cap = step * 1e4
-    move_scale = M * math.sqrt(T)
     iterations = 0
-    converged = False
-    for _ in range(opts.max_iters):
-        if j <= target_j:
-            converged = True
-            break
-        psi = solve_adjoint(traj, traj.states[-1], f, g)
-        grad = psi.costates[:nt] * g.omega_mask
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            trial = _project_values(v - step * grad, M, h)
-            j_trial, traj_trial = run(trial)
-            if j_trial <= j:
-                accepted = True
+    converged = True
+    if M > 0.0:
+        step = 1.0 / principal_eigenvalue(g)
+        step_cap = step * 1e4
+        move_scale = M * math.sqrt(T)
+        converged = False
+        for _ in range(opts.max_iters):
+            if j <= target_j:
+                converged = True
                 break
-            step *= opts.step_shrink
-        iterations += 1
-        if not accepted:
-            converged = True  # no descent at a vanishing step: stationary
-            break
-        move = math.sqrt(dt * h * float(np.sum((trial - v) ** 2)))
-        v, j, traj = trial, j_trial, traj_trial
-        history.append(j)
-        step = min(step * opts.step_growth, step_cap)
-        if move <= opts.eps_stag * move_scale:
-            converged = True
-            break
-    else:
-        converged = j <= target_j
+            if grad is None:
+                grad = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
+            accepted = False
+            for _ in range(MAX_BACKTRACKS):
+                trial = _project_values(v - step * grad, M, h)
+                j_trial, traj_trial = _run(y0, trial, dt, f, g)
+                if j_trial <= j:
+                    accepted = True
+                    break
+                step *= STEP_SHRINK
+            iterations += 1
+            if not accepted:
+                converged = True  # no descent at a vanishing step: stationary
+                break
+            move = math.sqrt(dt * h * float(np.sum((trial - v) ** 2)))
+            v, j, traj, grad = trial, j_trial, traj_trial, None
+            history.append(j)
+            step = min(step * STEP_GROWTH, step_cap)
+            if move <= opts.eps_stag * move_scale:
+                converged = True
+                break
+        else:
+            converged = j <= target_j
 
     terminal = float(traj.norms[-1])
     return ReachResult(terminal_norm=terminal,
                        control=ControlSignal(dt=dt, nt=nt, values=v, grid=g),
-                       iterations=iterations, feasible=terminal <= r + eps_feas,
+                       iterations=iterations, feasible=reaches_ball(terminal, ball, opts),
                        converged=converged, objective_history=tuple(history))
-
-
-def feasible(y0: np.ndarray, T: float, M: float, ball: TargetBall,
-             f: NonlinearitySpec, g: SpatialGrid,
-             opts: ReachOptions | None = None, nt: int = 300,
-             warm_start: ControlSignal | None = None) -> bool:
-    """Thin wrapper over :func:`min_terminal_norm`."""
-    return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
-                             warm_start=warm_start).feasible
 
 
 def gradient_fd_check(y0: np.ndarray, T: float, v: ControlSignal,
@@ -292,20 +304,14 @@ def gradient_fd_check(y0: np.ndarray, T: float, v: ControlSignal,
     if v.nt != direction.nt:
         raise DimensionMismatchError("control and direction use different step counts")
     y0 = np.asarray(y0, dtype=float)
-    nt = v.nt
-    dt = T / nt
+    dt = T / v.nt
 
-    def objective(values):
-        traj = solve_forward(y0, ControlSignal(dt=dt, nt=nt, values=values, grid=g), f, g)
-        return 0.5 * float(traj.norms[-1]) ** 2, traj
-
-    j0, traj = objective(v.values)
-    psi = solve_adjoint(traj, traj.states[-1], f, g)
-    grad = psi.costates[:nt] * g.omega_mask
+    _, traj = _run(y0, v.values, dt, f, g)
+    grad = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
     adjoint_slope = dt * g.h * float(np.sum(grad * direction.values))
 
-    j_plus, _ = objective(v.values + fd_step * direction.values)
-    j_minus, _ = objective(v.values - fd_step * direction.values)
+    j_plus, _ = _run(y0, v.values + fd_step * direction.values, dt, f, g)
+    j_minus, _ = _run(y0, v.values - fd_step * direction.values, dt, f, g)
     fd_slope = (j_plus - j_minus) / (2.0 * fd_step)
 
     denom = max(abs(fd_slope), abs(adjoint_slope))

@@ -32,6 +32,7 @@ from .core import (
     SpatialGrid,
     TargetBall,
     l2_norm,
+    step_l2_norms,
 )
 from .pde import (
     AdjointTrajectory,
@@ -45,6 +46,7 @@ from .reach import (
     free_run,
     masked_costate,
     min_terminal_norm,
+    reaches_ball,
 )
 
 
@@ -246,8 +248,10 @@ def extract_bangbang(psi: AdjointTrajectory, M: float, g: SpatialGrid) -> Contro
         raise ValueError(f"norm bound must be nonnegative, got {M}")
     if M == 0.0:
         return ControlSignal.zeros(psi.nt, psi.dt, g)
+    masked = masked_costate(psi, g)
     return ControlSignal(dt=psi.dt, nt=psi.nt,
-                         values=bangbang_values(*masked_costate(psi, g), M), grid=g)
+                         values=bangbang_values(masked, step_l2_norms(masked, g.h), M),
+                         grid=g)
 
 
 def bangbang_report(v: ControlSignal, level: float, delta: float) -> float:
@@ -334,9 +338,8 @@ def verify_equivalence_bound(M: float, y0: np.ndarray, ball: TargetBall,
 
     max_norm = float(np.max(tp_point.control.step_norms()))
     terminal = float(solve_forward(y0, tp_point.control, f, g).norms[-1])
-    opts_eff = opts if opts is not None else ReachOptions()
     restriction_ok = (max_norm <= M * (1.0 + 1e-6) + 1e-300
-                      and terminal <= ball.r * (1.0 + opts_eff.eps_feas_rel))
+                      and reaches_ball(terminal, ball, opts))
     return EquivalenceBoundReport(M=M, time_value=tp_point.value,
                                   norm_roundtrip=np_point.value,
                                   relative_residual=residual,
@@ -348,13 +351,14 @@ def verify_equivalence_bound(M: float, y0: np.ndarray, ball: TargetBall,
 
 def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                        g: SpatialGrid, tol_T: float = 1e-3,
-                       opts: ReachOptions | None = None, nt: int = 300) -> ValueCurve:
+                       opts: ReachOptions | None = None, nt: int = 300,
+                       gamma_hint: float | None = None) -> ValueCurve:
     """Minimal-time values over a strictly increasing grid of norm bounds."""
     M_grid = [float(m) for m in M_grid]
     if not M_grid or any(b <= a for a, b in zip(M_grid, M_grid[1:])):
         raise ValueError("norm-bound grid must be nonempty and strictly increasing")
     y0 = np.asarray(y0, dtype=float)
-    gamma = free_decay_time(y0, ball, f, g, nt=nt)
+    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     points = tuple(minimal_time(M, y0, ball, f, g, tol_T=tol_T, opts=opts, nt=nt,
                                 gamma_hint=gamma) for M in M_grid)
     values = [p.value for p in points]
@@ -367,7 +371,8 @@ def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
 
 def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                        g: SpatialGrid, tol_M: float = 1e-3,
-                       opts: ReachOptions | None = None, nt: int = 300) -> ValueCurve:
+                       opts: ReachOptions | None = None, nt: int = 300,
+                       gamma_hint: float | None = None) -> ValueCurve:
     """Minimal-norm values over a strictly increasing grid of horizons.
 
     Horizons must stay within (0, free-decay time]; beyond that the value is
@@ -377,7 +382,7 @@ def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
     if not T_grid or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
         raise ValueError("horizon grid must be nonempty and strictly increasing")
     y0 = np.asarray(y0, dtype=float)
-    gamma = free_decay_time(y0, ball, f, g, nt=nt)
+    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if T_grid[0] <= 0.0 or T_grid[-1] > gamma * (1.0 + 1e-9):
         raise ValueError(
             f"horizon grid must lie in (0, {gamma:.6g}] (the free-decay time)"

@@ -162,6 +162,52 @@ def test_equivalence_refuses_horizons_past_gamma(tmp_path, capsys):
     assert "free-decay" in err and "0.14" in err
 
 
+@pytest.mark.parametrize("command, experiment, field", [
+    ("equivalence", {"T_grid": [], "M_grid": [-1]}, "experiment.M_grid[0]"),
+    ("equivalence", {"T_grid": [-0.01], "M_grid": []}, "experiment.T_grid[0]"),
+    ("equivalence", {"T_grid": [0], "M_grid": []}, "experiment.T_grid[0]"),
+    ("oracle-compare", {"M_values": [-1]}, "experiment.M_values[0]"),
+    ("oracle-compare", {"T_values": [-0.1]}, "experiment.T_values[0]"),
+    ("sweep", {"M_grid": [-1, 5]}, "experiment.M_grid[0]"),
+    ("sweep", {"T_grid": [0.0, 0.05]}, "experiment.T_grid[0]"),
+])
+def test_list_entries_are_checked_with_their_sign(tmp_path, capsys, command, experiment,
+                                                  field):
+    cfg = write_config(tmp_path, experiment=experiment)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config: {field}: expected a ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, updates, message", [
+    ("sweep", {"experiment": {"M_grid": [5, 1]}},
+     "config: experiment.M_grid: expected a strictly increasing list"),
+    ("sweep", {"experiment": {"T_grid": [0.05, 0.5]}},
+     "refused: T_grid entries [0.5] exceed the free-decay time 0.1407"),
+    # past the closed form's free-decay time but not the numerical one (0.1408)
+    ("sweep", {"experiment": {"T_grid": [0.1406]}},
+     "refused: T_grid entries [0.1406] exceed the closed-form free-decay time 0.1404"),
+    ("sweep", {"omega": [0.3, 0.8], "nonlinearity": {"kind": "scaled_tanh", "L": 1.0},
+               "experiment": {"T_grid": [0.05, 0.5]}},
+     "refused: T_grid entries [0.5] exceed the free-decay time 0.1"),
+    ("oracle-compare", {"experiment": {"T_values": [0.5]}},
+     "refused: T_values entries [0.5] exceed the closed-form free-decay time 0.1404"),
+], ids=["sweep-decreasing-bounds", "sweep-horizon-past-gamma",
+        "sweep-horizon-past-closed-form-gamma", "sweep-tanh-horizon-past-gamma",
+        "oracle-compare-horizon-past-closed-form-gamma"])
+def test_bad_grids_are_refused_before_any_oracle_call(tmp_path, capsys, solve_calls,
+                                                      command, updates, message):
+    cfg = write_config(tmp_path, **updates)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+    assert not solve_calls.adjoint
+
+
 def test_equivalence_runs_on_small_grids(tmp_path):
     cfg = write_config(tmp_path, experiment={"T_grid": [0.1], "M_grid": [10.0]})
     out = tmp_path / "out"
@@ -233,7 +279,10 @@ def test_step_count_rule_from_dt(tmp_path, dt):
     ("minnorm", {"omega": [0.3, 0.8], "nonlinearity": {"kind": "scaled_tanh", "L": 1.0},
                  "experiment": {"T": 0.01}, "solver": {"max_iters": 1}},
      "no feasible control found up to norm bound 2.31e+18"),
-], ids=["free-decay-never-enters", "diverging-solve", "no-feasible-bound"])
+    ("gradcheck", {"experiment": {"amplitude": 1e200, "pairs": 1}},
+     "terminal objective is not finite"),
+], ids=["free-decay-never-enters", "diverging-solve", "no-feasible-bound",
+        "diverging-gradcheck"])
 def test_failed_computation_exits_with_one_line(tmp_path, capsys, command, updates, message):
     cfg = write_config(tmp_path, grid={"ell": 1.0, "n": 31}, nt=60, **updates)
     out = tmp_path / "out"

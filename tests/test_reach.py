@@ -5,11 +5,11 @@ import pytest
 
 from heatctl import (
     ControlSignal,
+    DegenerateCostateError,
     ScalarInstance,
     SpatialGrid,
     TargetBall,
     dirichlet_eigs,
-    feasible,
     free_run,
     gradient_fd_check,
     make_nonlinearity,
@@ -17,9 +17,16 @@ from heatctl import (
     principal_eigenvalue,
     project_pointwise,
     scalar_minimal_norm,
+    solve_adjoint,
     solve_forward,
 )
-from heatctl.reach import ReachOptions
+from heatctl.reach import (
+    ReachOptions,
+    ReachResult,
+    _project_values,
+    _resample_steps,
+    bangbang_values,
+)
 from heatctl.solvers import free_decay_time
 
 GRID = SpatialGrid.build(n=127, ell=1.0)
@@ -94,22 +101,22 @@ def test_zero_bound_reduces_to_free_run():
 
 def test_feasibility_brackets_closed_form_bound():
     # alpha(0.1) is about 3.86 on this instance; 4.0 reaches, 3.5 does not
-    assert feasible(Y0, 0.1, 4.0, BALL, F_ZERO, GRID)
-    assert not feasible(Y0, 0.1, 3.5, BALL, F_ZERO, GRID)
+    assert min_terminal_norm(Y0, 0.1, 4.0, BALL, F_ZERO, GRID).feasible
+    assert not min_terminal_norm(Y0, 0.1, 3.5, BALL, F_ZERO, GRID).feasible
 
 
 def test_feasibility_boundary_matches_closed_form_within_2pct():
     inst = ScalarInstance(a0=2.0, r=0.5, lam=principal_eigenvalue(GRID))
     for T in (0.05, 0.1):
         alpha = scalar_minimal_norm(inst, T)
-        assert feasible(Y0, T, 1.02 * alpha, BALL, F_ZERO, GRID)
-        assert not feasible(Y0, T, 0.98 * alpha, BALL, F_ZERO, GRID)
+        assert min_terminal_norm(Y0, T, 1.02 * alpha, BALL, F_ZERO, GRID).feasible
+        assert not min_terminal_norm(Y0, T, 0.98 * alpha, BALL, F_ZERO, GRID).feasible
 
 
 def test_any_bound_feasible_past_free_decay_time():
     gamma = free_decay_time(Y0_MASKED, BALL, F_TANH, MASKED)
     for M in (0.0, 1.0, 25.0):
-        assert feasible(Y0_MASKED, gamma, M, BALL, F_TANH, MASKED)
+        assert min_terminal_norm(Y0_MASKED, gamma, M, BALL, F_TANH, MASKED).feasible
 
 
 def test_objective_history_non_increasing():
@@ -127,11 +134,11 @@ def test_result_control_respects_bound():
 def test_feasibility_monotone_in_bound_and_horizon():
     gamma = free_decay_time(Y0_MASKED, BALL, F_TANH, MASKED)
     T = 0.6 * gamma
-    flags = [feasible(Y0_MASKED, T, M, BALL, F_TANH, MASKED)
+    flags = [min_terminal_norm(Y0_MASKED, T, M, BALL, F_TANH, MASKED).feasible
              for M in (0.5, 2.0, 8.0, 32.0)]
     assert flags == sorted(flags)  # once feasible, stays feasible as M grows
     M = 2.0
-    flags_t = [feasible(Y0_MASKED, t, M, BALL, F_TANH, MASKED)
+    flags_t = [min_terminal_norm(Y0_MASKED, t, M, BALL, F_TANH, MASKED).feasible
                for t in (0.3 * gamma, 0.7 * gamma, gamma)]
     assert flags_t == sorted(flags_t)
 
@@ -208,3 +215,180 @@ def test_free_run_on_another_step_grid_is_refused(T_free, nt_free):
     free = free_run(Y0, T_free, nt_free, F_ZERO, GRID)
     with pytest.raises(ValueError, match="free run"):
         min_terminal_norm(Y0, 0.06, 3.0, BALL, F_ZERO, GRID, nt=120, free=free)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the oracle before J, its gradient and the feasibility test each
+# had one definition, and before the step rule became constants.
+
+
+def reference_min_terminal_norm(y0, T, M, ball, f, g, opts=None, nt=300,
+                                warm_start=None, free=None):
+    if opts is None:
+        opts = ReachOptions()
+    y0 = np.asarray(y0, dtype=float)
+    dt = T / nt
+    h = g.h
+    r = ball.r
+    eps_feas = opts.eps_feas_rel * r
+    target_j = 0.5 * max(r - eps_feas, 0.0) ** 2
+
+    def objective(traj):
+        j = 0.5 * float(traj.norms[-1]) ** 2
+        assert math.isfinite(j)
+        return j, traj
+
+    def run(values):
+        return objective(solve_forward(y0, ControlSignal(dt=dt, nt=nt, values=values,
+                                                         grid=g), f, g))
+
+    if free is None and M > 0.0:
+        free = free_run(y0, T, nt, f, g)
+    v = np.zeros((nt, g.n))
+    j, traj = run(v) if free is None else objective(free.trajectory)
+    candidates = []
+    if M > 0.0:
+        try:
+            candidates.append(bangbang_values(free.masked, free.norms, -M))
+        except DegenerateCostateError:
+            pass
+        if warm_start is not None:
+            ws = _resample_steps(warm_start.values, nt) * g.omega_mask
+            candidates.append(_project_values(ws, M, h))
+    for cand in candidates:
+        j_c, traj_c = run(cand)
+        if j_c < j:
+            v, j, traj = cand, j_c, traj_c
+    history = [j]
+
+    if M == 0.0:
+        terminal = float(traj.norms[-1])
+        return ReachResult(terminal_norm=terminal,
+                           control=ControlSignal(dt=dt, nt=nt, values=v, grid=g),
+                           iterations=0, feasible=terminal <= r + eps_feas,
+                           converged=True, objective_history=tuple(history))
+
+    step = 1.0 / principal_eigenvalue(g)
+    step_cap = step * 1e4
+    move_scale = M * math.sqrt(T)
+    iterations = 0
+    converged = False
+    for _ in range(opts.max_iters):
+        if j <= target_j:
+            converged = True
+            break
+        psi = solve_adjoint(traj, traj.states[-1], f, g)
+        grad = psi.costates[:nt] * g.omega_mask
+        accepted = False
+        for _ in range(45):
+            trial = _project_values(v - step * grad, M, h)
+            j_trial, traj_trial = run(trial)
+            if j_trial <= j:
+                accepted = True
+                break
+            step *= 0.5
+        iterations += 1
+        if not accepted:
+            converged = True
+            break
+        move = math.sqrt(dt * h * float(np.sum((trial - v) ** 2)))
+        v, j, traj = trial, j_trial, traj_trial
+        history.append(j)
+        step = min(step * 2.0, step_cap)
+        if move <= opts.eps_stag * move_scale:
+            converged = True
+            break
+    else:
+        converged = j <= target_j
+
+    terminal = float(traj.norms[-1])
+    return ReachResult(terminal_norm=terminal,
+                       control=ControlSignal(dt=dt, nt=nt, values=v, grid=g),
+                       iterations=iterations, feasible=terminal <= r + eps_feas,
+                       converged=converged, objective_history=tuple(history))
+
+
+def reference_gradient_fd_check(y0, T, v, direction, f, g, fd_step=1e-5):
+    y0 = np.asarray(y0, dtype=float)
+    nt = v.nt
+    dt = T / nt
+
+    def objective(values):
+        traj = solve_forward(y0, ControlSignal(dt=dt, nt=nt, values=values, grid=g), f, g)
+        return 0.5 * float(traj.norms[-1]) ** 2, traj
+
+    j0, traj = objective(v.values)
+    psi = solve_adjoint(traj, traj.states[-1], f, g)
+    grad = psi.costates[:nt] * g.omega_mask
+    adjoint_slope = dt * g.h * float(np.sum(grad * direction.values))
+    j_plus, _ = objective(v.values + fd_step * direction.values)
+    j_minus, _ = objective(v.values - fd_step * direction.values)
+    fd_slope = (j_plus - j_minus) / (2.0 * fd_step)
+    denom = max(abs(fd_slope), abs(adjoint_slope))
+    if denom == 0.0:
+        return 0.0
+    return abs(adjoint_slope - fd_slope) / denom
+
+
+def assert_same_result(res, ref):
+    assert np.array_equal(res.control.values, ref.control.values)
+    for attr in ("terminal_norm", "objective_history", "iterations", "feasible",
+                 "converged"):
+        assert getattr(res, attr) == getattr(ref, attr)
+
+
+# At T=0.1 and M=30 the full-amplitude start overshoots, so the zero start wins.
+ZERO_START_WINS = dict(T=0.1, M=30.0, nt=120)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("g, y0", [(GRID, Y0), (MASKED, Y0_MASKED)], ids=["full", "masked"])
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
+def test_oracle_matches_reference(f, g, y0, warm):
+    T, M, nt = 0.06, 3.0, 120
+    ws = (ControlSignal(dt=T / 40, nt=40, values=np.full((40, g.n), -2.0), grid=g)
+          if warm else None)
+    ref = reference_min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws)
+    assert ref.iterations > 0
+    assert_same_result(min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws), ref)
+
+
+@pytest.mark.parametrize("case", [
+    dict(ZERO_START_WINS),
+    dict(ZERO_START_WINS, free=True),
+    dict(ZERO_START_WINS, opts=ReachOptions(max_iters=2)),
+    dict(T=0.06, M=0.0, nt=120),
+], ids=["zero-start-wins", "zero-start-wins-shared", "out-of-iterations", "zero-bound"])
+def test_oracle_edge_cases_match_reference(case):
+    case = dict(case)
+    if case.pop("free", False):
+        case["free"] = free_run(Y0, case["T"], case["nt"], F_ZERO, GRID)
+    ref = reference_min_terminal_norm(Y0, **case, ball=BALL, f=F_ZERO, g=GRID)
+    res = min_terminal_norm(Y0, **case, ball=BALL, f=F_ZERO, g=GRID)
+    assert_same_result(res, ref)
+    if "opts" in case:
+        assert res.iterations == 2 and not res.converged
+
+
+def test_zero_start_reuses_the_free_costate(solve_calls):
+    T, M, nt = ZERO_START_WINS["T"], ZERO_START_WINS["M"], ZERO_START_WINS["nt"]
+    free = free_run(Y0, T, nt, F_ZERO, GRID)
+    res = min_terminal_norm(Y0, T, M, BALL, F_ZERO, GRID, nt=nt, free=free)
+    assert res.objective_history[0] == 0.5 * float(free.trajectory.norms[-1]) ** 2
+    assert res.iterations >= 2
+    # free_run solves the one adjoint along the free trajectory; the first
+    # iteration takes its masked costate and each later one solves its own
+    along_free = [traj is free.trajectory for traj in solve_calls.adjoint]
+    assert along_free == [True] + [False] * (res.iterations - 1)
+
+
+def test_gradient_fd_check_matches_reference():
+    rng = np.random.default_rng(16)
+    nt, T = 100, 0.08
+    for f in (F_ZERO, F_TANH):
+        v = ControlSignal(dt=T / nt, nt=nt, values=rng.standard_normal((nt, MASKED.n)),
+                          grid=MASKED)
+        d = ControlSignal(dt=T / nt, nt=nt, values=rng.standard_normal((nt, MASKED.n)),
+                          grid=MASKED)
+        assert (gradient_fd_check(Y0_MASKED, T, v, d, f, MASKED, fd_step=1e-3)
+                == reference_gradient_fd_check(Y0_MASKED, T, v, d, f, MASKED, fd_step=1e-3))

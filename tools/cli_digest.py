@@ -2,8 +2,8 @@
 
 Runs each subcommand on each config in a fresh interpreter (``python -m
 heatctl.cli``), adding only the experiment fields the config lacks, plus
-step-count (``dt``), free-decay-edge and failure variants.  Prints one line per
-run:
+step-count (``dt``), free-decay-edge, failure and refused-config variants.
+Prints one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
 
@@ -64,6 +64,18 @@ VARIANTS = [
     ("fail", "tanh_sweep", "mintime", ["experiment.M=5", "nonlinearity.L=1e6"]),
     ("fail", "linear_equivalence", "mintime", ["experiment.M=1e300"]),
     ("fail", "tanh_sweep", "minnorm", ["experiment.T=0.01", "solver.max_iters=1"]),
+    # list entries of the wrong sign
+    ("sign", "linear_equivalence", "equivalence", ["experiment.M_grid=[-1]"]),
+    ("sign", "linear_equivalence", "equivalence", ["experiment.T_grid=[-0.01]"]),
+    ("sign", "linear_equivalence", "equivalence", ["experiment.T_grid=[0]"]),
+    ("sign", "oracle_compare", "oracle-compare", ["experiment.M_values=[-1]"]),
+    ("sign", "oracle_compare", "oracle-compare", ["experiment.T_values=[-0.1]"]),
+    ("sign", "tanh_sweep", "sweep", ["experiment.M_grid=[-1,5]"]),
+    ("sign", "linear_equivalence", "sweep", ["experiment.T_grid=[0.0,0.05]"]),
+    # grids a curve cannot take
+    ("grid", "tanh_sweep", "sweep", ["experiment.M_grid=[5,1]"]),
+    ("grid", "linear_equivalence", "sweep", ["experiment.T_grid=[0.05,0.5]"]),
+    ("grid", "oracle_compare", "oracle-compare", ["experiment.T_values=[0.5]"]),
 ]
 
 
