@@ -8,6 +8,9 @@ Two routes that share no code with the PDE solvers or the bisection layer:
 * a brute-force enumerator over a finite family of low-mode controls,
   integrated with RK4 on the mode amplitudes, which brackets the minimal norm
   between the largest infeasible and the smallest feasible level of a grid.
+  It visits the levels in ascending order and stops at the first level some
+  candidate reaches, so it integrates only the candidates that decide the
+  bracket.
 """
 
 from __future__ import annotations
@@ -77,7 +80,9 @@ class LevelBracket:
     ``lower`` is the largest level at which every enumerated control fails,
     ``upper`` the smallest at which one succeeds.  ``lower`` is None when even
     the smallest level succeeds; ``upper`` is None when every level fails
-    (value above the grid).
+    (value above the grid).  ``candidates`` counts the enumerated family;
+    ``evaluations`` counts RK4 steps over the integrated candidates only,
+    which are those at or below ``lower`` plus part of the band of ``upper``.
     """
 
     lower: float | None
@@ -88,12 +93,18 @@ class LevelBracket:
     evaluations: int
 
 
+# Real-axis stability limit of classical RK4: |R(z)| <= 1 on [-2.7853, 0]
+# for R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  Past it the fastest mode's
+# amplitude grows instead of decaying.
+RK4_REAL_STABILITY = 2.785293563405282
+
+
 def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
                                     m_intervals: int, amp_grid, levels,
                                     f: NonlinearitySpec, g: SpatialGrid,
                                     ball: TargetBall, n_steps: int = 160,
                                     budget: int = 10_000_000,
-                                    chunk: int = 4096) -> LevelBracket:
+                                    chunk: int = 512) -> LevelBracket:
     """Enumerate low-mode piecewise-constant controls and bracket the minimal norm.
 
     Dynamics are projected on the first ``k_modes`` eigenfunctions, with the
@@ -102,8 +113,12 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
     profiles in the span of the masked eigenfunctions; the coefficient of each
     of the k*m degrees of freedom ranges over ``amp_grid``.  A candidate
     counts toward a level when its largest pointwise norm stays below it, so
-    feasibility per level is monotone and a single enumeration pass brackets
-    the minimal norm between adjacent grid levels.
+    feasibility per level is monotone.  The levels are visited in ascending
+    order: each level's band (the candidates it admits and the level below it
+    does not) is integrated ``chunk`` candidates at a time, and the first
+    chunk holding a candidate that reaches the ball makes that level and all
+    above it feasible.  Every level below was fully integrated and is
+    infeasible; candidates above the top level are never integrated.
 
     The bracket is exact for the enumerated family only: pick levels the
     amplitude grid can realize (e.g. a subset of its absolute values),
@@ -112,14 +127,20 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (g.n,):
         raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({g.n},)")
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
+    for name, value in (("k_modes", k_modes), ("m_intervals", m_intervals),
+                        ("n_steps", n_steps), ("chunk", chunk)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     amp_grid = np.asarray(sorted(float(a) for a in amp_grid))
+    if amp_grid.size == 0 or not np.all(np.isfinite(amp_grid)):
+        raise ValueError("amp_grid must hold at least one value, all finite")
     levels = tuple(sorted(float(l) for l in levels))
     if len(levels) == 0:
         raise ValueError("need at least one level to bracket")
-    if any(l < 0.0 for l in levels):
-        raise ValueError("levels must be nonnegative")
+    if not all(l >= 0.0 for l in levels):
+        raise ValueError(f"levels must be nonnegative numbers, got {levels}")
 
     dof = k_modes * m_intervals
     n_candidates = len(amp_grid) ** dof
@@ -132,6 +153,16 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
     spec = dirichlet_eigs(g, k_modes)
     modes = spec.eigenvectors                     # (k, n)
     lam = spec.eigenvalues                        # (k,)
+
+    steps_per_slice = max(1, -(-n_steps // m_intervals))
+    dt = T / (steps_per_slice * m_intervals)
+    if lam[-1] * dt > RK4_REAL_STABILITY:
+        raise ValueError(
+            f"n_steps={n_steps} gives RK4 step {dt:.4g} with lam_{k_modes}*dt = "
+            f"{lam[-1] * dt:.4g} past the stability limit {RK4_REAL_STABILITY:.4f}; "
+            f"use n_steps >= {math.ceil(lam[-1] * T / RK4_REAL_STABILITY)}"
+        )
+
     masked_modes = modes * g.omega_mask           # control profile basis
     # Modal forcing of profile sum_j c_j * masked_mode_j, and its gram for norms.
     forcing_map = g.h * modes @ masked_modes.T    # (k, k): row i = <masked e_j, e_i>
@@ -146,9 +177,8 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
     # Pointwise control norm on each slice, maximized over slices.
     slice_sq = np.einsum("cmi,ij,cmj->cm", coeffs, gram, coeffs)
     candidate_level = np.sqrt(np.maximum(slice_sq, 0.0).max(axis=1))
-
-    steps_per_slice = max(1, -(-n_steps // m_intervals))
-    dt = T / (steps_per_slice * m_intervals)
+    # band[c] = first level admitting candidate c; len(levels) = above the top.
+    band = np.searchsorted(np.asarray(levels) * (1.0 + 1e-12), candidate_level)
 
     if f.f is zero_reaction:
         def rhs(a, force):
@@ -160,12 +190,14 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
             fy = f.f(y)
             return -(a * lam) - g.h * (fy @ modes.T) + force
 
-    terminal = np.empty(n_candidates)
-    evaluations = 0
-    for start in range(0, n_candidates, chunk):
-        stop = min(start + chunk, n_candidates)
-        a = np.tile(a0, (stop - start, 1))
-        forces = np.einsum("ij,cmj->cmi", forcing_map, coeffs[start:stop])
+    integrated = 0
+
+    def reaches(members):
+        """Integrate the candidates ``members``; does any reach the ball?"""
+        nonlocal integrated
+        integrated += len(members)
+        a = np.tile(a0, (len(members), 1))
+        forces = np.einsum("ij,cmj->cmi", forcing_map, coeffs[members])
         for m in range(m_intervals):
             force = forces[:, m, :]
             for _ in range(steps_per_slice):
@@ -174,21 +206,19 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
                 k3 = rhs(a + 0.5 * dt * k2, force)
                 k4 = rhs(a + dt * k3, force)
                 a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        terminal[start:stop] = np.sqrt(np.einsum("ci,ci->c", a, a))
-        evaluations += (stop - start) * steps_per_slice * m_intervals
+        return bool(np.any(np.sqrt(np.einsum("ci,ci->c", a, a)) <= ball.r))
 
-    reaches = terminal <= ball.r
-    feasible_by_level = tuple(
-        bool(np.any(reaches & (candidate_level <= lvl * (1.0 + 1e-12))))
-        for lvl in levels
-    )
-    lower = None
-    upper = None
-    for lvl, ok in zip(levels, feasible_by_level):
-        if ok:
-            upper = lvl
+    for first_feasible in range(len(levels)):
+        members = np.flatnonzero(band == first_feasible)
+        if any(reaches(members[s:s + chunk]) for s in range(0, len(members), chunk)):
             break
-        lower = lvl
+    else:
+        first_feasible = len(levels)
+
+    feasible_by_level = tuple(i >= first_feasible for i in range(len(levels)))
+    lower = levels[first_feasible - 1] if first_feasible > 0 else None
+    upper = levels[first_feasible] if first_feasible < len(levels) else None
     return LevelBracket(lower=lower, upper=upper, levels=levels,
                         feasible_by_level=feasible_by_level,
-                        candidates=n_candidates, evaluations=evaluations)
+                        candidates=n_candidates,
+                        evaluations=integrated * steps_per_slice * m_intervals)

@@ -112,16 +112,6 @@ def principal_eigenvalue(g: SpatialGrid) -> float:
     return (2.0 / g.h ** 2) * (1.0 - math.cos(math.pi * g.h / g.ell))
 
 
-def laplacian_matrix(g: SpatialGrid) -> np.ndarray:
-    """Dense discrete negative Laplacian (for residual checks on small grids)."""
-    a = np.zeros((g.n, g.n))
-    idx = np.arange(g.n)
-    a[idx, idx] = 2.0
-    a[idx[:-1], idx[:-1] + 1] = -1.0
-    a[idx[:-1] + 1, idx[:-1]] = -1.0
-    return a / g.h ** 2
-
-
 def diffusion_factor(g: SpatialGrid, dt: float):
     """Banded Cholesky factor of (I + dt*A), reused across time steps."""
     r = dt / g.h ** 2

@@ -17,6 +17,7 @@ from heatctl import (
     scalar_minimal_norm,
     scalar_minimal_time,
 )
+from heatctl.core import zero_reaction
 
 PI2 = math.pi ** 2
 INST = ScalarInstance(a0=2.0, r=0.5, lam=PI2)
@@ -176,3 +177,186 @@ def test_bruteforce_integrates_custom_reaction_of_zero_kind():
         for kind in ("zero", "custom")
     ]
     assert [(b.lower, b.upper) for b in brackets] == [(8.0, 16.0)] * 2
+
+
+# ---------------------------------------------------------------------------
+# Brute-force bracket against the integrate-everything loop it replaced
+
+def reference_bracket(y0, T, k_modes, m_intervals, amp_grid, levels, f, g, ball,
+                      n_steps=160, chunk=4096):
+    """Integrate every candidate, then read each level off the terminal norms.
+
+    The bracket loop as it was before it visited levels in ascending order,
+    without input checks.  Returns (lower, upper, feasible_by_level, levels,
+    candidates) with the candidates' levels and terminal norms.
+    """
+    amp_grid = np.asarray(sorted(float(a) for a in amp_grid))
+    levels = tuple(sorted(float(l) for l in levels))
+    dof = k_modes * m_intervals
+    n_candidates = len(amp_grid) ** dof
+    spec = dirichlet_eigs(g, k_modes)
+    modes, lam = spec.eigenvectors, spec.eigenvalues
+    masked_modes = modes * g.omega_mask
+    forcing_map = g.h * modes @ masked_modes.T
+    gram = g.h * masked_modes @ masked_modes.T
+    a0 = g.h * modes @ y0
+    grids = np.meshgrid(*([amp_grid] * dof), indexing="ij")
+    coeffs = np.stack([q.ravel() for q in grids], axis=-1).reshape(n_candidates,
+                                                                   m_intervals, k_modes)
+    slice_sq = np.einsum("cmi,ij,cmj->cm", coeffs, gram, coeffs)
+    candidate_level = np.sqrt(np.maximum(slice_sq, 0.0).max(axis=1))
+    steps_per_slice = max(1, -(-n_steps // m_intervals))
+    dt = T / (steps_per_slice * m_intervals)
+
+    if f.f is zero_reaction:
+        def rhs(a, force):
+            return -(a * lam) + force
+    else:
+        def rhs(a, force):
+            fy = f.f(a @ modes)
+            return -(a * lam) - g.h * (fy @ modes.T) + force
+
+    terminal = np.empty(n_candidates)
+    for start in range(0, n_candidates, chunk):
+        stop = min(start + chunk, n_candidates)
+        a = np.tile(a0, (stop - start, 1))
+        forces = np.einsum("ij,cmj->cmi", forcing_map, coeffs[start:stop])
+        for m in range(m_intervals):
+            force = forces[:, m, :]
+            for _ in range(steps_per_slice):
+                k1 = rhs(a, force)
+                k2 = rhs(a + 0.5 * dt * k1, force)
+                k3 = rhs(a + 0.5 * dt * k2, force)
+                k4 = rhs(a + dt * k3, force)
+                a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        terminal[start:stop] = np.sqrt(np.einsum("ci,ci->c", a, a))
+
+    reaches = terminal <= ball.r
+    feasible_by_level = tuple(
+        bool(np.any(reaches & (candidate_level <= lvl * (1.0 + 1e-12))))
+        for lvl in levels
+    )
+    lower = upper = None
+    for lvl, ok in zip(levels, feasible_by_level):
+        if ok:
+            upper = lvl
+            break
+        lower = lvl
+    return (lower, upper, feasible_by_level, levels, n_candidates), candidate_level, terminal
+
+
+G31 = SpatialGrid.build(n=31, ell=1.0)
+G31_MASKED = SpatialGrid.build(n=31, ell=1.0, omega=(0.3, 0.8))
+Y0_31 = 2.0 * dirichlet_eigs(G31, 1).eigenvectors[0]
+F_TANH = make_nonlinearity("scaled_tanh", 1.0)
+F_TANH5_ZERO_KIND = NonlinearitySpec(kind="zero", L=5.0, f=lambda y: 5.0 * np.tanh(y),
+                                     fprime=lambda y: 5.0 / np.cosh(y) ** 2)
+AMP_2X2 = np.arange(-4.0, 4.5, 2.0)
+
+# name -> (positional arguments, n_steps); all small enough for chunk=1.
+BRACKET_CASES = {
+    "criterion7_linear": ((Y0, 0.1, 1, 1, np.linspace(-4.5, 4.5, 19),
+                           [3.0, 3.5, 4.0, 4.5], F_ZERO, GRID, BALL), 160),
+    "tanh_2x2": ((Y0_31, 0.1, 2, 2, AMP_2X2, [2.0, 3.0, 4.0], F_TANH, G31, BALL), 40),
+    "all_infeasible": ((Y0, 0.1, 1, 1, np.linspace(-1.0, 1.0, 9), [0.5, 0.75],
+                        F_ZERO, GRID, BALL), 160),
+    "all_feasible": ((Y0, 0.1, 1, 1, np.linspace(-6.0, 6.0, 25), [5.0, 6.0],
+                      F_ZERO, GRID, BALL), 160),
+    # Negative initial data: the reaching candidates sit late in their band.
+    "late_hit": ((-Y0_31, 0.1, 2, 2, AMP_2X2, [2.0, 3.0, 4.0], F_TANH, G31, BALL), 40),
+    "duplicated_levels": ((Y0_31, 0.1, 2, 2, AMP_2X2, [4.0, 2.0, 3.0, 3.0, 4.0, 2.0],
+                           F_TANH, G31, BALL), 40),
+    "masked_omega": ((Y0_31, 0.1, 2, 2, np.linspace(-12.0, 12.0, 5), [3.0, 6.0, 9.0, 12.0],
+                      F_TANH, G31_MASKED, BALL), 40),
+    "custom_zero_kind": ((Y0_31, 0.05, 2, 2, np.linspace(-32.0, 32.0, 5),
+                          [2.0, 4.0, 8.0, 16.0, 32.0], F_TANH5_ZERO_KIND, G31, BALL), 40),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("case", sorted(BRACKET_CASES))
+def test_bruteforce_bracket_equals_integrate_everything_loop(case, chunk):
+    args, n_steps = BRACKET_CASES[case]
+    bracket = bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=chunk)
+    expected, _, _ = reference_bracket(*args, n_steps=n_steps)
+    assert (bracket.lower, bracket.upper, bracket.feasible_by_level, bracket.levels,
+            bracket.candidates) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("case", sorted(BRACKET_CASES))
+def test_bruteforce_integrates_only_the_deciding_candidates(case, chunk):
+    """Every candidate at or below ``lower`` is integrated, then the band of
+    ``upper`` chunk by chunk up to the first chunk holding a reaching
+    candidate; nothing above ``upper`` is."""
+    args, n_steps = BRACKET_CASES[case]
+    bracket = bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=chunk)
+    (lower, upper, _, levels, _), level, terminal = reference_bracket(*args, n_steps=n_steps)
+    m_intervals = args[3]
+    integrated, rest = divmod(bracket.evaluations,
+                              max(1, -(-n_steps // m_intervals)) * m_intervals)
+    assert rest == 0
+
+    def at_or_below(lvl):
+        return level <= lvl * (1.0 + 1e-12)
+
+    below = at_or_below(lower) if lower is not None else np.zeros(level.shape, bool)
+    if upper is None:
+        assert integrated == np.count_nonzero(at_or_below(levels[-1]))
+        return
+    band = np.flatnonzero(at_or_below(upper) & ~below)
+    first_hit = int(np.flatnonzero(terminal[band] <= BALL.r)[0])
+    expected = np.count_nonzero(below) + min(len(band), (first_hit // chunk + 1) * chunk)
+    assert integrated == expected
+
+
+# ---------------------------------------------------------------------------
+# Brute-force input checks
+
+BAD_BRACKET_INPUTS = [
+    ({"T": math.nan}, "T"),
+    ({"T": math.inf}, "T"),
+    ({"levels": [2.0, math.nan]}, "levels"),
+    ({"amp_grid": []}, "amp_grid"),
+    ({"amp_grid": [0.0, math.nan]}, "amp_grid"),
+    ({"m_intervals": 0}, "m_intervals"),
+    ({"m_intervals": 2.0}, "m_intervals"),
+    ({"k_modes": 0}, "k_modes"),
+    ({"k_modes": 1.5}, "k_modes"),
+    ({"n_steps": 0}, "n_steps"),
+    ({"chunk": 0}, "chunk"),
+]
+
+
+BRACKET_KWARGS = dict(y0=Y0_31, T=0.1, k_modes=1, m_intervals=1,
+                      amp_grid=np.linspace(-4.5, 4.5, 19), levels=[3.0, 3.5, 4.0, 4.5],
+                      f=F_ZERO, g=G31, ball=BALL)
+
+
+def test_bruteforce_input_check_baseline():
+    bracket = bruteforce_minimal_norm_bracket(**BRACKET_KWARGS)
+    assert (bracket.lower, bracket.upper) == (3.5, 4.0)
+
+
+@pytest.mark.parametrize("bad, name", BAD_BRACKET_INPUTS)
+def test_bruteforce_rejects_bad_input_by_name(bad, name):
+    with pytest.raises(ValueError, match=name):
+        bruteforce_minimal_norm_bracket(**{**BRACKET_KWARGS, **bad})
+
+
+STIFF_MODES = dirichlet_eigs(G31, 3).eigenvectors
+STIFF_ARGS = (2.0 * STIFF_MODES[0] + 0.5 * STIFF_MODES[2], 0.1, 3, 1,
+              np.linspace(-6.0, 6.0, 13), [2.0, 3.0, 4.0, 5.0, 6.0], F_ZERO, G31, BALL)
+
+
+@pytest.mark.parametrize("n_steps", [160, 8, 4])
+def test_bruteforce_bracket_stable_steps(n_steps):
+    bracket = bruteforce_minimal_norm_bracket(*STIFF_ARGS, n_steps=n_steps)
+    assert (bracket.lower, bracket.upper) == (3.0, 4.0)
+
+
+def test_bruteforce_refuses_steps_past_rk4_stability():
+    """Two steps put lam_3*dt at 4.41, where RK4 amplifies the third mode and
+    the bracket used to move to (6, None]."""
+    with pytest.raises(ValueError, match="n_steps"):
+        bruteforce_minimal_norm_bracket(*STIFF_ARGS, n_steps=2)

@@ -22,7 +22,7 @@ from heatctl import (
     solve_adjoint,
     solve_forward,
 )
-from heatctl.pde import diffusion_factor, diffusion_solve, laplacian_matrix
+from heatctl.pde import diffusion_factor, diffusion_solve
 
 GRID = SpatialGrid.build(n=127, ell=1.0)
 MASKED = SpatialGrid.build(n=63, ell=1.0, omega=(0.3, 0.8))
@@ -33,6 +33,16 @@ F_RATIONAL = make_nonlinearity("bounded_odd_rational", 1.0)
 
 def eigenmode(g, i=1):
     return dirichlet_eigs(g, i).eigenvectors[i - 1]
+
+
+def laplacian_matrix(g):
+    """Dense discrete negative Laplacian (for residual checks on small grids)."""
+    a = np.zeros((g.n, g.n))
+    idx = np.arange(g.n)
+    a[idx, idx] = 2.0
+    a[idx[:-1], idx[:-1] + 1] = -1.0
+    a[idx[:-1] + 1, idx[:-1]] = -1.0
+    return a / g.h ** 2
 
 
 # ---------------------------------------------------------------------------
