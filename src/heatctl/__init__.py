@@ -43,7 +43,6 @@ from .reach import (
     free_run,
     gradient_fd_check,
     min_terminal_norm,
-    project_pointwise,
 )
 from .solvers import (
     EquivalenceBoundReport,

@@ -17,10 +17,17 @@ Each quantity has one definition here: ``_objective`` is J,
 :func:`masked_costate` is its gradient (also the direction of
 :func:`bangbang_values`, shared with :func:`heatctl.solvers.extract_bangbang`),
 and :func:`reaches_ball` is the feasibility test, shared with
-:func:`heatctl.solvers.verify_equivalence_bound`.  The step rule is fixed:
-the first step is 1/lambda_1, a rejected step is halved (at most
-``MAX_BACKTRACKS`` times per iteration), and an accepted one doubles, up to
-1e4 times the first.
+:func:`heatctl.solvers.verify_equivalence_bound`.
+
+The step rule is fixed.  The first step is 1/lambda_1, and a rejected step is
+halved (at most ``MAX_BACKTRACKS`` times per iteration), so the objective
+never increases.  After an accepted step s with gradient change Delta, the
+next step is the spectral (Barzilai-Borwein) step <s,s>/<s,Delta>, capped at
+1e4 times the first; when <s,Delta> <= 0 the accepted step is doubled instead,
+up to the same cap (:func:`_spectral_step`).  See Barzilai & Borwein, IMA J.
+Numer. Anal. 8 (1988), and for the projected form Birgin, Martinez & Raydan,
+SIAM J. Optim. 10 (2000).  The new gradient is the one the next iteration
+solves anyway, so the rule costs no adjoint solve.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ class ReachOptions:
     ``max_iters`` bounds the descent iterations; ``eps_stag`` ends the descent
     once an accepted step moves the control by less than eps_stag*M*sqrt(T);
     ``eps_feas_rel`` is the feasibility slack relative to the target radius
-    (see :func:`reaches_ball`).  The step rule is fixed (module docstring).
+    (see :func:`reaches_ball`).  The step rule is fixed: a spectral step
+    with backtracking (module docstring).
     """
 
     max_iters: int = 200
@@ -100,12 +108,14 @@ def _project_values(values: np.ndarray, M: float, h: float) -> np.ndarray:
     return values * scale[:, None]
 
 
-def project_pointwise(u: ControlSignal, M: float) -> ControlSignal:
-    """Project onto the pointwise norm ball of radius M; idempotent."""
-    if M < 0.0:
-        raise ValueError(f"norm bound must be nonnegative, got {M}")
-    return ControlSignal(dt=u.dt, nt=u.nt,
-                         values=_project_values(u.values, M, u.grid.h), grid=u.grid)
+def _spectral_step(s: np.ndarray, delta: np.ndarray, step: float, cap: float) -> float:
+    """The step size after an accepted step ``s``, taken at step size ``step``,
+    over which the gradient changed by ``delta``: <s,s>/<s,delta> capped at
+    ``cap``, or the doubled step size (also capped) when <s,delta> <= 0."""
+    s_delta = float(np.sum(s * delta))
+    if s_delta <= 0.0:
+        return min(step * STEP_GROWTH, cap)
+    return min(float(np.sum(s * s)) / s_delta, cap)
 
 
 def reaches_ball(terminal_norm: float, ball: TargetBall,
@@ -258,12 +268,17 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
         step_cap = step * 1e4
         move_scale = M * math.sqrt(T)
         converged = False
+        # After an accepted step: the step s and the gradient it was taken
+        # along, for the spectral step once the new gradient is solved.
+        s = grad_prev = None
         for _ in range(opts.max_iters):
             if j <= target_j:
                 converged = True
                 break
             if grad is None:
                 grad = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
+            if s is not None:
+                step = _spectral_step(s, grad - grad_prev, step, step_cap)
             accepted = False
             for _ in range(MAX_BACKTRACKS):
                 trial = _project_values(v - step * grad, M, h)
@@ -276,10 +291,10 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
             if not accepted:
                 converged = True  # no descent at a vanishing step: stationary
                 break
-            move = math.sqrt(dt * h * float(np.sum((trial - v) ** 2)))
+            s, grad_prev = trial - v, grad
+            move = math.sqrt(dt * h * float(np.sum(s ** 2)))
             v, j, traj, grad = trial, j_trial, traj_trial, None
             history.append(j)
-            step = min(step * STEP_GROWTH, step_cap)
             if move <= opts.eps_stag * move_scale:
                 converged = True
                 break

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import heatctl.reach as reach
 from heatctl import (
     ControlSignal,
     DegenerateCostateError,
@@ -15,16 +16,17 @@ from heatctl import (
     make_nonlinearity,
     min_terminal_norm,
     principal_eigenvalue,
-    project_pointwise,
     scalar_minimal_norm,
     solve_adjoint,
     solve_forward,
 )
+from heatctl.core import step_l2_norms
 from heatctl.reach import (
     ReachOptions,
     ReachResult,
     _project_values,
     _resample_steps,
+    _spectral_step,
     bangbang_values,
 )
 from heatctl.solvers import free_decay_time
@@ -39,49 +41,59 @@ Y0_MASKED = 2.0 * dirichlet_eigs(MASKED, 1).eigenvectors[0]
 
 
 # ---------------------------------------------------------------------------
-# Projection
+# Projection (``_project_values``, the projection the oracle applies)
 
 def test_projection_is_identity_inside_ball():
     rng = np.random.default_rng(11)
-    u = ControlSignal(dt=1e-3, nt=10, values=0.01 * rng.standard_normal((10, GRID.n)),
-                      grid=GRID)
-    projected = project_pointwise(u, 10.0)
-    np.testing.assert_array_equal(projected.values, u.values)
+    values = 0.01 * rng.standard_normal((10, GRID.n))
+    np.testing.assert_array_equal(_project_values(values, 10.0, GRID.h), values)
 
 
 def test_projection_rescales_single_step():
     e1 = dirichlet_eigs(GRID, 1).eigenvectors[0]
     vals = np.zeros((3, GRID.n))
     vals[1] = 4.0 * e1  # pointwise norm 4 = 2M
-    u = ControlSignal(dt=1e-3, nt=3, values=vals, grid=GRID)
-    projected = project_pointwise(u, 2.0)
-    norms = projected.step_norms()
+    projected = _project_values(vals, 2.0, GRID.h)
+    norms = step_l2_norms(projected, GRID.h)
     assert norms[0] == 0.0 and norms[2] == 0.0
     assert norms[1] == pytest.approx(2.0, rel=1e-12)
-    np.testing.assert_allclose(projected.values[1], 2.0 * e1, rtol=1e-12)
+    np.testing.assert_allclose(projected[1], 2.0 * e1, rtol=1e-12)
 
 
 def test_projection_zero_bound_gives_zero_control():
     rng = np.random.default_rng(12)
-    u = ControlSignal(dt=1e-3, nt=5, values=rng.standard_normal((5, GRID.n)), grid=GRID)
-    assert np.all(project_pointwise(u, 0.0).values == 0.0)
+    values = rng.standard_normal((5, GRID.n))
+    assert np.all(_project_values(values, 0.0, GRID.h) == 0.0)
 
 
 def test_projection_idempotent_and_nonexpansive():
     rng = np.random.default_rng(13)
-    u = ControlSignal(dt=1e-3, nt=20, values=3.0 * rng.standard_normal((20, GRID.n)),
-                      grid=GRID)
-    once = project_pointwise(u, 1.5)
-    twice = project_pointwise(once, 1.5)
-    np.testing.assert_allclose(twice.values, once.values, rtol=1e-14)
-    assert np.all(once.step_norms() <= u.step_norms() + 1e-14)
-    assert np.all(once.step_norms() <= 1.5 * (1.0 + 1e-12))
+    values = 3.0 * rng.standard_normal((20, GRID.n))
+    once = _project_values(values, 1.5, GRID.h)
+    twice = _project_values(once, 1.5, GRID.h)
+    np.testing.assert_allclose(twice, once, rtol=1e-14)
+    once_norms = step_l2_norms(once, GRID.h)
+    assert np.all(once_norms <= step_l2_norms(values, GRID.h) + 1e-14)
+    assert np.all(once_norms <= 1.5 * (1.0 + 1e-12))
 
 
-def test_projection_rejects_negative_bound():
-    u = ControlSignal.zeros(3, 1e-3, GRID)
-    with pytest.raises(ValueError):
-        project_pointwise(u, -1.0)
+# ---------------------------------------------------------------------------
+# Step rule
+
+S = np.array([[1.0, 2.0], [0.0, -1.0]])  # <s,s> = 6
+
+
+@pytest.mark.parametrize("delta, step, expected", [
+    (0.5 * S, 0.25, 2.0),                                  # spectral: 6 / 3
+    (np.array([[3.0, 0.0], [0.0, 0.0]]), 0.25, 2.0),       # spectral: 6 / 3
+    (1e-6 * S, 0.25, 50.0),                                # 1e6, capped at 50
+    (-S, 0.25, 0.5),                                       # <s,delta> < 0: doubled
+    (np.array([[2.0, -1.0], [0.0, 0.0]]), 0.25, 0.5),      # <s,delta> = 0: doubled
+    (-S, 40.0, 50.0),                                      # doubled, capped at 50
+], ids=["spectral", "spectral-off-axis", "capped", "negative-curvature", "zero-curvature",
+        "fallback-capped"])
+def test_spectral_step_branches(delta, step, expected):
+    assert _spectral_step(S, delta, step, 50.0) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +231,9 @@ def test_free_run_on_another_step_grid_is_refused(T_free, nt_free):
 
 # ---------------------------------------------------------------------------
 # Reference: the oracle before J, its gradient and the feasibility test each
-# had one definition, and before the step rule became constants.
+# had one definition, and before the step rule became constants.  Its step
+# rule is the spectral step in eager form: the gradient at an accepted iterate
+# is solved right after acceptance and the next step taken from it at once.
 
 
 def reference_min_terminal_norm(y0, T, M, ball, f, g, opts=None, nt=300,
@@ -273,12 +287,14 @@ def reference_min_terminal_norm(y0, T, M, ball, f, g, opts=None, nt=300,
     move_scale = M * math.sqrt(T)
     iterations = 0
     converged = False
+    grad = None
     for _ in range(opts.max_iters):
         if j <= target_j:
             converged = True
             break
-        psi = solve_adjoint(traj, traj.states[-1], f, g)
-        grad = psi.costates[:nt] * g.omega_mask
+        if grad is None:
+            psi = solve_adjoint(traj, traj.states[-1], f, g)
+            grad = psi.costates[:nt] * g.omega_mask
         accepted = False
         for _ in range(45):
             trial = _project_values(v - step * grad, M, h)
@@ -292,9 +308,16 @@ def reference_min_terminal_norm(y0, T, M, ball, f, g, opts=None, nt=300,
             converged = True
             break
         move = math.sqrt(dt * h * float(np.sum((trial - v) ** 2)))
-        v, j, traj = trial, j_trial, traj_trial
+        psi = solve_adjoint(traj_trial, traj_trial.states[-1], f, g)
+        grad_trial = psi.costates[:nt] * g.omega_mask
+        s = trial - v
+        curvature = float(np.sum(s * (grad_trial - grad)))
+        if curvature > 0.0:
+            step = min(float(np.sum(s * s)) / curvature, step_cap)
+        else:
+            step = min(step * 2.0, step_cap)
+        v, j, traj, grad = trial, j_trial, traj_trial, grad_trial
         history.append(j)
-        step = min(step * 2.0, step_cap)
         if move <= opts.eps_stag * move_scale:
             converged = True
             break
@@ -356,7 +379,7 @@ def test_oracle_matches_reference(f, g, y0, warm):
 @pytest.mark.parametrize("case", [
     dict(ZERO_START_WINS),
     dict(ZERO_START_WINS, free=True),
-    dict(ZERO_START_WINS, opts=ReachOptions(max_iters=2)),
+    dict(ZERO_START_WINS, opts=ReachOptions(max_iters=1)),
     dict(T=0.06, M=0.0, nt=120),
 ], ids=["zero-start-wins", "zero-start-wins-shared", "out-of-iterations", "zero-bound"])
 def test_oracle_edge_cases_match_reference(case):
@@ -367,7 +390,7 @@ def test_oracle_edge_cases_match_reference(case):
     res = min_terminal_norm(Y0, **case, ball=BALL, f=F_ZERO, g=GRID)
     assert_same_result(res, ref)
     if "opts" in case:
-        assert res.iterations == 2 and not res.converged
+        assert res.iterations == 1 and not res.converged
 
 
 def test_zero_start_reuses_the_free_costate(solve_calls):
@@ -380,6 +403,29 @@ def test_zero_start_reuses_the_free_costate(solve_calls):
     # iteration takes its masked costate and each later one solves its own
     along_free = [traj is free.trajectory for traj in solve_calls.adjoint]
     assert along_free == [True] + [False] * (res.iterations - 1)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-free-run", "shared-free-run"])
+def test_one_adjoint_per_descent_iteration(solve_calls, monkeypatch, shared):
+    # The spectral step uses the gradient that the next iteration solves
+    # anyway, so it adds no adjoint solve.
+    T, M, nt = 0.06, 3.0, 120
+    free = free_run(Y0_MASKED, T, nt, F_TANH, MASKED)
+    del solve_calls.adjoint[:]
+    steps = []
+
+    def recorded_step(*args):
+        steps.append(_spectral_step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(reach, "_spectral_step", recorded_step)
+    res = min_terminal_norm(Y0_MASKED, T, M, BALL, F_TANH, MASKED, nt=nt,
+                            free=free if shared else None)
+    accepted = len(res.objective_history) - 1
+    assert accepted >= 3 and len(steps) == accepted - 1
+    # the full-amplitude start wins, so the first iteration solves its gradient
+    assert res.objective_history[0] < 0.5 * float(free.trajectory.norms[-1]) ** 2
+    assert len(solve_calls.adjoint) == res.iterations + (0 if shared else 1)
 
 
 def test_gradient_fd_check_matches_reference():
