@@ -27,7 +27,6 @@ from .oracle import (
 from .pde import (
     AdjointTrajectory,
     DirichletSpectrum,
-    apriori_bound_check,
     control_scaling_gap,
     decay_envelope_check,
     dirichlet_eigs,
@@ -40,6 +39,7 @@ from .reach import (
     FreeRun,
     ReachOptions,
     ReachResult,
+    dual_lower_bound,
     free_run,
     gradient_fd_check,
     min_terminal_norm,

@@ -244,39 +244,6 @@ def decay_envelope_check(y: StateTrajectory, g: SpatialGrid, tol: float) -> Enve
 
 
 @dataclass(frozen=True)
-class AprioriBoundReport:
-    """Energy bound on a trajectory driven by a norm-bounded control.
-
-    ``bound`` uses the squared control bound, sqrt(M^2*T/2 + ||y0||^2)*e^T.
-    ``linear_form_bound`` records the variant with M in place of M^2, which is
-    tighter for M > 1 and is reported for reference only.
-    """
-
-    sup_norm: float
-    bound: float
-    passed: bool
-    linear_form_bound: float
-    linear_form_holds: bool
-
-
-def apriori_bound_check(y: StateTrajectory, M: float, T: float) -> AprioriBoundReport:
-    """Check sup_k ||y(t_k)|| against the Gronwall energy bound."""
-    if M < 0.0:
-        raise ValueError(f"norm bound must be nonnegative, got {M}")
-    sup_norm = float(np.max(y.norms))
-    n0_sq = float(y.norms[0]) ** 2
-    bound = math.sqrt(M ** 2 * T / 2.0 + n0_sq) * math.exp(T)
-    alt = math.sqrt(M * T / 2.0 + n0_sq) * math.exp(T)
-    return AprioriBoundReport(
-        sup_norm=sup_norm,
-        bound=bound,
-        passed=sup_norm <= bound,
-        linear_form_bound=alt,
-        linear_form_holds=sup_norm <= alt,
-    )
-
-
-@dataclass(frozen=True)
 class ScalingGapReport:
     """Gap between trajectories driven by u and by theta*u, against the Gronwall bound."""
 

@@ -13,6 +13,9 @@ state and the step grid but not on M.  :func:`free_run` solves it once, with
 its masked costate, and a caller that probes many bounds at one horizon (the
 minimal-norm bisection) passes that :class:`FreeRun` to every oracle call.
 
+Without a reaction term the same free run also gives a lower bound on every
+feasible norm bound, from weak duality (:func:`dual_lower_bound`).
+
 Each quantity has one definition here: ``_objective`` is J,
 :func:`masked_costate` is its gradient (also the direction of
 :func:`bangbang_values`, shared with :func:`heatctl.solvers.extract_bangbang`),
@@ -47,6 +50,7 @@ from .core import (
     StateTrajectory,
     TargetBall,
     step_l2_norms,
+    zero_reaction,
 )
 from .pde import AdjointTrajectory, principal_eigenvalue, solve_adjoint, solve_forward
 
@@ -86,6 +90,8 @@ class ReachResult:
     slack of the ball; ``converged`` means the iteration ended at feasibility
     or stationarity rather than exhausting its budget, so an infeasible
     non-converged result is inconclusive rather than a certificate.
+    ``terminal_state`` is y(T) of ``control``, copied so that the result does
+    not keep the whole run alive.
     """
 
     terminal_norm: float
@@ -94,6 +100,7 @@ class ReachResult:
     feasible: bool
     converged: bool
     objective_history: tuple[float, ...]
+    terminal_state: np.ndarray | None = None
 
     @property
     def inconclusive(self) -> bool:
@@ -188,6 +195,56 @@ def free_run(y0: np.ndarray, T: float, nt: int, f: NonlinearitySpec,
     masked.setflags(write=False)
     norms.setflags(write=False)
     return FreeRun(trajectory=traj, masked=masked, norms=norms)
+
+
+def is_linear(f: NonlinearitySpec) -> bool:
+    """Whether f is the built-in zero reaction, recognised by identity as in
+    :mod:`heatctl.pde` (a custom spec that merely has ``kind="zero"`` is not)."""
+    return f.f is zero_reaction and f.fprime is zero_reaction
+
+
+# Relative margin, on the terms of the bound, for the rounding of the solves.
+DUAL_ROUNDING = 1e-9
+
+
+def dual_lower_bound(free: FreeRun, ball: TargetBall, f: NonlinearitySpec, g: SpatialGrid,
+                     opts: ReachOptions | None = None, xi: np.ndarray | None = None) -> float:
+    """A norm bound below which no control reaches the ball at free's horizon.
+
+    Weak duality for f = 0: let psi be the costate of the terminal datum xi.
+    Every control supported on omega whose steps have norm at most M and
+    whose terminal norm is at most rho = r(1 + eps_feas_rel) (what
+    :func:`reaches_ball` accepts) satisfies
+
+        M >= LB(xi) = (<y_free(T), xi> - rho*||xi||) / sum_k dt*||chi_omega psi_k||,
+
+    because the exact discrete adjoint gives <y(T), xi> = <y_free(T), xi> +
+    sum_k dt*<v_k, psi_k>.  This is the discrete form of the dual problem of
+    Wang & Zuazua, SIAM J. Control Optim. 50 (2012).  A margin of
+    ``DUAL_ROUNDING`` times the terms is subtracted so the bound holds
+    despite rounding, and the result is floored at 0 (also when the masked
+    costate vanishes).
+
+    ``xi`` defaults to y_free(T), whose masked costate ``free`` already holds;
+    any other datum costs one adjoint solve.  Raises :class:`ValueError`
+    unless :func:`is_linear` holds for f.
+    """
+    if not is_linear(f):
+        raise ValueError(f"the dual bound needs the built-in zero reaction, got {f.kind!r}")
+    traj = free.trajectory
+    if xi is None:
+        xi, norms = traj.states[-1], free.norms
+    else:
+        xi = np.asarray(xi, dtype=float)
+        norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, f, g), g), g.h)
+    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
+    pairing = g.h * float(traj.states[-1] @ xi)
+    slack = rho * math.sqrt(g.h * float(xi @ xi))
+    total = traj.dt * float(np.sum(norms))
+    numerator = pairing - slack - DUAL_ROUNDING * (abs(pairing) + slack)
+    if numerator <= 0.0 or total <= 0.0:
+        return 0.0
+    return float(numerator / total)
 
 
 def _resample_steps(values: np.ndarray, nt: int) -> np.ndarray:
@@ -305,7 +362,8 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
     return ReachResult(terminal_norm=terminal,
                        control=ControlSignal(dt=dt, nt=nt, values=v, grid=g),
                        iterations=iterations, feasible=reaches_ball(terminal, ball, opts),
-                       converged=converged, objective_history=tuple(history))
+                       converged=converged, objective_history=tuple(history),
+                       terminal_state=traj.states[-1].copy())
 
 
 def gradient_fd_check(y0: np.ndarray, T: float, v: ControlSignal,

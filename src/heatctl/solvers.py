@@ -5,23 +5,44 @@ horizon are the same search: one bisection driver, :func:`_bisect`, over the
 reachability oracle.  Bisection is valid because feasibility is monotone:
 enlarging the admissible set (bigger M) or the horizon (reach the ball, then
 coast) can only help.  It is also robust to the small oracle noise near the
-feasibility boundary, which rules out Newton-type updates here.
+feasibility boundary, which rules out Newton-type updates here.  From a lower
+end known to be infeasible, the driver probes the upper end, widens the
+bracket while that end is infeasible, then halves it.  Near-boundary oracle
+calls reuse the control from the previous feasible probe as a warm start;
+this typically cuts oracle iterations by an order of magnitude.
 
-Near-boundary oracle calls reuse the control from the previous feasible probe
-as a warm start; this typically cuts oracle iterations by an order of
-magnitude.  The minimal-norm bisection keeps its horizon fixed, so it solves
-the uncontrolled run and its costate once per point
-(:func:`heatctl.reach.free_run`) and hands them to every probe; the
-minimal-time bisection moves the horizon on every probe, so each of its
-oracle calls solves its own.
+With a reaction term the search starts cold: the lower end is 0, the minimal
+norm doubles its upper end from 1, and the minimal time starts from the
+free-decay time.  Without one, weak duality gives a certified lower end at
+no extra cost (:func:`heatctl.reach.dual_lower_bound`, the discrete form of
+the dual problem of Wang & Zuazua, SIAM J. Control Optim. 50 (2012)):
+
+* the minimal norm starts from the bound of the free run that it solves
+  anyway, and probes first an eighth of the width rule above it; after an
+  infeasible probe it raises the lower end to the bound of that probe's
+  terminal state (one adjoint solve) when that is higher than the probe,
+  and doubles the gap to the next probe;
+* the minimal time first finds, with free runs only and through the same
+  driver, the horizon where the bound of the free run crosses M (a horizon
+  whose bound exceeds M is certified infeasible), then confirms the upper end
+  with the oracle, which reuses that horizon's free run.
+
+Such a point records its dual bound in its diagnostics as
+``dual_lower_bound`` (0 when none was certified); its ``bracket_lo`` is that
+bound or an infeasible probe, and its ``bracket_hi`` a feasible probe whose
+control it returns.
+
+The minimal-norm search keeps its horizon fixed, so it solves the uncontrolled
+run and its costate once per point (:func:`heatctl.reach.free_run`) and hands
+them to every probe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -43,7 +64,9 @@ from .pde import (
 from .reach import (
     ReachOptions,
     bangbang_values,
+    dual_lower_bound,
     free_run,
+    is_linear,
     masked_costate,
     min_terminal_norm,
     reaches_ball,
@@ -125,22 +148,25 @@ def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
 
 
 def _unbisected(parameter: float, value: float, horizon: float, gamma: float,
-                nt: int, g: SpatialGrid) -> ValuePoint:
+                nt: int, f: NonlinearitySpec, g: SpatialGrid) -> ValuePoint:
     """A point decided without the oracle: the zero control reaches the ball."""
+    diagnostics = {"free_decay_time": gamma, "oracle_calls": 0, "inconclusive": 0}
+    if is_linear(f):
+        diagnostics["dual_lower_bound"] = 0.0
     return ValuePoint(parameter=parameter, value=value, bracket_lo=value, bracket_hi=value,
                       iterations=0, control=ControlSignal.zeros(nt, horizon / nt, g),
-                      diagnostics={"free_decay_time": gamma, "oracle_calls": 0,
-                                   "inconclusive": 0})
+                      diagnostics=diagnostics)
 
 
 def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
-            gamma: float) -> ValuePoint:
+            gamma: float, lo: float = 0.0) -> ValuePoint:
     """Smallest feasible x of a monotone oracle, called as ``oracle(x, warm_start=u)``.
 
-    While the upper end ``hi`` is infeasible, ``widen(k, lo, hi, res)`` gives
-    the k-th wider bracket or raises :class:`NoFeasibleBoundError`.  Then
-    [lo, hi] is halved until ``hi - lo <= width(hi)``, each probe warm-started
-    from the last feasible control.
+    ``lo`` is a lower end known to be infeasible.  While the upper end ``hi``
+    is infeasible, ``widen(k, lo, hi, res)`` gives the k-th wider bracket or
+    raises :class:`NoFeasibleBoundError`.  Then [lo, hi] is halved until
+    ``hi - lo <= width(hi)``, each probe warm-started from the last feasible
+    control.
     """
     inconclusive = []  # one flag per oracle call
 
@@ -149,7 +175,6 @@ def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
         inconclusive.append(res.inconclusive)
         return res
 
-    lo = 0.0
     res = probe(hi, None)
     widenings = 0
     while not res.feasible:
@@ -173,6 +198,16 @@ def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
                                    "inconclusive": sum(inconclusive), widen_key: widenings})
 
 
+class _DualProbe(NamedTuple):
+    """A horizon probed with the dual bound of its free run alone: infeasible
+    when the bound exceeds M, otherwise left to the oracle."""
+
+    feasible: bool
+    terminal_norm: float
+    control: None = None
+    inconclusive: bool = False
+
+
 def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                  g: SpatialGrid, tol_M: float = 1e-3,
                  opts: ReachOptions | None = None, nt: int = 300,
@@ -180,7 +215,8 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     """Smallest pointwise norm bound whose controls reach the ball at time T.
 
     For T at or beyond the free-decay time the value is 0 with the zero
-    control.  Otherwise the upper bound is found by doubling from 1, and
+    control.  Otherwise the upper bound is found by doubling from 1 or, when
+    f is linear, by climbing from the dual bound (module docstring), and
     bisection stops once the bracket width is below tol_M*(1 + upper).
     """
     if T <= 0.0:
@@ -188,19 +224,48 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if T >= gamma:
-        return _unbisected(T, 0.0, T, gamma, nt, g)
+        return _unbisected(T, 0.0, T, gamma, nt, f, g)
+    free = free_run(y0, T, nt, f, g)
     oracle = partial(min_terminal_norm, y0, T, ball=ball, f=f, g=g, opts=opts, nt=nt,
-                     free=free_run(y0, T, nt, f, g))
+                     free=free)
 
-    def double(k, lo, hi, res):
+    def width(hi):
+        return tol_M * (1.0 + hi)
+
+    def give_up(k, hi):
         if k > 60:
             raise NoFeasibleBoundError(
-                f"no feasible control found up to norm bound {2.0 * hi:.3g} at T={T}"
+                f"no feasible control found up to norm bound {hi:.3g} at T={T}"
             )
-        return hi, 2.0 * hi
 
-    return _bisect(oracle, T, 1.0, double, lambda hi: tol_M * (1.0 + hi), "doublings",
-                   gamma)
+    if not is_linear(f):
+        def double(k, lo, hi, res):
+            give_up(k, 2.0 * hi)
+            return hi, 2.0 * hi
+
+        return _bisect(oracle, T, 1.0, double, width, "doublings", gamma)
+
+    bounds = [dual_lower_bound(free, ball, f, g, opts)]
+
+    # The first probe sits an eighth of the width rule above the bound, so
+    # when the bound is tight the value (the bracket's midpoint) lies within
+    # a sixteenth of the rule of it.  A failed probe's terminal state gives
+    # a dual bound that lies above the probe when the oracle solved it, and
+    # the gap above the lower end doubles with each failure, so the climb
+    # cannot creep.
+    def above(lo, k):
+        return lo + 2.0 ** k * width(lo) / 8.0
+
+    def climb(k, lo, hi, res):
+        give_up(k, hi)
+        bounds.append(dual_lower_bound(free, ball, f, g, opts, xi=res.terminal_state))
+        lo = max(hi, bounds[-1])
+        return lo, above(lo, k - 1)
+
+    point = _bisect(oracle, T, above(bounds[0], 0), climb, width, "doublings", gamma,
+                    lo=bounds[0])
+    return replace(point, diagnostics={**point.diagnostics,
+                                       "dual_lower_bound": max(bounds)})
 
 
 def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -210,31 +275,78 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     """Smallest time at which controls bounded pointwise by M reach the ball.
 
     M = 0 degenerates to the free-decay time.  Otherwise bisect on the horizon
-    over (0, free-decay time]; feasibility is monotone in the horizon because
-    the ball is invariant under free decay.  tol_T is relative to the
-    free-decay time.
+    over (0, free-decay time], or, when f is linear, from the dual crossing
+    (module docstring); feasibility is monotone in the horizon because the
+    ball is invariant under free decay.  tol_T is relative to the free-decay
+    time.
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if M == 0.0:
-        return _unbisected(M, gamma, gamma, gamma, nt, g)
-
-    oracle = partial(min_terminal_norm, y0, M=M, ball=ball, f=f, g=g, opts=opts, nt=nt)
+        return _unbisected(M, gamma, gamma, gamma, nt, f, g)
 
     # The free decay itself reaches the ball at gamma, so only discretization
-    # slop can make the upper end fail; nudge it up a little if it does.
+    # slop can make the upper end fail; nudge it up a little, at most to
+    # ``top``, if it does.
+    top = gamma * (1.0 + 0.02 * 2 ** 3)
+
+    def give_up(res):
+        raise NoFeasibleBoundError(
+            f"could not certify feasibility near the free-decay time {gamma:.6g} "
+            f"for M={M}; oracle terminal norm {res.terminal_norm:.6g}"
+        )
+
     def nudge(k, lo, hi, res):
         if k > 4:
-            raise NoFeasibleBoundError(
-                f"could not certify feasibility near the free-decay time {gamma:.6g} "
-                f"for M={M}; oracle terminal norm {res.terminal_norm:.6g}"
-            )
+            give_up(res)
         return lo, gamma * (1.0 + 0.02 * 2 ** (k - 1))
 
     tol_abs = tol_T * gamma
-    return _bisect(oracle, M, gamma, nudge, lambda hi: tol_abs, "upper_expansions", gamma)
+
+    def width(hi):
+        return tol_abs
+
+    if not is_linear(f):
+        oracle = partial(min_terminal_norm, y0, M=M, ball=ball, f=f, g=g, opts=opts, nt=nt)
+        return _bisect(oracle, M, gamma, nudge, width, "upper_expansions", gamma)
+
+    # Free runs only: the last horizon the dual bound leaves open keeps its
+    # free run for the oracle call that confirms it.
+    kept = {}
+
+    def refute(T, warm_start=None):
+        free = free_run(y0, T, nt, f, g)
+        feasible = dual_lower_bound(free, ball, f, g, opts) <= M
+        if feasible:
+            kept.clear()
+            kept[T] = free
+        return _DualProbe(feasible, float(free.trajectory.norms[-1]))
+
+    # A refuted upper end is certified infeasible, so it becomes the lower end.
+    def past_gamma(k, lo, hi, res):
+        return hi, nudge(k, lo, hi, res)[1]
+
+    crossing = _bisect(refute, M, gamma, past_gamma, width, "upper_expansions", gamma)
+
+    def oracle(T, warm_start=None):
+        return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
+                                 warm_start=warm_start, free=kept.get(T))
+
+    # When the oracle cannot reach the ball at the crossing, the gap above it
+    # doubles with each failed probe, up to ``top``.
+    def climb(k, lo, hi, res):
+        if hi >= top:
+            give_up(res)
+        return hi, min(hi + 2.0 ** k * tol_abs, top)
+
+    point = _bisect(oracle, M, crossing.bracket_hi, climb, width, "upper_expansions",
+                    gamma, lo=crossing.bracket_lo)
+    expansions = (crossing.diagnostics["upper_expansions"]
+                  + point.diagnostics["upper_expansions"])
+    return replace(point, diagnostics={**point.diagnostics, "upper_expansions": expansions,
+                                       "dual_lower_bound": float(crossing.bracket_lo)})
 
 
 def extract_bangbang(psi: AdjointTrajectory, M: float, g: SpatialGrid) -> ControlSignal:

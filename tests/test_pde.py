@@ -11,7 +11,6 @@ from heatctl import (
     SolverDivergenceError,
     SpatialGrid,
     TargetBall,
-    apriori_bound_check,
     control_scaling_gap,
     decay_envelope_check,
     dirichlet_eigs,
@@ -371,32 +370,6 @@ def test_envelope_with_step_slack_on_random_data(f):
         traj = solve_forward(y0, ControlSignal.zeros(nt, dt, GRID), f, GRID)
         envelope = traj.norms[0] * np.exp(-lam1 * traj.times)
         assert np.all(traj.norms <= (1.0 + 10.0 * dt) * envelope + 1e-15)
-
-
-def test_apriori_bound_uncontrolled():
-    y0 = 2.0 * eigenmode(GRID)
-    traj = solve_forward(y0, ControlSignal.zeros(200, 5e-4, GRID), F_TANH, GRID)
-    report = apriori_bound_check(traj, M=0.0, T=0.1)
-    assert report.passed
-    assert report.bound == pytest.approx(2.0 * math.exp(0.1), rel=1e-12)
-
-
-def test_apriori_bound_with_control():
-    rng = np.random.default_rng(8)
-    nt, T, M = 200, 0.1, 10.0
-    dt = T / nt
-    vals = rng.standard_normal((nt, GRID.n))
-    u = ControlSignal(dt=dt, nt=nt, values=vals, grid=GRID)
-    norms = u.step_norms()
-    u = ControlSignal(dt=dt, nt=nt, values=vals * (M / norms.max()), grid=GRID)
-    traj = solve_forward(2.0 * eigenmode(GRID), u, F_TANH, GRID)
-    report = apriori_bound_check(traj, M=M, T=T)
-    assert report.passed
-    assert report.sup_norm < report.bound
-    # the variant with M in place of M^2 is tighter for M > 1 and is reported
-    # alongside the primary bound
-    assert report.linear_form_bound < report.bound
-    assert isinstance(report.linear_form_holds, bool)
 
 
 def test_scaling_gap_bound():

@@ -7,10 +7,12 @@ import heatctl.reach as reach
 from heatctl import (
     ControlSignal,
     DegenerateCostateError,
+    NonlinearitySpec,
     ScalarInstance,
     SpatialGrid,
     TargetBall,
     dirichlet_eigs,
+    dual_lower_bound,
     free_run,
     gradient_fd_check,
     make_nonlinearity,
@@ -20,7 +22,7 @@ from heatctl import (
     solve_adjoint,
     solve_forward,
 )
-from heatctl.core import step_l2_norms
+from heatctl.core import step_l2_norms, zero_reaction
 from heatctl.reach import (
     ReachOptions,
     ReachResult,
@@ -438,3 +440,61 @@ def test_gradient_fd_check_matches_reference():
                           grid=MASKED)
         assert (gradient_fd_check(Y0_MASKED, T, v, d, f, MASKED, fd_step=1e-3)
                 == reference_gradient_fd_check(Y0_MASKED, T, v, d, f, MASKED, fd_step=1e-3))
+
+
+# ---------------------------------------------------------------------------
+# Dual lower bound
+
+@pytest.mark.parametrize("T", [0.03, 0.07, 0.1])
+def test_dual_bound_of_the_free_run_is_the_discrete_one_mode_value(T):
+    # One mode, full control, f = 0: the discrete optimum is constant full
+    # thrust along e1, alpha_d = (q^nt a0 - r(1+eps)) / (dt * sum_{j=1..nt} q^j)
+    # with q = 1 / (1 + dt*lambda_1h).
+    nt, a0 = 300, 2.0
+    dt = T / nt
+    q = 1.0 / (1.0 + dt * principal_eigenvalue(GRID))
+    rho = BALL.r * (1.0 + ReachOptions().eps_feas_rel)
+    alpha_d = (q ** nt * a0 - rho) / (dt * sum(q ** j for j in range(1, nt + 1)))
+    bound = dual_lower_bound(free_run(Y0, T, nt, F_ZERO, GRID), BALL, F_ZERO, GRID)
+    assert bound <= alpha_d
+    assert bound == pytest.approx(alpha_d, rel=1e-8)
+
+
+def test_dual_bound_is_below_every_feasible_control():
+    # Weak duality on the masked grid: no control the oracle returns as
+    # feasible has a smaller largest step norm than LB(xi), for any xi.
+    rng = np.random.default_rng(8)
+    nt = 60
+    informative = 0
+    for T in (0.03, 0.06, 0.1):
+        free = free_run(Y0_MASKED, T, nt, F_ZERO, MASKED)
+        y_free = free.trajectory.states[-1]
+        feasible = []
+        for M in (5.0, 10.0, 20.0, 40.0, 80.0):
+            res = min_terminal_norm(Y0_MASKED, T, M, BALL, F_ZERO, MASKED, nt=nt, free=free)
+            np.testing.assert_array_equal(
+                res.terminal_state,
+                solve_forward(Y0_MASKED, res.control, F_ZERO, MASKED).states[-1])
+            if res.feasible:
+                feasible.append(float(np.max(res.control.step_norms())))
+            else:
+                assert dual_lower_bound(free, BALL, F_ZERO, MASKED,
+                                        xi=res.terminal_state) > M
+        assert feasible
+        data = [None, y_free, *(y_free + s * rng.standard_normal(MASKED.n)
+                                for s in (0.01, 0.1, 1.0) for _ in range(3))]
+        for xi in data:
+            bound = dual_lower_bound(free, BALL, F_ZERO, MASKED, xi=xi)
+            informative += bound > 0.0
+            assert bound <= min(feasible)
+    assert informative >= 15
+
+
+@pytest.mark.parametrize("f", [
+    F_TANH,
+    NonlinearitySpec(kind="zero", L=1.0, f=lambda y: 0.5 * y, fprime=zero_reaction),
+], ids=["scaled_tanh", "custom-zero-kind"])
+def test_dual_bound_refuses_a_reaction_term(f):
+    free = free_run(Y0, 0.05, 40, f, GRID)
+    with pytest.raises(ValueError, match="zero reaction"):
+        dual_lower_bound(free, BALL, f, GRID)

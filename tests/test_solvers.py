@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import heatctl.solvers as solvers
 from heatctl import (
     ControlSignal,
     DegenerateCostateError,
@@ -109,8 +110,9 @@ def test_minimal_norm_control_is_certified(gamma_zero):
 # Minimal time
 
 def test_minimal_norm_point_solves_the_free_run_once(gamma_zero, solve_calls):
+    # With the tanh reaction the point makes many oracle calls, all at T.
     T, nt = 0.5 * gamma_zero, 300
-    point = minimal_norm(T, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+    point = minimal_norm(T, Y0, BALL, F_TANH, GRID)
     assert point.diagnostics["oracle_calls"] > 1
     free = [traj for u, traj in solve_calls.forward
             if u.nt == nt and u.dt == T / nt and not u.values.any()]
@@ -383,34 +385,91 @@ def assert_same_point(point, ref):
     assert np.array_equal(point.control.values, ref.control.values)
 
 
+@pytest.fixture
+def oracle_probes(monkeypatch):
+    """Record ``(T, M, result)`` of every oracle call the value functions make."""
+    probes = []
+
+    def recorded(y0, T, M, *args, **kwargs):
+        res = min_terminal_norm(y0, T, M, *args, **kwargs)
+        probes.append((T, M, res))
+        return res
+
+    monkeypatch.setattr(solvers, "min_terminal_norm", recorded)
+    return probes
+
+
+def assert_certified_point(point, ref, probes, width, conclusive=True):
+    """A dual-seeded linear point against the cold reference loop's point.
+
+    ``probes`` holds (parameter, result) of the point's oracle calls.  Both
+    brackets are certified, so they intersect; the new one meets the same
+    width rule.  Its upper end is a feasible probe whose control it returns,
+    and its lower end is its recorded dual bound or an infeasible probe
+    (conclusive unless the iteration budget is cut short).
+    """
+    bound = point.diagnostics["dual_lower_bound"]
+    if ref.diagnostics["oracle_calls"] == 0:
+        diagnostics = {k: v for k, v in point.diagnostics.items() if k != "dual_lower_bound"}
+        assert_same_point(dataclasses.replace(point, diagnostics=diagnostics), ref)
+        assert bound == 0.0
+        return
+    lo, hi = point.bracket_lo, point.bracket_hi
+    assert max(lo, ref.bracket_lo) <= min(hi, ref.bracket_hi)
+    assert hi - lo <= width(hi)
+    assert point.value == 0.5 * (lo + hi)
+    assert 0.0 <= bound <= lo
+    assert any(x == hi and res.feasible
+               and np.array_equal(res.control.values, point.control.values)
+               for x, res in probes)
+    assert lo == bound or any(x == lo and not res.feasible
+                              and (res.converged or not conclusive) for x, res in probes)
+
+
 @pytest.mark.parametrize("g", [SMALL, SMALL_MASKED], ids=["full", "masked"])
 @pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
-def test_bisection_driver_matches_reference_loops(f, g):
+def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
+    # The tanh points keep the cold search bit for bit; the linear ones start
+    # from the dual bound and stay certified.
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, f, g, nt=SMALL_NT)
-    doublings = []
-    for T in (0.3 * gamma, 0.7 * gamma, gamma):
-        point = minimal_norm(T, y0, BALL, f, g, nt=SMALL_NT, gamma_hint=gamma)
-        assert_same_point(point, reference_minimal_norm(T, y0, BALL, f, g, nt=SMALL_NT,
-                                                        gamma_hint=gamma))
-        doublings.append(point.diagnostics.get("doublings", 0))
-    assert doublings[0] > 0
+
+    def norm_width(hi):
+        return 1e-3 * (1.0 + hi)
+
+    def time_width(hi):
+        return 1e-3 * gamma
+
+    def check(value_fn, x, reference, width, **kwargs):
+        point = value_fn(x, y0, BALL, f, g, nt=SMALL_NT, **kwargs)
+        ref = reference(x, y0, BALL, f, g, nt=SMALL_NT, **kwargs)
+        if f is F_TANH:
+            assert_same_point(point, ref)
+        else:
+            probes = [(M if value_fn is minimal_norm else T, res)
+                      for T, M, res in oracle_probes]
+            assert_certified_point(point, ref, probes, width,
+                                   conclusive="opts" not in kwargs)
+        del oracle_probes[:]
+        return point
+
+    doublings = [check(minimal_norm, T, reference_minimal_norm, norm_width,
+                       gamma_hint=gamma).diagnostics.get("doublings", 0)
+                 for T in (0.3 * gamma, 0.7 * gamma, gamma)]
+    if f is F_TANH:
+        assert doublings[0] > 0
     for M in (0.0, 1.0, 20.0):
-        point = minimal_time(M, y0, BALL, f, g, nt=SMALL_NT, gamma_hint=gamma)
-        assert_same_point(point, reference_minimal_time(M, y0, BALL, f, g, nt=SMALL_NT,
-                                                        gamma_hint=gamma))
+        check(minimal_time, M, reference_minimal_time, time_width, gamma_hint=gamma)
     # a slightly short free-decay time makes the upper end widen before bisecting
-    point = minimal_time(0.01, y0, BALL, f, g, nt=SMALL_NT, gamma_hint=0.97 * gamma)
-    assert_same_point(point, reference_minimal_time(0.01, y0, BALL, f, g, nt=SMALL_NT,
-                                                    gamma_hint=0.97 * gamma))
+    point = check(minimal_time, 0.01, reference_minimal_time,
+                  lambda hi: 1e-3 * 0.97 * gamma, gamma_hint=0.97 * gamma)
     assert point.diagnostics["upper_expansions"] > 0
     # a short iteration budget leaves some probes inconclusive
     few = ReachOptions(max_iters=5)
-    for value_fn, reference, x in ((minimal_norm, reference_minimal_norm, 0.3 * gamma),
-                                   (minimal_time, reference_minimal_time, 5.0)):
-        point = value_fn(x, y0, BALL, f, g, opts=few, nt=SMALL_NT, gamma_hint=gamma)
-        assert_same_point(point, reference(x, y0, BALL, f, g, opts=few, nt=SMALL_NT,
-                                           gamma_hint=gamma))
+    check(minimal_norm, 0.3 * gamma, reference_minimal_norm, norm_width, opts=few,
+          gamma_hint=gamma)
+    check(minimal_time, 5.0, reference_minimal_time, time_width, opts=few,
+          gamma_hint=gamma)
 
 
 def test_bisection_driver_exhaustion_errors_match_reference_loops():
@@ -432,3 +491,31 @@ def test_bisection_driver_exhaustion_errors_match_reference_loops():
         reference_minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
     assert str(new.value) == str(ref.value)
     assert "could not certify" in str(new.value)
+
+
+def test_linear_minimal_time_refuses_a_free_decay_time_that_is_too_short():
+    # the dual bound refutes every horizon up to the last nudge past it
+    y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
+    args = (y0, BALL, F_ZERO, SMALL_MASKED)
+    short = 0.5 * free_decay_time(*args, nt=SMALL_NT)
+    with pytest.raises(NoFeasibleBoundError, match="could not certify"):
+        minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
+
+
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
+def test_dual_lower_bound_is_recorded_on_linear_points_only(f):
+    y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
+    args = (y0, BALL, f, SMALL_MASKED)
+    gamma = free_decay_time(*args, nt=SMALL_NT)
+    kwargs = dict(nt=SMALL_NT, gamma_hint=gamma)
+    trip = verify_equivalence_bound(5.0, *args, **kwargs)
+    points = [minimal_norm(0.5 * gamma, *args, **kwargs), minimal_norm(gamma, *args, **kwargs),
+              minimal_time(0.0, *args, **kwargs), trip.time_point, trip.norm_point,
+              *minimal_time_curve([1.0, 20.0], *args, **kwargs).points,
+              *minimal_norm_curve([0.3 * gamma], *args, **kwargs).points]
+    if f is F_TANH:
+        assert all("dual_lower_bound" not in p.diagnostics for p in points)
+    else:
+        bounds = [p.diagnostics["dual_lower_bound"] for p in points]
+        assert all(0.0 <= b <= p.bracket_lo for b, p in zip(bounds, points))
+        assert sum(b > 0.0 for b in bounds) == len(points) - 2
