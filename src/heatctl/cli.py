@@ -11,6 +11,9 @@ Exit codes: 0 success, 2 invalid config (field-level diagnostics on stderr),
 3 initial state inside the target ball, 4 failed computation (no feasible
 bound or a diverging solve; one ``failed:`` line on stderr).  Every handler
 takes its step count from the one rule in :meth:`Setup.steps_for`.
+``equivalence`` and ``oracle-compare`` solve their points through
+``solvers._map_points`` (forked workers, identical outputs), and each worker
+returns only the scalar record written for its point.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .reach import ReachOptions, gradient_fd_check
 from .solvers import (
     ValueCurve,
     ValuePoint,
+    _map_points,
     free_decay_time,
     minimal_norm,
     minimal_norm_curve,
@@ -493,32 +497,36 @@ def run_equivalence(setup: Setup):
     nt = setup.steps_for()
     gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
     _refuse_horizons_past("T_grid", T_grid, gamma, "the free-decay time")
-    rows = []
-    time_reports = []
-    for T in T_grid:
-        rep = verify_equivalence_time(T, setup.y0, setup.ball, setup.f, setup.grid,
-                                      tol_M=setup.tol_m, tol_T=setup.tol_t,
-                                      opts=setup.opts, nt=nt, gamma_hint=gamma)
-        time_reports.append({
-            "T": rep.T, "alpha": rep.norm_value, "roundtrip": rep.time_roundtrip,
-            "residual": rep.residual,
-            "extension_hitting_time": rep.extension_hitting_time,
-            "extension_residual": rep.extension_residual,
-        })
-        rows.append(["time", T, rep.norm_value, rep.time_roundtrip, rep.residual])
-    bound_reports = []
-    for M in M_grid:
-        rep = verify_equivalence_bound(M, setup.y0, setup.ball, setup.f, setup.grid,
-                                       tol_M=setup.tol_m, tol_T=setup.tol_t,
-                                       opts=setup.opts, nt=nt, gamma_hint=gamma)
-        bound_reports.append({
+    args = (setup.y0, setup.ball, setup.f, setup.grid)
+    kwargs = dict(tol_M=setup.tol_m, tol_T=setup.tol_t, opts=setup.opts, nt=nt,
+                  gamma_hint=gamma)
+
+    # Each round trip returns only the scalars written below, not its reports.
+    def round_trip(job):
+        kind, x = job
+        if kind == "time":
+            rep = verify_equivalence_time(x, *args, **kwargs)
+            return {
+                "T": rep.T, "alpha": rep.norm_value, "roundtrip": rep.time_roundtrip,
+                "residual": rep.residual,
+                "extension_hitting_time": rep.extension_hitting_time,
+                "extension_residual": rep.extension_residual,
+            }
+        rep = verify_equivalence_bound(x, *args, **kwargs)
+        return {
             "M": rep.M, "tau": rep.time_value, "roundtrip": rep.norm_roundtrip,
             "relative_residual": rep.relative_residual,
             "restricted_max_norm": rep.restricted_max_norm,
             "restriction_ok": bool(rep.restriction_ok),
-        })
-        rows.append(["bound", M, rep.time_value, rep.norm_roundtrip,
-                     rep.relative_residual])
+        }
+
+    records = _map_points(round_trip, [("time", T) for T in T_grid]
+                          + [("bound", M) for M in M_grid])
+    time_reports, bound_reports = records[:len(T_grid)], records[len(T_grid):]
+    rows = ([["time", r["T"], r["alpha"], r["roundtrip"], r["residual"]]
+             for r in time_reports]
+            + [["bound", r["M"], r["tau"], r["roundtrip"], r["relative_residual"]]
+               for r in bound_reports])
     outputs = {
         "gamma": gamma,
         "time_roundtrips": time_reports,
@@ -586,19 +594,24 @@ def run_oracle_compare(setup: Setup):
                           "the closed-form free-decay time")
     nt = setup.steps_for()
     gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
-    rows = []
-    records = []
-    specs = (("minimal_time", M_values, minimal_time, setup.tol_t, scalar_minimal_time),
-             ("minimal_norm", T_values, minimal_norm, setup.tol_m, scalar_minimal_norm))
-    for kind, parameters, solve, tol, closed_form in specs:
-        for x in parameters:
-            point = solve(x, setup.y0, setup.ball, setup.f, setup.grid, tol,
-                          opts=setup.opts, nt=nt, gamma_hint=gamma)
-            target = closed_form(inst, x)
-            gap = abs(point.value - target) / max(abs(target), 1e-300)
-            records.append({"kind": kind, "parameter": x,
-                            "solver": point.value, "oracle": target, "rel_gap": gap})
-            rows.append([kind, x, point.value, target, gap])
+    specs = {"minimal_time": (minimal_time, setup.tol_t, scalar_minimal_time),
+             "minimal_norm": (minimal_norm, setup.tol_m, scalar_minimal_norm)}
+
+    # Each point returns only the scalars written below, not its control.
+    def compare(job):
+        kind, x = job
+        solve, tol, closed_form = specs[kind]
+        point = solve(x, setup.y0, setup.ball, setup.f, setup.grid, tol,
+                      opts=setup.opts, nt=nt, gamma_hint=gamma)
+        target = closed_form(inst, x)
+        gap = abs(point.value - target) / max(abs(target), 1e-300)
+        return {"kind": kind, "parameter": x,
+                "solver": point.value, "oracle": target, "rel_gap": gap}
+
+    records = _map_points(compare, [("minimal_time", M) for M in M_values]
+                          + [("minimal_norm", T) for T in T_values])
+    rows = [[r["kind"], r["parameter"], r["solver"], r["oracle"], r["rel_gap"]]
+            for r in records]
     outputs = {
         "rows": records,
         "max_rel_gap": max((r["rel_gap"] for r in records), default=0.0),

@@ -67,6 +67,11 @@ class SpatialGrid:
         mask.setflags(write=False)
         object.__setattr__(self, "omega_mask", mask)
 
+    def __reduce__(self):
+        # Rebuild through __post_init__, so a copy that crossed a process
+        # boundary keeps its mask read-only.
+        return SpatialGrid, (self.n, self.h, self.ell, self.omega_mask)
+
     @staticmethod
     def build(n: int = 127, ell: float = 1.0,
               omega: tuple[float, float] | None = None) -> "SpatialGrid":
@@ -239,6 +244,10 @@ class ControlSignal:
         vals *= self.grid.omega_mask
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    def __reduce__(self):
+        # As SpatialGrid.__reduce__: unpickled values stay read-only.
+        return ControlSignal, (self.dt, self.nt, self.values, self.grid)
 
     @staticmethod
     def zeros(nt: int, dt: float, g: SpatialGrid) -> "ControlSignal":

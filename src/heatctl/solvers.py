@@ -13,9 +13,10 @@ this typically cuts oracle iterations by an order of magnitude.
 
 With a reaction term the search starts cold: the lower end is 0, the minimal
 norm doubles its upper end from 1, and the minimal time starts from the
-free-decay time.  Without one, weak duality gives a certified lower end at
-no extra cost (:func:`heatctl.reach.dual_lower_bound`, the discrete form of
-the dual problem of Wang & Zuazua, SIAM J. Control Optim. 50 (2012)):
+free-decay time, which becomes the lower end if the probe there fails.
+Without one, weak duality gives a certified lower end at no extra cost
+(:func:`heatctl.reach.dual_lower_bound`, the discrete form of the dual
+problem of Wang & Zuazua, SIAM J. Control Optim. 50 (2012)):
 
 * the minimal norm starts from the bound of the free run that it solves
   anyway, and probes first an eighth of the width rule above it; after an
@@ -35,11 +36,20 @@ control it returns.
 The minimal-norm search keeps its horizon fixed, so it solves the uncontrolled
 run and its costate once per point (:func:`heatctl.reach.free_run`) and hands
 them to every probe.
+
+The points of a curve are independent of each other once the free-decay time
+is known, so :func:`minimal_time_curve` and :func:`minimal_norm_curve` solve
+them in forked worker processes (:func:`_map_points`): one worker per CPU
+this process may run on, at most one per point, and none when that makes
+fewer than two.  Each point runs the same code on the same inputs as in the
+serial loop, so the results are identical; ``taskset -c 0`` forces a serial
+run.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, NamedTuple
@@ -111,6 +121,92 @@ class ValueCurve:
 
     def values(self) -> list[float]:
         return [p.value for p in self.points]
+
+
+def _serve(fn, conn) -> None:
+    """Worker loop of :func:`_map_points`: answer each ``(x,)`` received with
+    ``(True, fn(x))``, or ``(False, exception)`` when fn(x) raises, until
+    None arrives."""
+    while (task := conn.recv()) is not None:
+        try:
+            conn.send((True, fn(task[0])))
+        except Exception as exc:
+            conn.send((False, exc))
+
+
+def _map_points(fn, xs) -> list:
+    """``[fn(x) for x in xs]``, computed in forked workers when it can be.
+
+    Uses min(len(xs), CPUs this process may run on) worker processes, and
+    runs serially when that is below 2, where ``fork`` is not available, or
+    inside a daemonic process (which may not start children).  fn reaches
+    the workers through the fork, not through pickle, so it may close over
+    lambdas; only each x and each result cross the process boundary.  When
+    some fn(x) raises, the exception of the first such x in order is raised,
+    as the serial loop would raise it.
+
+    The main thread hands each worker its next x as soon as it answers and
+    receives every result itself: a pool's result thread would unpickle the
+    results into a malloc arena of its own, which holds on to that memory.
+    """
+    xs = list(xs)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    workers = min(len(xs), cpus)
+    if workers >= 2:
+        import multiprocessing
+
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            workers = 1
+    if workers < 2:
+        return [fn(x) for x in xs]
+
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    outcomes = [None] * len(xs)
+    tasks = iter(enumerate(xs))
+    pending = {}  # connection -> index of the x its worker is solving
+    started = []  # (process, connection)
+
+    def hand_next(conn):
+        task = next(tasks, None)
+        if task is None:
+            conn.send(None)
+        else:
+            pending[conn] = task[0]
+            conn.send(task[1:])
+
+    try:
+        for _ in range(workers):
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_serve, args=(fn, child_conn), daemon=True)
+            proc.start()
+            child_conn.close()
+            started.append((proc, conn))
+            hand_next(conn)
+        while pending:
+            for conn in wait(list(pending)):
+                try:
+                    outcomes[pending.pop(conn)] = conn.recv()
+                except EOFError:
+                    raise RuntimeError("a worker process exited without an answer") from None
+                hand_next(conn)
+    except BaseException:
+        for proc, _ in started:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in started:
+            proc.join()
+            conn.close()
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
 def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -288,8 +384,9 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         return _unbisected(M, gamma, gamma, gamma, nt, f, g)
 
     # The free decay itself reaches the ball at gamma, so only discretization
-    # slop can make the upper end fail; nudge it up a little, at most to
-    # ``top``, if it does.
+    # slop can make the upper end fail.  A failed upper end is infeasible, so
+    # it becomes the lower end, and the upper end moves up a little, at most
+    # to ``top``.
     top = gamma * (1.0 + 0.02 * 2 ** 3)
 
     def give_up(res):
@@ -298,10 +395,10 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
             f"for M={M}; oracle terminal norm {res.terminal_norm:.6g}"
         )
 
-    def nudge(k, lo, hi, res):
+    def past_gamma(k, lo, hi, res):
         if k > 4:
             give_up(res)
-        return lo, gamma * (1.0 + 0.02 * 2 ** (k - 1))
+        return hi, gamma * (1.0 + 0.02 * 2 ** (k - 1))
 
     tol_abs = tol_T * gamma
 
@@ -310,7 +407,7 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
 
     if not is_linear(f):
         oracle = partial(min_terminal_norm, y0, M=M, ball=ball, f=f, g=g, opts=opts, nt=nt)
-        return _bisect(oracle, M, gamma, nudge, width, "upper_expansions", gamma)
+        return _bisect(oracle, M, gamma, past_gamma, width, "upper_expansions", gamma)
 
     # Free runs only: the last horizon the dual bound leaves open keeps its
     # free run for the oracle call that confirms it.
@@ -323,10 +420,6 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
             kept.clear()
             kept[T] = free
         return _DualProbe(feasible, float(free.trajectory.norms[-1]))
-
-    # A refuted upper end is certified infeasible, so it becomes the lower end.
-    def past_gamma(k, lo, hi, res):
-        return hi, nudge(k, lo, hi, res)[1]
 
     crossing = _bisect(refute, M, gamma, past_gamma, width, "upper_expansions", gamma)
 
@@ -471,8 +564,8 @@ def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
         raise ValueError("norm-bound grid must be nonempty and strictly increasing")
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
-    points = tuple(minimal_time(M, y0, ball, f, g, tol_T=tol_T, opts=opts, nt=nt,
-                                gamma_hint=gamma) for M in M_grid)
+    points = tuple(_map_points(partial(minimal_time, y0=y0, ball=ball, f=f, g=g, tol_T=tol_T,
+                                       opts=opts, nt=nt, gamma_hint=gamma), M_grid))
     values = [p.value for p in points]
     strictly_decreasing = all(b < a for a, b in zip(values, values[1:]))
     return ValueCurve(points=points, monotone=strictly_decreasing,
@@ -499,8 +592,8 @@ def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
         raise ValueError(
             f"horizon grid must lie in (0, {gamma:.6g}] (the free-decay time)"
         )
-    points = tuple(minimal_norm(T, y0, ball, f, g, tol_M=tol_M, opts=opts, nt=nt,
-                                gamma_hint=gamma) for T in T_grid)
+    points = tuple(_map_points(partial(minimal_norm, y0=y0, ball=ball, f=f, g=g, tol_M=tol_M,
+                                       opts=opts, nt=nt, gamma_hint=gamma), T_grid))
     values = [p.value for p in points]
     non_increasing = all(b <= a for a, b in zip(values, values[1:]))
     return ValueCurve(points=points, monotone=non_increasing,

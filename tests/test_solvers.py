@@ -342,7 +342,7 @@ def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=None, nt=300,
             inconclusive += 1
         return res
 
-    hi = gamma
+    lo, hi = 0.0, gamma
     res = probe(hi, None)
     expansions = 0
     while not res.feasible:
@@ -352,10 +352,9 @@ def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=None, nt=300,
                 f"could not certify feasibility near the free-decay time {gamma:.6g} "
                 f"for M={M}; oracle terminal norm {res.terminal_norm:.6g}"
             )
-        hi = gamma * (1.0 + 0.02 * 2 ** (expansions - 1))
+        lo, hi = hi, gamma * (1.0 + 0.02 * 2 ** (expansions - 1))
         res = probe(hi, res.control)
     best_control = res.control
-    lo = 0.0
 
     tol_abs = tol_T * gamma
     while hi - lo > tol_abs:
@@ -464,6 +463,11 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
     point = check(minimal_time, 0.01, reference_minimal_time,
                   lambda hi: 1e-3 * 0.97 * gamma, gamma_hint=0.97 * gamma)
     assert point.diagnostics["upper_expansions"] > 0
+    # and each failed upper end becomes the lower end: the tanh point bisects
+    # only above the failed probes (14 oracle calls when its lower end stayed 0)
+    assert point.bracket_lo >= 0.97 * gamma
+    if f is F_TANH:
+        assert point.diagnostics["oracle_calls"] < 14
     # a short iteration budget leaves some probes inconclusive
     few = ReachOptions(max_iters=5)
     check(minimal_norm, 0.3 * gamma, reference_minimal_norm, norm_width, opts=few,
