@@ -41,21 +41,25 @@ The points of a curve are independent of each other once the free-decay time
 is known, so :func:`minimal_time_curve` and :func:`minimal_norm_curve` solve
 them in forked worker processes (:func:`_map_points`): one worker per CPU
 this process may run on, at most one per point, and none when that makes
-fewer than two.  Each point runs the same code on the same inputs as in the
-serial loop, so the results are identical; ``taskset -c 0`` forces a serial
-run.
+fewer than two, when another thread is running, or when a function of the
+point's modules has been patched in place (a call recorder or a tracer).
+Each point runs the same code on the same inputs as in the serial loop, so
+the results are identical; ``taskset -c 0`` forces a serial run.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, NamedTuple
 
 import numpy as np
 
+from . import core, pde, reach
 from .core import (
     ControlSignal,
     NoFeasibleBoundError,
@@ -138,12 +142,18 @@ def _map_points(fn, xs) -> list:
     """``[fn(x) for x in xs]``, computed in forked workers when it can be.
 
     Uses min(len(xs), CPUs this process may run on) worker processes, and
-    runs serially when that is below 2, where ``fork`` is not available, or
-    inside a daemonic process (which may not start children).  fn reaches
-    the workers through the fork, not through pickle, so it may close over
-    lambdas; only each x and each result cross the process boundary.  When
-    some fn(x) raises, the exception of the first such x in order is raised,
-    as the serial loop would raise it.
+    runs serially when that is below 2, where ``fork`` is not available,
+    inside a daemonic process (which may not start children), when another
+    thread is running (a forked child gets only this thread, and any lock
+    another one holds stays locked in it), or when a function of a module a
+    point runs through has been replaced since import (a call recorder or
+    tracer patched into this process would not see the workers' calls).
+    fn reaches the workers through the fork, not through pickle, so it may
+    close over lambdas; only each x and each result cross the process
+    boundary.  When some fn(x) raises, no further x is handed out, and the
+    exception of the first such x in order is raised, as the serial loop
+    would raise it: the xs are handed out in order, so every earlier x has
+    been solved by then.
 
     The main thread hands each worker its next x as soon as it answers and
     receives every result itself: a pool's result thread would unpickle the
@@ -157,9 +167,11 @@ def _map_points(fn, xs) -> list:
     workers = min(len(xs), cpus)
     if workers >= 2:
         import multiprocessing
+        import threading
 
         if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
+                or multiprocessing.current_process().daemon
+                or threading.active_count() > 1 or _patched()):
             workers = 1
     if workers < 2:
         return [fn(x) for x in xs]
@@ -171,9 +183,10 @@ def _map_points(fn, xs) -> list:
     tasks = iter(enumerate(xs))
     pending = {}  # connection -> index of the x its worker is solving
     started = []  # (process, connection)
+    failed = False
 
     def hand_next(conn):
-        task = next(tasks, None)
+        task = None if failed else next(tasks, None)
         if task is None:
             conn.send(None)
         else:
@@ -191,9 +204,11 @@ def _map_points(fn, xs) -> list:
         while pending:
             for conn in wait(list(pending)):
                 try:
-                    outcomes[pending.pop(conn)] = conn.recv()
+                    outcome = conn.recv()
                 except EOFError:
                     raise RuntimeError("a worker process exited without an answer") from None
+                outcomes[pending.pop(conn)] = outcome
+                failed = failed or not outcome[0]
                 hand_next(conn)
     except BaseException:
         for proc, _ in started:
@@ -203,10 +218,16 @@ def _map_points(fn, xs) -> list:
         for proc, conn in started:
             proc.join()
             conn.close()
-    for ok, value in outcomes:
+    for ok, value in filter(None, outcomes):
         if not ok:
             raise value
     return [value for _, value in outcomes]
+
+
+def _patched() -> bool:
+    """Whether a function of core, pde, reach or this module differs from
+    the one the module defined or imported (see :func:`_map_points`)."""
+    return any(vars(module).get(name) is not fn for module, name, fn in _AS_IMPORTED)
 
 
 def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -558,7 +579,12 @@ def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
                        g: SpatialGrid, tol_T: float = 1e-3,
                        opts: ReachOptions | None = None, nt: int = 300,
                        gamma_hint: float | None = None) -> ValueCurve:
-    """Minimal-time values over a strictly increasing grid of norm bounds."""
+    """Minimal-time values over a strictly increasing grid of norm bounds.
+
+    The points are solved in forked worker processes when more than one CPU
+    is available (see :func:`_map_points`); the result is the same as a
+    serial loop's.  The call runs serially when another thread is running.
+    """
     M_grid = [float(m) for m in M_grid]
     if not M_grid or any(b <= a for a, b in zip(M_grid, M_grid[1:])):
         raise ValueError("norm-bound grid must be nonempty and strictly increasing")
@@ -581,7 +607,8 @@ def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
     """Minimal-norm values over a strictly increasing grid of horizons.
 
     Horizons must stay within (0, free-decay time]; beyond that the value is
-    identically zero and the sweep refuses the grid.
+    identically zero and the sweep refuses the grid.  The points are solved
+    as in :func:`minimal_time_curve`, in forked workers when it can be.
     """
     T_grid = [float(t) for t in T_grid]
     if not T_grid or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
@@ -598,3 +625,9 @@ def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
     non_increasing = all(b <= a for a, b in zip(values, values[1:]))
     return ValueCurve(points=points, monotone=non_increasing,
                       diagnostics={"free_decay_time": gamma})
+
+
+# The functions of the modules a value point runs through, as imported.
+_AS_IMPORTED = [(module, name, fn)
+                for module in (core, pde, reach, sys.modules[__name__])
+                for name, fn in vars(module).items() if inspect.isfunction(fn)]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -92,6 +93,22 @@ def test_first_failure_in_order_is_raised(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_no_point_starts_after_a_failure(monkeypatch, tmp_path):
+    def fail_first(x):
+        (tmp_path / str(x)).touch()
+        if x == 0:
+            raise ValueError("first")
+        time.sleep(0.2)
+        return x
+
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="^first$"):
+        _map_points(fail_first, range(8))
+    # the second worker finishes the point it holds, and nothing else starts
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["0", "1"]
+    assert multiprocessing.active_children() == []
+
+
 def exit_on_two(x):
     if x == 2:
         os._exit(1)
@@ -134,6 +151,30 @@ def test_daemonic_process_maps_serially(monkeypatch):
     child.join()
     assert child.exitcode == 0
     assert results == [(1, pid), (2, pid), (3, pid)]
+
+
+def test_another_thread_maps_serially(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        results = _map_points(lambda x: (x, os.getpid()), [1, 2, 3])
+    finally:
+        release.set()
+        other.join()
+    assert results == [(1, os.getpid()), (2, os.getpid()), (3, os.getpid())]
+
+
+def test_patched_solver_maps_serially(monkeypatch, solve_calls):
+    # a call recorder patched into this process sees every solve of a curve
+    # that would otherwise run in workers
+    f, g = INSTANCES["tanh-masked"]
+    use_cpus(monkeypatch, 2)
+    time_curve, _ = curves(f, g)
+    assert all(p.control.grid is g for p in time_curve.points)
+    assert len(solve_calls.forward) >= sum(p.diagnostics["oracle_calls"]
+                                           for p in time_curve.points) > 0
 
 
 def cli_files(tmp_path, command, cfg, name):

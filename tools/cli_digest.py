@@ -12,18 +12,14 @@ the run wrote, and ends with one overall digest of those lines.  Two
 checkouts give the same digest exactly when they give the same exit codes,
 stderr and outputs on every run.
 
-    python tools/cli_digest.py [--one-cpu] [CHECKOUT]
+    python tools/cli_digest.py [CHECKOUT]
 
 CHECKOUT defaults to the one holding this script; its ``src`` and
-``configs`` are used.  ``--one-cpu`` pins each run to one CPU, so heatctl
-solves its value points serially instead of in worker processes; the two
-digests of one checkout then compare the serial and the pooled path.
-Standard library only, besides the heatctl under test.
+``configs`` are used.  Standard library only, besides the heatctl under test.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -99,8 +95,7 @@ def _outputs_digest(out_dir: Path) -> str:
     return h.hexdigest()[:16]
 
 
-def run(root: Path, config: str, command: str, overrides: list[str],
-        one_cpu: bool = False) -> str:
+def run(root: Path, config: str, command: str, overrides: list[str]) -> str:
     """Run one subcommand and return its digest line (without the label)."""
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
@@ -109,13 +104,7 @@ def run(root: Path, config: str, command: str, overrides: list[str],
         for spec in overrides:
             argv += ["--override", spec]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        pin = None
-        if one_cpu:
-            cpu = min(os.sched_getaffinity(0))
-
-            def pin():
-                os.sched_setaffinity(0, {cpu})
-        proc = subprocess.run(argv, capture_output=True, env=env, cwd=tmp, preexec_fn=pin)
+        proc = subprocess.run(argv, capture_output=True, env=env, cwd=tmp)
         return (f"exit={proc.returncode} stderr={_sha(proc.stderr)} "
                 f"out={_outputs_digest(out_dir)}")
 
@@ -133,17 +122,12 @@ def plan(root: Path):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", nargs="?", type=Path,
-                        default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--one-cpu", action="store_true",
-                        help="pin each run to one CPU (serial value points)")
-    args = parser.parse_args(argv)
-    root = args.checkout.resolve()
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
     total = hashlib.sha256()
-    for label, config, command, overrides in plan(root):
+    for label, config, command, overrides in plan(root.resolve()):
         line = (f"{label:10s} {config:20s} {command:15s} "
-                f"{run(root, config, command, overrides, args.one_cpu)}")
+                f"{run(root.resolve(), config, command, overrides)}")
         print(line, flush=True)
         total.update(line.encode() + b"\n")
     print(f"overall {total.hexdigest()}")
