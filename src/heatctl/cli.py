@@ -4,16 +4,19 @@ Subcommands: simulate, gamma, minnorm, mintime, equivalence, sweep,
 oracle-compare, gradcheck.  Each reads one JSON config, writes a summary JSON
 plus CSV series into the output directory, and is deterministic: identical
 configs produce byte-identical summaries apart from the wall-time field.
-All numbers are emitted with 17 significant digits so results can be diffed
-across machines and reimplementations.
+Every handler returns its CSV series as rows.  The CSVs and the summary
+encode each number with one scalar encoder (17 significant digits) so results
+can be diffed across machines and reimplementations; a curve's CSV rows are
+the point records of its summary.
 
-Exit codes: 0 success, 2 invalid config (field-level diagnostics on stderr),
-3 initial state inside the target ball, 4 failed computation (no feasible
-bound or a diverging solve; one ``failed:`` line on stderr).  Every handler
-takes its step count from the one rule in :meth:`Setup.steps_for`.
-``equivalence`` and ``oracle-compare`` solve their points through
-``solvers._map_points`` (forked workers, identical outputs), and each worker
-returns only the scalar record written for its point.
+Exit codes: 0 success, 2 invalid config (field-level diagnostics on stderr)
+or an unusable ``--out`` (one ``out:`` line), 3 initial state inside the
+target ball, 4 failed computation (no feasible bound or a diverging solve;
+one ``failed:`` line on stderr).  Every handler takes its step count from
+the one rule in :meth:`Setup.steps_for`.  ``equivalence`` and
+``oracle-compare`` solve their points through ``solvers._map_points``
+(forked workers, identical outputs), and each worker returns only the scalar
+record written for its point.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .pde import (
 )
 from .reach import ReachOptions, gradient_fd_check
 from .solvers import (
-    ValueCurve,
     ValuePoint,
     _map_points,
     free_decay_time,
@@ -66,9 +68,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INITIAL_STATE = 3
 EXIT_FAILED = 4
-
-SUBCOMMANDS = ("simulate", "gamma", "minnorm", "mintime", "equivalence",
-               "sweep", "oracle-compare", "gradcheck")
 
 
 class ConfigError(Exception):
@@ -113,18 +112,23 @@ def _emit_json(obj, indent: int, out: list) -> None:
             _emit_json(item, indent + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.append(_scalar(obj))
+
+
+def _scalar(obj) -> str:
+    """JSON text of one bool, None, int, float or string."""
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
@@ -138,51 +142,12 @@ def config_hash(cfg: dict) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Cells as in summary.json, except that None is empty and strings are bare."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, (bool, np.bool_)):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, (float, np.floating)):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+        lines.append(",".join("" if cell is None else cell if isinstance(cell, str)
+                              else _scalar(cell) for cell in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-CURVE_HEADER = ["param", "value", "bracket_lo", "bracket_hi", "oracle_value", "iterations"]
-
-
-def export_curve(curve: ValueCurve, path) -> None:
-    """CSV with header param,value,bracket_lo,bracket_hi,oracle_value,iterations."""
-    rows = [
-        [p.parameter, p.value, p.bracket_lo, p.bracket_hi, p.oracle_value, p.iterations]
-        for p in curve.points
-    ]
-    write_csv(Path(path), CURVE_HEADER, rows)
-
-
-def parse_curve(path) -> ValueCurve:
-    """Inverse of :func:`export_curve` (controls and diagnostics are not stored)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].split(",") != CURVE_HEADER:
-        raise ValueError(f"{path} does not look like an exported curve")
-    points = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        points.append(ValuePoint(
-            parameter=float(cells[0]), value=float(cells[1]),
-            bracket_lo=float(cells[2]), bracket_hi=float(cells[3]),
-            oracle_value=None if cells[4] == "" else float(cells[4]),
-            iterations=int(cells[5]),
-        ))
-    return ValueCurve(points=tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +175,6 @@ class Setup:
         if self.nt is not None:
             return self.nt
         return int(np.clip(round(T / self.dt), 200, 2000))
-
-
-def _get(cfg, key, default=None):
-    return cfg[key] if key in cfg else default
 
 
 def _is_number(value, integer: bool = False) -> bool:
@@ -260,7 +221,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             return None
 
     def section(name):
-        value = _get(cfg, name)
+        value = cfg.get(name)
         if value is None:
             return {}
         if not isinstance(value, dict):
@@ -274,7 +235,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
     if ell is None:
         ell = 1.0
 
-    omega_cfg = _get(cfg, "omega")
+    omega_cfg = cfg.get("omega")
     omega = None
     if omega_cfg is not None:
         if (not isinstance(omega_cfg, (list, tuple)) or len(omega_cfg) != 2
@@ -302,11 +263,11 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
         except ValueError as exc:
             fail("nonlinearity", str(exc))
 
-    r = number("r", _get(cfg, "r"))
+    r = number("r", cfg.get("r"))
     ball = None if r is None else TargetBall(r=r)
 
     y0 = None
-    y0_cfg = _get(cfg, "y0")
+    y0_cfg = cfg.get("y0")
     if not isinstance(y0_cfg, dict) or not ({"modes", "file"} & set(y0_cfg)):
         fail("y0", "expected an object with a 'modes' map or a 'file' path")
     elif grid is not None:
@@ -341,8 +302,8 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             except (OSError, ValueError) as exc:
                 fail("y0.file", str(exc))
 
-    nt = _get(cfg, "nt")
-    dt = _get(cfg, "dt")
+    nt = cfg.get("nt")
+    dt = cfg.get("dt")
     if nt is not None:
         nt = number("nt", nt, integer=True)
     if dt is not None:
@@ -421,14 +382,16 @@ def scalar_instance_for(setup: Setup) -> ScalarInstance | None:
 # Subcommand handlers.  Each returns (outputs, diagnostics, series) where
 # series maps a CSV filename to (header, rows).
 
-def _point_record(point: ValuePoint) -> dict:
+def _point_record(point: ValuePoint, oracle_value: float | None = None) -> dict:
+    """The scalars of one value point, with its closed-form value (None when
+    no closed form applies)."""
     return {
         "parameter": point.parameter,
         "value": point.value,
         "bracket_lo": point.bracket_lo,
         "bracket_hi": point.bracket_hi,
         "iterations": point.iterations,
-        "oracle_value": point.oracle_value,
+        "oracle_value": oracle_value,
     }
 
 
@@ -566,16 +529,14 @@ def run_sweep(setup: Setup):
             continue
         curve = curve_of(grid, setup.y0, setup.ball, setup.f, setup.grid, tol,
                          opts=setup.opts, nt=nt, gamma_hint=gamma)
-        if inst is not None:
-            curve = dataclasses.replace(curve, points=tuple(
-                dataclasses.replace(p, oracle_value=closed_form(inst, p.parameter))
-                for p in curve.points))
-        series[f"{name}_curve.csv"] = curve
-        outputs[name] = {
-            "points": [_point_record(p) for p in curve.points],
-            monotone_key: bool(curve.monotone),
-            **curve.diagnostics,
-        }
+        records = [_point_record(p, None if inst is None else closed_form(inst, p.parameter))
+                   for p in curve.points]
+        series[f"{name}_curve.csv"] = (
+            ["param", "value", "bracket_lo", "bracket_hi", "oracle_value", "iterations"],
+            [[r["parameter"], r["value"], r["bracket_lo"], r["bracket_hi"], r["oracle_value"],
+              r["iterations"]] for r in records])
+        outputs[name] = {"points": records, monotone_key: curve.monotone,
+                         **curve.diagnostics}
     return outputs, {"nt": nt}, series
 
 
@@ -688,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "1D semilinear heat equation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", required=True, help="output directory")
@@ -748,14 +709,6 @@ def main(argv=None) -> int:
         return EXIT_FAILED
     wall = time.perf_counter() - started
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, payload in series.items():
-        if isinstance(payload, ValueCurve):
-            export_curve(payload, out_dir / name)
-        else:
-            header, rows = payload
-            write_csv(out_dir / name, header, rows)
     summary = {
         "experiment": args.command,
         "config_hash": config_hash(cfg),
@@ -763,7 +716,15 @@ def main(argv=None) -> int:
         "diagnostics": diagnostics,
         "wall_time_s": wall,
     }
-    (out_dir / "summary.json").write_text(canonical_json(summary))
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in series.items():
+            write_csv(out_dir / name, header, rows)
+        (out_dir / "summary.json").write_text(canonical_json(summary))
+    except OSError as exc:
+        print(f"out: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {out_dir / 'summary.json'}")
     return EXIT_OK
 

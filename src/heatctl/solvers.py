@@ -94,7 +94,7 @@ class ValuePoint:
     ``bracket_lo``/``bracket_hi`` is the final bisection bracket (equal values
     for degenerate cases decided without bisection); ``control`` is the
     certified control from the feasible endpoint, or the zero control when no
-    bisection ran (None only for points parsed back from a curve CSV).
+    bisection ran.
     """
 
     parameter: float
@@ -102,8 +102,7 @@ class ValuePoint:
     bracket_lo: float
     bracket_hi: float
     iterations: int
-    control: ControlSignal | None = None
-    oracle_value: float | None = None
+    control: ControlSignal
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
@@ -112,16 +111,13 @@ class ValueCurve:
     """Value points at strictly increasing parameters."""
 
     points: tuple[ValuePoint, ...]
-    monotone: bool | None = None
+    monotone: bool
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         params = [p.parameter for p in self.points]
         if any(b <= a for a, b in zip(params, params[1:])):
             raise ValueError("curve parameters must be strictly increasing")
-
-    def parameters(self) -> list[float]:
-        return [p.parameter for p in self.points]
 
     def values(self) -> list[float]:
         return [p.value for p in self.points]

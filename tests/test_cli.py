@@ -10,11 +10,8 @@ from heatctl.cli import (
     EXIT_INITIAL_STATE,
     EXIT_OK,
     canonical_json,
-    export_curve,
     main,
-    parse_curve,
 )
-from heatctl.solvers import ValueCurve, ValuePoint
 
 LINEAR_CONFIG = {
     "grid": {"ell": 1.0, "n": 127},
@@ -37,53 +34,6 @@ def write_config(tmp_path, name="config.json", **updates):
 
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
-
-
-# ---------------------------------------------------------------------------
-# Curve CSV round trip
-
-def sample_curve(n_points):
-    points = []
-    for i in range(n_points):
-        points.append(ValuePoint(
-            parameter=0.1 * (i + 1) + 1e-17, value=math.exp(-i) / 3.0,
-            bracket_lo=0.3 * i, bracket_hi=0.3 * i + 1e-3,
-            iterations=5 * i, oracle_value=None if i % 2 else 1.0 / (i + 7.0)))
-    return ValueCurve(points=tuple(points))
-
-
-def test_export_empty_curve_is_header_only(tmp_path):
-    path = tmp_path / "curve.csv"
-    export_curve(ValueCurve(points=()), path)
-    assert path.read_text() == "param,value,bracket_lo,bracket_hi,oracle_value,iterations\n"
-
-
-def test_export_four_points_is_five_lines(tmp_path):
-    path = tmp_path / "curve.csv"
-    export_curve(sample_curve(4), path)
-    assert len(path.read_text().splitlines()) == 5
-
-
-def test_curve_roundtrip_full_precision(tmp_path):
-    path = tmp_path / "curve.csv"
-    curve = sample_curve(6)
-    export_curve(curve, path)
-    parsed = parse_curve(path)
-    assert len(parsed.points) == 6
-    for orig, back in zip(curve.points, parsed.points):
-        assert back.parameter == orig.parameter
-        assert back.value == orig.value
-        assert back.bracket_lo == orig.bracket_lo
-        assert back.bracket_hi == orig.bracket_hi
-        assert back.oracle_value == orig.oracle_value
-        assert back.iterations == orig.iterations
-
-
-def test_parse_curve_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
-        parse_curve(path)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +170,62 @@ def test_equivalence_runs_on_small_grids(tmp_path):
     assert len(lines) == 3
 
 
+def curve_points(out, name):
+    """The points of curve ``name`` in summary.json, after checking that each
+    cell of ``<name>_curve.csv`` is the 17-digit text of the point's field
+    (empty for None)."""
+    points = read_summary(out)["outputs"][name]["points"]
+    lines = (out / f"{name}_curve.csv").read_text().splitlines()
+    keys = ["parameter", "value", "bracket_lo", "bracket_hi", "oracle_value", "iterations"]
+    assert lines[0] == "param,value,bracket_lo,bracket_hi,oracle_value,iterations"
+    assert len(lines) == len(points) + 1
+    for line, point in zip(lines[1:], points):
+        cells = line.split(",")
+        assert len(cells) == len(keys)
+        for cell, key in zip(cells, keys):
+            if point[key] is None:
+                assert cell == ""
+            else:
+                assert cell == format(point[key], ".17g")
+                assert float(cell) == point[key]
+    return points
+
+
 def test_sweep_exports_curves_with_oracle_column(tmp_path):
     cfg = write_config(tmp_path, experiment={"M_grid": [0.0, 1.0, 10.0]})
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    summary = read_summary(out)
-    assert summary["outputs"]["tau"]["strictly_decreasing"] is True
-    curve = parse_curve(out / "tau_curve.csv")
-    assert [p.parameter for p in curve.points] == [0.0, 1.0, 10.0]
-    assert all(p.oracle_value is not None for p in curve.points)
-    for p in curve.points:
-        assert p.value == pytest.approx(p.oracle_value, rel=0.02, abs=1e-6)
+    assert read_summary(out)["outputs"]["tau"]["strictly_decreasing"] is True
+    points = curve_points(out, "tau")
+    assert [p["parameter"] for p in points] == [0.0, 1.0, 10.0]
+    assert all(p["oracle_value"] is not None for p in points)
+    for p in points:
+        assert p["value"] == pytest.approx(p["oracle_value"], rel=0.02, abs=1e-6)
+
+
+def test_sweep_masked_curves_have_empty_oracle_column(tmp_path):
+    # control on (0.3, 0.8) only: no closed form applies to either curve
+    cfg = write_config(tmp_path, omega=[0.3, 0.8], grid={"ell": 1.0, "n": 31},
+                       experiment={"M_grid": [10.0], "T_grid": [0.05, 0.08]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    for name, params in (("tau", [10.0]), ("alpha", [0.05, 0.08])):
+        points = curve_points(out, name)
+        assert [p["parameter"] for p in points] == params
+        assert all(p["oracle_value"] is None for p in points)
+        assert all(p["bracket_lo"] <= p["value"] <= p["bracket_hi"] for p in points)
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "path-under-file"])
+def test_unusable_out_is_one_line_exit_2(tmp_path, capsys, under_file):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker / "out" if under_file else blocker
+    cfg = write_config(tmp_path)
+    assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("out: ") and err.count("\n") == 1
+    assert blocker.read_text() == "keep"
 
 
 def test_gradcheck_errors_small(tmp_path):

@@ -2,7 +2,8 @@
 
 Runs each subcommand on each config in a fresh interpreter (``python -m
 heatctl.cli``), adding only the experiment fields the config lacks, plus
-step-count (``dt``), free-decay-edge, failure and refused-config variants.
+step-count (``dt``), free-decay-edge, masked-control curve, failure and
+refused-config variants.
 Prints one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
@@ -60,6 +61,9 @@ VARIANTS = [
     ("edge", "linear_equivalence", "equivalence",
      ["experiment.T_grid=[]", "experiment.M_grid=[0]"]),
     ("edge", "tanh_sweep", "sweep", ["experiment.M_grid=[0]"]),
+    # curves with no closed form (masked control): empty oracle_value column
+    ("masked", "linear_equivalence", "sweep",
+     ["omega=[0.3,0.8]", "experiment.T_grid=[0.05,0.08]", "experiment.M_grid=[5]"]),
     # failures
     ("fail", "tanh_sweep", "mintime", ["experiment.M=5", "nonlinearity.L=1e6"]),
     ("fail", "linear_equivalence", "mintime", ["experiment.M=1e300"]),
