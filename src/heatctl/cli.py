@@ -693,6 +693,13 @@ def main(argv=None) -> int:
         print(f"initial state: norm {state_check.norm:.17g} is inside the closed "
               f"target ball of radius {state_check.radius:.17g}", file=sys.stderr)
         return EXIT_INITIAL_STATE
+    # Refuse an --out that cannot become a directory before any solve; the
+    # directory itself is made only once the run has succeeded.
+    out_dir = Path(args.out)
+    nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        print(f"out: {nearest} exists and is not a directory", file=sys.stderr)
+        return EXIT_CONFIG
 
     started = time.perf_counter()
     try:
@@ -716,7 +723,6 @@ def main(argv=None) -> int:
         "diagnostics": diagnostics,
         "wall_time_s": wall,
     }
-    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in series.items():

@@ -98,12 +98,14 @@ class LevelBracket:
 # amplitude grows instead of decaying.
 RK4_REAL_STABILITY = 2.785293563405282
 
+# Most candidate-level evaluations an enumeration may ask for.
+ENUMERATION_BUDGET = 10_000_000
+
 
 def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
                                     m_intervals: int, amp_grid, levels,
                                     f: NonlinearitySpec, g: SpatialGrid,
                                     ball: TargetBall, n_steps: int = 160,
-                                    budget: int = 10_000_000,
                                     chunk: int = 512) -> LevelBracket:
     """Enumerate low-mode piecewise-constant controls and bracket the minimal norm.
 
@@ -144,10 +146,10 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
 
     dof = k_modes * m_intervals
     n_candidates = len(amp_grid) ** dof
-    if n_candidates * max(len(levels), 1) > budget:
+    if n_candidates * max(len(levels), 1) > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"{len(amp_grid)}^{dof} candidates x {len(levels)} levels exceeds "
-            f"the budget of {budget} evaluations"
+            f"the budget of {ENUMERATION_BUDGET} evaluations"
         )
 
     spec = dirichlet_eigs(g, k_modes)

@@ -247,14 +247,6 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, f: NonlinearitySpec, g: Sp
     return float(numerator / total)
 
 
-def _resample_steps(values: np.ndarray, nt: int) -> np.ndarray:
-    """Nearest-step resample of a piecewise-constant control onto nt steps."""
-    if values.shape[0] == nt:
-        return values
-    src = np.minimum((np.arange(nt) * values.shape[0]) // nt, values.shape[0] - 1)
-    return values[src]
-
-
 def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
                       f: NonlinearitySpec, g: SpatialGrid,
                       opts: ReachOptions | None = None, nt: int = 300,
@@ -267,8 +259,12 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
     Backtracking enforces a non-increasing objective sequence.
 
     ``free`` is the :func:`free_run` of the same y0, f and g on this call's
-    step grid; without it the call solves its own (only the forward run when
-    M == 0).  A ``free`` on another step grid raises :class:`ValueError`.
+    step grid; without it the call solves its own.  ``warm_start`` must have
+    this call's nt steps; its step length is not checked, so a control can
+    be reused across horizons with the same nt.  A ``free`` on another step
+    grid, or a ``warm_start`` with another step count, raises
+    :class:`ValueError`.  M = 0 takes the same path as every other bound: the
+    projection keeps every iterate at the zero control.
     """
     if opts is None:
         opts = ReachOptions()
@@ -290,73 +286,67 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
             f"free run has {free.trajectory.nt} steps of {free.trajectory.dt!r}, "
             f"expected {nt} steps of {dt!r}"
         )
+    if warm_start is not None and warm_start.nt != nt:
+        raise ValueError(f"warm start has {warm_start.nt} steps, expected {nt}")
 
     # Warm starts: zero control, bang-bang against the free costate, and the
     # caller's control (projected); keep the best.  The zero control's run is
     # the free run, and its gradient is the free run's masked costate.  ``grad``
     # is the gradient at the current iterate v, or None until it is solved.
-    if free is None and M > 0.0:
+    if free is None:
         free = free_run(y0, T, nt, f, g)
     v = np.zeros((nt, g.n))
-    grad = None
-    if free is None:
-        j, traj = _run(y0, v, dt, f, g)
-    else:
-        j, traj, grad = _objective(free.trajectory), free.trajectory, free.masked
+    j, traj, grad = _objective(free.trajectory), free.trajectory, free.masked
     candidates = []
-    if M > 0.0:
-        try:
-            candidates.append(bangbang_values(free.masked, free.norms, -M))
-        except DegenerateCostateError:
-            pass
-        if warm_start is not None:
-            ws = _resample_steps(warm_start.values, nt) * g.omega_mask
-            candidates.append(_project_values(ws, M, h))
+    try:
+        candidates.append(bangbang_values(free.masked, free.norms, -M))
+    except DegenerateCostateError:
+        pass
+    if warm_start is not None:
+        candidates.append(_project_values(warm_start.values * g.omega_mask, M, h))
     for cand in candidates:
         j_c, traj_c = _run(y0, cand, dt, f, g)
         if j_c < j:
             v, j, traj, grad = cand, j_c, traj_c, None
     history = [j]
 
+    step = 1.0 / principal_eigenvalue(g)
+    step_cap = step * 1e4
+    move_scale = M * math.sqrt(T)
     iterations = 0
-    converged = True
-    if M > 0.0:
-        step = 1.0 / principal_eigenvalue(g)
-        step_cap = step * 1e4
-        move_scale = M * math.sqrt(T)
-        converged = False
-        # After an accepted step: the step s and the gradient it was taken
-        # along, for the spectral step once the new gradient is solved.
-        s = grad_prev = None
-        for _ in range(opts.max_iters):
-            if j <= target_j:
-                converged = True
+    converged = False
+    # After an accepted step: the step s and the gradient it was taken along,
+    # for the spectral step once the new gradient is solved.
+    s = grad_prev = None
+    for _ in range(opts.max_iters):
+        if j <= target_j:
+            converged = True
+            break
+        if grad is None:
+            grad = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
+        if s is not None:
+            step = _spectral_step(s, grad - grad_prev, step, step_cap)
+        accepted = False
+        for _ in range(MAX_BACKTRACKS):
+            trial = _project_values(v - step * grad, M, h)
+            j_trial, traj_trial = _run(y0, trial, dt, f, g)
+            if j_trial <= j:
+                accepted = True
                 break
-            if grad is None:
-                grad = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
-            if s is not None:
-                step = _spectral_step(s, grad - grad_prev, step, step_cap)
-            accepted = False
-            for _ in range(MAX_BACKTRACKS):
-                trial = _project_values(v - step * grad, M, h)
-                j_trial, traj_trial = _run(y0, trial, dt, f, g)
-                if j_trial <= j:
-                    accepted = True
-                    break
-                step *= STEP_SHRINK
-            iterations += 1
-            if not accepted:
-                converged = True  # no descent at a vanishing step: stationary
-                break
-            s, grad_prev = trial - v, grad
-            move = math.sqrt(dt * h * float(np.sum(s ** 2)))
-            v, j, traj, grad = trial, j_trial, traj_trial, None
-            history.append(j)
-            if move <= opts.eps_stag * move_scale:
-                converged = True
-                break
-        else:
-            converged = j <= target_j
+            step *= STEP_SHRINK
+        iterations += 1
+        if not accepted:
+            converged = True  # no descent at a vanishing step: stationary
+            break
+        s, grad_prev = trial - v, grad
+        move = math.sqrt(dt * h * float(np.sum(s ** 2)))
+        v, j, traj, grad = trial, j_trial, traj_trial, None
+        history.append(j)
+        if move <= opts.eps_stag * move_scale:
+            converged = True
+            break
+    else:
+        converged = j <= target_j
 
     terminal = float(traj.norms[-1])
     return ReachResult(terminal_norm=terminal,

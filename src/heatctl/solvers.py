@@ -119,9 +119,6 @@ class ValueCurve:
         if any(b <= a for a, b in zip(params, params[1:])):
             raise ValueError("curve parameters must be strictly increasing")
 
-    def values(self) -> list[float]:
-        return [p.value for p in self.points]
-
 
 def _serve(fn, conn) -> None:
     """Worker loop of :func:`_map_points`: answer each ``(x,)`` received with

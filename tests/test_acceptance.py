@@ -209,7 +209,7 @@ def test_criterion_5_monotonicity_and_limits():
     gamma = free_decay_time(Y0, BALL, F_TANH, GRID)
     curve = minimal_time_curve([0.0, 0.5, 1.0, 5.0, 10.0, 50.0],
                                Y0, BALL, F_TANH, GRID)
-    values = curve.values()
+    values = [p.value for p in curve.points]
     strict = all(b < a for a, b in zip(values, values[1:]))
     small = minimal_time(0.01, Y0, BALL, F_TANH, GRID, gamma_hint=gamma)
     small_gap = abs(small.value - gamma) / gamma

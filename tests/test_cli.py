@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from heatctl.cli import (
     EXIT_FAILED,
     EXIT_INITIAL_STATE,
     EXIT_OK,
+    HANDLERS,
     canonical_json,
     main,
 )
@@ -217,15 +220,27 @@ def test_sweep_masked_curves_have_empty_oracle_column(tmp_path):
 
 
 @pytest.mark.parametrize("under_file", [False, True], ids=["file", "path-under-file"])
-def test_unusable_out_is_one_line_exit_2(tmp_path, capsys, under_file):
+def test_unusable_out_is_one_line_exit_2(tmp_path, capsys, solve_calls, under_file):
+    # checked before the handler runs: not a single forward or adjoint solve
     blocker = tmp_path / "blocker"
     blocker.write_text("keep")
     out = blocker / "out" if under_file else blocker
-    cfg = write_config(tmp_path)
-    assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("out: ") and err.count("\n") == 1
+    cfg = write_config(tmp_path, experiment={"M_grid": [1.0]})
+    for command in ("gamma", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("out: ") and err.count("\n") == 1
     assert blocker.read_text() == "keep"
+    assert not solve_calls.forward and not solve_calls.adjoint
+
+
+def test_digest_tool_runs_every_subcommand():
+    spec = importlib.util.spec_from_file_location(
+        "cli_digest", Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert digest.SUBCOMMANDS == tuple(HANDLERS)
+    assert set(digest.NEEDS) <= set(HANDLERS)
 
 
 def test_gradcheck_errors_small(tmp_path):

@@ -27,7 +27,6 @@ from heatctl.reach import (
     ReachOptions,
     ReachResult,
     _project_values,
-    _resample_steps,
     _spectral_step,
     bangbang_values,
 )
@@ -109,6 +108,7 @@ def test_zero_bound_reduces_to_free_run():
     assert res_short.terminal_norm == pytest.approx(free.norms[-1], rel=1e-12)
     assert not res_short.feasible
     assert res_short.converged
+    assert np.all(res_short.control.values == 0.0)
     res_long = min_terminal_norm(Y0, 1.2 * gamma, 0.0, BALL, F_ZERO, GRID)
     assert res_long.feasible
 
@@ -212,7 +212,7 @@ def test_gradient_fd_zero_direction():
 @pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
 def test_shared_free_run_keeps_every_bit(f, g, y0, warm):
     T, M, nt = 0.06, 3.0, 120
-    ws = (ControlSignal(dt=T / 40, nt=40, values=np.full((40, g.n), -2.0), grid=g)
+    ws = (ControlSignal(dt=T / nt, nt=nt, values=np.full((nt, g.n), -2.0), grid=g)
           if warm else None)
     alone = min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws)
     shared = min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws,
@@ -229,6 +229,12 @@ def test_free_run_on_another_step_grid_is_refused(T_free, nt_free):
     free = free_run(Y0, T_free, nt_free, F_ZERO, GRID)
     with pytest.raises(ValueError, match="free run"):
         min_terminal_norm(Y0, 0.06, 3.0, BALL, F_ZERO, GRID, nt=120, free=free)
+
+
+def test_warm_start_with_another_step_count_is_refused():
+    ws = ControlSignal(dt=0.06 / 40, nt=40, values=np.full((40, GRID.n), -2.0), grid=GRID)
+    with pytest.raises(ValueError, match="warm start has 40 steps, expected 120"):
+        min_terminal_norm(Y0, 0.06, 3.0, BALL, F_ZERO, GRID, nt=120, warm_start=ws)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +275,7 @@ def reference_min_terminal_norm(y0, T, M, ball, f, g, opts=None, nt=300,
         except DegenerateCostateError:
             pass
         if warm_start is not None:
-            ws = _resample_steps(warm_start.values, nt) * g.omega_mask
+            ws = warm_start.values * g.omega_mask
             candidates.append(_project_values(ws, M, h))
     for cand in candidates:
         j_c, traj_c = run(cand)
@@ -371,7 +377,7 @@ ZERO_START_WINS = dict(T=0.1, M=30.0, nt=120)
 @pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
 def test_oracle_matches_reference(f, g, y0, warm):
     T, M, nt = 0.06, 3.0, 120
-    ws = (ControlSignal(dt=T / 40, nt=40, values=np.full((40, g.n), -2.0), grid=g)
+    ws = (ControlSignal(dt=T / nt, nt=nt, values=np.full((nt, g.n), -2.0), grid=g)
           if warm else None)
     ref = reference_min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws)
     assert ref.iterations > 0
@@ -382,8 +388,7 @@ def test_oracle_matches_reference(f, g, y0, warm):
     dict(ZERO_START_WINS),
     dict(ZERO_START_WINS, free=True),
     dict(ZERO_START_WINS, opts=ReachOptions(max_iters=1)),
-    dict(T=0.06, M=0.0, nt=120),
-], ids=["zero-start-wins", "zero-start-wins-shared", "out-of-iterations", "zero-bound"])
+], ids=["zero-start-wins", "zero-start-wins-shared", "out-of-iterations"])
 def test_oracle_edge_cases_match_reference(case):
     case = dict(case)
     if case.pop("free", False):

@@ -229,7 +229,7 @@ def test_equivalence_bound_linear_instance(gamma_zero):
 
 def test_minimal_time_curve_strictly_decreasing(gamma_zero):
     curve = minimal_time_curve([0.0, 1.0, 10.0, 100.0], Y0, BALL, F_ZERO, GRID)
-    values = curve.values()
+    values = [p.value for p in curve.points]
     assert curve.monotone
     assert all(b < a for a, b in zip(values, values[1:]))
     assert all(0.0 < v <= gamma_zero * (1.0 + 1e-12) for v in values)
@@ -239,7 +239,7 @@ def test_minimal_time_curve_strictly_decreasing(gamma_zero):
 def test_minimal_norm_curve_non_increasing(gamma_zero):
     grid_t = [0.4 * gamma_zero, 0.6 * gamma_zero, 0.8 * gamma_zero, gamma_zero]
     curve = minimal_norm_curve(grid_t, Y0, BALL, F_ZERO, GRID)
-    values = curve.values()
+    values = [p.value for p in curve.points]
     assert curve.monotone
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert values[-1] == 0.0
