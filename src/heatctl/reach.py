@@ -13,8 +13,18 @@ state and the step grid but not on M.  :func:`free_run` solves it once, with
 its masked costate, and a caller that probes many bounds at one horizon (the
 minimal-norm bisection) passes that :class:`FreeRun` to every oracle call.
 
-Without a reaction term the same free run also gives a lower bound on every
-feasible norm bound, from weak duality (:func:`dual_lower_bound`).
+The same free run also gives a lower bound on every feasible norm bound,
+from weak duality (:func:`dual_lower_bound`).  Without a reaction term the
+bound is the discrete dual problem of Wang & Zuazua, SIAM J. Control Optim.
+50 (2012).  With a reaction term whose derivative is bounded by L, the
+costate of the controlled run differs from the zero-reaction costate psi0 by
+at most ((1 + dt*L)^m - 1) q^m ||xi|| after m steps, where
+q = 1/(1 + dt*lambda_1h) is the norm of one diffusion step; the bound widens
+its denominator by that much (Fattorini, *Infinite Dimensional Linear
+Control Systems*, 2005, for the linear duality).  It trusts
+``NonlinearitySpec.L``: that holds by construction for the built-in kinds,
+while :func:`heatctl.core.validate_nonlinearity` only samples a finite range
+and a custom spec is taken at its word.
 
 Each quantity has one definition here: ``_objective`` is J,
 :func:`masked_costate` is its gradient (also the direction of
@@ -49,6 +59,7 @@ from .core import (
     SpatialGrid,
     StateTrajectory,
     TargetBall,
+    make_nonlinearity,
     step_l2_norms,
     zero_reaction,
 )
@@ -185,16 +196,20 @@ class FreeRun:
     masked: np.ndarray
     norms: np.ndarray
 
+    @staticmethod
+    def along(trajectory: StateTrajectory, f: NonlinearitySpec, g: SpatialGrid) -> "FreeRun":
+        """The free run whose trajectory is already solved: solves its costate."""
+        masked = masked_costate(solve_adjoint(trajectory, trajectory.states[-1], f, g), g)
+        norms = step_l2_norms(masked, g.h)
+        masked.setflags(write=False)
+        norms.setflags(write=False)
+        return FreeRun(trajectory=trajectory, masked=masked, norms=norms)
+
 
 def free_run(y0: np.ndarray, T: float, nt: int, f: NonlinearitySpec,
              g: SpatialGrid) -> FreeRun:
     """Solve the uncontrolled run over (0, T] in nt steps, and its costate."""
-    traj = solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), f, g)
-    masked = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
-    norms = step_l2_norms(masked, g.h)
-    masked.setflags(write=False)
-    norms.setflags(write=False)
-    return FreeRun(trajectory=traj, masked=masked, norms=norms)
+    return FreeRun.along(solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), f, g), f, g)
 
 
 def is_linear(f: NonlinearitySpec) -> bool:
@@ -206,43 +221,81 @@ def is_linear(f: NonlinearitySpec) -> bool:
 # Relative margin, on the terms of the bound, for the rounding of the solves.
 DUAL_ROUNDING = 1e-9
 
+_ZERO = make_nonlinearity("zero")
 
-def dual_lower_bound(free: FreeRun, ball: TargetBall, f: NonlinearitySpec, g: SpatialGrid,
-                     opts: ReachOptions | None = None, xi: np.ndarray | None = None) -> float:
+
+def reaction_costate_bounds(norms: np.ndarray, xi_norm: float, dt: float, L: float,
+                            g: SpatialGrid) -> np.ndarray:
+    """Bounds b_k on ||chi_omega psi_k|| for a reaction with |f'| <= L.
+
+    ``norms`` holds ||chi_omega psi0_k||, the zero-reaction costate of a
+    terminal datum of norm ``xi_norm``, at each step k; with m = nt - k and
+    q = 1/(1 + dt*lambda_1h),
+
+        b_k = min(||chi_omega psi0_k|| + ((q(1+dt*L))^m - q^m)*||xi||,
+                  (q(1+dt*L))^m * ||xi||).
+
+    Each costate step applies (I - dt*C)R, where R = (I + dt*A)^-1 has norm q
+    and C is diagonal with |C| <= L; expanding the product around R^m gives
+    the first term, and the step norm q(1 + dt*L) the second.  When
+    (q(1+dt*L))^m overflows, b_k is infinite, which makes the bound 0.
+    """
+    q = 1.0 / (1.0 + dt * principal_eigenvalue(g))
+    m = np.arange(len(norms), 0, -1)
+    with np.errstate(over="ignore", under="ignore"):
+        grown = xi_norm * (q * (1.0 + dt * L)) ** m
+        return np.minimum(norms + (grown - xi_norm * q ** m), grown)
+
+
+def dual_lower_bound(free: FreeRun | StateTrajectory, ball: TargetBall, f: NonlinearitySpec,
+                     g: SpatialGrid, opts: ReachOptions | None = None,
+                     xi: np.ndarray | None = None) -> float:
     """A norm bound below which no control reaches the ball at free's horizon.
 
-    Weak duality for f = 0: let psi be the costate of the terminal datum xi.
-    Every control supported on omega whose steps have norm at most M and
-    whose terminal norm is at most rho = r(1 + eps_feas_rel) (what
+    Weak duality: let psi be the costate of the terminal datum xi along the
+    run of a control v, and b_k >= ||chi_omega psi_k|| at each step.  Every
+    control supported on omega whose steps have norm at most M and whose
+    terminal norm is at most rho = r(1 + eps_feas_rel) (what
     :func:`reaches_ball` accepts) satisfies
 
-        M >= LB(xi) = (<y_free(T), xi> - rho*||xi||) / sum_k dt*||chi_omega psi_k||,
+        M >= LB(xi) = (<y_free(T), xi> - rho*||xi||) / sum_k dt*b_k,
 
-    because the exact discrete adjoint gives <y(T), xi> = <y_free(T), xi> +
-    sum_k dt*<v_k, psi_k>.  This is the discrete form of the dual problem of
-    Wang & Zuazua, SIAM J. Control Optim. 50 (2012).  A margin of
-    ``DUAL_ROUNDING`` times the terms is subtracted so the bound holds
-    despite rounding, and the result is floored at 0 (also when the masked
-    costate vanishes).
+    because the scheme gives <y(T), xi> = <y_free(T), xi> +
+    sum_k dt*<v_k, psi_k>, with psi the costate along the divided
+    differences of f between the two runs.  For f = 0 (:func:`is_linear`)
+    psi is the zero-reaction costate psi0 and b_k = ||chi_omega psi0_k||: the
+    discrete form of the dual problem of Wang & Zuazua, SIAM J. Control
+    Optim. 50 (2012).  With a reaction term, b_k comes from
+    :func:`reaction_costate_bounds` with ``f.L``.  The bound is rigorous only
+    where |f'| <= f.L everywhere.  That holds by construction for the
+    built-in kinds of :func:`heatctl.core.make_nonlinearity`;
+    :func:`heatctl.core.validate_nonlinearity` only samples a finite range,
+    and a custom spec is trusted.  A margin of ``DUAL_ROUNDING`` times the
+    terms is subtracted so the bound holds despite rounding, and the result
+    is floored at 0 (also when the costate bounds vanish or overflow).
 
-    ``xi`` defaults to y_free(T), whose masked costate ``free`` already holds;
-    any other datum costs one adjoint solve.  Raises :class:`ValueError`
-    unless :func:`is_linear` holds for f.
+    ``free`` is the free run, or only its trajectory.  ``xi`` defaults to
+    y_free(T).  The bound costs one zero-reaction adjoint solve, except for
+    f = 0 with the default datum and a whole :class:`FreeRun`, whose masked
+    costate is that adjoint's.
     """
-    if not is_linear(f):
-        raise ValueError(f"the dual bound needs the built-in zero reaction, got {f.kind!r}")
-    traj = free.trajectory
-    if xi is None:
+    traj = free.trajectory if isinstance(free, FreeRun) else free
+    if xi is None and isinstance(free, FreeRun) and is_linear(f):
         xi, norms = traj.states[-1], free.norms
     else:
-        xi = np.asarray(xi, dtype=float)
-        norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, f, g), g), g.h)
+        xi = traj.states[-1] if xi is None else np.asarray(xi, dtype=float)
+        norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, _ZERO, g), g), g.h)
     rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
     pairing = g.h * float(traj.states[-1] @ xi)
-    slack = rho * math.sqrt(g.h * float(xi @ xi))
-    total = traj.dt * float(np.sum(norms))
+    xi_norm = math.sqrt(g.h * float(xi @ xi))
+    slack = rho * xi_norm
     numerator = pairing - slack - DUAL_ROUNDING * (abs(pairing) + slack)
-    if numerator <= 0.0 or total <= 0.0:
+    if numerator <= 0.0:
+        return 0.0
+    if not is_linear(f):
+        norms = reaction_costate_bounds(norms, xi_norm, traj.dt, f.L, g)
+    total = traj.dt * float(np.sum(norms))
+    if total <= 0.0:
         return 0.0
     return float(numerator / total)
 

@@ -11,27 +11,50 @@ bracket while that end is infeasible, then halves it.  Near-boundary oracle
 calls reuse the control from the previous feasible probe as a warm start;
 this typically cuts oracle iterations by an order of magnitude.
 
-With a reaction term the search starts cold: the lower end is 0, the minimal
-norm doubles its upper end from 1, and the minimal time starts from the
-free-decay time, which becomes the lower end if the probe there fails.
-Without one, weak duality gives a certified lower end at no extra cost
+Weak duality gives every point a certified lower bound
 (:func:`heatctl.reach.dual_lower_bound`, the discrete form of the dual
-problem of Wang & Zuazua, SIAM J. Control Optim. 50 (2012)):
+problem of Wang & Zuazua, SIAM J. Control Optim. 50 (2012), widened for a
+reaction term with |f'| <= L).  With a reaction term the search keeps its
+cold probe sequence: the lower end is 0, the minimal norm doubles its upper
+end from 1, and the minimal time starts from the free-decay time, which
+becomes the lower end if the probe there fails.  The bound only decides
+probes before the oracle is called:
 
-* the minimal norm starts from the bound of the free run that it solves
-  anyway, and probes first an eighth of the width rule above it; after an
-  infeasible probe it raises the lower end to the bound of that probe's
-  terminal state (one adjoint solve) when that is higher than the probe,
-  and doubles the gap to the next probe;
+* the minimal norm computes the bound of the free run it solves anyway, and
+  refutes every probed M below it;
+* the minimal time solves each probed horizon's free run, refutes the
+  horizon when its bound exceeds M (one forward and one zero-reaction
+  adjoint solve, no oracle call), and otherwise hands that free run to the
+  oracle.
+
+A refuted probe would have been infeasible for the oracle too, and a failed
+halving probe passes nothing on, so the halving keeps the cold search's
+probes, brackets and controls.  A failed widening probe does pass its control
+on, as the next probe's warm start.  So the minimal time's probes at and past
+the free-decay time always go to the oracle: there the failed control does
+win the next start (a free-decay time that is slightly too short shows it).
+The minimal norm's doubling probes below the bound are refuted, and the next
+probe starts from the zero and bang-bang controls alone.  On every point
+tried (both built-in reactions, full and masked control) the failed control
+would not have won that start, so the points stay bit-identical to the cold
+search; this is observed, not proven.  Without a reaction term the bound also
+moves the search:
+
+* the minimal norm starts from the bound of the free run, and probes first an
+  eighth of the width rule above it; after an infeasible probe it raises the
+  lower end to the bound of that probe's terminal state (one adjoint solve)
+  when that is higher than the probe, and doubles the gap to the next probe;
 * the minimal time first finds, with free runs only and through the same
   driver, the horizon where the bound of the free run crosses M (a horizon
   whose bound exceeds M is certified infeasible), then confirms the upper end
   with the oracle, which reuses that horizon's free run.
 
-Such a point records its dual bound in its diagnostics as
-``dual_lower_bound`` (0 when none was certified); its ``bracket_lo`` is that
-bound or an infeasible probe, and its ``bracket_hi`` a feasible probe whose
-control it returns.
+Every point records its dual bound in its diagnostics as ``dual_lower_bound``:
+the bound at its horizon for a minimal norm, the largest refuted horizon for
+a minimal time, and 0 when none was certified.  ``oracle_calls`` counts the
+oracle calls and ``iterations`` every probe, refuted ones included.  A
+point's ``bracket_lo`` is an infeasible probe or its bound, and its
+``bracket_hi`` a feasible probe whose control it returns.
 
 The minimal-norm search keeps its horizon fixed, so it solves the uncontrolled
 run and its costate once per point (:func:`heatctl.reach.free_run`) and hands
@@ -76,6 +99,7 @@ from .pde import (
     solve_forward,
 )
 from .reach import (
+    FreeRun,
     ReachOptions,
     bangbang_values,
     dual_lower_bound,
@@ -258,14 +282,12 @@ def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
 
 
 def _unbisected(parameter: float, value: float, horizon: float, gamma: float,
-                nt: int, f: NonlinearitySpec, g: SpatialGrid) -> ValuePoint:
+                nt: int, g: SpatialGrid) -> ValuePoint:
     """A point decided without the oracle: the zero control reaches the ball."""
-    diagnostics = {"free_decay_time": gamma, "oracle_calls": 0, "inconclusive": 0}
-    if is_linear(f):
-        diagnostics["dual_lower_bound"] = 0.0
     return ValuePoint(parameter=parameter, value=value, bracket_lo=value, bracket_hi=value,
                       iterations=0, control=ControlSignal.zeros(nt, horizon / nt, g),
-                      diagnostics=diagnostics)
+                      diagnostics={"free_decay_time": gamma, "oracle_calls": 0,
+                                   "inconclusive": 0, "dual_lower_bound": 0.0})
 
 
 def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
@@ -276,13 +298,14 @@ def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
     is infeasible, ``widen(k, lo, hi, res)`` gives the k-th wider bracket or
     raises :class:`NoFeasibleBoundError`.  Then [lo, hi] is halved until
     ``hi - lo <= width(hi)``, each probe warm-started from the last feasible
-    control.
+    control.  The oracle may decide a probe with the dual bound alone
+    (:class:`_DualProbe`); ``oracle_calls`` counts the other probes.
     """
-    inconclusive = []  # one flag per oracle call
+    probes = []  # per probe: (decided by the dual bound, inconclusive)
 
     def probe(x, warm):
         res = oracle(x, warm_start=warm)
-        inconclusive.append(res.inconclusive)
+        probes.append((isinstance(res, _DualProbe), res.inconclusive))
         return res
 
     res = probe(hi, None)
@@ -302,15 +325,18 @@ def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
         else:
             lo = mid
 
+    oracle_calls = sum(not dual for dual, _ in probes)
     return ValuePoint(parameter=parameter, value=0.5 * (lo + hi), bracket_lo=lo,
-                      bracket_hi=hi, iterations=len(inconclusive), control=best_control,
-                      diagnostics={"free_decay_time": gamma, "oracle_calls": len(inconclusive),
-                                   "inconclusive": sum(inconclusive), widen_key: widenings})
+                      bracket_hi=hi, iterations=len(probes), control=best_control,
+                      diagnostics={"free_decay_time": gamma, "oracle_calls": oracle_calls,
+                                   "inconclusive": sum(inc for _, inc in probes),
+                                   widen_key: widenings})
 
 
 class _DualProbe(NamedTuple):
-    """A horizon probed with the dual bound of its free run alone: infeasible
-    when the bound exceeds M, otherwise left to the oracle."""
+    """A probe decided by the dual bound of its free run alone, without the
+    oracle: infeasible when the bound exceeds the norm bound it is checked
+    against.  ``terminal_norm`` is the free run's."""
 
     feasible: bool
     terminal_norm: float
@@ -327,15 +353,18 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     For T at or beyond the free-decay time the value is 0 with the zero
     control.  Otherwise the upper bound is found by doubling from 1 or, when
     f is linear, by climbing from the dual bound (module docstring), and
-    bisection stops once the bracket width is below tol_M*(1 + upper).
+    bisection stops once the bracket width is below tol_M*(1 + upper).  With
+    a reaction term, probes below the dual bound are refuted without the
+    oracle.
     """
     if T <= 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if T >= gamma:
-        return _unbisected(T, 0.0, T, gamma, nt, f, g)
+        return _unbisected(T, 0.0, T, gamma, nt, g)
     free = free_run(y0, T, nt, f, g)
+    bounds = [dual_lower_bound(free, ball, f, g, opts)]
     oracle = partial(min_terminal_norm, y0, T, ball=ball, f=f, g=g, opts=opts, nt=nt,
                      free=free)
 
@@ -349,13 +378,18 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
             )
 
     if not is_linear(f):
+        def refute(M, warm_start=None):
+            if M < bounds[0]:
+                return _DualProbe(False, float(free.trajectory.norms[-1]))
+            return oracle(M, warm_start=warm_start)
+
         def double(k, lo, hi, res):
             give_up(k, 2.0 * hi)
             return hi, 2.0 * hi
 
-        return _bisect(oracle, T, 1.0, double, width, "doublings", gamma)
-
-    bounds = [dual_lower_bound(free, ball, f, g, opts)]
+        point = _bisect(refute, T, 1.0, double, width, "doublings", gamma)
+        return replace(point, diagnostics={**point.diagnostics,
+                                           "dual_lower_bound": bounds[0]})
 
     # The first probe sits an eighth of the width rule above the bound, so
     # when the bound is tight the value (the bracket's midpoint) lies within
@@ -385,17 +419,17 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     """Smallest time at which controls bounded pointwise by M reach the ball.
 
     M = 0 degenerates to the free-decay time.  Otherwise bisect on the horizon
-    over (0, free-decay time], or, when f is linear, from the dual crossing
-    (module docstring); feasibility is monotone in the horizon because the
-    ball is invariant under free decay.  tol_T is relative to the free-decay
-    time.
+    over (0, free-decay time], refuting with the dual bound the horizons it
+    rules out, or, when f is linear, from the dual crossing (module
+    docstring); feasibility is monotone in the horizon because the ball is
+    invariant under free decay.  tol_T is relative to the free-decay time.
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if M == 0.0:
-        return _unbisected(M, gamma, gamma, gamma, nt, f, g)
+        return _unbisected(M, gamma, gamma, gamma, nt, g)
 
     # The free decay itself reaches the ball at gamma, so only discretization
     # slop can make the upper end fail.  A failed upper end is infeasible, so
@@ -420,8 +454,23 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         return tol_abs
 
     if not is_linear(f):
-        oracle = partial(min_terminal_norm, y0, M=M, ball=ball, f=f, g=g, opts=opts, nt=nt)
-        return _bisect(oracle, M, gamma, past_gamma, width, "upper_expansions", gamma)
+        # The probes at and past the free-decay time widen the bracket, and
+        # each failed one warm-starts the next, so they all go to the oracle
+        # (module docstring).
+        refuted = [0.0]
+
+        def refute(T, warm_start=None):
+            traj = solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), f, g)
+            bound = dual_lower_bound(traj, ball, f, g, opts) if T < gamma else 0.0
+            if bound > M:
+                refuted.append(T)
+                return _DualProbe(False, float(traj.norms[-1]))
+            return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
+                                     warm_start=warm_start, free=FreeRun.along(traj, f, g))
+
+        point = _bisect(refute, M, gamma, past_gamma, width, "upper_expansions", gamma)
+        return replace(point, diagnostics={**point.diagnostics,
+                                           "dual_lower_bound": max(refuted)})
 
     # Free runs only: the last horizon the dual bound leaves open keeps its
     # free run for the oracle call that confirms it.

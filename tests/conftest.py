@@ -12,10 +12,11 @@ def solve_calls(monkeypatch):
 
     Modules that imported a solver by name hold their own reference to it, so
     the recorder replaces it in every heatctl module that holds the original.
-    ``forward`` collects ``(control, trajectory)`` pairs and ``adjoint`` the
-    trajectory each costate was solved along.
+    ``forward`` collects ``(control, trajectory)`` pairs, ``adjoint`` the
+    trajectory each costate was solved along and ``adjoint_reaction`` the
+    reaction term it was solved with.
     """
-    calls = SimpleNamespace(forward=[], adjoint=[])
+    calls = SimpleNamespace(forward=[], adjoint=[], adjoint_reaction=[])
 
     def recorded_forward(y0, u, f, g):
         traj = original_forward(y0, u, f, g)
@@ -24,6 +25,7 @@ def solve_calls(monkeypatch):
 
     def recorded_adjoint(y, xi, f, g):
         calls.adjoint.append(y)
+        calls.adjoint_reaction.append(f)
         return original_adjoint(y, xi, f, g)
 
     original_forward, original_adjoint = pde.solve_forward, pde.solve_adjoint

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import heatctl.reach as reach
 from heatctl import (
     ControlSignal,
     DegenerateCostateError,
-    NonlinearitySpec,
     ScalarInstance,
     SpatialGrid,
     TargetBall,
@@ -22,13 +22,17 @@ from heatctl import (
     solve_adjoint,
     solve_forward,
 )
-from heatctl.core import step_l2_norms, zero_reaction
+from heatctl.core import step_l2_norms
+from heatctl.pde import diffusion_factor, diffusion_solve
 from heatctl.reach import (
+    DUAL_ROUNDING,
     ReachOptions,
     ReachResult,
     _project_values,
     _spectral_step,
     bangbang_values,
+    masked_costate,
+    reaction_costate_bounds,
 )
 from heatctl.solvers import free_decay_time
 
@@ -37,6 +41,7 @@ MASKED = SpatialGrid.build(n=127, ell=1.0, omega=(0.3, 0.8))
 BALL = TargetBall(0.5)
 F_ZERO = make_nonlinearity("zero")
 F_TANH = make_nonlinearity("scaled_tanh", 1.0)
+F_RATIONAL = make_nonlinearity("bounded_odd_rational", 1.0)
 Y0 = 2.0 * dirichlet_eigs(GRID, 1).eigenvectors[0]
 Y0_MASKED = 2.0 * dirichlet_eigs(MASKED, 1).eigenvectors[0]
 
@@ -495,11 +500,116 @@ def test_dual_bound_is_below_every_feasible_control():
     assert informative >= 15
 
 
-@pytest.mark.parametrize("f", [
-    F_TANH,
-    NonlinearitySpec(kind="zero", L=1.0, f=lambda y: 0.5 * y, fprime=zero_reaction),
-], ids=["scaled_tanh", "custom-zero-kind"])
-def test_dual_bound_refuses_a_reaction_term(f):
-    free = free_run(Y0, 0.05, 40, f, GRID)
-    with pytest.raises(ValueError, match="zero reaction"):
-        dual_lower_bound(free, BALL, f, GRID)
+def reference_dual_lower_bound(free, ball, f, g, opts=None, xi=None):
+    """The bound for f = 0 as it was before reaction terms, kept to check that
+    the linear arithmetic did not change."""
+    traj = free.trajectory
+    if xi is None:
+        xi, norms = traj.states[-1], free.norms
+    else:
+        xi = np.asarray(xi, dtype=float)
+        norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, f, g), g), g.h)
+    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
+    pairing = g.h * float(traj.states[-1] @ xi)
+    slack = rho * math.sqrt(g.h * float(xi @ xi))
+    total = traj.dt * float(np.sum(norms))
+    numerator = pairing - slack - DUAL_ROUNDING * (abs(pairing) + slack)
+    if numerator <= 0.0 or total <= 0.0:
+        return 0.0
+    return float(numerator / total)
+
+
+@pytest.mark.parametrize("g, y0", [(GRID, Y0), (MASKED, Y0_MASKED)], ids=["full", "masked"])
+def test_linear_dual_bound_keeps_every_bit(g, y0):
+    rng = np.random.default_rng(9)
+    for T in (0.03, 0.07, 0.1):
+        free = free_run(y0, T, 60, F_ZERO, g)
+        y_free = free.trajectory.states[-1]
+        data = [None, *(y_free + s * rng.standard_normal(g.n) for s in (0.01, 1.0))]
+        for xi in data:
+            ref = reference_dual_lower_bound(free, BALL, F_ZERO, g, xi=xi)
+            assert dual_lower_bound(free, BALL, F_ZERO, g, xi=xi) == ref
+            assert dual_lower_bound(free.trajectory, BALL, F_ZERO, g, xi=xi) == ref
+        assert reference_dual_lower_bound(free, BALL, F_ZERO, g) > 0.0
+
+
+def divided_difference_costate(free_traj, traj, xi, f, g):
+    """psi_k = (I - dt*C_k) R psi_{k+1} from psi_nt = xi, where C_k holds the
+    divided differences of f between the stages of ``traj`` and of the free
+    run: the costate with which <y(T) - y_free(T), xi> = sum_k dt*<v_k, psi_k>."""
+    z, z0 = traj.stage_states, free_traj.stage_states
+    dz = z - z0
+    moved = np.abs(dz) > 1e-12
+    C = np.where(moved, (f.f(z) - f.f(z0)) / np.where(moved, dz, 1.0), f.fprime(z0))
+    factor = diffusion_factor(g, traj.dt)
+    costates = np.empty((traj.nt, g.n))
+    psi = xi
+    for k in range(traj.nt - 1, -1, -1):
+        w = diffusion_solve(factor, psi)
+        psi = w - traj.dt * C[k] * w
+        costates[k] = psi
+    return costates
+
+
+@pytest.mark.parametrize("g, y0", [(GRID, Y0), (MASKED, Y0_MASKED)], ids=["full", "masked"])
+@pytest.mark.parametrize("f", [F_TANH, F_RATIONAL], ids=["scaled_tanh", "bounded_odd_rational"])
+def test_reaction_dual_bound_holds_for_random_admissible_controls(f, g, y0):
+    # Weak duality with |f'| <= L: every control at level M satisfies
+    # <y(T), xi> >= <y_free(T), xi> - M * sum_k dt*b_k, because b_k bounds
+    # the costate along the divided differences of f between the two runs.
+    rng = np.random.default_rng(21)
+    nt = 60
+    for T in (0.02, 0.05, 0.1):
+        dt = T / nt
+        free = solve_forward(y0, ControlSignal.zeros(nt, dt, g), f, g)
+        xi = free.states[-1]
+        psi0 = step_l2_norms(masked_costate(solve_adjoint(free, xi, F_ZERO, g), g), g.h)
+        b = reaction_costate_bounds(psi0, math.sqrt(g.h * float(xi @ xi)), dt, f.L, g)
+        assert np.all(b > psi0)
+        total = dt * float(np.sum(b))
+        free_pairing = g.h * float(xi @ xi)
+        for M in (1.0, 10.0, 50.0):
+            for _ in range(3):
+                values = rng.standard_normal((nt, g.n)) * g.omega_mask
+                values *= M * rng.uniform(0.5, 1.0, nt)[:, None] / step_l2_norms(values, g.h)[:, None]
+                traj = solve_forward(y0, ControlSignal(dt=dt, nt=nt, values=values, grid=g), f, g)
+                psi = divided_difference_costate(free, traj, xi, f, g)
+                pairing = g.h * float(traj.states[-1] @ xi)
+                assert pairing == pytest.approx(
+                    free_pairing + dt * g.h * float(np.sum(values * psi)), rel=1e-9, abs=1e-12)
+                assert np.all(step_l2_norms(psi * g.omega_mask, g.h) <= b)
+                assert pairing >= free_pairing - M * total
+
+
+@pytest.mark.parametrize("g, y0", [(GRID, Y0), (MASKED, Y0_MASKED)], ids=["full", "masked"])
+@pytest.mark.parametrize("f", [F_TANH, F_RATIONAL], ids=["scaled_tanh", "bounded_odd_rational"])
+def test_reaction_dual_bound_refutes_only_infeasible_bounds(f, g, y0):
+    # No control the oracle returns as feasible is below the bound, and the
+    # oracle finds every bound the dual bound refutes infeasible.
+    nt = 60
+    refuted = informative = 0
+    for T in (0.03, 0.06, 0.1):
+        free = free_run(y0, T, nt, f, g)
+        bound = dual_lower_bound(free, BALL, f, g)
+        assert bound == dual_lower_bound(free.trajectory, BALL, f, g)
+        informative += bound > 0.0
+        for M in (0.5 * bound, 0.9 * bound, 20.0, 80.0):
+            res = min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, free=free)
+            if res.feasible:
+                assert float(np.max(res.control.step_norms())) >= bound
+            if M < bound:
+                refuted += 1
+                assert not res.feasible
+    assert informative == 3 and refuted >= 6
+
+
+def test_dual_bound_is_zero_when_the_costate_bound_overflows():
+    # (q(1 + dt*L))^m overflows at L = 1e6; the bound is then 0, with no
+    # floating-point warning or NaN on the way.
+    f = make_nonlinearity("scaled_tanh", 1e6)
+    nt = 300
+    traj = solve_forward(Y0, ControlSignal.zeros(nt, 0.1 / nt, GRID), f, GRID)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert dual_lower_bound(traj, BALL, f, GRID) == 0.0
+        assert dual_lower_bound(traj, BALL, f, GRID, xi=Y0) == 0.0

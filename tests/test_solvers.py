@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import heatctl.solvers as solvers
+from heatctl.reach import is_linear
 from heatctl import (
     ControlSignal,
     DegenerateCostateError,
@@ -38,6 +39,7 @@ GRID = SpatialGrid.build(n=127, ell=1.0)
 BALL = TargetBall(0.5)
 F_ZERO = make_nonlinearity("zero")
 F_TANH = make_nonlinearity("scaled_tanh", 1.0)
+F_RATIONAL = make_nonlinearity("bounded_odd_rational", 1.0)
 E1 = dirichlet_eigs(GRID, 1).eigenvectors[0]
 Y0 = 2.0 * E1
 LAM1 = principal_eigenvalue(GRID)
@@ -111,13 +113,38 @@ def test_minimal_norm_control_is_certified(gamma_zero):
 
 def test_minimal_norm_point_solves_the_free_run_once(gamma_zero, solve_calls):
     # With the tanh reaction the point makes many oracle calls, all at T.
+    # Along the free run it solves the oracle's costate (tanh) once and the
+    # dual bound's (zero reaction) once.
     T, nt = 0.5 * gamma_zero, 300
     point = minimal_norm(T, Y0, BALL, F_TANH, GRID)
     assert point.diagnostics["oracle_calls"] > 1
     free = [traj for u, traj in solve_calls.forward
             if u.nt == nt and u.dt == T / nt and not u.values.any()]
     assert len(free) == 1
-    assert sum(traj is free[0] for traj in solve_calls.adjoint) == 1
+    along_free = [f for traj, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
+                  if traj is free[0]]
+    assert [f is F_TANH for f in along_free] == [True, False]
+    assert is_linear(along_free[1])
+
+
+def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls):
+    # A horizon the dual bound refutes costs its free run and one
+    # zero-reaction adjoint; one left open adds the oracle's tanh costate
+    # along the same free run.  The probe at the free-decay time goes
+    # straight to the oracle, and the free-decay runs solve no adjoint.
+    y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
+    point = minimal_time(5.0, y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT)
+    calls = point.diagnostics["oracle_calls"]
+    refuted = point.iterations - calls
+    assert refuted > 0 and point.diagnostics["dual_lower_bound"] > 0.0
+    kinds = []
+    for u, traj in solve_calls.forward:
+        if not u.values.any():
+            kinds.append(tuple("tanh" if f is F_TANH else "zero"
+                               for t, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
+                               if t is traj))
+    assert sorted(kinds) == sorted([()] * (len(kinds) - point.iterations) + [("tanh",)]
+                                   + [("zero",)] * refuted + [("zero", "tanh")] * (calls - 1))
 
 
 def test_minimal_time_zero_bound_is_free_decay(gamma_zero):
@@ -266,7 +293,7 @@ def test_curves_require_increasing_grids():
 # The bisection driver against the two loops it replaced
 
 def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=None, nt=300,
-                           gamma_hint=None):
+                           gamma_hint=None, record=None):
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if T >= gamma:
@@ -285,6 +312,8 @@ def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=None, nt=300,
         nonlocal calls, inconclusive
         res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm,
                                 free=free)
+        if record is not None:
+            record.append((M, res))
         calls += 1
         if res.inconclusive:
             inconclusive += 1
@@ -321,7 +350,7 @@ def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=None, nt=300,
 
 
 def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=None, nt=300,
-                           gamma_hint=None):
+                           gamma_hint=None, record=None):
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if M == 0.0:
@@ -337,6 +366,8 @@ def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=None, nt=300,
     def probe(T, warm):
         nonlocal calls, inconclusive
         res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm)
+        if record is not None:
+            record.append((T, res))
         calls += 1
         if res.inconclusive:
             inconclusive += 1
@@ -425,11 +456,44 @@ def assert_certified_point(point, ref, probes, width, conclusive=True):
                               and (res.converged or not conclusive) for x, res in probes)
 
 
+def assert_refuted_cold_point(point, ref, probes, ref_probes, value_fn):
+    """A reaction-term point against the cold reference loop's point.
+
+    ``probes`` and ``ref_probes`` hold (parameter, result) of the oracle calls
+    of the point and of the reference.  The point makes the reference's
+    probes, and calls the oracle on the same ones except those its dual
+    bound refutes, each of which the reference's oracle found infeasible.
+    Everything else is the reference's, bit for bit; ``inconclusive`` counts
+    only the oracle calls made.
+    """
+    bound = point.diagnostics["dual_lower_bound"]
+    called = [x for x, _ in probes]
+    refuted = [(x, res) for x, res in ref_probes if x not in called]
+    assert called == [x for x, _ in ref_probes if x in called]
+    assert all(not res.feasible for _, res in refuted)
+    if value_fn is minimal_norm:
+        assert [x for x, _ in refuted] == [x for x, _ in ref_probes if x < bound]
+    else:
+        assert bound == max((x for x, _ in refuted), default=0.0)
+    assert 0.0 <= bound <= point.bracket_lo
+    assert point.iterations == ref.iterations
+    assert (point.diagnostics["oracle_calls"] == len(probes)
+            == ref.diagnostics["oracle_calls"] - len(refuted))
+    diagnostics = {**point.diagnostics, "oracle_calls": ref.diagnostics["oracle_calls"],
+                   "inconclusive": ref.diagnostics["inconclusive"]}
+    del diagnostics["dual_lower_bound"]
+    assert_same_point(dataclasses.replace(point, diagnostics=diagnostics), ref)
+    assert (point.diagnostics["inconclusive"]
+            == ref.diagnostics["inconclusive"] - sum(res.inconclusive for _, res in refuted))
+    return len(refuted)
+
+
 @pytest.mark.parametrize("g", [SMALL, SMALL_MASKED], ids=["full", "masked"])
-@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH, F_RATIONAL], ids=["zero", "tanh", "rational"])
 def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
-    # The tanh points keep the cold search bit for bit; the linear ones start
-    # from the dual bound and stay certified.
+    # The reaction-term points keep the cold search bit for bit, with the
+    # probes the dual bound refutes left out of the oracle calls; the linear
+    # ones start from the dual bound and stay certified.
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, f, g, nt=SMALL_NT)
 
@@ -439,14 +503,18 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
     def time_width(hi):
         return 1e-3 * gamma
 
+    refutations = []
+
     def check(value_fn, x, reference, width, **kwargs):
         point = value_fn(x, y0, BALL, f, g, nt=SMALL_NT, **kwargs)
-        ref = reference(x, y0, BALL, f, g, nt=SMALL_NT, **kwargs)
-        if f is F_TANH:
-            assert_same_point(point, ref)
+        ref_probes = []
+        ref = reference(x, y0, BALL, f, g, nt=SMALL_NT, record=ref_probes, **kwargs)
+        probes = [(M if value_fn is minimal_norm else T, res)
+                  for T, M, res in oracle_probes]
+        if not is_linear(f):
+            refutations.append(
+                assert_refuted_cold_point(point, ref, probes, ref_probes, value_fn))
         else:
-            probes = [(M if value_fn is minimal_norm else T, res)
-                      for T, M, res in oracle_probes]
             assert_certified_point(point, ref, probes, width,
                                    conclusive="opts" not in kwargs)
         del oracle_probes[:]
@@ -455,7 +523,7 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
     doublings = [check(minimal_norm, T, reference_minimal_norm, norm_width,
                        gamma_hint=gamma).diagnostics.get("doublings", 0)
                  for T in (0.3 * gamma, 0.7 * gamma, gamma)]
-    if f is F_TANH:
+    if not is_linear(f):
         assert doublings[0] > 0
     for M in (0.0, 1.0, 20.0):
         check(minimal_time, M, reference_minimal_time, time_width, gamma_hint=gamma)
@@ -466,7 +534,7 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
     # and each failed upper end becomes the lower end: the tanh point bisects
     # only above the failed probes (14 oracle calls when its lower end stayed 0)
     assert point.bracket_lo >= 0.97 * gamma
-    if f is F_TANH:
+    if not is_linear(f):
         assert point.diagnostics["oracle_calls"] < 14
     # a short iteration budget leaves some probes inconclusive
     few = ReachOptions(max_iters=5)
@@ -474,6 +542,8 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
           gamma_hint=gamma)
     check(minimal_time, 5.0, reference_minimal_time, time_width, opts=few,
           gamma_hint=gamma)
+    if not is_linear(f):
+        assert sum(refutations) > 0
 
 
 def test_bisection_driver_exhaustion_errors_match_reference_loops():
@@ -507,7 +577,7 @@ def test_linear_minimal_time_refuses_a_free_decay_time_that_is_too_short():
 
 
 @pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
-def test_dual_lower_bound_is_recorded_on_linear_points_only(f):
+def test_dual_lower_bound_is_recorded_on_every_point(f):
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     args = (y0, BALL, f, SMALL_MASKED)
     gamma = free_decay_time(*args, nt=SMALL_NT)
@@ -517,9 +587,8 @@ def test_dual_lower_bound_is_recorded_on_linear_points_only(f):
               minimal_time(0.0, *args, **kwargs), trip.time_point, trip.norm_point,
               *minimal_time_curve([1.0, 20.0], *args, **kwargs).points,
               *minimal_norm_curve([0.3 * gamma], *args, **kwargs).points]
-    if f is F_TANH:
-        assert all("dual_lower_bound" not in p.diagnostics for p in points)
-    else:
-        bounds = [p.diagnostics["dual_lower_bound"] for p in points]
-        assert all(0.0 <= b <= p.bracket_lo for b, p in zip(bounds, points))
-        assert sum(b > 0.0 for b in bounds) == len(points) - 2
+    bounds = [p.diagnostics["dual_lower_bound"] for p in points]
+    assert all(0.0 <= b <= p.bracket_lo for b, p in zip(bounds, points))
+    # the two points decided without the oracle record 0
+    assert bounds[1] == bounds[2] == 0.0
+    assert sum(b > 0.0 for b in bounds) == len(points) - 2

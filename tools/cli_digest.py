@@ -2,8 +2,8 @@
 
 Runs each subcommand on each config in a fresh interpreter (``python -m
 heatctl.cli``), adding only the experiment fields the config lacks, plus
-step-count (``dt``), free-decay-edge, masked-control curve, failure and
-refused-config variants.
+step-count (``dt``), free-decay-edge, masked-control curve, second reaction
+term (``bounded_odd_rational``), failure and refused-config variants.
 Prints one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
@@ -64,6 +64,9 @@ VARIANTS = [
     # curves with no closed form (masked control): empty oracle_value column
     ("masked", "linear_equivalence", "sweep",
      ["omega=[0.3,0.8]", "experiment.T_grid=[0.05,0.08]", "experiment.M_grid=[5]"]),
+    # the second built-in reaction term
+    *[("rational", "tanh_sweep", cmd, ["nonlinearity.kind=bounded_odd_rational"])
+      for cmd in ("mintime", "minnorm")],
     # failures
     ("fail", "tanh_sweep", "mintime", ["experiment.M=5", "nonlinearity.L=1e6"]),
     ("fail", "linear_equivalence", "mintime", ["experiment.M=1e300"]),
