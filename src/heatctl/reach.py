@@ -9,18 +9,21 @@ warm-start both from the zero control and from a full-amplitude control
 aligned with the costate of the uncontrolled run, and keep the better one.
 
 Both warm starts come from the uncontrolled run, which depends on the initial
-state and the step grid but not on M.  :func:`free_run` solves it once, with
-its masked costate, and a caller that probes many bounds at one horizon (the
-minimal-norm bisection) passes that :class:`FreeRun` to every oracle call.
+state and the step grid but not on M.  :func:`free_run` solves it with one
+forward solve; its masked costate is solved on first read, so a run that is
+only bounded (and refuted) costs no costate with its reaction term.  A caller
+that probes many bounds at one horizon (the minimal-norm bisection) passes
+that :class:`FreeRun` to every oracle call.
 
 The same free run also gives a lower bound on every feasible norm bound,
-from weak duality (:func:`dual_lower_bound`).  Without a reaction term the
-bound is the discrete dual problem of Wang & Zuazua, SIAM J. Control Optim.
-50 (2012).  With a reaction term whose derivative is bounded by L, the
-costate of the controlled run differs from the zero-reaction costate psi0 by
-at most ((1 + dt*L)^m - 1) q^m ||xi|| after m steps, where
-q = 1/(1 + dt*lambda_1h) is the norm of one diffusion step; the bound widens
-its denominator by that much (Fattorini, *Infinite Dimensional Linear
+from weak duality (:func:`dual_lower_bound`), with the run's own reaction
+term, so a bound cannot pair a run with another reaction's L.  Without a
+reaction term the bound is the discrete dual problem of Wang & Zuazua, SIAM
+J. Control Optim. 50 (2012).  With a reaction term whose derivative is
+bounded by L, the costate of the controlled run differs from the
+zero-reaction costate psi0 by at most ((1 + dt*L)^m - 1) q^m ||xi|| after m
+steps, where q = 1/(1 + dt*lambda_1h) is the norm of one diffusion step; the
+bound widens its denominator by that much (Fattorini, *Infinite Dimensional Linear
 Control Systems*, 2005, for the linear duality).  It trusts
 ``NonlinearitySpec.L``: that holds by construction for the built-in kinds,
 while :func:`heatctl.core.validate_nonlinearity` only samples a finite range
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -185,31 +189,37 @@ def bangbang_values(masked: np.ndarray, norms: np.ndarray, level: float) -> np.n
 
 @dataclass(frozen=True)
 class FreeRun:
-    """The uncontrolled run on one step grid, with its masked costate.
+    """The uncontrolled run on one step grid, with reaction ``f`` on grid ``g``.
 
-    ``trajectory`` is read-only; ``masked`` is :func:`masked_costate` for the
-    adjoint with terminal datum y(T) (the gradient of J at the zero control)
-    and ``norms`` its pointwise norm at each step.
+    ``trajectory`` is read-only.  ``masked`` is :func:`masked_costate` for the
+    adjoint with terminal datum y(T) and reaction f (the gradient of J at the
+    zero control), and ``norms`` its pointwise norm at each step.  Both are
+    read-only and solved on first read: one adjoint solve per run at most.
     """
 
     trajectory: StateTrajectory
-    masked: np.ndarray
-    norms: np.ndarray
+    f: NonlinearitySpec
+    g: SpatialGrid
 
-    @staticmethod
-    def along(trajectory: StateTrajectory, f: NonlinearitySpec, g: SpatialGrid) -> "FreeRun":
-        """The free run whose trajectory is already solved: solves its costate."""
-        masked = masked_costate(solve_adjoint(trajectory, trajectory.states[-1], f, g), g)
-        norms = step_l2_norms(masked, g.h)
+    @cached_property
+    def masked(self) -> np.ndarray:
+        traj = self.trajectory
+        masked = masked_costate(solve_adjoint(traj, traj.states[-1], self.f, self.g), self.g)
         masked.setflags(write=False)
+        return masked
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        norms = step_l2_norms(self.masked, self.g.h)
         norms.setflags(write=False)
-        return FreeRun(trajectory=trajectory, masked=masked, norms=norms)
+        return norms
 
 
 def free_run(y0: np.ndarray, T: float, nt: int, f: NonlinearitySpec,
              g: SpatialGrid) -> FreeRun:
-    """Solve the uncontrolled run over (0, T] in nt steps, and its costate."""
-    return FreeRun.along(solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), f, g), f, g)
+    """Solve the uncontrolled run over (0, T] in nt steps; its costate is
+    solved on first read."""
+    return FreeRun(solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), f, g), f, g)
 
 
 def is_linear(f: NonlinearitySpec) -> bool:
@@ -247,8 +257,7 @@ def reaction_costate_bounds(norms: np.ndarray, xi_norm: float, dt: float, L: flo
         return np.minimum(norms + (grown - xi_norm * q ** m), grown)
 
 
-def dual_lower_bound(free: FreeRun | StateTrajectory, ball: TargetBall, f: NonlinearitySpec,
-                     g: SpatialGrid, opts: ReachOptions | None = None,
+def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None = None,
                      xi: np.ndarray | None = None) -> float:
     """A norm bound below which no control reaches the ball at free's horizon.
 
@@ -274,13 +283,13 @@ def dual_lower_bound(free: FreeRun | StateTrajectory, ball: TargetBall, f: Nonli
     terms is subtracted so the bound holds despite rounding, and the result
     is floored at 0 (also when the costate bounds vanish or overflow).
 
-    ``free`` is the free run, or only its trajectory.  ``xi`` defaults to
-    y_free(T).  The bound costs one zero-reaction adjoint solve, except for
-    f = 0 with the default datum and a whole :class:`FreeRun`, whose masked
-    costate is that adjoint's.
+    f and the grid are the free run's own.  ``xi`` defaults to y_free(T).
+    The bound costs one zero-reaction adjoint solve, except for f = 0 with
+    the default datum, where that adjoint is the run's own costate
+    (``free.norms``, solved on first read).
     """
-    traj = free.trajectory if isinstance(free, FreeRun) else free
-    if xi is None and isinstance(free, FreeRun) and is_linear(f):
+    traj, f, g = free.trajectory, free.f, free.g
+    if xi is None and is_linear(f):
         xi, norms = traj.states[-1], free.norms
     else:
         xi = traj.states[-1] if xi is None else np.asarray(xi, dtype=float)

@@ -14,40 +14,50 @@ this typically cuts oracle iterations by an order of magnitude.
 Weak duality gives every point a certified lower bound
 (:func:`heatctl.reach.dual_lower_bound`, the discrete form of the dual
 problem of Wang & Zuazua, SIAM J. Control Optim. 50 (2012), widened for a
-reaction term with |f'| <= L).  With a reaction term the search keeps its
-cold probe sequence: the lower end is 0, the minimal norm doubles its upper
-end from 1, and the minimal time starts from the free-decay time, which
-becomes the lower end if the probe there fails.  The bound only decides
-probes before the oracle is called:
+reaction term with |f'| <= L).  Each value function has one probe, for
+f = 0 and for reaction terms alike, and decides it with the bound before the
+oracle is called:
 
-* the minimal norm computes the bound of the free run it solves anyway, and
-  refutes every probed M below it;
-* the minimal time solves each probed horizon's free run, refutes the
-  horizon when its bound exceeds M (one forward and one zero-reaction
-  adjoint solve, no oracle call), and otherwise hands that free run to the
-  oracle.
+* the minimal norm solves the free run at its horizon once, refutes every
+  probed M below that run's bound, and otherwise calls the oracle with the
+  run;
+* the minimal time solves the free run of each probed horizon and, only
+  below the free-decay time, refutes the horizon when its bound exceeds M
+  (one forward and one zero-reaction adjoint solve, no oracle call).
+  Otherwise a reaction term calls the oracle with that run, whose costate
+  is solved then, on first read.
 
-A refuted probe would have been infeasible for the oracle too, and a failed
-halving probe passes nothing on, so the halving keeps the cold search's
-probes, brackets and controls.  A failed widening probe does pass its control
-on, as the next probe's warm start.  So the minimal time's probes at and past
-the free-decay time always go to the oracle: there the failed control does
-win the next start (a free-decay time that is slightly too short shows it).
-The minimal norm's doubling probes below the bound are refuted, and the next
-probe starts from the zero and bang-bang controls alone.  On every point
-tried (both built-in reactions, full and masked control) the failed control
-would not have won that start, so the points stay bit-identical to the cold
-search; this is observed, not proven.  Without a reaction term the bound also
-moves the search:
+The two cases differ only in where the search starts and how it widens.
+With a reaction term the search keeps its cold probe sequence: the lower end
+is 0, the minimal norm doubles its upper end from 1, and the minimal time
+starts from the free-decay time, which becomes the lower end if the probe
+there fails.  A refuted probe would have been infeasible for the oracle too,
+and a failed halving probe passes nothing on, so the halving keeps the cold
+search's probes, brackets and controls.  A failed widening probe does pass
+its control on, as the next probe's warm start.  So the minimal time's
+probes at and past the free-decay time always go to the oracle: there the
+failed control does win the next start (a free-decay time that is slightly
+too short shows it).  The minimal norm's doubling probes below the bound are
+refuted, and the next probe starts from the zero and bang-bang controls
+alone.  On every point tried (both built-in reactions, full and masked
+control) the failed control would not have won that start, so the points
+stay bit-identical to the cold search; this is observed, not proven.
+Without a reaction term:
 
 * the minimal norm starts from the bound of the free run, and probes first an
   eighth of the width rule above it; after an infeasible probe it raises the
   lower end to the bound of that probe's terminal state (one adjoint solve)
   when that is higher than the probe, and doubles the gap to the next probe;
-* the minimal time first finds, with free runs only and through the same
-  driver, the horizon where the bound of the free run crosses M (a horizon
-  whose bound exceeds M is certified infeasible), then confirms the upper end
-  with the oracle, which reuses that horizon's free run.
+* the minimal time's probe leaves open each horizon the bound does not
+  refute, so the first search, through the same driver and with free runs
+  only, finds the horizon where the bound crosses M.  The oracle then
+  confirms that upper end, reusing its free run, and climbs from it when it
+  fails.
+
+Each value function has one give-up rule.  A minimal-norm widening gives up
+after 60 steps, or when its next upper end would pass ``MAX_NORM_BOUND``; a
+minimal-time widening gives up once a failed upper end has reached 1.16
+times the free-decay time.
 
 Every point records its dual bound in its diagnostics as ``dual_lower_bound``:
 the bound at its horizon for a minimal norm, the largest refuted horizon for
@@ -55,10 +65,6 @@ a minimal time, and 0 when none was certified.  ``oracle_calls`` counts the
 oracle calls and ``iterations`` every probe, refuted ones included.  A
 point's ``bracket_lo`` is an infeasible probe or its bound, and its
 ``bracket_hi`` a feasible probe whose control it returns.
-
-The minimal-norm search keeps its horizon fixed, so it solves the uncontrolled
-run and its costate once per point (:func:`heatctl.reach.free_run`) and hands
-them to every probe.
 
 The points of a curve are independent of each other once the free-decay time
 is known, so :func:`minimal_time_curve` and :func:`minimal_norm_curve` solve
@@ -99,7 +105,6 @@ from .pde import (
     solve_forward,
 )
 from .reach import (
-    FreeRun,
     ReachOptions,
     bangbang_values,
     dual_lower_bound,
@@ -247,24 +252,25 @@ def _patched() -> bool:
     return any(vars(module).get(name) is not fn for module, name, fn in _AS_IMPORTED)
 
 
+# How often :func:`free_decay_time` doubles its horizon before it gives up.
+FREE_DECAY_DOUBLINGS = 60
+
+
 def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
-                    g: SpatialGrid, nt: int = 300, horizon: float | None = None,
-                    max_expand: int = 60) -> float:
+                    g: SpatialGrid, nt: int = 300) -> float:
     """First time the uncontrolled run enters the target ball.
 
     Starts from a horizon suggested by the decay envelope and doubles it until
-    the crossing appears, then re-runs on a horizon tight around the crossing
-    so the reported time uses the same step resolution as downstream
-    feasibility probes.
+    the crossing appears (at most ``FREE_DECAY_DOUBLINGS`` times), then
+    re-runs on a horizon tight around the crossing so the reported time uses
+    the same step resolution as downstream feasibility probes.
     """
     y0 = np.asarray(y0, dtype=float)
     norm0 = l2_norm(y0, g)
     if norm0 <= ball.r:
         return 0.0
-    if horizon is None:
-        lam1 = principal_eigenvalue(g)
-        horizon = max(1.2 * math.log(norm0 / ball.r) / lam1, 1e-9)
-    for _ in range(max_expand):
+    horizon = max(1.2 * math.log(norm0 / ball.r) / principal_eigenvalue(g), 1e-9)
+    for _ in range(FREE_DECAY_DOUBLINGS):
         traj = solve_forward(y0, ControlSignal.zeros(nt, horizon / nt, g), f, g)
         t_rough = hitting_time(traj, ball)
         if t_rough is not None:
@@ -335,13 +341,16 @@ def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
 
 class _DualProbe(NamedTuple):
     """A probe decided by the dual bound of its free run alone, without the
-    oracle: infeasible when the bound exceeds the norm bound it is checked
-    against.  ``terminal_norm`` is the free run's."""
+    oracle: infeasible when the bound refutes it, and, for the linear
+    minimal time's crossing, feasible when the bound leaves it open."""
 
     feasible: bool
-    terminal_norm: float
     control: None = None
     inconclusive: bool = False
+
+
+# The largest norm bound a minimal-norm widening probes.
+MAX_NORM_BOUND = 2.0 ** 60
 
 
 def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -351,11 +360,12 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     """Smallest pointwise norm bound whose controls reach the ball at time T.
 
     For T at or beyond the free-decay time the value is 0 with the zero
-    control.  Otherwise the upper bound is found by doubling from 1 or, when
-    f is linear, by climbing from the dual bound (module docstring), and
-    bisection stops once the bracket width is below tol_M*(1 + upper).  With
-    a reaction term, probes below the dual bound are refuted without the
-    oracle.
+    control.  Otherwise every probed M below the dual bound of the free run
+    is refuted without the oracle, the upper end is found by doubling from 1
+    or, when f is linear, by climbing from the dual bound (module
+    docstring), and bisection stops once the bracket width is below
+    tol_M*(1 + upper).  The widening gives up after 60 steps, or when its
+    next upper end would pass ``MAX_NORM_BOUND``.
     """
     if T <= 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -364,52 +374,47 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     if T >= gamma:
         return _unbisected(T, 0.0, T, gamma, nt, g)
     free = free_run(y0, T, nt, f, g)
-    bounds = [dual_lower_bound(free, ball, f, g, opts)]
-    oracle = partial(min_terminal_norm, y0, T, ball=ball, f=f, g=g, opts=opts, nt=nt,
-                     free=free)
+    bounds = [dual_lower_bound(free, ball, opts)]
+
+    def probe(M, warm_start=None):
+        if M < bounds[0]:
+            return _DualProbe(False)
+        return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
+                                 warm_start=warm_start, free=free)
 
     def width(hi):
         return tol_M * (1.0 + hi)
 
-    def give_up(k, hi):
-        if k > 60:
+    def give_up(k, next_hi):
+        if k > 60 or next_hi > MAX_NORM_BOUND:
             raise NoFeasibleBoundError(
-                f"no feasible control found up to norm bound {hi:.3g} at T={T}"
+                f"no feasible control found up to norm bound {next_hi:.3g} at T={T}"
             )
+        return next_hi
 
-    if not is_linear(f):
-        def refute(M, warm_start=None):
-            if M < bounds[0]:
-                return _DualProbe(False, float(free.trajectory.norms[-1]))
-            return oracle(M, warm_start=warm_start)
+    if is_linear(f):
+        # The first probe sits an eighth of the width rule above the bound,
+        # so when the bound is tight the value (the bracket's midpoint) lies
+        # within a sixteenth of the rule of it.  A failed probe's terminal
+        # state gives a dual bound that lies above the probe when the oracle
+        # solved it, and the gap above the lower end doubles with each
+        # failure, so the climb cannot creep.
+        def above(lo, k):
+            return lo + 2.0 ** k * width(lo) / 8.0
 
-        def double(k, lo, hi, res):
-            give_up(k, 2.0 * hi)
-            return hi, 2.0 * hi
+        def widen(k, lo, hi, res):
+            bounds.append(dual_lower_bound(free, ball, opts, xi=res.terminal_state))
+            lo = max(hi, bounds[-1])
+            return lo, give_up(k, above(lo, k - 1))
 
-        point = _bisect(refute, T, 1.0, double, width, "doublings", gamma)
-        return replace(point, diagnostics={**point.diagnostics,
-                                           "dual_lower_bound": bounds[0]})
+        lo, hi = bounds[0], above(bounds[0], 0)
+    else:
+        def widen(k, lo, hi, res):
+            return hi, give_up(k, 2.0 * hi)
 
-    # The first probe sits an eighth of the width rule above the bound, so
-    # when the bound is tight the value (the bracket's midpoint) lies within
-    # a sixteenth of the rule of it.  A failed probe's terminal state gives
-    # a dual bound that lies above the probe when the oracle solved it, and
-    # the gap above the lower end doubles with each failure, so the climb
-    # cannot creep.
-    def above(lo, k):
-        return lo + 2.0 ** k * width(lo) / 8.0
-
-    def climb(k, lo, hi, res):
-        give_up(k, hi)
-        bounds.append(dual_lower_bound(free, ball, f, g, opts, xi=res.terminal_state))
-        lo = max(hi, bounds[-1])
-        return lo, above(lo, k - 1)
-
-    point = _bisect(oracle, T, above(bounds[0], 0), climb, width, "doublings", gamma,
-                    lo=bounds[0])
-    return replace(point, diagnostics={**point.diagnostics,
-                                       "dual_lower_bound": max(bounds)})
+        lo, hi = 0.0, 1.0
+    point = _bisect(probe, T, hi, widen, width, "doublings", gamma, lo=lo)
+    return replace(point, diagnostics={**point.diagnostics, "dual_lower_bound": max(bounds)})
 
 
 def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -419,10 +424,14 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     """Smallest time at which controls bounded pointwise by M reach the ball.
 
     M = 0 degenerates to the free-decay time.  Otherwise bisect on the horizon
-    over (0, free-decay time], refuting with the dual bound the horizons it
-    rules out, or, when f is linear, from the dual crossing (module
-    docstring); feasibility is monotone in the horizon because the ball is
-    invariant under free decay.  tol_T is relative to the free-decay time.
+    over (0, free-decay time], refuting with the dual bound the horizons below
+    the free-decay time it rules out, or, when f is linear, from the dual
+    crossing (module docstring); feasibility is monotone in the horizon
+    because the ball is invariant under free decay.  tol_T is relative to the
+    free-decay time.  A failed upper end moves up, at most to 1.16 times the
+    free-decay time; past that the point gives up.  Only a ``gamma_hint``
+    shorter than the free-decay time gets there, at the cost of oracle calls
+    on each nudge; no CLI path passes one.
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
@@ -436,73 +445,52 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     # it becomes the lower end, and the upper end moves up a little, at most
     # to ``top``.
     top = gamma * (1.0 + 0.02 * 2 ** 3)
-
-    def give_up(res):
-        raise NoFeasibleBoundError(
-            f"could not certify feasibility near the free-decay time {gamma:.6g} "
-            f"for M={M}; oracle terminal norm {res.terminal_norm:.6g}"
-        )
-
-    def past_gamma(k, lo, hi, res):
-        if k > 4:
-            give_up(res)
-        return hi, gamma * (1.0 + 0.02 * 2 ** (k - 1))
-
     tol_abs = tol_T * gamma
 
     def width(hi):
         return tol_abs
 
-    if not is_linear(f):
-        # The probes at and past the free-decay time widen the bracket, and
-        # each failed one warm-starts the next, so they all go to the oracle
-        # (module docstring).
-        refuted = [0.0]
-
-        def refute(T, warm_start=None):
-            traj = solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), f, g)
-            bound = dual_lower_bound(traj, ball, f, g, opts) if T < gamma else 0.0
-            if bound > M:
-                refuted.append(T)
-                return _DualProbe(False, float(traj.norms[-1]))
-            return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
-                                     warm_start=warm_start, free=FreeRun.along(traj, f, g))
-
-        point = _bisect(refute, M, gamma, past_gamma, width, "upper_expansions", gamma)
-        return replace(point, diagnostics={**point.diagnostics,
-                                           "dual_lower_bound": max(refuted)})
-
-    # Free runs only: the last horizon the dual bound leaves open keeps its
-    # free run for the oracle call that confirms it.
-    kept = {}
-
-    def refute(T, warm_start=None):
-        free = free_run(y0, T, nt, f, g)
-        feasible = dual_lower_bound(free, ball, f, g, opts) <= M
-        if feasible:
-            kept.clear()
-            kept[T] = free
-        return _DualProbe(feasible, float(free.trajectory.norms[-1]))
-
-    crossing = _bisect(refute, M, gamma, past_gamma, width, "upper_expansions", gamma)
-
-    def oracle(T, warm_start=None):
-        return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
-                                 warm_start=warm_start, free=kept.get(T))
-
-    # When the oracle cannot reach the ball at the crossing, the gap above it
-    # doubles with each failed probe, up to ``top``.
-    def climb(k, lo, hi, res):
+    def give_up(hi, res):
         if hi >= top:
-            give_up(res)
-        return hi, min(hi + 2.0 ** k * tol_abs, top)
+            raise NoFeasibleBoundError(
+                f"could not certify feasibility near the free-decay time {gamma:.6g} "
+                f"for M={M}; oracle terminal norm {res.terminal_norm:.6g}"
+            )
 
-    point = _bisect(oracle, M, crossing.bracket_hi, climb, width, "upper_expansions",
-                    gamma, lo=crossing.bracket_lo)
-    expansions = (crossing.diagnostics["upper_expansions"]
-                  + point.diagnostics["upper_expansions"])
-    return replace(point, diagnostics={**point.diagnostics, "upper_expansions": expansions,
-                                       "dual_lower_bound": float(crossing.bracket_lo)})
+    def past_gamma(k, lo, hi, res):
+        give_up(hi, res)
+        return hi, gamma * (1.0 + 0.02 * 2 ** (k - 1))
+
+    oracle = partial(min_terminal_norm, y0, M=M, ball=ball, f=f, g=g, opts=opts, nt=nt)
+    refuted = [0.0]
+    crossing = {}  # f = 0: the last horizon the bound left open, with its free run
+
+    def probe(T, warm_start=None):
+        free = free_run(y0, T, nt, f, g)
+        if T < gamma and dual_lower_bound(free, ball, opts) > M:
+            refuted.append(T)
+            return _DualProbe(False)
+        if not is_linear(f):
+            return oracle(T, warm_start=warm_start, free=free)
+        crossing.clear()
+        crossing[T] = free
+        return _DualProbe(True)
+
+    point = _bisect(probe, M, gamma, past_gamma, width, "upper_expansions", gamma)
+    if is_linear(f):
+        # The oracle confirms the crossing, reusing its free run; when it
+        # cannot reach the ball there, the gap above it doubles with each
+        # failed probe, up to ``top``.
+        def climb(k, lo, hi, res):
+            give_up(hi, res)
+            return hi, min(hi + 2.0 ** k * tol_abs, top)
+
+        def confirm(T, warm_start=None):
+            return oracle(T, warm_start=warm_start, free=crossing.get(T))
+
+        point = _bisect(confirm, M, point.bracket_hi, climb, width, "upper_expansions", gamma,
+                        lo=point.bracket_lo)
+    return replace(point, diagnostics={**point.diagnostics, "dual_lower_bound": max(refuted)})
 
 
 def extract_bangbang(psi: AdjointTrajectory, M: float, g: SpatialGrid) -> ControlSignal:

@@ -242,6 +242,22 @@ def test_warm_start_with_another_step_count_is_refused():
         min_terminal_norm(Y0, 0.06, 3.0, BALL, F_ZERO, GRID, nt=120, warm_start=ws)
 
 
+def test_degenerate_costate_skips_the_bangbang_start():
+    # The control region holds only the grid point x = 0.5, where e2 vanishes,
+    # so the masked costate of y0 = 2*e2 has no direction: the oracle skips
+    # the full-amplitude start and still gives a conclusive answer.
+    g = SpatialGrid.build(n=31, ell=1.0, omega=(0.49, 0.51))
+    assert int(g.omega_mask.sum()) == 1
+    y0 = 2.0 * dirichlet_eigs(g, 2).eigenvectors[1]
+    T, nt = 0.01, 20
+    free = free_run(y0, T, nt, F_ZERO, g)
+    with pytest.raises(DegenerateCostateError):
+        bangbang_values(free.masked, free.norms, -5.0)
+    res = min_terminal_norm(y0, T, 5.0, BALL, F_ZERO, g, nt=nt, free=free)
+    assert not res.feasible and res.converged
+    assert res.terminal_norm == pytest.approx(float(free.trajectory.norms[-1]), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the oracle before J, its gradient and the feasibility test each
 # had one definition, and before the step rule became constants.  Its step
@@ -411,8 +427,9 @@ def test_zero_start_reuses_the_free_costate(solve_calls):
     res = min_terminal_norm(Y0, T, M, BALL, F_ZERO, GRID, nt=nt, free=free)
     assert res.objective_history[0] == 0.5 * float(free.trajectory.norms[-1]) ** 2
     assert res.iterations >= 2
-    # free_run solves the one adjoint along the free trajectory; the first
-    # iteration takes its masked costate and each later one solves its own
+    # the free run's costate, solved on first read, is the one adjoint along
+    # the free trajectory; the first iteration takes it and each later one
+    # solves its own
     along_free = [traj is free.trajectory for traj in solve_calls.adjoint]
     assert along_free == [True] + [False] * (res.iterations - 1)
 
@@ -423,7 +440,6 @@ def test_one_adjoint_per_descent_iteration(solve_calls, monkeypatch, shared):
     # anyway, so it adds no adjoint solve.
     T, M, nt = 0.06, 3.0, 120
     free = free_run(Y0_MASKED, T, nt, F_TANH, MASKED)
-    del solve_calls.adjoint[:]
     steps = []
 
     def recorded_step(*args):
@@ -437,7 +453,10 @@ def test_one_adjoint_per_descent_iteration(solve_calls, monkeypatch, shared):
     assert accepted >= 3 and len(steps) == accepted - 1
     # the full-amplitude start wins, so the first iteration solves its gradient
     assert res.objective_history[0] < 0.5 * float(free.trajectory.norms[-1]) ** 2
-    assert len(solve_calls.adjoint) == res.iterations + (0 if shared else 1)
+    # the free run's costate is solved inside the call, on first read,
+    # whether the run is shared or the call's own
+    assert len(solve_calls.adjoint) == res.iterations + 1
+    assert (solve_calls.adjoint[0] is free.trajectory) == shared
 
 
 def test_gradient_fd_check_matches_reference():
@@ -465,7 +484,7 @@ def test_dual_bound_of_the_free_run_is_the_discrete_one_mode_value(T):
     q = 1.0 / (1.0 + dt * principal_eigenvalue(GRID))
     rho = BALL.r * (1.0 + ReachOptions().eps_feas_rel)
     alpha_d = (q ** nt * a0 - rho) / (dt * sum(q ** j for j in range(1, nt + 1)))
-    bound = dual_lower_bound(free_run(Y0, T, nt, F_ZERO, GRID), BALL, F_ZERO, GRID)
+    bound = dual_lower_bound(free_run(Y0, T, nt, F_ZERO, GRID), BALL)
     assert bound <= alpha_d
     assert bound == pytest.approx(alpha_d, rel=1e-8)
 
@@ -488,13 +507,12 @@ def test_dual_bound_is_below_every_feasible_control():
             if res.feasible:
                 feasible.append(float(np.max(res.control.step_norms())))
             else:
-                assert dual_lower_bound(free, BALL, F_ZERO, MASKED,
-                                        xi=res.terminal_state) > M
+                assert dual_lower_bound(free, BALL, xi=res.terminal_state) > M
         assert feasible
         data = [None, y_free, *(y_free + s * rng.standard_normal(MASKED.n)
                                 for s in (0.01, 0.1, 1.0) for _ in range(3))]
         for xi in data:
-            bound = dual_lower_bound(free, BALL, F_ZERO, MASKED, xi=xi)
+            bound = dual_lower_bound(free, BALL, xi=xi)
             informative += bound > 0.0
             assert bound <= min(feasible)
     assert informative >= 15
@@ -528,8 +546,7 @@ def test_linear_dual_bound_keeps_every_bit(g, y0):
         data = [None, *(y_free + s * rng.standard_normal(g.n) for s in (0.01, 1.0))]
         for xi in data:
             ref = reference_dual_lower_bound(free, BALL, F_ZERO, g, xi=xi)
-            assert dual_lower_bound(free, BALL, F_ZERO, g, xi=xi) == ref
-            assert dual_lower_bound(free.trajectory, BALL, F_ZERO, g, xi=xi) == ref
+            assert dual_lower_bound(free, BALL, xi=xi) == ref
         assert reference_dual_lower_bound(free, BALL, F_ZERO, g) > 0.0
 
 
@@ -590,8 +607,9 @@ def test_reaction_dual_bound_refutes_only_infeasible_bounds(f, g, y0):
     refuted = informative = 0
     for T in (0.03, 0.06, 0.1):
         free = free_run(y0, T, nt, f, g)
-        bound = dual_lower_bound(free, BALL, f, g)
-        assert bound == dual_lower_bound(free.trajectory, BALL, f, g)
+        bound = dual_lower_bound(free, BALL)
+        # the bound solves a zero-reaction adjoint, not the run's own costate
+        assert "masked" not in vars(free)
         informative += bound > 0.0
         for M in (0.5 * bound, 0.9 * bound, 20.0, 80.0):
             res = min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, free=free)
@@ -608,8 +626,8 @@ def test_dual_bound_is_zero_when_the_costate_bound_overflows():
     # floating-point warning or NaN on the way.
     f = make_nonlinearity("scaled_tanh", 1e6)
     nt = 300
-    traj = solve_forward(Y0, ControlSignal.zeros(nt, 0.1 / nt, GRID), f, GRID)
+    free = free_run(Y0, 0.1, nt, f, GRID)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        assert dual_lower_bound(traj, BALL, f, GRID) == 0.0
-        assert dual_lower_bound(traj, BALL, f, GRID, xi=Y0) == 0.0
+        assert dual_lower_bound(free, BALL) == 0.0
+        assert dual_lower_bound(free, BALL, xi=Y0) == 0.0

@@ -10,6 +10,7 @@ from heatctl import (
     ControlSignal,
     DegenerateCostateError,
     NoFeasibleBoundError,
+    NonlinearitySpec,
     ReachOptions,
     ScalarInstance,
     SpatialGrid,
@@ -74,9 +75,18 @@ def test_reaction_term_accelerates_decay(gamma_zero):
     assert t_tanh <= gamma_zero
 
 
-def test_free_decay_horizon_cap():
+def test_free_decay_horizon_cap(monkeypatch):
+    # With a growing reaction term (f = -0.9*lam1*y) the run decays at about
+    # a tenth of lam1, so the envelope start is short and the horizon doubles
+    # four times before the crossing appears.
+    c = 0.9 * LAM1
+    slow = NonlinearitySpec(kind="growth", L=c, f=lambda y: -c * y,
+                            fprime=lambda y: np.full_like(y, -c))
+    start = 1.2 * math.log(4.0) / LAM1
+    assert 8.0 * start < free_decay_time(Y0, BALL, slow, GRID) < 16.0 * start
+    monkeypatch.setattr(solvers, "FREE_DECAY_DOUBLINGS", 4)
     with pytest.raises(RuntimeError, match="did not enter"):
-        free_decay_time(Y0, BALL, F_ZERO, GRID, horizon=1e-6, max_expand=3)
+        free_decay_time(Y0, BALL, slow, GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +123,8 @@ def test_minimal_norm_control_is_certified(gamma_zero):
 
 def test_minimal_norm_point_solves_the_free_run_once(gamma_zero, solve_calls):
     # With the tanh reaction the point makes many oracle calls, all at T.
-    # Along the free run it solves the oracle's costate (tanh) once and the
-    # dual bound's (zero reaction) once.
+    # Along the free run it solves the dual bound's costate (zero reaction)
+    # once, then the oracle's (tanh) once, on the first oracle call's read.
     T, nt = 0.5 * gamma_zero, 300
     point = minimal_norm(T, Y0, BALL, F_TANH, GRID)
     assert point.diagnostics["oracle_calls"] > 1
@@ -123,8 +133,8 @@ def test_minimal_norm_point_solves_the_free_run_once(gamma_zero, solve_calls):
     assert len(free) == 1
     along_free = [f for traj, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
                   if traj is free[0]]
-    assert [f is F_TANH for f in along_free] == [True, False]
-    assert is_linear(along_free[1])
+    assert [f is F_TANH for f in along_free] == [False, True]
+    assert is_linear(along_free[0])
 
 
 def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls):
@@ -567,13 +577,38 @@ def test_bisection_driver_exhaustion_errors_match_reference_loops():
     assert "could not certify" in str(new.value)
 
 
-def test_linear_minimal_time_refuses_a_free_decay_time_that_is_too_short():
-    # the dual bound refutes every horizon up to the last nudge past it
+def test_linear_minimal_time_refuses_a_free_decay_time_that_is_too_short(oracle_probes):
+    # The dual bound leaves the too-short free-decay time open, and the
+    # oracle fails it and every nudge past it, up to the last.  The message
+    # names the last oracle result's terminal norm.
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     args = (y0, BALL, F_ZERO, SMALL_MASKED)
     short = 0.5 * free_decay_time(*args, nt=SMALL_NT)
-    with pytest.raises(NoFeasibleBoundError, match="could not certify"):
+    with pytest.raises(NoFeasibleBoundError, match="could not certify") as err:
         minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
+    assert len(oracle_probes) == 8
+    assert all(not res.feasible for _, _, res in oracle_probes)
+    T, _, last = oracle_probes[-1]
+    assert T == short * (1.0 + 0.02 * 2 ** 3)
+    assert str(err.value).endswith(f"oracle terminal norm {last.terminal_norm:.6g}")
+
+
+def test_linear_minimal_norm_climb_gives_up_before_it_overflows(oracle_probes):
+    # On these short horizons, control on (0.1, 0.4) cannot bring the state
+    # outside it into the ball at any bound, so the climb never finds a
+    # feasible probe.  It gives up once its next upper end would pass
+    # MAX_NORM_BOUND, before its runs overflow (they did past 1e36).
+    g = SpatialGrid.build(n=31, ell=1.0, omega=(0.1, 0.4))
+    y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
+    gamma = free_decay_time(y0, BALL, F_ZERO, g, nt=SMALL_NT)
+    for c in (0.05, 0.1):
+        with pytest.raises(NoFeasibleBoundError, match="no feasible control") as err:
+            minimal_norm(c * gamma, y0, BALL, F_ZERO, g, nt=SMALL_NT, gamma_hint=gamma)
+        named = float(str(err.value).split("norm bound ")[1].split()[0])
+        probed = [M for _, M, _ in oracle_probes]
+        assert max(probed) <= solvers.MAX_NORM_BOUND < named
+        assert all(res.terminal_norm < 2.0 for _, _, res in oracle_probes)
+        del oracle_probes[:]
 
 
 @pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])

@@ -71,6 +71,7 @@ VARIANTS = [
     ("fail", "tanh_sweep", "mintime", ["experiment.M=5", "nonlinearity.L=1e6"]),
     ("fail", "linear_equivalence", "mintime", ["experiment.M=1e300"]),
     ("fail", "tanh_sweep", "minnorm", ["experiment.T=0.01", "solver.max_iters=1"]),
+    ("fail", "linear_equivalence", "minnorm", ["omega=[0.1,0.4]", "experiment.T=0.007"]),
     # list entries of the wrong sign
     ("sign", "linear_equivalence", "equivalence", ["experiment.M_grid=[-1]"]),
     ("sign", "linear_equivalence", "equivalence", ["experiment.T_grid=[-0.01]"]),
