@@ -50,7 +50,6 @@ from .solvers import (
     ValueCurve,
     ValuePoint,
     bangbang_report,
-    extract_bangbang,
     free_decay_time,
     minimal_norm,
     minimal_norm_curve,

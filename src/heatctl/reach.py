@@ -31,9 +31,9 @@ and a custom spec is taken at its word.
 
 Each quantity has one definition here: ``_objective`` is J,
 :func:`masked_costate` is its gradient (also the direction of
-:func:`bangbang_values`, shared with :func:`heatctl.solvers.extract_bangbang`),
-and :func:`reaches_ball` is the feasibility test, shared with
-:func:`heatctl.solvers.verify_equivalence_bound`.
+:func:`bangbang_values`: the oracle's start, and for f = 0 the control at
+the upper end of :func:`dual_pair`), and :func:`reaches_ball` is the
+feasibility test, shared with :func:`heatctl.solvers.verify_equivalence_bound`.
 
 The step rule is fixed.  The first step is 1/lambda_1, and a rejected step is
 halved (at most ``MAX_BACKTRACKS`` times per iteration), so the objective
@@ -63,6 +63,7 @@ from .core import (
     SpatialGrid,
     StateTrajectory,
     TargetBall,
+    l2_norm,
     make_nonlinearity,
     step_l2_norms,
     zero_reaction,
@@ -105,8 +106,6 @@ class ReachResult:
     slack of the ball; ``converged`` means the iteration ended at feasibility
     or stationarity rather than exhausting its budget, so an infeasible
     non-converged result is inconclusive rather than a certificate.
-    ``terminal_state`` is y(T) of ``control``, copied so that the result does
-    not keep the whole run alive.
     """
 
     terminal_norm: float
@@ -115,7 +114,6 @@ class ReachResult:
     feasible: bool
     converged: bool
     objective_history: tuple[float, ...]
-    terminal_state: np.ndarray | None = None
 
     @property
     def inconclusive(self) -> bool:
@@ -258,7 +256,7 @@ def reaction_costate_bounds(norms: np.ndarray, xi_norm: float, dt: float, L: flo
 
 
 def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None = None,
-                     xi: np.ndarray | None = None) -> float:
+                     xi: np.ndarray | None = None, norms: np.ndarray | None = None) -> float:
     """A norm bound below which no control reaches the ball at free's horizon.
 
     Weak duality: let psi be the costate of the terminal datum xi along the
@@ -284,15 +282,15 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None 
     is floored at 0 (also when the costate bounds vanish or overflow).
 
     f and the grid are the free run's own.  ``xi`` defaults to y_free(T).
-    The bound costs one zero-reaction adjoint solve, except for f = 0 with
-    the default datum, where that adjoint is the run's own costate
-    (``free.norms``, solved on first read).
+    The bound costs one zero-reaction adjoint solve, unless ``norms`` gives
+    its step norms ||chi_omega psi0_k||, or for f = 0 with the default datum,
+    where it is the run's own costate (``free.norms``, solved on first read).
     """
     traj, f, g = free.trajectory, free.f, free.g
-    if xi is None and is_linear(f):
-        xi, norms = traj.states[-1], free.norms
-    else:
-        xi = traj.states[-1] if xi is None else np.asarray(xi, dtype=float)
+    if xi is None and norms is None and is_linear(f):
+        norms = free.norms
+    xi = traj.states[-1] if xi is None else np.asarray(xi, dtype=float)
+    if norms is None:
         norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, _ZERO, g), g), g.h)
     rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
     pairing = g.h * float(traj.states[-1] @ xi)
@@ -307,6 +305,59 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None 
     if total <= 0.0:
         return 0.0
     return float(numerator / total)
+
+
+# Most dual steps :func:`dual_pair` takes.
+DUAL_STEPS = 8
+
+
+def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions | None,
+              done) -> tuple[float, float, ControlSignal | None]:
+    """A certified bracket (lo, hi) on the minimal norm bound at free's
+    horizon, with a control at level hi that reaches the ball.
+
+    lo starts at :func:`dual_lower_bound`; with a reaction term that is all.
+    For f = 0 each of at most ``DUAL_STEPS`` steps takes the unit bang-bang
+    control w of the zero-reaction costate of a datum xi (first y_free(T))
+    and its response s from 0; as y(T; m*w) = y_free(T) + m*s, hi drops to
+    the smaller root of ||y_free(T) + m*s|| = r(1 + eps_feas_rel)(1 - DUAL_ROUNDING).
+    Until ``done(lo, hi)`` holds with hi finite, xi <- xi/||xi|| + y/||y||,
+    y = y_free(T) + m*s (lo*s without a root), whose adjoint gives the next w
+    and raises lo (at the optimal datum y(T) points along xi: Wang & Zuazua
+    2012).  hi*w, simulated once, is kept only if :func:`reaches_ball`
+    accepts it; otherwise, or without a root or a direction, hi is inf.
+    """
+    lo = dual_lower_bound(free, ball, opts)
+    if not is_linear(free.f):
+        return lo, math.inf, None
+    traj, f, g = free.trajectory, free.f, free.g
+    y_free = traj.states[-1]
+    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
+    c = g.h * float(y_free @ y_free) - (rho * (1.0 - DUAL_ROUNDING)) ** 2
+    xi, masked, norms, hi, ray = y_free, free.masked, free.norms, math.inf, None
+    try:
+        for _ in range(DUAL_STEPS):
+            w = bangbang_values(masked, norms, -1.0)
+            s = _run(np.zeros(g.n), w, traj.dt, f, g)[1].states[-1]
+            a, b = g.h * float(s @ s), g.h * float(y_free @ s)
+            disc = b * b - a * c
+            q = -b + math.sqrt(disc) if disc >= 0.0 else 0.0
+            m = max(c / q, 0.0) if q > 0.0 else None  # c/q: the smaller root, stably
+            if m is not None and m < hi:
+                hi, ray = m, w
+            if hi < math.inf and done(lo, hi):
+                break
+            y = y_free + (lo if m is None else m) * s
+            xi = xi / l2_norm(xi, g) + y / l2_norm(y, g)
+            masked = masked_costate(solve_adjoint(traj, xi, _ZERO, g), g)
+            norms = step_l2_norms(masked, g.h)
+            lo = max(lo, dual_lower_bound(free, ball, opts, xi, norms))
+    except DegenerateCostateError:
+        pass
+    if ray is None or not reaches_ball(
+            float(_run(traj.states[0], hi * ray, traj.dt, f, g)[1].norms[-1]), ball, opts):
+        return lo, math.inf, None
+    return lo, hi, ControlSignal(dt=traj.dt, nt=traj.nt, values=hi * ray, grid=g)
 
 
 def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
@@ -414,8 +465,7 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
     return ReachResult(terminal_norm=terminal,
                        control=ControlSignal(dt=dt, nt=nt, values=v, grid=g),
                        iterations=iterations, feasible=reaches_ball(terminal, ball, opts),
-                       converged=converged, objective_history=tuple(history),
-                       terminal_state=traj.states[-1].copy())
+                       converged=converged, objective_history=tuple(history))
 
 
 def gradient_fd_check(y0: np.ndarray, T: float, v: ControlSignal,

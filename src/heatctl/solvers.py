@@ -1,4 +1,4 @@
-"""Value functions of the control problems, bang-bang tools, and round trips.
+"""Value functions of the control problems, bang-bang scoring, and round trips.
 
 The minimal time for a given norm bound and the minimal norm bound for a given
 horizon are the same search: one bisection driver, :func:`_bisect`, over the
@@ -12,59 +12,47 @@ calls reuse the control from the previous feasible probe as a warm start;
 this typically cuts oracle iterations by an order of magnitude.
 
 Weak duality gives every point a certified lower bound
-(:func:`heatctl.reach.dual_lower_bound`, the discrete form of the dual
-problem of Wang & Zuazua, SIAM J. Control Optim. 50 (2012), widened for a
-reaction term with |f'| <= L).  Each value function has one probe, for
-f = 0 and for reaction terms alike, and decides it with the bound before the
-oracle is called:
+(:func:`heatctl.reach.dual_lower_bound`, the discrete dual problem of Wang &
+Zuazua, SIAM J. Control Optim. 50 (2012), widened for a reaction term with
+|f'| <= L), and for f = 0 an upper end with an exactly bang-bang control
+(:func:`heatctl.reach.dual_pair`).  Each value function has one probe for
+f = 0 and reaction terms alike, decided before the oracle is called:
 
-* the minimal norm solves the free run at its horizon once, refutes every
-  probed M below that run's bound, and otherwise calls the oracle with the
-  run;
-* the minimal time solves the free run of each probed horizon and, only
-  below the free-decay time, refutes the horizon when its bound exceeds M
-  (one forward and one zero-reaction adjoint solve, no oracle call).
-  Otherwise a reaction term calls the oracle with that run, whose costate
-  is solved then, on first read.
+* the minimal norm takes the pair of its free run: it refutes every M below
+  the lower end, takes the pair's control from the upper end on, and calls
+  the oracle with the run in between.  It starts from the two ends when the
+  pair has a control (f = 0, as a rule), and otherwise doubles from 1;
+* the minimal time refutes, below the free-decay time, each horizon whose
+  free run's bound exceeds M (one forward and one zero-reaction adjoint
+  solve).  Otherwise a reaction term calls the oracle with that run.  For
+  f = 0 a first search with free runs only finds where the bound crosses M;
+  the pair settles that end, reusing its run, when it reaches the ball
+  within M, else the oracle decides and a failed end climbs.
 
-The two cases differ only in where the search starts and how it widens.
-With a reaction term the search keeps its cold probe sequence: the lower end
-is 0, the minimal norm doubles its upper end from 1, and the minimal time
-starts from the free-decay time, which becomes the lower end if the probe
-there fails.  A refuted probe would have been infeasible for the oracle too,
-and a failed halving probe passes nothing on, so the halving keeps the cold
-search's probes, brackets and controls.  A failed widening probe does pass
-its control on, as the next probe's warm start.  So the minimal time's
-probes at and past the free-decay time always go to the oracle: there the
-failed control does win the next start (a free-decay time that is slightly
-too short shows it).  The minimal norm's doubling probes below the bound are
-refuted, and the next probe starts from the zero and bang-bang controls
-alone.  On every point tried (both built-in reactions, full and masked
-control) the failed control would not have won that start, so the points
-stay bit-identical to the cold search; this is observed, not proven.
-Without a reaction term:
+With a reaction term the search keeps its cold probe sequence (lower end 0;
+the minimal time starts from the free-decay time, which becomes the lower
+end if the probe there fails).  A refuted probe would have been infeasible
+for the oracle too, and a failed halving probe passes nothing on, so the
+halving keeps the cold search's probes, brackets and controls.  A failed
+widening probe passes its control on as the next warm start; at and past the
+free-decay time it does win that start (a slightly short free-decay time
+shows it), so the minimal time sends those probes to the oracle.  The
+minimal norm's refuted doubling probes pass nothing on; on every point tried
+(both built-in reactions, full and masked control) their control would not
+have won, so the points stay bit-identical to the cold search: observed, not
+proven.
 
-* the minimal norm starts from the bound of the free run, and probes first an
-  eighth of the width rule above it; after an infeasible probe it raises the
-  lower end to the bound of that probe's terminal state (one adjoint solve)
-  when that is higher than the probe, and doubles the gap to the next probe;
-* the minimal time's probe leaves open each horizon the bound does not
-  refute, so the first search, through the same driver and with free runs
-  only, finds the horizon where the bound crosses M.  The oracle then
-  confirms that upper end, reusing its free run, and climbs from it when it
-  fails.
-
-Each value function has one give-up rule.  A minimal-norm widening gives up
-after 60 steps, or when its next upper end would pass ``MAX_NORM_BOUND``; a
-minimal-time widening gives up once a failed upper end has reached 1.16
-times the free-decay time.
+Each value function has one give-up rule: a minimal-norm doubling gives up,
+naming its last upper end, when the next would pass ``MAX_NORM_BOUND``, and
+a minimal-time widening once a failed upper end reaches 1.16 times the
+free-decay time.
 
 Every point records its dual bound in its diagnostics as ``dual_lower_bound``:
-the bound at its horizon for a minimal norm, the largest refuted horizon for
+the pair's lower end for a minimal norm, the largest refuted horizon for
 a minimal time, and 0 when none was certified.  ``oracle_calls`` counts the
-oracle calls and ``iterations`` every probe, refuted ones included.  A
-point's ``bracket_lo`` is an infeasible probe or its bound, and its
-``bracket_hi`` a feasible probe whose control it returns.
+oracle calls and ``iterations`` every probe of both searches, refuted ones
+included.  A point's ``bracket_lo`` is an infeasible probe or its bound, and
+its ``bracket_hi`` a feasible probe whose control it returns.
 
 The points of a curve are independent of each other once the free-decay time
 is known, so :func:`minimal_time_curve` and :func:`minimal_norm_curve` solve
@@ -96,21 +84,18 @@ from .core import (
     SpatialGrid,
     TargetBall,
     l2_norm,
-    step_l2_norms,
 )
 from .pde import (
-    AdjointTrajectory,
     hitting_time,
     principal_eigenvalue,
     solve_forward,
 )
 from .reach import (
     ReachOptions,
-    bangbang_values,
     dual_lower_bound,
+    dual_pair,
     free_run,
     is_linear,
-    masked_costate,
     min_terminal_norm,
     reaches_ball,
 )
@@ -304,14 +289,14 @@ def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
     is infeasible, ``widen(k, lo, hi, res)`` gives the k-th wider bracket or
     raises :class:`NoFeasibleBoundError`.  Then [lo, hi] is halved until
     ``hi - lo <= width(hi)``, each probe warm-started from the last feasible
-    control.  The oracle may decide a probe with the dual bound alone
-    (:class:`_DualProbe`); ``oracle_calls`` counts the other probes.
+    control.  A probe may be decided without the oracle (:class:`_Decided`);
+    ``oracle_calls`` counts the other probes.
     """
     probes = []  # per probe: (decided by the dual bound, inconclusive)
 
     def probe(x, warm):
         res = oracle(x, warm_start=warm)
-        probes.append((isinstance(res, _DualProbe), res.inconclusive))
+        probes.append((isinstance(res, _Decided), res.inconclusive))
         return res
 
     res = probe(hi, None)
@@ -339,13 +324,12 @@ def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
                                    widen_key: widenings})
 
 
-class _DualProbe(NamedTuple):
-    """A probe decided by the dual bound of its free run alone, without the
-    oracle: infeasible when the bound refutes it, and, for the linear
-    minimal time's crossing, feasible when the bound leaves it open."""
+class _Decided(NamedTuple):
+    """A probe decided without the oracle: refuted by the dual bound, settled
+    by the dual pair with its control, or open on the linear crossing."""
 
     feasible: bool
-    control: None = None
+    control: ControlSignal | None = None
     inconclusive: bool = False
 
 
@@ -360,12 +344,10 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     """Smallest pointwise norm bound whose controls reach the ball at time T.
 
     For T at or beyond the free-decay time the value is 0 with the zero
-    control.  Otherwise every probed M below the dual bound of the free run
-    is refuted without the oracle, the upper end is found by doubling from 1
-    or, when f is linear, by climbing from the dual bound (module
+    control.  Otherwise the search starts from the free run's dual pair, or
+    doubles its upper end from 1 without the pair's control (module
     docstring), and bisection stops once the bracket width is below
-    tol_M*(1 + upper).  The widening gives up after 60 steps, or when its
-    next upper end would pass ``MAX_NORM_BOUND``.
+    tol_M*(1 + upper).
     """
     if T <= 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -374,47 +356,29 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     if T >= gamma:
         return _unbisected(T, 0.0, T, gamma, nt, g)
     free = free_run(y0, T, nt, f, g)
-    bounds = [dual_lower_bound(free, ball, opts)]
-
-    def probe(M, warm_start=None):
-        if M < bounds[0]:
-            return _DualProbe(False)
-        return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
-                                 warm_start=warm_start, free=free)
 
     def width(hi):
         return tol_M * (1.0 + hi)
 
-    def give_up(k, next_hi):
-        if k > 60 or next_hi > MAX_NORM_BOUND:
-            raise NoFeasibleBoundError(
-                f"no feasible control found up to norm bound {next_hi:.3g} at T={T}"
-            )
-        return next_hi
+    bound, level, control = dual_pair(free, ball, opts, lambda lo, hi: hi - lo <= width(hi))
 
-    if is_linear(f):
-        # The first probe sits an eighth of the width rule above the bound,
-        # so when the bound is tight the value (the bracket's midpoint) lies
-        # within a sixteenth of the rule of it.  A failed probe's terminal
-        # state gives a dual bound that lies above the probe when the oracle
-        # solved it, and the gap above the lower end doubles with each
-        # failure, so the climb cannot creep.
-        def above(lo, k):
-            return lo + 2.0 ** k * width(lo) / 8.0
+    def probe(M, warm_start=None):
+        if M < bound:
+            return _Decided(False)
+        if M >= level:
+            return _Decided(True, control)
+        return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
+                                 warm_start=warm_start, free=free)
 
-        def widen(k, lo, hi, res):
-            bounds.append(dual_lower_bound(free, ball, opts, xi=res.terminal_state))
-            lo = max(hi, bounds[-1])
-            return lo, give_up(k, above(lo, k - 1))
+    def widen(k, lo, hi, res):
+        if 2.0 * hi > MAX_NORM_BOUND:
+            raise NoFeasibleBoundError(f"no feasible control found up to norm bound "
+                                       f"{hi:.3g} at T={T}")
+        return hi, 2.0 * hi
 
-        lo, hi = bounds[0], above(bounds[0], 0)
-    else:
-        def widen(k, lo, hi, res):
-            return hi, give_up(k, 2.0 * hi)
-
-        lo, hi = 0.0, 1.0
+    lo, hi = (bound, level) if control is not None else (0.0, 1.0)
     point = _bisect(probe, T, hi, widen, width, "doublings", gamma, lo=lo)
-    return replace(point, diagnostics={**point.diagnostics, "dual_lower_bound": max(bounds)})
+    return replace(point, diagnostics={**point.diagnostics, "dual_lower_bound": bound})
 
 
 def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -425,13 +389,12 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
 
     M = 0 degenerates to the free-decay time.  Otherwise bisect on the horizon
     over (0, free-decay time], refuting with the dual bound the horizons below
-    the free-decay time it rules out, or, when f is linear, from the dual
-    crossing (module docstring); feasibility is monotone in the horizon
+    the free-decay time it rules out, and for f = 0 settling the crossing with
+    the dual pair (module docstring); feasibility is monotone in the horizon
     because the ball is invariant under free decay.  tol_T is relative to the
     free-decay time.  A failed upper end moves up, at most to 1.16 times the
-    free-decay time; past that the point gives up.  Only a ``gamma_hint``
-    shorter than the free-decay time gets there, at the cost of oracle calls
-    on each nudge; no CLI path passes one.
+    free-decay time, where the point gives up; only a ``gamma_hint`` shorter
+    than the free-decay time gets there, and no CLI path passes one.
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
@@ -469,45 +432,33 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         free = free_run(y0, T, nt, f, g)
         if T < gamma and dual_lower_bound(free, ball, opts) > M:
             refuted.append(T)
-            return _DualProbe(False)
+            return _Decided(False)
         if not is_linear(f):
             return oracle(T, warm_start=warm_start, free=free)
         crossing.clear()
         crossing[T] = free
-        return _DualProbe(True)
+        return _Decided(True)
 
     point = _bisect(probe, M, gamma, past_gamma, width, "upper_expansions", gamma)
     if is_linear(f):
-        # The oracle confirms the crossing, reusing its free run; when it
-        # cannot reach the ball there, the gap above it doubles with each
-        # failed probe, up to ``top``.
+        # The dual pair settles each horizon it reaches within M, the crossing
+        # on its own free run; the oracle decides the others, and the gap above
+        # a failed crossing doubles with each failed probe, up to ``top``.
         def climb(k, lo, hi, res):
             give_up(hi, res)
             return hi, min(hi + 2.0 ** k * tol_abs, top)
 
         def confirm(T, warm_start=None):
-            return oracle(T, warm_start=warm_start, free=crossing.get(T))
+            free = crossing.get(T) or free_run(y0, T, nt, f, g)
+            _, level, control = dual_pair(free, ball, opts, lambda lo, hi: hi <= M or lo > M)
+            if level <= M:
+                return _Decided(True, control)
+            return oracle(T, warm_start=warm_start, free=free)
 
-        point = _bisect(confirm, M, point.bracket_hi, climb, width, "upper_expansions", gamma,
-                        lo=point.bracket_lo)
+        settled = _bisect(confirm, M, point.bracket_hi, climb, width, "upper_expansions",
+                          gamma, lo=point.bracket_lo)
+        point = replace(settled, iterations=point.iterations + settled.iterations)
     return replace(point, diagnostics={**point.diagnostics, "dual_lower_bound": max(refuted)})
-
-
-def extract_bangbang(psi: AdjointTrajectory, M: float, g: SpatialGrid) -> ControlSignal:
-    """Full-amplitude control aligned with the masked costate, step by step.
-
-    Every step of the result has pointwise norm exactly M.  Raises
-    :class:`DegenerateCostateError` when the masked costate drops below 1e-14
-    somewhere, which leaves the direction undefined.
-    """
-    if M < 0.0:
-        raise ValueError(f"norm bound must be nonnegative, got {M}")
-    if M == 0.0:
-        return ControlSignal.zeros(psi.nt, psi.dt, g)
-    masked = masked_costate(psi, g)
-    return ControlSignal(dt=psi.dt, nt=psi.nt,
-                         values=bangbang_values(masked, step_l2_norms(masked, g.h), M),
-                         grid=g)
 
 
 def bangbang_report(v: ControlSignal, level: float, delta: float) -> float:

@@ -239,10 +239,16 @@ def test_criterion_6_bangbang_controls(roundtrips_linear, roundtrips_tanh):
             fractions.append(frac)
             ok = ok and frac >= 0.95
     ok = ok and len(fractions) >= 6
+    # Without a reaction term the control is the dual pair's, bang-bang at
+    # exactly the upper end of the bracket.
+    exact = [bangbang_report(rep.norm_point.control, rep.norm_point.bracket_hi, 1e-9)
+             for rep in roundtrips_linear[0] if rep.norm_point.value > 0.0]
+    ok = ok and len(exact) == 4 and min(exact) == 1.0
     report(6, ok,
            f"bang-bang: {len(fractions)} converged minimal-norm controls "
            f"({skipped} skipped after inconclusive probes), "
-           f"worst in-band fraction {min(fractions):.3f} >= 0.95",
+           f"worst in-band fraction {min(fractions):.3f} >= 0.95; "
+           f"linear in-band fraction at 1e-9 around bracket_hi {min(exact):.3f} == 1",
            time.perf_counter() - started, 60.0)
 
 

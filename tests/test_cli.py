@@ -285,10 +285,11 @@ def test_step_count_rule_from_dt(tmp_path, dt):
 @pytest.mark.parametrize("command, updates, message", [
     ("mintime", {"omega": [0.3, 0.8], "nonlinearity": {"kind": "scaled_tanh", "L": 1e6},
                  "experiment": {"M": 5.0}}, "free decay did not enter the ball"),
-    ("mintime", {"experiment": {"M": 1e300}}, "terminal objective is not finite"),
+    ("mintime", {"nonlinearity": {"kind": "scaled_tanh", "L": 1.0},
+                 "experiment": {"M": 1e300}}, "terminal objective is not finite"),
     ("minnorm", {"omega": [0.3, 0.8], "nonlinearity": {"kind": "scaled_tanh", "L": 1.0},
                  "experiment": {"T": 0.01}, "solver": {"max_iters": 1}},
-     "no feasible control found up to norm bound 2.31e+18"),
+     "no feasible control found up to norm bound 1.15e+18"),
     ("gradcheck", {"experiment": {"amplitude": 1e200, "pairs": 1}},
      "terminal objective is not finite"),
 ], ids=["free-decay-never-enters", "diverging-solve", "no-feasible-bound",

@@ -8,6 +8,7 @@ import heatctl.reach as reach
 from heatctl import (
     ControlSignal,
     DegenerateCostateError,
+    NoFeasibleBoundError,
     ScalarInstance,
     SpatialGrid,
     TargetBall,
@@ -17,6 +18,7 @@ from heatctl import (
     gradient_fd_check,
     make_nonlinearity,
     min_terminal_norm,
+    minimal_norm,
     principal_eigenvalue,
     scalar_minimal_norm,
     solve_adjoint,
@@ -31,6 +33,7 @@ from heatctl.reach import (
     _project_values,
     _spectral_step,
     bangbang_values,
+    dual_pair,
     masked_costate,
     reaction_costate_bounds,
 )
@@ -256,6 +259,11 @@ def test_degenerate_costate_skips_the_bangbang_start():
     res = min_terminal_norm(y0, T, 5.0, BALL, F_ZERO, g, nt=nt, free=free)
     assert not res.feasible and res.converged
     assert res.terminal_norm == pytest.approx(float(free.trajectory.norms[-1]), rel=1e-9)
+    # the dual pair has no ray to follow either, so a minimal-norm point
+    # falls back to doubling with the oracle, which finds no bound that works
+    assert dual_pair(free, BALL, None, never)[1:] == (math.inf, None)
+    with pytest.raises(NoFeasibleBoundError, match=r"norm bound 1\.15e\+18"):
+        minimal_norm(T, y0, BALL, F_ZERO, g, nt=nt, gamma_hint=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +499,9 @@ def test_dual_bound_of_the_free_run_is_the_discrete_one_mode_value(T):
 
 def test_dual_bound_is_below_every_feasible_control():
     # Weak duality on the masked grid: no control the oracle returns as
-    # feasible has a smaller largest step norm than LB(xi), for any xi.
+    # feasible has a smaller largest step norm than LB(xi), for any xi, and
+    # the terminal state of an infeasible one, simulated again from its
+    # control, gives a bound above its M.
     rng = np.random.default_rng(8)
     nt = 60
     informative = 0
@@ -501,13 +511,11 @@ def test_dual_bound_is_below_every_feasible_control():
         feasible = []
         for M in (5.0, 10.0, 20.0, 40.0, 80.0):
             res = min_terminal_norm(Y0_MASKED, T, M, BALL, F_ZERO, MASKED, nt=nt, free=free)
-            np.testing.assert_array_equal(
-                res.terminal_state,
-                solve_forward(Y0_MASKED, res.control, F_ZERO, MASKED).states[-1])
             if res.feasible:
                 feasible.append(float(np.max(res.control.step_norms())))
             else:
-                assert dual_lower_bound(free, BALL, xi=res.terminal_state) > M
+                y_T = solve_forward(Y0_MASKED, res.control, F_ZERO, MASKED).states[-1]
+                assert dual_lower_bound(free, BALL, xi=y_T) > M
         assert feasible
         data = [None, y_free, *(y_free + s * rng.standard_normal(MASKED.n)
                                 for s in (0.01, 0.1, 1.0) for _ in range(3))]
@@ -631,3 +639,62 @@ def test_dual_bound_is_zero_when_the_costate_bound_overflows():
         warnings.simplefilter("error")
         assert dual_lower_bound(free, BALL) == 0.0
         assert dual_lower_bound(free, BALL, xi=Y0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Dual pair
+
+def never(lo, hi):
+    return False
+
+
+@pytest.mark.parametrize("g, y0", [(GRID, Y0), (MASKED, Y0_MASKED)], ids=["full", "masked"])
+def test_dual_pair_brackets_every_feasible_control(g, y0):
+    # hi*w, simulated again, reaches the ball inside the DUAL_ROUNDING
+    # margin with every step at norm hi; the oracle finds no control below
+    # lo and none it finds feasible has a step norm below lo.  On the masked
+    # grid the steps raise lo above the free run's bound and close the gap.
+    nt = 60
+    rho = BALL.r * (1.0 + ReachOptions().eps_feas_rel)
+    for T in (0.03, 0.06, 0.1):
+        free = free_run(y0, T, nt, F_ZERO, g)
+        lo, hi, u = dual_pair(free, BALL, None, never)
+        assert (u.nt, u.dt) == (nt, T / nt)
+        assert solve_forward(y0, u, F_ZERO, g).norms[-1] <= rho * (1.0 - 0.5 * DUAL_ROUNDING)
+        np.testing.assert_allclose(u.step_norms(), hi, rtol=1e-12)
+        assert 0.0 < hi - lo <= 1e-6 * hi
+        bound = dual_lower_bound(free, BALL)
+        if g is MASKED:
+            assert lo > (1.0 + 1e-3) * bound
+        else:
+            assert lo == pytest.approx(bound, rel=1e-12)
+        below = min_terminal_norm(y0, T, 0.99 * lo, BALL, F_ZERO, g, nt=nt, free=free)
+        above = min_terminal_norm(y0, T, 1.01 * hi, BALL, F_ZERO, g, nt=nt, free=free)
+        assert not below.feasible and above.feasible
+        assert float(np.max(above.control.step_norms())) >= lo
+
+
+def test_dual_pair_stops_once_done():
+    # On the full grid the first step already closes the gap to the
+    # rounding margins; done is consulted only with hi finite.
+    free = free_run(Y0, 0.06, 60, F_ZERO, GRID)
+    seen = []
+    lo, hi, u = dual_pair(free, BALL, None, lambda lo, hi: seen.append(hi) or hi - lo <= 1e-3 * hi)
+    assert seen == [hi] and math.isfinite(hi) and u is not None
+
+
+def test_dual_pair_keeps_only_a_control_that_reaches_the_ball(monkeypatch):
+    # A negative rounding margin aims the level at a radius outside the
+    # ball, so the run that certifies the control misses it.
+    free = free_run(Y0_MASKED, 0.06, 60, F_ZERO, MASKED)
+    assert dual_pair(free, BALL, None, never)[2] is not None
+    monkeypatch.setattr(reach, "DUAL_ROUNDING", -1e-2)
+    assert dual_pair(free, BALL, None, never)[1:] == (math.inf, None)
+
+
+def test_dual_pair_with_a_reaction_term_is_the_bound_alone(solve_calls):
+    free = free_run(Y0_MASKED, 0.06, 60, F_TANH, MASKED)
+    del solve_calls.forward[:]
+    pair = dual_pair(free, BALL, None, never)
+    assert solve_calls.forward == [] and len(solve_calls.adjoint) == 1
+    assert pair == (dual_lower_bound(free, BALL), math.inf, None)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import heatctl.solvers as solvers
-from heatctl.reach import is_linear
+from heatctl.core import step_l2_norms
+from heatctl.reach import bangbang_values, is_linear, masked_costate, reaches_ball
 from heatctl import (
     ControlSignal,
-    DegenerateCostateError,
     NoFeasibleBoundError,
     NonlinearitySpec,
     ReachOptions,
@@ -18,7 +18,6 @@ from heatctl import (
     ValuePoint,
     bangbang_report,
     dirichlet_eigs,
-    extract_bangbang,
     free_decay_time,
     free_run,
     make_nonlinearity,
@@ -183,36 +182,28 @@ def test_minimal_time_stays_within_free_decay_range(gamma_zero):
 # ---------------------------------------------------------------------------
 # Bang-bang
 
-def test_extract_bangbang_zero_bound():
-    traj = solve_forward(Y0, ControlSignal.zeros(40, 1e-3, GRID), F_ZERO, GRID)
-    psi = solve_adjoint(traj, traj.states[-1], F_ZERO, GRID)
-    u = extract_bangbang(psi, 0.0, GRID)
-    assert np.all(u.values == 0.0)
+def bangbang_control(psi, level):
+    masked = masked_costate(psi, GRID)
+    values = bangbang_values(masked, step_l2_norms(masked, GRID.h), level)
+    return ControlSignal(dt=psi.dt, nt=psi.nt, values=values, grid=GRID)
 
 
-def test_extract_bangbang_norms_exact():
+def test_bangbang_values_norms_exact():
     traj = solve_forward(Y0, ControlSignal.zeros(40, 1e-3, GRID), F_TANH, GRID)
     psi = solve_adjoint(traj, traj.states[-1], F_TANH, GRID)
-    u = extract_bangbang(psi, 2.5, GRID)
+    u = bangbang_control(psi, 2.5)
     np.testing.assert_allclose(u.step_norms(), 2.5, rtol=1e-12)
     assert bangbang_report(u, 2.5, 1e-9) == 1.0
 
 
-def test_extract_bangbang_direction_on_full_region():
+def test_bangbang_values_direction_on_full_region():
     # with the control region covering everything, each step is M*psi/||psi||
     traj = solve_forward(Y0, ControlSignal.zeros(30, 1e-3, GRID), F_ZERO, GRID)
     psi = solve_adjoint(traj, traj.states[-1], F_ZERO, GRID)
-    u = extract_bangbang(psi, 1.0, GRID)
+    u = bangbang_control(psi, 1.0)
     k = 7
     expected = psi.costates[k] / np.sqrt(GRID.h * psi.costates[k] @ psi.costates[k])
     np.testing.assert_allclose(u.values[k], expected, rtol=1e-12)
-
-
-def test_extract_bangbang_degenerate_costate():
-    traj = solve_forward(Y0, ControlSignal.zeros(20, 1e-3, GRID), F_ZERO, GRID)
-    psi = solve_adjoint(traj, np.zeros(GRID.n), F_ZERO, GRID)
-    with pytest.raises(DegenerateCostateError):
-        extract_bangbang(psi, 1.0, GRID)
 
 
 def test_bangbang_report_zero_control():
@@ -337,8 +328,9 @@ def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=None, nt=300,
         hi *= 2.0
         doublings += 1
         if doublings > 60:
+            # the message names the largest bound probed, 2**60
             raise NoFeasibleBoundError(
-                f"no feasible control found up to norm bound {hi:.3g} at T={T}"
+                f"no feasible control found up to norm bound {lo:.3g} at T={T}"
             )
         res = probe(hi, res.control)
     best_control = res.control
@@ -439,14 +431,19 @@ def oracle_probes(monkeypatch):
     return probes
 
 
-def assert_certified_point(point, ref, probes, width, conclusive=True):
-    """A dual-seeded linear point against the cold reference loop's point.
+def assert_certified_point(point, ref, probes, width, y0, g, conclusive=True):
+    """A linear point, settled by the dual pair, against the cold reference
+    loop's point.
 
     ``probes`` holds (parameter, result) of the point's oracle calls.  Both
     brackets are certified, so they intersect; the new one meets the same
-    width rule.  Its upper end is a feasible probe whose control it returns,
-    and its lower end is its recorded dual bound or an infeasible probe
-    (conclusive unless the iteration budget is cut short).
+    width rule.  Its control, simulated again, reaches the ball, over the
+    point's horizon (a minimal norm) or the upper end (a minimal time), with
+    step norms within the upper end (a minimal norm) or the bound (a minimal
+    time).  The control is a feasible oracle probe's at the upper end, or
+    else the dual pair's, bang-bang at the upper end of a minimal norm.  The
+    lower end is the recorded dual bound or an infeasible probe (conclusive
+    unless the iteration budget is cut short).
     """
     bound = point.diagnostics["dual_lower_bound"]
     if ref.diagnostics["oracle_calls"] == 0:
@@ -459,9 +456,13 @@ def assert_certified_point(point, ref, probes, width, conclusive=True):
     assert hi - lo <= width(hi)
     assert point.value == 0.5 * (lo + hi)
     assert 0.0 <= bound <= lo
-    assert any(x == hi and res.feasible
-               and np.array_equal(res.control.values, point.control.values)
-               for x, res in probes)
+    u, is_norm = point.control, "doublings" in point.diagnostics
+    assert reaches_ball(float(solve_forward(y0, u, F_ZERO, g).norms[-1]), BALL)
+    assert u.nt * u.dt == pytest.approx(point.parameter if is_norm else hi, rel=1e-12)
+    assert np.max(u.step_norms()) <= (hi if is_norm else point.parameter) * (1.0 + 1e-12)
+    if not any(x == hi and res.feasible and np.array_equal(res.control.values, u.values)
+               for x, res in probes):
+        assert bangbang_report(u, hi if is_norm else np.max(u.step_norms()), 1e-9) == 1.0
     assert lo == bound or any(x == lo and not res.feasible
                               and (res.converged or not conclusive) for x, res in probes)
 
@@ -503,7 +504,7 @@ def assert_refuted_cold_point(point, ref, probes, ref_probes, value_fn):
 def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
     # The reaction-term points keep the cold search bit for bit, with the
     # probes the dual bound refutes left out of the oracle calls; the linear
-    # ones start from the dual bound and stay certified.
+    # ones are settled by the dual pair and stay certified.
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, f, g, nt=SMALL_NT)
 
@@ -525,7 +526,7 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
             refutations.append(
                 assert_refuted_cold_point(point, ref, probes, ref_probes, value_fn))
         else:
-            assert_certified_point(point, ref, probes, width,
+            assert_certified_point(point, ref, probes, width, y0, g,
                                    conclusive="opts" not in kwargs)
         del oracle_probes[:]
         return point
@@ -565,7 +566,7 @@ def test_bisection_driver_exhaustion_errors_match_reference_loops():
     with pytest.raises(NoFeasibleBoundError) as ref:
         reference_minimal_norm(0.002, *args, opts=one_step, nt=SMALL_NT)
     assert str(new.value) == str(ref.value)
-    assert "norm bound 2.31e+18" in str(new.value)
+    assert "norm bound 1.15e+18" in str(new.value)
 
     # a free-decay time that is too short leaves the upper end infeasible
     short = 0.5 * free_decay_time(*args, nt=SMALL_NT)
@@ -593,11 +594,40 @@ def test_linear_minimal_time_refuses_a_free_decay_time_that_is_too_short(oracle_
     assert str(err.value).endswith(f"oracle terminal norm {last.terminal_norm:.6g}")
 
 
+def test_linear_minimal_time_counts_every_probe(solve_calls):
+    # Each probe of the crossing search solves one free run, and the dual
+    # pair settles the crossing's upper end on that end's free run, so the
+    # point makes one probe more than it solves free runs.
+    y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
+    gamma = free_decay_time(y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT)
+    del solve_calls.forward[:]
+    point = minimal_time(1.0, y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT, gamma_hint=gamma)
+    free_runs = sum(not u.values.any() for u, _ in solve_calls.forward)
+    assert point.diagnostics["oracle_calls"] == 0
+    assert point.iterations == free_runs + 1 > 10
+
+
+def test_linear_minimal_time_at_a_huge_bound_is_certified_near_zero():
+    # The bound refutes no horizon, so the crossing search ends within
+    # tol_T*gamma of 0, where the dual pair reaches the ball at a finite
+    # level; the oracle's full-amplitude start at M = 1e300 overflowed.
+    y0 = 2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0]
+    gamma = free_decay_time(y0, BALL, F_ZERO, SMALL, nt=SMALL_NT)
+    point = minimal_time(1e300, y0, BALL, F_ZERO, SMALL, nt=SMALL_NT, gamma_hint=gamma)
+    assert point.bracket_lo == 0.0 < point.bracket_hi <= 1e-3 * gamma
+    assert point.diagnostics["oracle_calls"] == 0
+    u = point.control
+    assert u.nt * u.dt == pytest.approx(point.bracket_hi, rel=1e-12)
+    assert reaches_ball(float(solve_forward(y0, u, F_ZERO, SMALL).norms[-1]), BALL)
+    assert np.isfinite(u.step_norms()).all()
+
+
 def test_linear_minimal_norm_climb_gives_up_before_it_overflows(oracle_probes):
     # On these short horizons, control on (0.1, 0.4) cannot bring the state
-    # outside it into the ball at any bound, so the climb never finds a
-    # feasible probe.  It gives up once its next upper end would pass
-    # MAX_NORM_BOUND, before its runs overflow (they did past 1e36).
+    # outside it into the ball at any bound, so the dual pair finds no level
+    # along its ray and the doubling never finds a feasible probe.  It gives
+    # up once its next upper end would pass MAX_NORM_BOUND, before its runs
+    # overflow (they did past 1e36), and names the largest bound it probed.
     g = SpatialGrid.build(n=31, ell=1.0, omega=(0.1, 0.4))
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_ZERO, g, nt=SMALL_NT)
@@ -606,7 +636,8 @@ def test_linear_minimal_norm_climb_gives_up_before_it_overflows(oracle_probes):
             minimal_norm(c * gamma, y0, BALL, F_ZERO, g, nt=SMALL_NT, gamma_hint=gamma)
         named = float(str(err.value).split("norm bound ")[1].split()[0])
         probed = [M for _, M, _ in oracle_probes]
-        assert max(probed) <= solvers.MAX_NORM_BOUND < named
+        assert max(probed) == solvers.MAX_NORM_BOUND
+        assert named == float(f"{solvers.MAX_NORM_BOUND:.3g}")
         assert all(res.terminal_norm < 2.0 for _, _, res in oracle_probes)
         del oracle_probes[:]
 

@@ -64,12 +64,16 @@ VARIANTS = [
     # curves with no closed form (masked control): empty oracle_value column
     ("masked", "linear_equivalence", "sweep",
      ["omega=[0.3,0.8]", "experiment.T_grid=[0.05,0.08]", "experiment.M_grid=[5]"]),
+    # linear value points on masked control, where the dual pair iterates
+    *[("masked", "linear_equivalence", cmd, ["omega=[0.3,0.8]"])
+      for cmd in ("minnorm", "mintime")],
     # the second built-in reaction term
     *[("rational", "tanh_sweep", cmd, ["nonlinearity.kind=bounded_odd_rational"])
       for cmd in ("mintime", "minnorm")],
     # failures
     ("fail", "tanh_sweep", "mintime", ["experiment.M=5", "nonlinearity.L=1e6"]),
     ("fail", "linear_equivalence", "mintime", ["experiment.M=1e300"]),
+    ("fail", "tanh_sweep", "mintime", ["experiment.M=1e300"]),
     ("fail", "tanh_sweep", "minnorm", ["experiment.T=0.01", "solver.max_iters=1"]),
     ("fail", "linear_equivalence", "minnorm", ["omega=[0.1,0.4]", "experiment.T=0.007"]),
     # list entries of the wrong sign
