@@ -29,10 +29,19 @@ Control Systems*, 2005, for the linear duality).  It trusts
 while :func:`heatctl.core.validate_nonlinearity` only samples a finite range
 and a custom spec is taken at its word.
 
+Upper ends come from the paper's bang-bang form, a control of constant
+pointwise norm along the masked costate.  For f = 0, :func:`dual_pair` finds
+the smallest level along it that reaches the ball, from linearity.  With a
+reaction term, :func:`bangbang_ray` simulates it at level M, or at the level
+a secant aims at the ball, and moves the costate's datum once if both miss.
+The two share the level rule (:func:`_smaller_root`) and the datum update
+(:func:`_next_datum`), and a control of either counts only once its run
+reaches the ball.
+
 Each quantity has one definition here: ``_objective`` is J,
 :func:`masked_costate` is its gradient (also the direction of
-:func:`bangbang_values`: the oracle's start, and for f = 0 the control at
-the upper end of :func:`dual_pair`), and :func:`reaches_ball` is the
+:func:`bangbang_values`: the oracle's start, and the controls of
+:func:`dual_pair` and :func:`bangbang_ray`), and :func:`reaches_ball` is the
 feasibility test, shared with :func:`heatctl.solvers.verify_equivalence_bound`.
 
 The step rule is fixed.  The first step is 1/lambda_1, and a rejected step is
@@ -311,44 +320,58 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None 
 DUAL_STEPS = 8
 
 
+def _smaller_root(y_free: np.ndarray, s: np.ndarray, ball: TargetBall,
+                  opts: ReachOptions | None, g: SpatialGrid) -> float | None:
+    """The smaller root m of ||y_free + m*s|| = r(1 + eps_feas_rel)(1 - DUAL_ROUNDING),
+    floored at 0, or None when there is no real root."""
+    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
+    c = g.h * float(y_free @ y_free) - (rho * (1.0 - DUAL_ROUNDING)) ** 2
+    a, b = g.h * float(s @ s), g.h * float(y_free @ s)
+    disc = b * b - a * c
+    q = -b + math.sqrt(disc) if disc >= 0.0 else 0.0
+    return max(c / q, 0.0) if q > 0.0 else None  # c/q: the smaller root, stably
+
+
+def _next_datum(xi: np.ndarray, y: np.ndarray, g: SpatialGrid) -> np.ndarray:
+    """xi/||xi|| + y/||y||: the datum moved towards the terminal state y (at
+    the optimal datum y(T) points along xi: Wang & Zuazua 2012)."""
+    return xi / l2_norm(xi, g) + y / l2_norm(y, g)
+
+
 def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions | None,
               done) -> tuple[float, float, ControlSignal | None]:
     """A certified bracket (lo, hi) on the minimal norm bound at free's
     horizon, with a control at level hi that reaches the ball.
 
-    lo starts at :func:`dual_lower_bound`; with a reaction term that is all.
+    lo starts at :func:`dual_lower_bound`; with a reaction term that is all
+    (:func:`bangbang_ray` is its upper end there).
     For f = 0 each of at most ``DUAL_STEPS`` steps takes the unit bang-bang
     control w of the zero-reaction costate of a datum xi (first y_free(T))
     and its response s from 0; as y(T; m*w) = y_free(T) + m*s, hi drops to
-    the smaller root of ||y_free(T) + m*s|| = r(1 + eps_feas_rel)(1 - DUAL_ROUNDING).
-    Until ``done(lo, hi)`` holds with hi finite, xi <- xi/||xi|| + y/||y||,
-    y = y_free(T) + m*s (lo*s without a root), whose adjoint gives the next w
-    and raises lo (at the optimal datum y(T) points along xi: Wang & Zuazua
-    2012).  hi*w, simulated once, is kept only if :func:`reaches_ball`
-    accepts it; otherwise, or without a root or a direction, hi is inf.
+    the smaller root of ||y_free(T) + m*s|| = r(1 + eps_feas_rel)(1 - DUAL_ROUNDING)
+    (:func:`_smaller_root`).
+    Until ``done(lo, hi)`` holds with hi finite, xi moves towards
+    y = y_free(T) + m*s (lo*s without a root) by :func:`_next_datum`, and its
+    adjoint gives the next w and raises lo.  hi*w, simulated once, is kept
+    only if :func:`reaches_ball` accepts it; otherwise, or without a root or
+    a direction, hi is inf.
     """
     lo = dual_lower_bound(free, ball, opts)
     if not is_linear(free.f):
         return lo, math.inf, None
     traj, f, g = free.trajectory, free.f, free.g
     y_free = traj.states[-1]
-    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
-    c = g.h * float(y_free @ y_free) - (rho * (1.0 - DUAL_ROUNDING)) ** 2
     xi, masked, norms, hi, ray = y_free, free.masked, free.norms, math.inf, None
     try:
         for _ in range(DUAL_STEPS):
             w = bangbang_values(masked, norms, -1.0)
             s = _run(np.zeros(g.n), w, traj.dt, f, g)[1].states[-1]
-            a, b = g.h * float(s @ s), g.h * float(y_free @ s)
-            disc = b * b - a * c
-            q = -b + math.sqrt(disc) if disc >= 0.0 else 0.0
-            m = max(c / q, 0.0) if q > 0.0 else None  # c/q: the smaller root, stably
+            m = _smaller_root(y_free, s, ball, opts, g)
             if m is not None and m < hi:
                 hi, ray = m, w
             if hi < math.inf and done(lo, hi):
                 break
-            y = y_free + (lo if m is None else m) * s
-            xi = xi / l2_norm(xi, g) + y / l2_norm(y, g)
+            xi = _next_datum(xi, y_free + (lo if m is None else m) * s, g)
             masked = masked_costate(solve_adjoint(traj, xi, _ZERO, g), g)
             norms = step_l2_norms(masked, g.h)
             lo = max(lo, dual_lower_bound(free, ball, opts, xi, norms))
@@ -358,6 +381,62 @@ def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions | None,
             float(_run(traj.states[0], hi * ray, traj.dt, f, g)[1].norms[-1]), ball, opts):
         return lo, math.inf, None
     return lo, hi, ControlSignal(dt=traj.dt, nt=traj.nt, values=hi * ray, grid=g)
+
+
+# Most steps :func:`bangbang_ray` takes.
+RAY_STEPS = 2
+
+
+def bangbang_ray(free: FreeRun, ball: TargetBall, M: float,
+                 opts: ReachOptions | None = None) -> ControlSignal | None:
+    """A bang-bang control at a level at most M that reaches the ball at
+    free's horizon, with free's reaction term, or None when none was found.
+
+    The zero control when the free run reaches the ball.  Otherwise each of
+    at most ``RAY_STEPS`` steps takes the unit bang-bang control w of the
+    costate of a datum xi (first y_free(T), whose costate is ``free.masked``)
+    and simulates M*w.  If that misses, the secant s = (y(T; M*w) -
+    y_free(T))/M (for f = 0 the response of :func:`dual_pair`) aims a level m
+    at the same radius as there (:func:`_smaller_root`), and
+    m*w is simulated when 0 < m < M: full thrust can drive y(T) through the
+    ball and out, at long horizons and large M.  If both miss, xi moves
+    towards the terminal state of the better run by :func:`_next_datum`, and
+    its adjoint, with free's reaction term along that run, gives the next w.
+    A control is returned only when its run, on free's step grid, is
+    accepted by :func:`reaches_ball`; that run is its certificate.  A miss
+    proves nothing.  None also when a costate has no direction.
+    """
+    traj, f, g = free.trajectory, free.f, free.g
+    if reaches_ball(float(traj.norms[-1]), ball, opts):
+        return ControlSignal.zeros(traj.nt, traj.dt, g)
+    y0, y_free = traj.states[0], traj.states[-1]
+
+    def at(level, w):
+        """The run of level*w, and level*w when that run reaches the ball."""
+        run = _run(y0, level * w, traj.dt, f, g)[1]
+        if reaches_ball(float(run.norms[-1]), ball, opts):
+            return run, ControlSignal(dt=traj.dt, nt=traj.nt, values=level * w, grid=g)
+        return run, None
+
+    xi, masked, norms = y_free, free.masked, free.norms
+    try:
+        for step in range(RAY_STEPS):
+            w = bangbang_values(masked, norms, -1.0)
+            best, control = at(M, w)
+            if control is None:
+                m = _smaller_root(y_free, (best.states[-1] - y_free) / M, ball, opts, g)
+                if m is not None and 0.0 < m < M:
+                    run, control = at(m, w)
+                    best = min(best, run, key=lambda r: r.norms[-1])
+            if control is not None:
+                return control
+            if step + 1 < RAY_STEPS:
+                xi = _next_datum(xi, best.states[-1], g)
+                masked = masked_costate(solve_adjoint(best, xi, f, g), g)
+                norms = step_l2_norms(masked, g.h)
+    except DegenerateCostateError:
+        pass
+    return None
 
 
 def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,

@@ -15,7 +15,10 @@ Weak duality gives every point a certified lower bound
 (:func:`heatctl.reach.dual_lower_bound`, the discrete dual problem of Wang &
 Zuazua, SIAM J. Control Optim. 50 (2012), widened for a reaction term with
 |f'| <= L), and for f = 0 an upper end with an exactly bang-bang control
-(:func:`heatctl.reach.dual_pair`).  Each value function has one probe for
+(:func:`heatctl.reach.dual_pair`).  With a reaction term the minimal time
+takes its upper ends from the bang-bang ray
+(:func:`heatctl.reach.bangbang_ray`): a control at a level at most M along
+the masked costate, simulated once.  Each value function has one probe for
 f = 0 and reaction terms alike, decided before the oracle is called:
 
 * the minimal norm takes the pair of its free run: it refutes every M below
@@ -24,35 +27,43 @@ f = 0 and reaction terms alike, decided before the oracle is called:
   pair has a control (f = 0, as a rule), and otherwise doubles from 1;
 * the minimal time refutes, below the free-decay time, each horizon whose
   free run's bound exceeds M (one forward and one zero-reaction adjoint
-  solve).  Otherwise a reaction term calls the oracle with that run.  For
-  f = 0 a first search with free runs only finds where the bound crosses M;
-  the pair settles that end, reusing its run, when it reaches the ball
-  within M, else the oracle decides and a failed end climbs.
+  solve).  With a reaction term the ray decides the others: a horizon it
+  reaches is feasible with its control, and one it misses counts as
+  infeasible for the search only, since a miss proves nothing; at and past
+  the free-decay time a miss goes to the oracle with the run.  After the
+  bisection the oracle confirms a missed lower end, warm-started from the
+  ray's control: one oracle call per point.  If it finds that end feasible,
+  the search steps down from it with oracle probes (the bound still
+  refutes), the gap doubling after each feasible one, then halves.  For
+  f = 0 a first search with free runs only finds where the bound crosses
+  M; the pair settles that end, reusing its run, when it reaches the ball
+  within M, refutes it when its raised lower end exceeds M, else the oracle
+  decides, and a failed end climbs.
 
-With a reaction term the search keeps its cold probe sequence (lower end 0;
-the minimal time starts from the free-decay time, which becomes the lower
-end if the probe there fails).  A refuted probe would have been infeasible
-for the oracle too, and a failed halving probe passes nothing on, so the
-halving keeps the cold search's probes, brackets and controls.  A failed
-widening probe passes its control on as the next warm start; at and past the
-free-decay time it does win that start (a slightly short free-decay time
-shows it), so the minimal time sends those probes to the oracle.  The
-minimal norm's refuted doubling probes pass nothing on; on every point tried
-(both built-in reactions, full and masked control) their control would not
-have won, so the points stay bit-identical to the cold search: observed, not
-proven.
+The minimal norm with a reaction term keeps its cold probe sequence (lower
+end 0, doubling from 1).  A refuted probe would have been infeasible for the
+oracle too, and a failed halving probe passes nothing on, so the halving
+keeps the cold search's probes, brackets and controls.  Its refuted doubling
+probes pass no failed control on as the next warm start; on every point
+tried (both built-in reactions, full and masked control) that control would
+not have won, so the points stay bit-identical to the cold search: observed,
+not proven.  The minimal time's widening past the free-decay time sends a
+miss to the oracle, because there a failed probe's control does win the
+next warm start (a slightly short free-decay time shows it).
 
 Each value function has one give-up rule: a minimal-norm doubling gives up,
 naming its last upper end, when the next would pass ``MAX_NORM_BOUND``, and
 a minimal-time widening once a failed upper end reaches 1.16 times the
-free-decay time.
+free-decay time, naming the oracle's terminal norm there, or saying that the
+dual bound refuted it.
 
 Every point records its dual bound in its diagnostics as ``dual_lower_bound``:
 the pair's lower end for a minimal norm, the largest refuted horizon for
 a minimal time, and 0 when none was certified.  ``oracle_calls`` counts the
-oracle calls and ``iterations`` every probe of both searches, refuted ones
-included.  A point's ``bracket_lo`` is an infeasible probe or its bound, and
-its ``bracket_hi`` a feasible probe whose control it returns.
+oracle calls and ``iterations`` every probe of both searches, refuted and
+ray-decided ones included.  A point's ``bracket_lo`` is an infeasible oracle
+probe or its bound, never a ray's miss, and its ``bracket_hi`` a feasible
+probe whose control it returns.
 
 The points of a curve are independent of each other once the free-decay time
 is known, so :func:`minimal_time_curve` and :func:`minimal_norm_curve` solve
@@ -92,6 +103,7 @@ from .pde import (
 )
 from .reach import (
     ReachOptions,
+    bangbang_ray,
     dual_lower_bound,
     dual_pair,
     free_run,
@@ -282,51 +294,66 @@ def _unbisected(parameter: float, value: float, horizon: float, gamma: float,
 
 
 def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
-            gamma: float, lo: float = 0.0) -> ValuePoint:
+            gamma: float, lo: float = 0.0, control: ControlSignal | None = None,
+            gap: float = 0.0) -> ValuePoint:
     """Smallest feasible x of a monotone oracle, called as ``oracle(x, warm_start=u)``.
 
     ``lo`` is a lower end known to be infeasible.  While the upper end ``hi``
     is infeasible, ``widen(k, lo, hi, res)`` gives the k-th wider bracket or
     raises :class:`NoFeasibleBoundError`.  Then [lo, hi] is halved until
     ``hi - lo <= width(hi)``, each probe warm-started from the last feasible
-    control.  A probe may be decided without the oracle (:class:`_Decided`);
-    ``oracle_calls`` counts the other probes.
+    control.  With ``control``, hi is known to be feasible with it and is not
+    probed; with ``gap`` > 0, the first probes step down from hi instead of
+    halving: by gap, and by twice the last step after each feasible one,
+    while that stays above lo and until a probe fails.  A probe may be
+    decided without the oracle (:class:`_Decided`); ``oracle_calls`` counts
+    the other probes.
     """
-    probes = []  # per probe: (decided by the dual bound, inconclusive)
+    probes = []  # per probe: (decided without the oracle, inconclusive)
 
     def probe(x, warm):
         res = oracle(x, warm_start=warm)
         probes.append((isinstance(res, _Decided), res.inconclusive))
         return res
 
-    res = probe(hi, None)
     widenings = 0
-    while not res.feasible:
-        widenings += 1
-        lo, hi = widen(widenings, lo, hi, res)
-        res = probe(hi, res.control)
-    best_control = res.control
+    if control is None:
+        res = probe(hi, None)
+        while not res.feasible:
+            widenings += 1
+            lo, hi = widen(widenings, lo, hi, res)
+            res = probe(hi, res.control)
+        control = res.control
 
     while hi - lo > width(hi):
-        mid = 0.5 * (lo + hi)
-        res = probe(mid, best_control)
+        x = hi - gap if 0.0 < gap < hi - lo else 0.5 * (lo + hi)
+        res = probe(x, control)
         if res.feasible:
-            hi = mid
-            best_control = res.control
+            hi, control, gap = x, res.control, 2.0 * gap
         else:
-            lo = mid
+            lo, gap = x, 0.0
 
-    oracle_calls = sum(not dual for dual, _ in probes)
+    oracle_calls = sum(not decided for decided, _ in probes)
     return ValuePoint(parameter=parameter, value=0.5 * (lo + hi), bracket_lo=lo,
-                      bracket_hi=hi, iterations=len(probes), control=best_control,
+                      bracket_hi=hi, iterations=len(probes), control=control,
                       diagnostics={"free_decay_time": gamma, "oracle_calls": oracle_calls,
                                    "inconclusive": sum(inc for _, inc in probes),
                                    widen_key: widenings})
 
 
+def _continued(first: ValuePoint, then: ValuePoint) -> ValuePoint:
+    """``then``, a search that went on from ``first``'s bracket, with the
+    probes of both counted."""
+    counts = {key: first.diagnostics[key] + then.diagnostics[key]
+              for key in ("oracle_calls", "inconclusive", "upper_expansions")}
+    return replace(then, iterations=first.iterations + then.iterations,
+                   diagnostics={**then.diagnostics, **counts})
+
+
 class _Decided(NamedTuple):
-    """A probe decided without the oracle: refuted by the dual bound, settled
-    by the dual pair with its control, or open on the linear crossing."""
+    """A probe decided without the oracle: refuted by a dual bound, settled
+    by the dual pair or the bang-bang ray with its control, open on the
+    linear crossing, or missed by the ray (infeasible for the search only)."""
 
     feasible: bool
     control: ControlSignal | None = None
@@ -389,12 +416,14 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
 
     M = 0 degenerates to the free-decay time.  Otherwise bisect on the horizon
     over (0, free-decay time], refuting with the dual bound the horizons below
-    the free-decay time it rules out, and for f = 0 settling the crossing with
-    the dual pair (module docstring); feasibility is monotone in the horizon
-    because the ball is invariant under free decay.  tol_T is relative to the
-    free-decay time.  A failed upper end moves up, at most to 1.16 times the
-    free-decay time, where the point gives up; only a ``gamma_hint`` shorter
-    than the free-decay time gets there, and no CLI path passes one.
+    the free-decay time it rules out, settling the others with the bang-bang
+    ray (a reaction term; the oracle confirms a missed lower end) or the
+    crossing with the dual pair (f = 0; module docstring); feasibility is
+    monotone in the horizon because the ball is invariant under free decay.
+    tol_T is relative to the free-decay time.  A failed upper end moves up,
+    at most to 1.16 times the free-decay time, where the point gives up;
+    only a ``gamma_hint`` shorter than the free-decay time gets there, and
+    no CLI path passes one.
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
@@ -415,9 +444,11 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
 
     def give_up(hi, res):
         if hi >= top:
+            why = (f"the dual bound refuted horizon {hi:.6g}" if isinstance(res, _Decided)
+                   else f"oracle terminal norm {res.terminal_norm:.6g}")
             raise NoFeasibleBoundError(
                 f"could not certify feasibility near the free-decay time {gamma:.6g} "
-                f"for M={M}; oracle terminal norm {res.terminal_norm:.6g}"
+                f"for M={M}; {why}"
             )
 
     def past_gamma(k, lo, hi, res):
@@ -426,38 +457,67 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
 
     oracle = partial(min_terminal_norm, y0, M=M, ball=ball, f=f, g=g, opts=opts, nt=nt)
     refuted = [0.0]
-    crossing = {}  # f = 0: the last horizon the bound left open, with its free run
+    # The last horizon the bound left open and nothing settled, with its free
+    # run: for f = 0 the crossing, with a reaction term the ray's last miss.
+    left_open = {}
 
-    def probe(T, warm_start=None):
+    def bounded(T):
+        """T's free run, or None when its dual bound exceeds M."""
         free = free_run(y0, T, nt, f, g)
         if T < gamma and dual_lower_bound(free, ball, opts) > M:
             refuted.append(T)
+            return None
+        return free
+
+    def probe(T, warm_start=None):
+        free = bounded(T)
+        if free is None:
             return _Decided(False)
         if not is_linear(f):
-            return oracle(T, warm_start=warm_start, free=free)
-        crossing.clear()
-        crossing[T] = free
-        return _Decided(True)
+            control = bangbang_ray(free, ball, M, opts)
+            if control is not None:
+                return _Decided(True, control)
+            if T >= gamma:
+                return oracle(T, warm_start=warm_start, free=free)
+        left_open.clear()
+        left_open[T] = free
+        # open on the f = 0 crossing; a miss of the ray proves nothing
+        return _Decided(is_linear(f))
+
+    def settle(T, warm_start=None):
+        # A certified probe: refuted by the dual bound (for f = 0 the pair's,
+        # which settles T when it reaches the ball within M), else the oracle.
+        free = left_open.get(T) or bounded(T)
+        if free is None:
+            return _Decided(False)
+        if is_linear(f):
+            bound, level, control = dual_pair(free, ball, opts,
+                                              lambda lo, hi: hi <= M or lo > M)
+            if level <= M:
+                return _Decided(True, control)
+            if bound > M:
+                refuted.append(T)
+                return _Decided(False)
+        return oracle(T, warm_start=warm_start, free=free)
 
     point = _bisect(probe, M, gamma, past_gamma, width, "upper_expansions", gamma)
     if is_linear(f):
-        # The dual pair settles each horizon it reaches within M, the crossing
-        # on its own free run; the oracle decides the others, and the gap above
-        # a failed crossing doubles with each failed probe, up to ``top``.
+        # The oracle decides each horizon the pair neither settles nor
+        # refutes, and the gap above a failed crossing doubles with each
+        # failed probe, up to ``top``.
         def climb(k, lo, hi, res):
             give_up(hi, res)
             return hi, min(hi + 2.0 ** k * tol_abs, top)
 
-        def confirm(T, warm_start=None):
-            free = crossing.get(T) or free_run(y0, T, nt, f, g)
-            _, level, control = dual_pair(free, ball, opts, lambda lo, hi: hi <= M or lo > M)
-            if level <= M:
-                return _Decided(True, control)
-            return oracle(T, warm_start=warm_start, free=free)
-
-        settled = _bisect(confirm, M, point.bracket_hi, climb, width, "upper_expansions",
-                          gamma, lo=point.bracket_lo)
-        point = replace(settled, iterations=point.iterations + settled.iterations)
+        point = _continued(point, _bisect(settle, M, point.bracket_hi, climb, width,
+                                          "upper_expansions", gamma, lo=point.bracket_lo))
+    elif point.bracket_lo in left_open:
+        # A miss proves nothing: the oracle confirms it, warm-started from the
+        # ray's control.  If it is feasible, the search steps down from there
+        # to the largest refuted horizon, then halves.
+        point = _continued(point, _bisect(
+            settle, M, point.bracket_hi, None, width, "upper_expansions", gamma,
+            lo=max(refuted), control=point.control, gap=point.bracket_hi - point.bracket_lo))
     return replace(point, diagnostics={**point.diagnostics, "dual_lower_bound": max(refuted)})
 
 

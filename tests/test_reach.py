@@ -32,9 +32,11 @@ from heatctl.reach import (
     ReachResult,
     _project_values,
     _spectral_step,
+    bangbang_ray,
     bangbang_values,
     dual_pair,
     masked_costate,
+    reaches_ball,
     reaction_costate_bounds,
 )
 from heatctl.solvers import free_decay_time
@@ -239,6 +241,51 @@ def test_free_run_on_another_step_grid_is_refused(T_free, nt_free):
         min_terminal_norm(Y0, 0.06, 3.0, BALL, F_ZERO, GRID, nt=120, free=free)
 
 
+# ---------------------------------------------------------------------------
+# Bang-bang ray
+
+SMALL = SpatialGrid.build(n=31, ell=1.0)
+SMALL_MASKED = SpatialGrid.build(n=31, ell=1.0, omega=(0.3, 0.8))
+
+
+@pytest.mark.parametrize("g", [SMALL, SMALL_MASKED], ids=["full", "masked"])
+@pytest.mark.parametrize("f", [F_TANH, F_RATIONAL], ids=["tanh", "rational"])
+def test_bangbang_ray_reaches_the_ball_within_the_bound(f, g):
+    # Every control the ray returns, simulated again with f on the free
+    # run's grid, reaches the ball, and is bang-bang at a level between the
+    # dual bound and M: at M itself on some horizons, and below M, at the
+    # secant's level, where full thrust overshoots the ball.
+    nt = 60
+    y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
+    gamma = free_decay_time(y0, BALL, f, g, nt=nt)
+    levels = []
+    for c in (0.2, 0.5, 0.8):
+        free = free_run(y0, c * gamma, nt, f, g)
+        for M in (2.0, 10.0, 50.0):
+            u = bangbang_ray(free, BALL, M)
+            if u is None:
+                continue
+            assert (u.nt, u.dt) == (nt, c * gamma / nt)
+            assert reaches_ball(float(solve_forward(y0, u, f, g).norms[-1]), BALL)
+            level = float(np.max(u.step_norms()))
+            np.testing.assert_allclose(u.step_norms(), level, rtol=1e-12)
+            assert dual_lower_bound(free, BALL) <= level <= M * (1.0 + 1e-12)
+            levels.append(level / M)
+    assert any(x == pytest.approx(1.0, rel=1e-12) for x in levels)
+    assert any(x < 0.9 for x in levels)
+
+
+def test_bangbang_ray_is_the_zero_control_when_the_free_run_reaches(solve_calls):
+    y0 = 2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0]
+    gamma = free_decay_time(y0, BALL, F_TANH, SMALL, nt=60)
+    free = free_run(y0, 1.1 * gamma, 60, F_TANH, SMALL)
+    del solve_calls.forward[:], solve_calls.adjoint[:]
+    u = bangbang_ray(free, BALL, 5.0)
+    assert (u.nt, u.dt) == (60, 1.1 * gamma / 60) and not u.values.any()
+    assert solve_calls.forward == [] and solve_calls.adjoint == []
+    assert reaches_ball(float(solve_forward(y0, u, F_TANH, SMALL).norms[-1]), BALL)
+
+
 def test_warm_start_with_another_step_count_is_refused():
     ws = ControlSignal(dt=0.06 / 40, nt=40, values=np.full((40, GRID.n), -2.0), grid=GRID)
     with pytest.raises(ValueError, match="warm start has 40 steps, expected 120"):
@@ -259,9 +306,11 @@ def test_degenerate_costate_skips_the_bangbang_start():
     res = min_terminal_norm(y0, T, 5.0, BALL, F_ZERO, g, nt=nt, free=free)
     assert not res.feasible and res.converged
     assert res.terminal_norm == pytest.approx(float(free.trajectory.norms[-1]), rel=1e-9)
-    # the dual pair has no ray to follow either, so a minimal-norm point
-    # falls back to doubling with the oracle, which finds no bound that works
+    # the dual pair and the bang-bang ray have no direction to follow either,
+    # so a minimal-norm point falls back to doubling with the oracle, which
+    # finds no bound that works
     assert dual_pair(free, BALL, None, never)[1:] == (math.inf, None)
+    assert bangbang_ray(free, BALL, 5.0) is None
     with pytest.raises(NoFeasibleBoundError, match=r"norm bound 1\.15e\+18"):
         minimal_norm(T, y0, BALL, F_ZERO, g, nt=nt, gamma_hint=1.0)
 

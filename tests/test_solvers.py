@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import heatctl.reach as reach
 import heatctl.solvers as solvers
 from heatctl.core import step_l2_norms
 from heatctl.reach import bangbang_values, is_linear, masked_costate, reaches_ball
@@ -136,15 +137,22 @@ def test_minimal_norm_point_solves_the_free_run_once(gamma_zero, solve_calls):
     assert is_linear(along_free[0])
 
 
-def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls):
+def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls, monkeypatch):
     # A horizon the dual bound refutes costs its free run and one
-    # zero-reaction adjoint; one left open adds the oracle's tanh costate
-    # along the same free run.  The probe at the free-decay time goes
-    # straight to the oracle, and the free-decay runs solve no adjoint.
+    # zero-reaction adjoint.  One left open adds the tanh costate of its free
+    # run, the bang-bang ray's first direction; the oracle call that confirms
+    # the lower end reuses that run and costate.  At the free-decay time the
+    # free run reaches the ball, so the ray returns the zero control and
+    # solves no adjoint.
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
-    point = minimal_time(5.0, y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT)
-    calls = point.diagnostics["oracle_calls"]
-    refuted = point.iterations - calls
+    gamma = free_decay_time(y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT)
+    rays = []
+    monkeypatch.setattr(solvers, "bangbang_ray",
+                        lambda *args: rays.append(args) or reach.bangbang_ray(*args))
+    del solve_calls.forward[:]
+    point = minimal_time(5.0, y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT, gamma_hint=gamma)
+    assert point.diagnostics["oracle_calls"] == 1
+    refuted = point.iterations - 1 - len(rays)
     assert refuted > 0 and point.diagnostics["dual_lower_bound"] > 0.0
     kinds = []
     for u, traj in solve_calls.forward:
@@ -152,8 +160,8 @@ def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls):
             kinds.append(tuple("tanh" if f is F_TANH else "zero"
                                for t, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
                                if t is traj))
-    assert sorted(kinds) == sorted([()] * (len(kinds) - point.iterations) + [("tanh",)]
-                                   + [("zero",)] * refuted + [("zero", "tanh")] * (calls - 1))
+    assert sorted(kinds) == sorted([()] + [("zero",)] * refuted
+                                   + [("zero", "tanh")] * (len(rays) - 1))
 
 
 def test_minimal_time_zero_bound_is_free_decay(gamma_zero):
@@ -431,19 +439,21 @@ def oracle_probes(monkeypatch):
     return probes
 
 
-def assert_certified_point(point, ref, probes, width, y0, g, conclusive=True):
-    """A linear point, settled by the dual pair, against the cold reference
-    loop's point.
+def assert_certified_point(point, ref, probes, width, y0, f, g, conclusive=True):
+    """A certified point against the cold reference loop's point: a linear
+    one, settled by the dual pair, or a reaction-term minimal time, settled
+    by the bang-bang ray and confirmed by the oracle.
 
-    ``probes`` holds (parameter, result) of the point's oracle calls.  Both
-    brackets are certified, so they intersect; the new one meets the same
-    width rule.  Its control, simulated again, reaches the ball, over the
-    point's horizon (a minimal norm) or the upper end (a minimal time), with
-    step norms within the upper end (a minimal norm) or the bound (a minimal
+    ``probes`` holds (parameter, result) of the point's oracle calls.  The
+    brackets intersect, and the new one meets the same width rule.  Its
+    control, simulated again with f, reaches the ball, over the point's
+    horizon (a minimal norm) or the upper end (a minimal time), with step
+    norms within the upper end (a minimal norm) or the bound (a minimal
     time).  The control is a feasible oracle probe's at the upper end, or
-    else the dual pair's, bang-bang at the upper end of a minimal norm.  The
-    lower end is the recorded dual bound or an infeasible probe (conclusive
-    unless the iteration budget is cut short).
+    else bang-bang: the dual pair's at the upper end of a minimal norm, the
+    pair's or the ray's at its own level, or the zero control.  The lower
+    end is the recorded dual bound or an infeasible probe (conclusive unless
+    the iteration budget is cut short).
     """
     bound = point.diagnostics["dual_lower_bound"]
     if ref.diagnostics["oracle_calls"] == 0:
@@ -457,18 +467,19 @@ def assert_certified_point(point, ref, probes, width, y0, g, conclusive=True):
     assert point.value == 0.5 * (lo + hi)
     assert 0.0 <= bound <= lo
     u, is_norm = point.control, "doublings" in point.diagnostics
-    assert reaches_ball(float(solve_forward(y0, u, F_ZERO, g).norms[-1]), BALL)
+    assert reaches_ball(float(solve_forward(y0, u, f, g).norms[-1]), BALL)
     assert u.nt * u.dt == pytest.approx(point.parameter if is_norm else hi, rel=1e-12)
-    assert np.max(u.step_norms()) <= (hi if is_norm else point.parameter) * (1.0 + 1e-12)
+    level = float(np.max(u.step_norms()))
+    assert level <= (hi if is_norm else point.parameter) * (1.0 + 1e-12)
     if not any(x == hi and res.feasible and np.array_equal(res.control.values, u.values)
                for x, res in probes):
-        assert bangbang_report(u, hi if is_norm else np.max(u.step_norms()), 1e-9) == 1.0
+        assert level == 0.0 or bangbang_report(u, hi if is_norm else level, 1e-9) == 1.0
     assert lo == bound or any(x == lo and not res.feasible
                               and (res.converged or not conclusive) for x, res in probes)
 
 
-def assert_refuted_cold_point(point, ref, probes, ref_probes, value_fn):
-    """A reaction-term point against the cold reference loop's point.
+def assert_refuted_cold_point(point, ref, probes, ref_probes):
+    """A reaction-term minimal norm against the cold reference loop's point.
 
     ``probes`` and ``ref_probes`` hold (parameter, result) of the oracle calls
     of the point and of the reference.  The point makes the reference's
@@ -482,10 +493,7 @@ def assert_refuted_cold_point(point, ref, probes, ref_probes, value_fn):
     refuted = [(x, res) for x, res in ref_probes if x not in called]
     assert called == [x for x, _ in ref_probes if x in called]
     assert all(not res.feasible for _, res in refuted)
-    if value_fn is minimal_norm:
-        assert [x for x, _ in refuted] == [x for x, _ in ref_probes if x < bound]
-    else:
-        assert bound == max((x for x, _ in refuted), default=0.0)
+    assert [x for x, _ in refuted] == [x for x, _ in ref_probes if x < bound]
     assert 0.0 <= bound <= point.bracket_lo
     assert point.iterations == ref.iterations
     assert (point.diagnostics["oracle_calls"] == len(probes)
@@ -502,9 +510,10 @@ def assert_refuted_cold_point(point, ref, probes, ref_probes, value_fn):
 @pytest.mark.parametrize("g", [SMALL, SMALL_MASKED], ids=["full", "masked"])
 @pytest.mark.parametrize("f", [F_ZERO, F_TANH, F_RATIONAL], ids=["zero", "tanh", "rational"])
 def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
-    # The reaction-term points keep the cold search bit for bit, with the
-    # probes the dual bound refutes left out of the oracle calls; the linear
-    # ones are settled by the dual pair and stay certified.
+    # The reaction-term minimal norms keep the cold search bit for bit, with
+    # the probes the dual bound refutes left out of the oracle calls; the
+    # linear points (settled by the dual pair) and the reaction-term minimal
+    # times (settled by the bang-bang ray) stay certified.
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, f, g, nt=SMALL_NT)
 
@@ -522,11 +531,10 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
         ref = reference(x, y0, BALL, f, g, nt=SMALL_NT, record=ref_probes, **kwargs)
         probes = [(M if value_fn is minimal_norm else T, res)
                   for T, M, res in oracle_probes]
-        if not is_linear(f):
-            refutations.append(
-                assert_refuted_cold_point(point, ref, probes, ref_probes, value_fn))
+        if not is_linear(f) and value_fn is minimal_norm:
+            refutations.append(assert_refuted_cold_point(point, ref, probes, ref_probes))
         else:
-            assert_certified_point(point, ref, probes, width, y0, g,
+            assert_certified_point(point, ref, probes, width, y0, f, g,
                                    conclusive="opts" not in kwargs)
         del oracle_probes[:]
         return point
@@ -579,19 +587,30 @@ def test_bisection_driver_exhaustion_errors_match_reference_loops():
 
 
 def test_linear_minimal_time_refuses_a_free_decay_time_that_is_too_short(oracle_probes):
-    # The dual bound leaves the too-short free-decay time open, and the
-    # oracle fails it and every nudge past it, up to the last.  The message
-    # names the last oracle result's terminal norm.
+    # The free run's bound leaves the too-short free-decay time open, and the
+    # dual pair refutes it and every nudge past it, up to the last, without
+    # an oracle call.  The message says so: it has no oracle terminal norm
+    # to name (reading one raised AttributeError).
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     args = (y0, BALL, F_ZERO, SMALL_MASKED)
     short = 0.5 * free_decay_time(*args, nt=SMALL_NT)
     with pytest.raises(NoFeasibleBoundError, match="could not certify") as err:
         minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
-    assert len(oracle_probes) == 8
-    assert all(not res.feasible for _, _, res in oracle_probes)
-    T, _, last = oracle_probes[-1]
-    assert T == short * (1.0 + 0.02 * 2 ** 3)
-    assert str(err.value).endswith(f"oracle terminal norm {last.terminal_norm:.6g}")
+    assert oracle_probes == []
+    top = short * (1.0 + 0.02 * 2 ** 3)
+    assert str(err.value).endswith(f"the dual bound refuted horizon {top:.6g}")
+
+
+def test_linear_minimal_time_refutes_with_the_pair_before_the_oracle(oracle_probes):
+    # Past the free run's bound crossing, the dual pair's raised lower end
+    # exceeds M on every horizon the pair does not reach, so each is refuted
+    # without an oracle call (four such calls, each infeasible, before).
+    g = SpatialGrid.build(n=127, ell=1.0, omega=(0.3, 0.8))
+    y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
+    point = minimal_time(50.0, y0, BALL, F_ZERO, g)
+    assert oracle_probes == [] and point.diagnostics["oracle_calls"] == 0
+    assert point.diagnostics["dual_lower_bound"] == point.bracket_lo
+    assert reaches_ball(float(solve_forward(y0, point.control, F_ZERO, g).norms[-1]), BALL)
 
 
 def test_linear_minimal_time_counts_every_probe(solve_calls):
@@ -658,3 +677,48 @@ def test_dual_lower_bound_is_recorded_on_every_point(f):
     # the two points decided without the oracle record 0
     assert bounds[1] == bounds[2] == 0.0
     assert sum(b > 0.0 for b in bounds) == len(points) - 2
+
+
+def test_a_missed_lower_end_takes_one_confirming_oracle_call(monkeypatch):
+    # The bang-bang ray settles the upper end and misses the lower one.  A
+    # miss proves nothing, so the oracle confirms it once, warm-started from
+    # the ray's control, and finds it infeasible: the point stands.
+    y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
+    gamma = free_decay_time(y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT)
+    calls = []
+
+    def recorded(y0, T, M, *args, **kwargs):
+        res = min_terminal_norm(y0, T, M, *args, **kwargs)
+        calls.append((T, kwargs["warm_start"], res))
+        return res
+
+    monkeypatch.setattr(solvers, "min_terminal_norm", recorded)
+    point = minimal_time(5.0, y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT, gamma_hint=gamma)
+    assert len(calls) == 1 == point.diagnostics["oracle_calls"]
+    (T, warm, res), = calls
+    assert T == point.bracket_lo and warm is point.control
+    assert not res.feasible and res.converged
+    assert point.bracket_hi - point.bracket_lo <= 1e-3 * gamma
+    assert bangbang_report(point.control, 5.0, 1e-9) == 1.0
+
+
+def test_a_feasible_confirmation_descends_to_a_certified_lower_end(oracle_probes):
+    # With control on (0.1, 0.4) and M = 20 the ray misses every horizon
+    # below the free-decay time that the bound leaves open, and the oracle
+    # finds the missed lower end feasible.  So the search steps down from it
+    # with oracle probes, the gap doubling after each feasible one, and
+    # halves after the first that fails; both ends are oracle probes.
+    g = SpatialGrid.build(n=31, ell=1.0, omega=(0.1, 0.4))
+    y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
+    gamma = free_decay_time(y0, BALL, F_TANH, g, nt=SMALL_NT)
+    point = minimal_time(20.0, y0, BALL, F_TANH, g, nt=SMALL_NT, gamma_hint=gamma)
+    probes = [(T, res) for T, _, res in oracle_probes]
+    steps = [T for T, _ in probes]
+    assert len(probes) == point.diagnostics["oracle_calls"] >= 4
+    assert probes[0][1].feasible and probes[1][1].feasible and not probes[2][1].feasible
+    first = steps[0] - steps[1]
+    assert steps[1] - steps[2] == pytest.approx(2.0 * first, rel=1e-9)
+    assert point.bracket_hi < steps[0]
+    ref = reference_minimal_time(20.0, y0, BALL, F_TANH, g, nt=SMALL_NT, gamma_hint=gamma)
+    assert_certified_point(point, ref, probes, lambda hi: 1e-3 * gamma, y0, F_TANH, g)
+    assert point.bracket_lo != point.diagnostics["dual_lower_bound"]
