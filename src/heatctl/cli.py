@@ -285,8 +285,11 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             else:
                 spec = dirichlet_eigs(grid, max(i for i, _ in pairs))
                 y0 = np.zeros(grid.n)
-                for i, c in pairs:
-                    y0 += float(c) * spec.eigenvectors[i - 1]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for i, c in pairs:
+                        y0 += float(c) * spec.eigenvectors[i - 1]
+        elif not isinstance(y0_cfg["file"], str):
+            fail("y0.file", f"expected a path string, got {y0_cfg['file']!r}")
         else:
             path = Path(y0_cfg["file"])
             if not path.is_absolute():
@@ -301,6 +304,9 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
                     y0 = vec
             except (OSError, ValueError) as exc:
                 fail("y0.file", str(exc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if y0 is not None and not math.isfinite(l2_norm(y0, grid)):
+                fail("y0", "the initial state's L2 norm is not finite")
 
     nt = cfg.get("nt")
     dt = cfg.get("dt")

@@ -2,57 +2,42 @@
 
 Decided by projected gradient descent on J(v) = 0.5*||y(T; v)||^2 over the set
 {v : ||v(t_k)|| <= M for all k}.  The gradient of J is the masked costate from
-the exact discrete adjoint, so descent directions are correct to machine
-precision and the only sources of looseness are the iteration budget and, for
-nonlinear reaction terms, nonconvexity.  The mitigation for the latter is to
-warm-start both from the zero control and from a full-amplitude control
-aligned with the costate of the uncontrolled run, and keep the better one.
+the exact discrete adjoint, so the only sources of looseness are the iteration
+budget and, for nonlinear reaction terms, nonconvexity.  Against the latter
+the descent starts from the best of the zero control, a full-amplitude
+control along the costate of the uncontrolled run, and the caller's warm
+start.
 
-Both warm starts come from the uncontrolled run, which depends on the initial
-state and the step grid but not on M.  :func:`free_run` solves it with one
-forward solve; its masked costate is solved on first read, so a run that is
-only bounded (and refuted) costs no costate with its reaction term.  A caller
-that probes many bounds at one horizon (the minimal-norm bisection) passes
-that :class:`FreeRun` to every oracle call.
+:func:`free_run` solves the uncontrolled run with one forward solve, and its
+masked costate on first read; a caller that probes many bounds at one horizon
+passes it to every oracle call.  The same run gives certificates that need no
+descent:
 
-The same free run also gives a lower bound on every feasible norm bound,
-from weak duality (:func:`dual_lower_bound`), with the run's own reaction
-term, so a bound cannot pair a run with another reaction's L.  Without a
-reaction term the bound is the discrete dual problem of Wang & Zuazua, SIAM
-J. Control Optim. 50 (2012).  With a reaction term whose derivative is
-bounded by L, the costate of the controlled run differs from the
-zero-reaction costate psi0 by at most ((1 + dt*L)^m - 1) q^m ||xi|| after m
-steps, where q = 1/(1 + dt*lambda_1h) is the norm of one diffusion step; the
-bound widens its denominator by that much (Fattorini, *Infinite Dimensional Linear
-Control Systems*, 2005, for the linear duality).  It trusts
-``NonlinearitySpec.L``: that holds by construction for the built-in kinds,
-while :func:`heatctl.core.validate_nonlinearity` only samples a finite range
-and a custom spec is taken at its word.
-
-Upper ends come from the paper's bang-bang form, a control of constant
-pointwise norm along the masked costate.  For f = 0, :func:`dual_pair` finds
-the smallest level along it that reaches the ball, from linearity.  With a
-reaction term, :func:`bangbang_ray` simulates it at level M, or at the level
-a secant aims at the ball, and moves the costate's datum once if both miss.
-The two share the level rule (:func:`_smaller_root`) and the datum update
-(:func:`_next_datum`), and a control of either counts only once its run
-reaches the ball.
+* :func:`dual_lower_bound`, from weak duality: a norm bound below which no
+  control reaches the ball (the discrete dual problem of Wang & Zuazua, SIAM
+  J. Control Optim. 50 (2012), for f = 0; widened by
+  :func:`reaction_costate_bounds` for a reaction term, whose
+  ``NonlinearitySpec.L`` it trusts);
+* upper ends of the paper's bang-bang form, a control of constant pointwise
+  norm along the masked costate: :func:`dual_pair` (f = 0) finds the smallest
+  level that reaches the ball, from linearity, and :func:`bangbang_ray` (a
+  reaction term) simulates level M or a secant level below it.  The two
+  share the level rule (:func:`_smaller_root`) and the datum update
+  (:func:`_next_datum`), and a control of either counts only once its run
+  reaches the ball.
 
 Each quantity has one definition here: ``_objective`` is J,
-:func:`masked_costate` is its gradient (also the direction of
-:func:`bangbang_values`: the oracle's start, and the controls of
-:func:`dual_pair` and :func:`bangbang_ray`), and :func:`reaches_ball` is the
-feasibility test, shared with :func:`heatctl.solvers.verify_equivalence_bound`.
+:func:`masked_costate` its gradient (also the direction of
+:func:`bangbang_values`), and :func:`reaches_ball` the feasibility test.
 
 The step rule is fixed.  The first step is 1/lambda_1, and a rejected step is
 halved (at most ``MAX_BACKTRACKS`` times per iteration), so the objective
 never increases.  After an accepted step s with gradient change Delta, the
-next step is the spectral (Barzilai-Borwein) step <s,s>/<s,Delta>, capped at
-1e4 times the first; when <s,Delta> <= 0 the accepted step is doubled instead,
-up to the same cap (:func:`_spectral_step`).  See Barzilai & Borwein, IMA J.
-Numer. Anal. 8 (1988), and for the projected form Birgin, Martinez & Raydan,
-SIAM J. Optim. 10 (2000).  The new gradient is the one the next iteration
-solves anyway, so the rule costs no adjoint solve.
+next step is the spectral step <s,s>/<s,Delta>, capped at 1e4 times the
+first, or the doubled step when <s,Delta> <= 0 (:func:`_spectral_step`;
+Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988), and for the projected form
+Birgin, Martinez & Raydan, SIAM J. Optim. 10 (2000)).  The new gradient is
+the one the next iteration solves anyway, so the rule costs no adjoint solve.
 """
 
 from __future__ import annotations

@@ -2,60 +2,46 @@
 
 The minimal time for a given norm bound and the minimal norm bound for a given
 horizon are the same search: one bisection driver, :func:`_bisect`, over the
-reachability oracle.  Bisection is valid because feasibility is monotone:
-enlarging the admissible set (bigger M) or the horizon (reach the ball, then
-coast) can only help.  It is also robust to the small oracle noise near the
-feasibility boundary, which rules out Newton-type updates here.  From a lower
-end known to be infeasible, the driver probes the upper end, widens the
-bracket while that end is infeasible, then halves it.  Near-boundary oracle
-calls reuse the control from the previous feasible probe as a warm start;
-this typically cuts oracle iterations by an order of magnitude.
+reachability oracle.  Bisection is valid because feasibility is monotone (a
+bigger M or a longer horizon can only help), and it is robust to the oracle's
+small noise near the feasibility boundary.  Each probe is warm-started from
+the control of the last feasible one.
 
-Weak duality gives every point a certified lower bound
-(:func:`heatctl.reach.dual_lower_bound`, the discrete dual problem of Wang &
-Zuazua, SIAM J. Control Optim. 50 (2012), widened for a reaction term with
-|f'| <= L), and for f = 0 an upper end with an exactly bang-bang control
-(:func:`heatctl.reach.dual_pair`).  With a reaction term the minimal time
-takes its upper ends from the bang-bang ray
-(:func:`heatctl.reach.bangbang_ray`): a control at a level at most M along
-the masked costate, simulated once.  Each value function has one probe for
-f = 0 and reaction terms alike, decided before the oracle is called:
+Probes are decided before the oracle is called wherever a certificate does
+it.  Weak duality (:func:`heatctl.reach.dual_lower_bound`, the discrete dual
+problem of Wang & Zuazua, SIAM J. Control Optim. 50 (2012), widened for a
+reaction term with |f'| <= L) refutes every value below its bound.
+Bang-bang controls along the masked costate give upper ends: for f = 0
+:func:`heatctl.reach.dual_pair`, with a reaction term
+:func:`heatctl.reach.bangbang_ray`, whose miss proves nothing.
 
-* the minimal norm takes the pair of its free run: it refutes every M below
-  the lower end, takes the pair's control from the upper end on, and calls
-  the oracle with the run in between.  It starts from the two ends when the
-  pair has a control (f = 0, as a rule), and otherwise doubles from 1;
-* the minimal time refutes, below the free-decay time, each horizon whose
-  free run's bound exceeds M (one forward and one zero-reaction adjoint
-  solve).  With a reaction term the ray decides the others: a horizon it
-  reaches is feasible with its control, and one it misses counts as
-  infeasible for the search only, since a miss proves nothing; at and past
-  the free-decay time a miss goes to the oracle with the run.  After the
-  bisection the oracle confirms a missed lower end, warm-started from the
-  ray's control: one oracle call per point.  If it finds that end feasible,
-  the search steps down from it with oracle probes (the bound still
-  refutes), the gap doubling after each feasible one, then halves.  For
-  f = 0 a first search with free runs only finds where the bound crosses
-  M; the pair settles that end, reusing its run, when it reaches the ball
-  within M, refutes it when its raised lower end exceeds M, else the oracle
-  decides, and a failed end climbs.
+* The minimal norm takes the dual pair of its free run: it refutes every M
+  below the lower end, takes the pair's control from the upper end on, and
+  calls the oracle in between.  It starts from the pair's two ends when the
+  pair has a control (f = 0, as a rule), and otherwise doubles from 1, giving
+  up, with the last upper end named, before the next would pass
+  ``MAX_NORM_BOUND``.
+* The minimal time searches (0, gamma], gamma the free-decay time: its first
+  probe checks that the zero control reaches the ball at gamma, and raises
+  :class:`NoFeasibleBoundError` otherwise.  A first search refutes each
+  horizon whose free run's bound exceeds M; with a reaction term the ray
+  decides the others, a miss counting as infeasible for this search only,
+  and for f = 0 they stay open, so the search finds where the bound crosses
+  M with free runs alone.  A second search then steps down from an upper end
+  known to be feasible, probing one given horizon first, and halves; its
+  probes are refuted by the bound, settled or refuted by the pair (f = 0),
+  or else decided by the oracle.  For f = 0 it steps down from gamma with
+  the zero control, the crossing first.  With a reaction term it runs only
+  when the lower end is a miss, and steps down from the ray's upper end, the
+  miss first, which the oracle confirms warm-started from the ray's control:
+  one oracle call per point, as a rule.
 
 The minimal norm with a reaction term keeps its cold probe sequence (lower
 end 0, doubling from 1).  A refuted probe would have been infeasible for the
-oracle too, and a failed halving probe passes nothing on, so the halving
-keeps the cold search's probes, brackets and controls.  Its refuted doubling
-probes pass no failed control on as the next warm start; on every point
-tried (both built-in reactions, full and masked control) that control would
-not have won, so the points stay bit-identical to the cold search: observed,
-not proven.  The minimal time's widening past the free-decay time sends a
-miss to the oracle, because there a failed probe's control does win the
-next warm start (a slightly short free-decay time shows it).
-
-Each value function has one give-up rule: a minimal-norm doubling gives up,
-naming its last upper end, when the next would pass ``MAX_NORM_BOUND``, and
-a minimal-time widening once a failed upper end reaches 1.16 times the
-free-decay time, naming the oracle's terminal norm there, or saying that the
-dual bound refuted it.
+oracle too, and its refuted doubling probes pass no failed control on as the
+next warm start; on every point tried (both built-in reactions, full and
+masked control) that control would not have won, so the points stay
+bit-identical to the cold search: observed, not proven.
 
 Every point records its dual bound in its diagnostics as ``dual_lower_bound``:
 the pair's lower end for a minimal norm, the largest refuted horizon for
@@ -295,7 +281,7 @@ def _unbisected(parameter: float, value: float, horizon: float, gamma: float,
 
 def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
             gamma: float, lo: float = 0.0, control: ControlSignal | None = None,
-            gap: float = 0.0) -> ValuePoint:
+            first: float | None = None) -> ValuePoint:
     """Smallest feasible x of a monotone oracle, called as ``oracle(x, warm_start=u)``.
 
     ``lo`` is a lower end known to be infeasible.  While the upper end ``hi``
@@ -303,11 +289,11 @@ def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
     raises :class:`NoFeasibleBoundError`.  Then [lo, hi] is halved until
     ``hi - lo <= width(hi)``, each probe warm-started from the last feasible
     control.  With ``control``, hi is known to be feasible with it and is not
-    probed; with ``gap`` > 0, the first probes step down from hi instead of
-    halving: by gap, and by twice the last step after each feasible one,
-    while that stays above lo and until a probe fails.  A probe may be
-    decided without the oracle (:class:`_Decided`); ``oracle_calls`` counts
-    the other probes.
+    probed; with ``first`` in (lo, hi), the search steps down from hi instead
+    of halving: it probes ``first``, then steps down by twice the last step
+    after each feasible probe, while that stays above lo and until a probe
+    fails.  A probe may be decided without the oracle (:class:`_Decided`);
+    ``oracle_calls`` counts the other probes.
     """
     probes = []  # per probe: (decided without the oracle, inconclusive)
 
@@ -325,13 +311,17 @@ def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
             res = probe(hi, res.control)
         control = res.control
 
+    x = hi if first is None else first
+    step = hi - x
     while hi - lo > width(hi):
-        x = hi - gap if 0.0 < gap < hi - lo else 0.5 * (lo + hi)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
         res = probe(x, control)
         if res.feasible:
-            hi, control, gap = x, res.control, 2.0 * gap
+            hi, control, step = x, res.control, 2.0 * step
         else:
-            lo, gap = x, 0.0
+            lo, step = x, 0.0
+        x = hi - step
 
     oracle_calls = sum(not decided for decided, _ in probes)
     return ValuePoint(parameter=parameter, value=0.5 * (lo + hi), bracket_lo=lo,
@@ -345,22 +335,23 @@ def _continued(first: ValuePoint, then: ValuePoint) -> ValuePoint:
     """``then``, a search that went on from ``first``'s bracket, with the
     probes of both counted."""
     counts = {key: first.diagnostics[key] + then.diagnostics[key]
-              for key in ("oracle_calls", "inconclusive", "upper_expansions")}
+              for key in ("oracle_calls", "inconclusive")}
     return replace(then, iterations=first.iterations + then.iterations,
                    diagnostics={**then.diagnostics, **counts})
 
 
 class _Decided(NamedTuple):
     """A probe decided without the oracle: refuted by a dual bound, settled
-    by the dual pair or the bang-bang ray with its control, open on the
-    linear crossing, or missed by the ray (infeasible for the search only)."""
+    with a control (the dual pair's, the bang-bang ray's, or zero at the
+    free-decay time), open on the linear crossing, or missed by the ray
+    (infeasible for the search only)."""
 
     feasible: bool
     control: ControlSignal | None = None
     inconclusive: bool = False
 
 
-# The largest norm bound a minimal-norm widening probes.
+# The largest norm bound a minimal-norm doubling probes.
 MAX_NORM_BOUND = 2.0 ** 60
 
 
@@ -415,15 +406,14 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     """Smallest time at which controls bounded pointwise by M reach the ball.
 
     M = 0 degenerates to the free-decay time.  Otherwise bisect on the horizon
-    over (0, free-decay time], refuting with the dual bound the horizons below
-    the free-decay time it rules out, settling the others with the bang-bang
-    ray (a reaction term; the oracle confirms a missed lower end) or the
-    crossing with the dual pair (f = 0; module docstring); feasibility is
+    over (0, free-decay time], where the zero control reaches the ball at the
+    upper end (the first probe checks it and raises
+    :class:`NoFeasibleBoundError` when the free run misses, as with a
+    ``gamma_hint`` shorter than the free-decay time).  The dual bound refutes
+    horizons, and the bang-bang ray (a reaction term) or the dual pair at the
+    crossing (f = 0) settles the others (module docstring); feasibility is
     monotone in the horizon because the ball is invariant under free decay.
-    tol_T is relative to the free-decay time.  A failed upper end moves up,
-    at most to 1.16 times the free-decay time, where the point gives up;
-    only a ``gamma_hint`` shorter than the free-decay time gets there, and
-    no CLI path passes one.
+    tol_T is relative to the free-decay time.
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
@@ -432,30 +422,9 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     if M == 0.0:
         return _unbisected(M, gamma, gamma, gamma, nt, g)
 
-    # The free decay itself reaches the ball at gamma, so only discretization
-    # slop can make the upper end fail.  A failed upper end is infeasible, so
-    # it becomes the lower end, and the upper end moves up a little, at most
-    # to ``top``.
-    top = gamma * (1.0 + 0.02 * 2 ** 3)
-    tol_abs = tol_T * gamma
-
     def width(hi):
-        return tol_abs
+        return tol_T * gamma
 
-    def give_up(hi, res):
-        if hi >= top:
-            why = (f"the dual bound refuted horizon {hi:.6g}" if isinstance(res, _Decided)
-                   else f"oracle terminal norm {res.terminal_norm:.6g}")
-            raise NoFeasibleBoundError(
-                f"could not certify feasibility near the free-decay time {gamma:.6g} "
-                f"for M={M}; {why}"
-            )
-
-    def past_gamma(k, lo, hi, res):
-        give_up(hi, res)
-        return hi, gamma * (1.0 + 0.02 * 2 ** (k - 1))
-
-    oracle = partial(min_terminal_norm, y0, M=M, ball=ball, f=f, g=g, opts=opts, nt=nt)
     refuted = [0.0]
     # The last horizon the bound left open and nothing settled, with its free
     # run: for f = 0 the crossing, with a reaction term the ray's last miss.
@@ -464,12 +433,20 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     def bounded(T):
         """T's free run, or None when its dual bound exceeds M."""
         free = free_run(y0, T, nt, f, g)
-        if T < gamma and dual_lower_bound(free, ball, opts) > M:
+        if dual_lower_bound(free, ball, opts) > M:
             refuted.append(T)
             return None
         return free
 
     def probe(T, warm_start=None):
+        if T >= gamma:
+            # The first probe: the zero control, which the search rests on.
+            terminal = float(free_run(y0, T, nt, f, g).trajectory.norms[-1])
+            if not reaches_ball(terminal, ball, opts):
+                raise NoFeasibleBoundError(
+                    f"could not certify feasibility near the free-decay time {gamma:.6g} "
+                    f"for M={M}; the free run ends at norm {terminal:.6g} there")
+            return _Decided(True, ControlSignal.zeros(nt, T / nt, g))
         free = bounded(T)
         if free is None:
             return _Decided(False)
@@ -477,8 +454,6 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
             control = bangbang_ray(free, ball, M, opts)
             if control is not None:
                 return _Decided(True, control)
-            if T >= gamma:
-                return oracle(T, warm_start=warm_start, free=free)
         left_open.clear()
         left_open[T] = free
         # open on the f = 0 crossing; a miss of the ray proves nothing
@@ -498,26 +473,25 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
             if bound > M:
                 refuted.append(T)
                 return _Decided(False)
-        return oracle(T, warm_start=warm_start, free=free)
+        return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
+                                 warm_start=warm_start, free=free)
 
-    point = _bisect(probe, M, gamma, past_gamma, width, "upper_expansions", gamma)
+    point = _bisect(probe, M, gamma, None, width, "upper_expansions", gamma)
+
+    def descend(hi, control, first):
+        """The second search, with certified probes: down from hi, which is
+        feasible with control, probing the horizon ``first`` before any other."""
+        return _continued(point, _bisect(settle, M, hi, None, width, "upper_expansions",
+                                         gamma, lo=max(refuted), control=control,
+                                         first=first))
+
     if is_linear(f):
-        # The oracle decides each horizon the pair neither settles nor
-        # refutes, and the gap above a failed crossing doubles with each
-        # failed probe, up to ``top``.
-        def climb(k, lo, hi, res):
-            give_up(hi, res)
-            return hi, min(hi + 2.0 ** k * tol_abs, top)
-
-        point = _continued(point, _bisect(settle, M, point.bracket_hi, climb, width,
-                                          "upper_expansions", gamma, lo=point.bracket_lo))
+        # from gamma with the zero control, the crossing first
+        point = descend(gamma, ControlSignal.zeros(nt, gamma / nt, g), point.bracket_hi)
     elif point.bracket_lo in left_open:
-        # A miss proves nothing: the oracle confirms it, warm-started from the
-        # ray's control.  If it is feasible, the search steps down from there
-        # to the largest refuted horizon, then halves.
-        point = _continued(point, _bisect(
-            settle, M, point.bracket_hi, None, width, "upper_expansions", gamma,
-            lo=max(refuted), control=point.control, gap=point.bracket_hi - point.bracket_lo))
+        # from the ray's upper end, the missed lower end first: the oracle
+        # confirms it, warm-started from the ray's control
+        point = descend(point.bracket_hi, point.control, point.bracket_lo)
     return replace(point, diagnostics={**point.diagnostics, "dual_lower_bound": max(refuted)})
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,33 @@ def test_y0_from_vector_file(tmp_path):
     out = tmp_path / "out"
     assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert read_summary(out)["outputs"]["gamma"] == pytest.approx(0.14, abs=0.01)
+
+
+def test_y0_file_that_is_not_a_string_is_field_error(tmp_path, capsys):
+    # Path(5) raised TypeError, a traceback with exit 1
+    cfg = write_config(tmp_path, y0={"file": 5})
+    code = main(["gamma", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "config: y0.file: expected a path string, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("y0", [
+    {"modes": {"1": 1e308}},
+    {"modes": {"1": 1e200, "2": 1e200}},
+    {"file": "y0.txt"},
+], ids=["one-mode", "two-modes", "file"])
+def test_y0_whose_norm_overflows_is_field_error(tmp_path, capsys, y0):
+    # finite entries whose L2 norm overflows reached the banded solver as
+    # infs and ended in a traceback with exit 1
+    (tmp_path / "y0.txt").write_text(" ".join(["1e200"] * 127))
+    cfg = write_config(tmp_path, y0=y0, experiment={"M": 5.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        code = main(["mintime", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config: y0: the initial state's L2 norm is not finite\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_nonlinearity_failing_validation_rejected(tmp_path, capsys):

@@ -124,8 +124,8 @@ def test_worker_that_dies_is_an_error(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_failing_curve_names_its_first_failing_point(monkeypatch, cpus):
-    # a free-decay time that is too short leaves both points without a
-    # feasible upper end
+    # at a free-decay time that is too short the free run misses the ball,
+    # so both points fail at their first probe
     f, g = INSTANCES["tanh-masked"]
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     short = 0.5 * free_decay_time(y0, BALL, f, g, nt=NT)

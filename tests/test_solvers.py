@@ -118,6 +118,27 @@ def test_minimal_norm_control_is_certified(gamma_zero):
     assert np.all(point.control.step_norms() <= point.bracket_hi * (1.0 + 1e-12))
 
 
+def test_free_run_at_the_free_decay_time_reaches_the_ball():
+    # minimal_time rests on this: the zero control reaches the ball at the
+    # free-decay time, on that horizon's own step grid.  Seeded draws over
+    # grid sizes, step counts, the built-in reactions with L up to 10,
+    # initial states on several modes, and radii from 1e-3 to 0.9 of the
+    # initial norm.
+    rng = np.random.default_rng(20121)
+    kinds = ("zero", "scaled_tanh", "bounded_odd_rational")
+    for case in range(24):
+        g = SpatialGrid.build(n=int(rng.choice([15, 31, 63])), ell=1.0)
+        nt = int(rng.choice([60, 200, 300]))
+        f = make_nonlinearity(kinds[case % 3], float(rng.uniform(0.0, 10.0)))
+        modes = dirichlet_eigs(g, 4).eigenvectors
+        y0 = rng.normal(size=4) * rng.uniform(0.5, 20.0) @ modes
+        ball = TargetBall(float(10.0 ** rng.uniform(-3.0, math.log10(0.9)))
+                          * float(np.sqrt(g.h * y0 @ y0)))
+        gamma = free_decay_time(y0, ball, f, g, nt=nt)
+        terminal = float(free_run(y0, gamma, nt, f, g).trajectory.norms[-1])
+        assert reaches_ball(terminal, ball), (case, terminal / ball.r)
+
+
 # ---------------------------------------------------------------------------
 # Minimal time
 
@@ -142,8 +163,8 @@ def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls, monkeypatch):
     # zero-reaction adjoint.  One left open adds the tanh costate of its free
     # run, the bang-bang ray's first direction; the oracle call that confirms
     # the lower end reuses that run and costate.  At the free-decay time the
-    # free run reaches the ball, so the ray returns the zero control and
-    # solves no adjoint.
+    # free run reaches the ball, so the point takes the zero control there
+    # without the ray and solves no adjoint.
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT)
     rays = []
@@ -152,7 +173,7 @@ def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls, monkeypatch):
     del solve_calls.forward[:]
     point = minimal_time(5.0, y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT, gamma_hint=gamma)
     assert point.diagnostics["oracle_calls"] == 1
-    refuted = point.iterations - 1 - len(rays)
+    refuted = point.iterations - 2 - len(rays)
     assert refuted > 0 and point.diagnostics["dual_lower_bound"] > 0.0
     kinds = []
     for u, traj in solve_calls.forward:
@@ -161,7 +182,7 @@ def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls, monkeypatch):
                                for t, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
                                if t is traj))
     assert sorted(kinds) == sorted([()] + [("zero",)] * refuted
-                                   + [("zero", "tanh")] * (len(rays) - 1))
+                                   + [("zero", "tanh")] * len(rays))
 
 
 def test_minimal_time_zero_bound_is_free_decay(gamma_zero):
@@ -546,15 +567,6 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
         assert doublings[0] > 0
     for M in (0.0, 1.0, 20.0):
         check(minimal_time, M, reference_minimal_time, time_width, gamma_hint=gamma)
-    # a slightly short free-decay time makes the upper end widen before bisecting
-    point = check(minimal_time, 0.01, reference_minimal_time,
-                  lambda hi: 1e-3 * 0.97 * gamma, gamma_hint=0.97 * gamma)
-    assert point.diagnostics["upper_expansions"] > 0
-    # and each failed upper end becomes the lower end: the tanh point bisects
-    # only above the failed probes (14 oracle calls when its lower end stayed 0)
-    assert point.bracket_lo >= 0.97 * gamma
-    if not is_linear(f):
-        assert point.diagnostics["oracle_calls"] < 14
     # a short iteration budget leaves some probes inconclusive
     few = ReachOptions(max_iters=5)
     check(minimal_norm, 0.3 * gamma, reference_minimal_norm, norm_width, opts=few,
@@ -576,29 +588,26 @@ def test_bisection_driver_exhaustion_errors_match_reference_loops():
     assert str(new.value) == str(ref.value)
     assert "norm bound 1.15e+18" in str(new.value)
 
-    # a free-decay time that is too short leaves the upper end infeasible
-    short = 0.5 * free_decay_time(*args, nt=SMALL_NT)
-    with pytest.raises(NoFeasibleBoundError) as new:
-        minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
-    with pytest.raises(RuntimeError) as ref:
-        reference_minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
-    assert str(new.value) == str(ref.value)
-    assert "could not certify" in str(new.value)
 
-
-def test_linear_minimal_time_refuses_a_free_decay_time_that_is_too_short(oracle_probes):
-    # The free run's bound leaves the too-short free-decay time open, and the
-    # dual pair refutes it and every nudge past it, up to the last, without
-    # an oracle call.  The message says so: it has no oracle terminal norm
-    # to name (reading one raised AttributeError).
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
+def test_minimal_time_refuses_a_free_decay_time_that_is_too_short(f, oracle_probes,
+                                                                   solve_calls):
+    # The search rests on the zero control reaching the ball at the given
+    # free-decay time.  At half the true one the free run misses, so the first
+    # probe raises, after that one free run and before any oracle call.
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
-    args = (y0, BALL, F_ZERO, SMALL_MASKED)
+    args = (y0, BALL, f, SMALL_MASKED)
     short = 0.5 * free_decay_time(*args, nt=SMALL_NT)
-    with pytest.raises(NoFeasibleBoundError, match="could not certify") as err:
+    del solve_calls.forward[:]
+    with pytest.raises(NoFeasibleBoundError) as err:
         minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
     assert oracle_probes == []
-    top = short * (1.0 + 0.02 * 2 ** 3)
-    assert str(err.value).endswith(f"the dual bound refuted horizon {top:.6g}")
+    (u, traj), = solve_calls.forward
+    assert u.nt * u.dt == pytest.approx(short) and not u.values.any()
+    assert str(err.value) == (
+        f"could not certify feasibility near the free-decay time {short:.6g} for M=0.01; "
+        f"the free run ends at norm {float(traj.norms[-1]):.6g} there")
+    assert not reaches_ball(float(traj.norms[-1]), BALL)
 
 
 def test_linear_minimal_time_refutes_with_the_pair_before_the_oracle(oracle_probes):

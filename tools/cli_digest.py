@@ -67,6 +67,8 @@ VARIANTS = [
     # linear value points on masked control, where the dual pair iterates
     *[("masked", "linear_equivalence", cmd, ["omega=[0.3,0.8]"])
       for cmd in ("minnorm", "mintime")],
+    # the pair refutes the crossing, so the minimal time halves above it
+    ("masked", "linear_equivalence", "mintime", ["omega=[0.3,0.8]", "experiment.M=50"]),
     # the second built-in reaction term
     *[("rational", "tanh_sweep", cmd, ["nonlinearity.kind=bounded_odd_rational"])
       for cmd in ("mintime", "minnorm")],
@@ -84,6 +86,10 @@ VARIANTS = [
     ("sign", "oracle_compare", "oracle-compare", ["experiment.T_values=[-0.1]"]),
     ("sign", "tanh_sweep", "sweep", ["experiment.M_grid=[-1,5]"]),
     ("sign", "linear_equivalence", "sweep", ["experiment.T_grid=[0.0,0.05]"]),
+    # initial states the config cannot take
+    ("y0", "linear_equivalence", "gamma", ['y0={"file":5}']),
+    ("y0", "linear_equivalence", "gamma", ['y0={"modes":{"1":1e308}}']),
+    ("y0", "linear_equivalence", "gamma", ['y0={"modes":{"1":1e200,"2":1e200}}']),
     # grids a curve cannot take
     ("grid", "tanh_sweep", "sweep", ["experiment.M_grid=[5,1]"]),
     ("grid", "linear_equivalence", "sweep", ["experiment.T_grid=[0.05,0.5]"]),
