@@ -325,6 +325,9 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
         eps_stag=number("solver.eps_stag", sol.get("eps_stag", 1e-7)),
         eps_feas_rel=number("solver.eps_feas", sol.get("eps_feas", 1e-3)),
     )
+    if reach_opts["eps_feas_rel"] is not None and reach_opts["eps_feas_rel"] >= 1.0:
+        fail("solver.eps_feas",
+             f"expected a positive finite number below 1, got {sol['eps_feas']!r}")
 
     experiment = section("experiment")
 

@@ -77,8 +77,9 @@ class ReachOptions:
     ``max_iters`` bounds the descent iterations; ``eps_stag`` ends the descent
     once an accepted step moves the control by less than eps_stag*M*sqrt(T);
     ``eps_feas_rel`` is the feasibility slack relative to the target radius
-    (see :func:`reaches_ball`).  The step rule is fixed: a spectral step
-    with backtracking (module docstring).
+    (see :func:`reaches_ball`), below 1: from 1 on the oracle's early-stop
+    radius r(1 - eps_feas_rel) is 0.  The step rule is fixed: a spectral
+    step with backtracking (module docstring).
     """
 
     max_iters: int = 200
@@ -90,6 +91,8 @@ class ReachOptions:
             raise ValueError("the iteration budget must be positive")
         if self.eps_stag <= 0.0 or self.eps_feas_rel <= 0.0:
             raise ValueError("tolerances must be positive")
+        if self.eps_feas_rel >= 1.0:
+            raise ValueError("the feasibility slack eps_feas_rel must be below 1")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,12 @@ The minimal time for a given norm bound and the minimal norm bound for a given
 horizon are the same search: one bisection driver, :func:`_bisect`, over the
 reachability oracle.  Bisection is valid because feasibility is monotone (a
 bigger M or a longer horizon can only help), and it is robust to the oracle's
-small noise near the feasibility boundary.  Each probe is warm-started from
-the control of the last feasible one.
+small noise near the feasibility boundary.  Every search runs between a
+certified lower end and an upper end that is feasible with its control, and
+probes neither end; each value function certifies that upper end first.
+Each probe is warm-started from the control of the last feasible one, and
+the search stops once the bracket meets its width rule or its ends are
+adjacent floats.
 
 Probes are decided before the oracle is called wherever a certificate does
 it.  Weak duality (:func:`heatctl.reach.dual_lower_bound`, the discrete dual
@@ -16,18 +20,18 @@ Bang-bang controls along the masked costate give upper ends: for f = 0
 :func:`heatctl.reach.bangbang_ray`, whose miss proves nothing.
 
 * The minimal norm takes the dual pair of its free run: it refutes every M
-  below the lower end, takes the pair's control from the upper end on, and
-  calls the oracle in between.  It starts from the pair's two ends when the
-  pair has a control (f = 0, as a rule), and otherwise doubles from 1, giving
-  up, with the last upper end named, before the next would pass
-  ``MAX_NORM_BOUND``.
-* The minimal time searches (0, gamma], gamma the free-decay time: its first
-  probe checks that the zero control reaches the ball at gamma, and raises
-  :class:`NoFeasibleBoundError` otherwise.  A first search refutes each
-  horizon whose free run's bound exceeds M; with a reaction term the ray
-  decides the others, a miss counting as infeasible for this search only,
-  and for f = 0 they stay open, so the search finds where the bound crosses
-  M with free runs alone.  A second search then steps down from an upper end
+  below the lower end and calls the oracle on the others.  It searches
+  between the pair's two ends, the upper one with the pair's control, when
+  the pair has a control (f = 0, as a rule); otherwise it first doubles from
+  1 until the oracle finds a feasible bound, giving up, with the last upper
+  end named, before the next would pass ``MAX_NORM_BOUND``.
+* The minimal time searches (0, gamma], gamma the free-decay time: it first
+  checks that the zero control reaches the ball at gamma, which counts as
+  its first probe, and raises :class:`NoFeasibleBoundError` otherwise.  A
+  first search refutes each horizon whose free run's bound exceeds M; with
+  a reaction term the ray decides the others, a miss counting as infeasible
+  for this search only, and for f = 0 they stay open, so the search finds
+  where the bound crosses M with free runs alone.  A second search then steps down from an upper end
   known to be feasible, probing one given horizon first, and halves; its
   probes are refuted by the bound, settled or refuted by the pair (f = 0),
   or else decided by the oracle.  For f = 0 it steps down from gamma with
@@ -47,9 +51,9 @@ Every point records its dual bound in its diagnostics as ``dual_lower_bound``:
 the pair's lower end for a minimal norm, the largest refuted horizon for
 a minimal time, and 0 when none was certified.  ``oracle_calls`` counts the
 oracle calls and ``iterations`` every probe of both searches, refuted and
-ray-decided ones included.  A point's ``bracket_lo`` is an infeasible oracle
-probe or its bound, never a ray's miss, and its ``bracket_hi`` a feasible
-probe whose control it returns.
+ray-decided ones and the upper end's certificate included.  A point's
+``bracket_lo`` is an infeasible oracle probe or its bound, never a ray's
+miss, and its ``bracket_hi`` a feasible probe whose control it returns.
 
 The points of a curve are independent of each other once the free-decay time
 is known, so :func:`minimal_time_curve` and :func:`minimal_norm_curve` solve
@@ -67,7 +71,7 @@ import inspect
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, NamedTuple
 
@@ -270,74 +274,50 @@ def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
     )
 
 
-def _unbisected(parameter: float, value: float, horizon: float, gamma: float,
-                nt: int, g: SpatialGrid) -> ValuePoint:
-    """A point decided without the oracle: the zero control reaches the ball."""
-    return ValuePoint(parameter=parameter, value=value, bracket_lo=value, bracket_hi=value,
-                      iterations=0, control=ControlSignal.zeros(nt, horizon / nt, g),
-                      diagnostics={"free_decay_time": gamma, "oracle_calls": 0,
-                                   "inconclusive": 0, "dual_lower_bound": 0.0})
+def _bisect(probe, log: list, lo: float, hi: float, control: ControlSignal | None,
+            width, first: float | None = None) -> tuple[float, float, ControlSignal | None]:
+    """Narrow a certified bracket of a monotone probe, called as
+    ``probe(x, warm_start=u)``, and return the last ``(lo, hi, control)``.
 
-
-def _bisect(oracle, parameter: float, hi: float, widen, width, widen_key: str,
-            gamma: float, lo: float = 0.0, control: ControlSignal | None = None,
-            first: float | None = None) -> ValuePoint:
-    """Smallest feasible x of a monotone oracle, called as ``oracle(x, warm_start=u)``.
-
-    ``lo`` is a lower end known to be infeasible.  While the upper end ``hi``
-    is infeasible, ``widen(k, lo, hi, res)`` gives the k-th wider bracket or
-    raises :class:`NoFeasibleBoundError`.  Then [lo, hi] is halved until
-    ``hi - lo <= width(hi)``, each probe warm-started from the last feasible
-    control.  With ``control``, hi is known to be feasible with it and is not
-    probed; with ``first`` in (lo, hi), the search steps down from hi instead
-    of halving: it probes ``first``, then steps down by twice the last step
-    after each feasible probe, while that stays above lo and until a probe
-    fails.  A probe may be decided without the oracle (:class:`_Decided`);
-    ``oracle_calls`` counts the other probes.
+    ``lo`` is known to be infeasible and ``hi`` to be feasible with
+    ``control``; neither is probed.  The bracket is halved until
+    ``hi - lo <= width(hi)``, or until its midpoint is no longer strictly
+    inside (the ends are adjacent floats), each probe warm-started from the
+    last feasible control and its result appended to ``log``.  With
+    ``first`` in (lo, hi), the search steps down from hi instead of halving:
+    it probes ``first``, then steps down by twice the last step after each
+    feasible probe, while that stays above lo and until a probe fails.
     """
-    probes = []  # per probe: (decided without the oracle, inconclusive)
-
-    def probe(x, warm):
-        res = oracle(x, warm_start=warm)
-        probes.append((isinstance(res, _Decided), res.inconclusive))
-        return res
-
-    widenings = 0
-    if control is None:
-        res = probe(hi, None)
-        while not res.feasible:
-            widenings += 1
-            lo, hi = widen(widenings, lo, hi, res)
-            res = probe(hi, res.control)
-        control = res.control
-
     x = hi if first is None else first
     step = hi - x
     while hi - lo > width(hi):
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        res = probe(x, control)
+            if not lo < x < hi:
+                break
+        res = probe(x, warm_start=control)
+        log.append(res)
         if res.feasible:
             hi, control, step = x, res.control, 2.0 * step
         else:
             lo, step = x, 0.0
         x = hi - step
+    return lo, hi, control
 
-    oracle_calls = sum(not decided for decided, _ in probes)
+
+def _point(parameter: float, lo: float, hi: float, control: ControlSignal, log: list,
+           gamma: float, bound: float, **extra) -> ValuePoint:
+    """The value point of the bracket (lo, hi], hi feasible with control,
+    after the probes in ``log``; ``bound`` is the point's dual lower bound.
+    ``oracle_calls`` counts the probes not decided without the oracle
+    (:class:`_Decided`)."""
     return ValuePoint(parameter=parameter, value=0.5 * (lo + hi), bracket_lo=lo,
-                      bracket_hi=hi, iterations=len(probes), control=control,
-                      diagnostics={"free_decay_time": gamma, "oracle_calls": oracle_calls,
-                                   "inconclusive": sum(inc for _, inc in probes),
-                                   widen_key: widenings})
-
-
-def _continued(first: ValuePoint, then: ValuePoint) -> ValuePoint:
-    """``then``, a search that went on from ``first``'s bracket, with the
-    probes of both counted."""
-    counts = {key: first.diagnostics[key] + then.diagnostics[key]
-              for key in ("oracle_calls", "inconclusive")}
-    return replace(then, iterations=first.iterations + then.iterations,
-                   diagnostics={**then.diagnostics, **counts})
+                      bracket_hi=hi, iterations=len(log), control=control,
+                      diagnostics={"free_decay_time": gamma,
+                                   "oracle_calls": sum(not isinstance(res, _Decided)
+                                                       for res in log),
+                                   "inconclusive": sum(res.inconclusive for res in log),
+                                   **extra, "dual_lower_bound": bound})
 
 
 class _Decided(NamedTuple):
@@ -372,7 +352,7 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if T >= gamma:
-        return _unbisected(T, 0.0, T, gamma, nt, g)
+        return _point(T, 0.0, 0.0, ControlSignal.zeros(nt, T / nt, g), [], gamma, 0.0)
     free = free_run(y0, T, nt, f, g)
 
     def width(hi):
@@ -383,20 +363,23 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     def probe(M, warm_start=None):
         if M < bound:
             return _Decided(False)
-        if M >= level:
-            return _Decided(True, control)
         return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
                                  warm_start=warm_start, free=free)
 
-    def widen(k, lo, hi, res):
-        if 2.0 * hi > MAX_NORM_BOUND:
-            raise NoFeasibleBoundError(f"no feasible control found up to norm bound "
-                                       f"{hi:.3g} at T={T}")
-        return hi, 2.0 * hi
-
-    lo, hi = (bound, level) if control is not None else (0.0, 1.0)
-    point = _bisect(probe, T, hi, widen, width, "doublings", gamma, lo=lo)
-    return replace(point, diagnostics={**point.diagnostics, "dual_lower_bound": bound})
+    doublings = 0
+    if control is not None:
+        lo, hi, log = bound, level, [_Decided(True, control)]
+    else:
+        lo, hi, log = 0.0, 1.0, [probe(1.0)]
+        while not log[-1].feasible:
+            if 2.0 * hi > MAX_NORM_BOUND:
+                raise NoFeasibleBoundError(f"no feasible control found up to norm bound "
+                                           f"{hi:.3g} at T={T}")
+            lo, hi, doublings = hi, 2.0 * hi, doublings + 1
+            log.append(probe(hi, warm_start=log[-1].control))
+        control = log[-1].control
+    lo, hi, control = _bisect(probe, log, lo, hi, control, width)
+    return _point(T, lo, hi, control, log, gamma, bound, doublings=doublings)
 
 
 def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -407,20 +390,21 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
 
     M = 0 degenerates to the free-decay time.  Otherwise bisect on the horizon
     over (0, free-decay time], where the zero control reaches the ball at the
-    upper end (the first probe checks it and raises
-    :class:`NoFeasibleBoundError` when the free run misses, as with a
-    ``gamma_hint`` shorter than the free-decay time).  The dual bound refutes
-    horizons, and the bang-bang ray (a reaction term) or the dual pair at the
-    crossing (f = 0) settles the others (module docstring); feasibility is
-    monotone in the horizon because the ball is invariant under free decay.
+    upper end (checked first, raising :class:`NoFeasibleBoundError` when the
+    free run misses, as with a ``gamma_hint`` shorter than the free-decay
+    time).  The dual bound refutes horizons, and the bang-bang ray (a
+    reaction term) or the dual pair at the crossing (f = 0) settles the
+    others (module docstring); feasibility is monotone in the horizon
+    because the ball is invariant under free decay.
     tol_T is relative to the free-decay time.
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
+    zero = ControlSignal.zeros(nt, gamma / nt, g)
     if M == 0.0:
-        return _unbisected(M, gamma, gamma, gamma, nt, g)
+        return _point(M, gamma, gamma, zero, [], gamma, 0.0)
 
     def width(hi):
         return tol_T * gamma
@@ -439,14 +423,6 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         return free
 
     def probe(T, warm_start=None):
-        if T >= gamma:
-            # The first probe: the zero control, which the search rests on.
-            terminal = float(free_run(y0, T, nt, f, g).trajectory.norms[-1])
-            if not reaches_ball(terminal, ball, opts):
-                raise NoFeasibleBoundError(
-                    f"could not certify feasibility near the free-decay time {gamma:.6g} "
-                    f"for M={M}; the free run ends at norm {terminal:.6g} there")
-            return _Decided(True, ControlSignal.zeros(nt, T / nt, g))
         free = bounded(T)
         if free is None:
             return _Decided(False)
@@ -476,23 +452,23 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
                                  warm_start=warm_start, free=free)
 
-    point = _bisect(probe, M, gamma, None, width, "upper_expansions", gamma)
-
-    def descend(hi, control, first):
-        """The second search, with certified probes: down from hi, which is
-        feasible with control, probing the horizon ``first`` before any other."""
-        return _continued(point, _bisect(settle, M, hi, None, width, "upper_expansions",
-                                         gamma, lo=max(refuted), control=control,
-                                         first=first))
-
+    # The upper end, the first probe: the zero control reaches the ball at gamma.
+    terminal = float(free_run(y0, gamma, nt, f, g).trajectory.norms[-1])
+    if not reaches_ball(terminal, ball, opts):
+        raise NoFeasibleBoundError(
+            f"could not certify feasibility near the free-decay time {gamma:.6g} "
+            f"for M={M}; the free run ends at norm {terminal:.6g} there")
+    log = [_Decided(True, zero)]
+    lo, hi, control = _bisect(probe, log, 0.0, gamma, zero, width)
+    # The second search, with certified probes.
     if is_linear(f):
         # from gamma with the zero control, the crossing first
-        point = descend(gamma, ControlSignal.zeros(nt, gamma / nt, g), point.bracket_hi)
-    elif point.bracket_lo in left_open:
+        lo, hi, control = _bisect(settle, log, max(refuted), gamma, zero, width, first=hi)
+    elif lo in left_open:
         # from the ray's upper end, the missed lower end first: the oracle
         # confirms it, warm-started from the ray's control
-        point = descend(point.bracket_hi, point.control, point.bracket_lo)
-    return replace(point, diagnostics={**point.diagnostics, "dual_lower_bound": max(refuted)})
+        lo, hi, control = _bisect(settle, log, max(refuted), hi, control, width, first=lo)
+    return _point(M, lo, hi, control, log, gamma, max(refuted))
 
 
 def bangbang_report(v: ControlSignal, level: float, delta: float) -> float:

@@ -454,6 +454,18 @@ def test_numeric_fields_reject_non_finite_and_bool(tmp_path, capsys, field, valu
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps_feas", [1, 1e300])
+def test_feasibility_slack_of_one_or_more_is_field_error(tmp_path, capsys, eps_feas):
+    # From 1 on the oracle's early-stop radius r(1 - eps_feas) is 0, and a
+    # huge slack overflowed the dual bound's radius into a traceback.
+    cfg = write_config(tmp_path, solver={"eps_feas": eps_feas}, experiment={"M": 5.0})
+    out = tmp_path / "out"
+    assert main(["mintime", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config: solver.eps_feas: expected a positive finite number below 1" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("grid", [1]),
     ("nonlinearity", "scaled_tanh"),

@@ -176,6 +176,12 @@ def test_min_terminal_norm_argument_checks():
         ReachOptions(max_iters=0)
 
 
+def test_reach_options_refuse_a_feasibility_slack_of_one():
+    # r(1 - eps_feas_rel), the oracle's early-stop radius, is 0 from 1 on.
+    with pytest.raises(ValueError, match="below 1"):
+        ReachOptions(eps_feas_rel=1.0)
+
+
 # ---------------------------------------------------------------------------
 # Gradient verification
 

@@ -686,6 +686,38 @@ def test_dual_lower_bound_is_recorded_on_every_point(f):
     # the two points decided without the oracle record 0
     assert bounds[1] == bounds[2] == 0.0
     assert sum(b > 0.0 for b in bounds) == len(points) - 2
+    # a minimal norm that searched also counts its doublings
+    keys = {"free_decay_time", "dual_lower_bound", "oracle_calls", "inconclusive"}
+    assert [set(p.diagnostics) for p in points] == [
+        keys | {"doublings"}, keys, keys, keys, keys | {"doublings"}, keys, keys,
+        keys | {"doublings"}]
+
+
+@pytest.mark.parametrize("value_fn", ["minimal_time", "minimal_norm"])
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
+def test_a_width_below_the_float_spacing_ends_on_adjacent_floats(f, value_fn, monkeypatch):
+    # A width rule of 1e-17 is below the float spacing at these values, so
+    # each search halves until its midpoint rounds onto an end, and stops
+    # there without probing an end again.  A search that went on would make
+    # free runs or oracle calls without end; after 2000 of either it fails.
+    for name in ("free_run", "min_terminal_norm"):
+        calls = []
+
+        def limited(*args, original=getattr(solvers, name), calls=calls, **kwargs):
+            calls.append(None)
+            if len(calls) > 2000:
+                raise RuntimeError("the search did not end")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, limited)
+    y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
+    args = (y0, BALL, f, SMALL_MASKED)
+    gamma = free_decay_time(*args, nt=SMALL_NT)
+    if value_fn == "minimal_time":
+        point = minimal_time(5.0, *args, tol_T=1e-17, nt=SMALL_NT, gamma_hint=gamma)
+    else:
+        point = minimal_norm(0.5 * gamma, *args, tol_M=1e-17, nt=SMALL_NT, gamma_hint=gamma)
+    assert point.bracket_hi == np.nextafter(point.bracket_lo, np.inf)
 
 
 def test_a_missed_lower_end_takes_one_confirming_oracle_call(monkeypatch):

@@ -3,13 +3,14 @@
 Runs each subcommand on each config in a fresh interpreter (``python -m
 heatctl.cli``), adding only the experiment fields the config lacks, plus
 step-count (``dt``), free-decay-edge, masked-control curve, second reaction
-term (``bounded_odd_rational``), failure and refused-config variants.
-Prints one line per run:
+term (``bounded_odd_rational``), tolerance-below-float-spacing, failure and
+refused-config variants.  Prints one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
 
 where ``out`` hashes ``summary.json`` without ``wall_time_s`` and every CSV
-the run wrote, and ends with one overall digest of those lines.  Two
+the run wrote, and ends with one overall digest of those lines.  A run still
+going after ``TIMEOUT_S`` seconds is killed and prints ``exit=timeout``.  Two
 checkouts give the same digest exactly when they give the same exit codes,
 stderr and outputs on every run.
 
@@ -28,6 +29,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# Seconds a run may take before it is killed.
+TIMEOUT_S = 120
 
 SUBCOMMANDS = ("simulate", "gamma", "minnorm", "mintime", "equivalence",
                "sweep", "oracle-compare", "gradcheck")
@@ -72,12 +76,18 @@ VARIANTS = [
     # the second built-in reaction term
     *[("rational", "tanh_sweep", cmd, ["nonlinearity.kind=bounded_odd_rational"])
       for cmd in ("mintime", "minnorm")],
+    # width rules below the float spacing: the bracket ends on adjacent floats
+    ("tiny", "linear_equivalence", "minnorm", ["solver.tol_m=1e-17"]),
+    ("tiny", "linear_equivalence", "mintime", ["solver.tol_t=1e-17"]),
     # failures
     ("fail", "tanh_sweep", "mintime", ["experiment.M=5", "nonlinearity.L=1e6"]),
     ("fail", "linear_equivalence", "mintime", ["experiment.M=1e300"]),
     ("fail", "tanh_sweep", "mintime", ["experiment.M=1e300"]),
     ("fail", "tanh_sweep", "minnorm", ["experiment.T=0.01", "solver.max_iters=1"]),
     ("fail", "linear_equivalence", "minnorm", ["omega=[0.1,0.4]", "experiment.T=0.007"]),
+    # feasibility slacks outside (0, 1)
+    ("slack", "linear_equivalence", "mintime", ["solver.eps_feas=1e200"]),
+    ("slack", "linear_equivalence", "mintime", ["solver.eps_feas=1"]),
     # list entries of the wrong sign
     ("sign", "linear_equivalence", "equivalence", ["experiment.M_grid=[-1]"]),
     ("sign", "linear_equivalence", "equivalence", ["experiment.T_grid=[-0.01]"]),
@@ -122,9 +132,13 @@ def run(root: Path, config: str, command: str, overrides: list[str]) -> str:
         for spec in overrides:
             argv += ["--override", spec]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(argv, capture_output=True, env=env, cwd=tmp)
-        return (f"exit={proc.returncode} stderr={_sha(proc.stderr)} "
-                f"out={_outputs_digest(out_dir)}")
+        try:
+            proc = subprocess.run(argv, capture_output=True, env=env, cwd=tmp,
+                                  timeout=TIMEOUT_S)
+            code, stderr = proc.returncode, proc.stderr
+        except subprocess.TimeoutExpired as exc:
+            code, stderr = "timeout", exc.stderr or b""
+        return f"exit={code} stderr={_sha(stderr)} out={_outputs_digest(out_dir)}"
 
 
 def plan(root: Path):
