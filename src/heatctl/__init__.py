@@ -31,6 +31,7 @@ from .pde import (
     decay_envelope_check,
     dirichlet_eigs,
     hitting_time,
+    linear_free_state,
     principal_eigenvalue,
     solve_adjoint,
     solve_forward,
@@ -39,6 +40,7 @@ from .reach import (
     FreeRun,
     ReachOptions,
     ReachResult,
+    dual_bound_enclosure,
     dual_lower_bound,
     free_run,
     gradient_fd_check,

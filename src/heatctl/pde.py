@@ -107,6 +107,20 @@ def dirichlet_eigs(g: SpatialGrid, k: int) -> DirichletSpectrum:
     return DirichletSpectrum(eigenvalues=lam, eigenvectors=vecs)
 
 
+def linear_free_state(coeffs: np.ndarray, spectrum: DirichletSpectrum, dt: float,
+                      nt: int) -> np.ndarray:
+    """The state after nt uncontrolled steps of dt with the zero reaction,
+    from the state sum_i coeffs[i]*e_i over all n pairs of ``spectrum``
+    (coeffs[i] = <y0, e_i>_h).
+
+    Each step of the scheme applies (I + dt*A)^{-1}, which scales e_i by
+    1/(1 + dt*lambda_i), so the state is sum_i (1 + dt*lambda_i)^(-nt)
+    coeffs[i] e_i: :func:`solve_forward`'s last state up to rounding, at the
+    cost of one product with the n x n sine matrix.
+    """
+    return (coeffs * (1.0 + dt * spectrum.eigenvalues) ** -float(nt)) @ spectrum.eigenvectors
+
+
 def principal_eigenvalue(g: SpatialGrid) -> float:
     """Smallest eigenvalue of the discrete negative Laplacian."""
     return (2.0 / g.h ** 2) * (1.0 - math.cos(math.pi * g.h / g.ell))

@@ -17,7 +17,11 @@ descent:
   control reaches the ball (the discrete dual problem of Wang & Zuazua, SIAM
   J. Control Optim. 50 (2012), for f = 0; widened by
   :func:`reaction_costate_bounds` for a reaction term, whose
-  ``NonlinearitySpec.L`` it trusts);
+  ``NonlinearitySpec.L`` it trusts), and :func:`dual_bound_enclosure`, which
+  brackets that bound for the default datum y_free(T) without a solve, from
+  the first sine mode of y_free(T) and the decay of the others, so that a
+  caller comparing the bound with a given M solves it only when M falls
+  inside the bracket;
 * upper ends of the paper's bang-bang form, a control of constant pointwise
   norm along the masked costate: :func:`dual_pair` (f = 0) finds the smallest
   level that reaches the ball, from linearity, and :func:`bangbang_ray` (a
@@ -62,7 +66,13 @@ from .core import (
     step_l2_norms,
     zero_reaction,
 )
-from .pde import AdjointTrajectory, principal_eigenvalue, solve_adjoint, solve_forward
+from .pde import (
+    AdjointTrajectory,
+    DirichletSpectrum,
+    principal_eigenvalue,
+    solve_adjoint,
+    solve_forward,
+)
 
 
 STEP_SHRINK = 0.5
@@ -252,6 +262,16 @@ def reaction_costate_bounds(norms: np.ndarray, xi_norm: float, dt: float, L: flo
         return np.minimum(norms + (grown - xi_norm * q ** m), grown)
 
 
+def _dual_numerator(pairing: float, xi_norm: float, ball: TargetBall,
+                    opts: ReachOptions | None) -> tuple[float, float]:
+    """The dual bound's numerator <y_free(T), xi> - rho*||xi||, rho = r(1 +
+    eps_feas_rel), less ``DUAL_ROUNDING`` times the size of its terms, and
+    that size."""
+    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
+    terms = abs(pairing) + rho * xi_norm
+    return pairing - rho * xi_norm - DUAL_ROUNDING * terms, terms
+
+
 def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None = None,
                      xi: np.ndarray | None = None, norms: np.ndarray | None = None) -> float:
     """A norm bound below which no control reaches the ball at free's horizon.
@@ -289,11 +309,8 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None 
     xi = traj.states[-1] if xi is None else np.asarray(xi, dtype=float)
     if norms is None:
         norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, _ZERO, g), g), g.h)
-    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
-    pairing = g.h * float(traj.states[-1] @ xi)
     xi_norm = math.sqrt(g.h * float(xi @ xi))
-    slack = rho * xi_norm
-    numerator = pairing - slack - DUAL_ROUNDING * (abs(pairing) + slack)
+    numerator, _ = _dual_numerator(g.h * float(traj.states[-1] @ xi), xi_norm, ball, opts)
     if numerator <= 0.0:
         return 0.0
     if not is_linear(f):
@@ -302,6 +319,60 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None 
     if total <= 0.0:
         return 0.0
     return float(numerator / total)
+
+
+# Relative margin of :func:`dual_bound_enclosure` for the rounding of the
+# solves and of a closed-form datum, which stays near 1e-12 relative.
+ENCLOSURE_SLACK = 1e-6
+
+
+def dual_bound_enclosure(xi: np.ndarray, dt: float, nt: int, f: NonlinearitySpec,
+                         g: SpatialGrid, spectrum: DirichletSpectrum, ball: TargetBall,
+                         opts: ReachOptions | None = None) -> tuple[float, float]:
+    """(lo, hi) with lo <= ``dual_lower_bound(free, ball, opts)`` <= hi, where
+    free is the free run of nt steps of dt with f on g and xi its terminal
+    state; solves nothing.
+
+    Split xi = a*e_1 + xi_perp along the first eigenvector of ``spectrum``,
+    :func:`heatctl.pde.dirichlet_eigs` of g with two pairs or more (one when
+    n = 1).  The zero-reaction costate m = nt - k steps before the end is
+    R^m xi, with R = (I + dt*A)^-1; R^m e_1 = q_1^m e_1 and ||R^m xi_perp||
+    <= q_2^m ||xi_perp||, with q_i = 1/(1 + dt*lambda_i), so
+
+        | ||chi_omega psi0_k|| - q_1^m |a| ||chi_omega e_1|| | <= q_2^m ||xi_perp||.
+
+    Both ends of that interval go through the bound's own formula, for a
+    reaction term through :func:`reaction_costate_bounds`, which is monotone
+    in the step norms, so the enclosure holds the bound as computed.
+    ``ENCLOSURE_SLACK``, relative to q_1^m ||xi|| on each step and to the
+    terms of the numerator, covers the rounding of the adjoint solve and an
+    xi within rounding of the simulated y_free(T), such as
+    :func:`heatctl.pde.linear_free_state` gives for f = 0.  With a reaction
+    term, xi must be the free run's own terminal state.
+    """
+    xi = np.asarray(xi, dtype=float)
+    pairing = g.h * float(xi @ xi)
+    xi_norm = math.sqrt(pairing)
+    numerator, terms = _dual_numerator(pairing, xi_norm, ball, opts)
+    margin = ENCLOSURE_SLACK * terms
+    if numerator + margin <= 0.0:
+        return 0.0, 0.0
+    e1 = spectrum.eigenvectors[0]
+    a = g.h * float(e1 @ xi)
+    q = 1.0 / (1.0 + dt * spectrum.eigenvalues[:2])
+    m = np.arange(nt, 0, -1)
+    with np.errstate(under="ignore"):
+        q1m = q[0] ** m
+        centre = q1m * (abs(a) * l2_norm(g.omega_mask * e1, g))
+        spread = q[-1] ** m * l2_norm(xi - a * e1, g) + ENCLOSURE_SLACK * q1m * xi_norm
+    lo_norms, hi_norms = np.maximum(centre - spread, 0.0), centre + spread
+    if not is_linear(f):
+        lo_norms = reaction_costate_bounds(lo_norms, xi_norm, dt, f.L, g)
+        hi_norms = reaction_costate_bounds(hi_norms, xi_norm, dt, f.L, g)
+    lo_total, hi_total = dt * float(np.sum(lo_norms)), dt * float(np.sum(hi_norms))
+    lo = max(numerator - margin, 0.0) / hi_total if hi_total > 0.0 else 0.0
+    hi = (numerator + margin) / lo_total if lo_total > 0.0 else math.inf
+    return lo, hi
 
 
 # Most dual steps :func:`dual_pair` takes.

@@ -31,14 +31,30 @@ Bang-bang controls along the masked costate give upper ends: for f = 0
   first search refutes each horizon whose free run's bound exceeds M; with
   a reaction term the ray decides the others, a miss counting as infeasible
   for this search only, and for f = 0 they stay open, so the search finds
-  where the bound crosses M with free runs alone.  A second search then steps down from an upper end
-  known to be feasible, probing one given horizon first, and halves; its
+  where the bound crosses M.  A second search then steps down from an upper
+  end known to be feasible, probing one given horizon first, and halves; its
   probes are refuted by the bound, settled or refuted by the pair (f = 0),
   or else decided by the oracle.  For f = 0 it steps down from gamma with
   the zero control, the crossing first.  With a reaction term it runs only
   when the lower end is a miss, and steps down from the ray's upper end, the
   miss first, which the oracle confirms warm-started from the ray's control:
   one oracle call per point, as a rule.
+
+  Each horizon's bound is first enclosed without a solve
+  (:func:`heatctl.reach.dual_bound_enclosure`): the horizon is refuted when
+  the enclosure's lower end exceeds M, open when its upper end does not, and
+  only in between is the exact bound solved.  For f = 0 the enclosure reads
+  y_free(T) in closed form (:func:`heatctl.pde.linear_free_state`, from the
+  sine coefficients of y0, taken once per point).  So a probe costs:
+
+  - decided by the enclosure: no solve for f = 0, its free run with a
+    reaction term;
+  - decided by the exact bound: the free run and one zero-reaction adjoint;
+  - decided by the ray: on top, the free run's costate with the reaction
+    term and the ray's runs (:func:`heatctl.reach.bangbang_ray`);
+  - settled in the second search, once its bound leaves it open in the same
+    way: its free run, simulated once per horizon, then for f = 0 the run's
+    costate and the pair's solves, with a reaction term an oracle call.
 
 The minimal norm with a reaction term keeps its cold probe sequence (lower
 end 0, doubling from 1).  A refuted probe would have been infeasible for the
@@ -87,13 +103,16 @@ from .core import (
     l2_norm,
 )
 from .pde import (
+    dirichlet_eigs,
     hitting_time,
+    linear_free_state,
     principal_eigenvalue,
     solve_forward,
 )
 from .reach import (
     ReachOptions,
     bangbang_ray,
+    dual_bound_enclosure,
     dual_lower_bound,
     dual_pair,
     free_run,
@@ -392,10 +411,11 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     over (0, free-decay time], where the zero control reaches the ball at the
     upper end (checked first, raising :class:`NoFeasibleBoundError` when the
     free run misses, as with a ``gamma_hint`` shorter than the free-decay
-    time).  The dual bound refutes horizons, and the bang-bang ray (a
-    reaction term) or the dual pair at the crossing (f = 0) settles the
-    others (module docstring); feasibility is monotone in the horizon
-    because the ball is invariant under free decay.
+    time).  The dual bound, enclosed without a solve where that decides,
+    refutes horizons, and the bang-bang ray (a reaction term) or the dual
+    pair at the crossing (f = 0) settles the others (module docstring);
+    feasibility is monotone in the horizon because the ball is invariant
+    under free decay.
     tol_T is relative to the free-decay time.
     """
     if M < 0.0:
@@ -411,20 +431,36 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
 
     refuted = [0.0]
     # The last horizon the bound left open and nothing settled, with its free
-    # run: for f = 0 the crossing, with a reaction term the ray's last miss.
+    # run (None for f = 0 when it was not simulated): for f = 0 the crossing,
+    # with a reaction term the ray's last miss.
     left_open = {}
+    if is_linear(f):
+        spectrum = dirichlet_eigs(g, g.n)
+        coeffs = g.h * (spectrum.eigenvectors @ y0)
+    else:
+        spectrum = dirichlet_eigs(g, min(2, g.n))
 
     def bounded(T):
-        """T's free run, or None when its dual bound exceeds M."""
-        free = free_run(y0, T, nt, f, g)
-        if dual_lower_bound(free, ball, opts) > M:
+        """Whether T's dual bound exceeds M, and T's free run, or None for
+        f = 0 when the enclosure decided without it."""
+        dt = T / nt
+        if is_linear(f):
+            free, xi = None, linear_free_state(coeffs, spectrum, dt, nt)
+        else:
+            free = free_run(y0, T, nt, f, g)
+            xi = free.trajectory.states[-1]
+        lo, hi = dual_bound_enclosure(xi, dt, nt, f, g, spectrum, ball, opts)
+        if lo <= M < hi:
+            if free is None:
+                free = free_run(y0, T, nt, f, g)
+            lo = dual_lower_bound(free, ball, opts)
+        if lo > M:
             refuted.append(T)
-            return None
-        return free
+        return lo > M, free
 
     def probe(T, warm_start=None):
-        free = bounded(T)
-        if free is None:
+        exceeds, free = bounded(T)
+        if exceeds:
             return _Decided(False)
         if not is_linear(f):
             control = bangbang_ray(free, ball, M, opts)
@@ -438,9 +474,11 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     def settle(T, warm_start=None):
         # A certified probe: refuted by the dual bound (for f = 0 the pair's,
         # which settles T when it reaches the ball within M), else the oracle.
-        free = left_open.get(T) or bounded(T)
-        if free is None:
+        exceeds, free = (False, left_open[T]) if T in left_open else bounded(T)
+        if exceeds:
             return _Decided(False)
+        if free is None:
+            free = free_run(y0, T, nt, f, g)
         if is_linear(f):
             bound, level, control = dual_pair(free, ball, opts,
                                               lambda lo, hi: hi <= M or lo > M)

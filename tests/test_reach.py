@@ -25,7 +25,7 @@ from heatctl import (
     solve_forward,
 )
 from heatctl.core import step_l2_norms
-from heatctl.pde import diffusion_factor, diffusion_solve
+from heatctl.pde import diffusion_factor, diffusion_solve, linear_free_state
 from heatctl.reach import (
     DUAL_ROUNDING,
     ReachOptions,
@@ -34,6 +34,7 @@ from heatctl.reach import (
     _spectral_step,
     bangbang_ray,
     bangbang_values,
+    dual_bound_enclosure,
     dual_pair,
     masked_costate,
     reaches_ball,
@@ -694,6 +695,82 @@ def test_dual_bound_is_zero_when_the_costate_bound_overflows():
         warnings.simplefilter("error")
         assert dual_lower_bound(free, BALL) == 0.0
         assert dual_lower_bound(free, BALL, xi=Y0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Dual bound enclosure
+
+SPECTRUM = dirichlet_eigs(GRID, 2)
+ENCLOSURE_GRIDS = [SpatialGrid.build(n=31, ell=1.0, omega=omega)
+                   for omega in (None, (0.3, 0.8), (0.1, 0.4))]
+
+
+@pytest.mark.parametrize("g", ENCLOSURE_GRIDS, ids=["full", "masked", "narrow"])
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH, F_RATIONAL],
+                         ids=["zero", "scaled_tanh", "bounded_odd_rational"])
+def test_dual_bound_enclosure_holds_the_computed_bound(f, g):
+    # Random initial states on the first four modes, horizons from 1e-3*gamma
+    # to gamma: the enclosure holds the bound of the free run as computed,
+    # from the run's terminal state and, for f = 0, from its closed form too.
+    rng = np.random.default_rng(18)
+    spectrum = dirichlet_eigs(g, g.n)
+    positive_lo = finite_hi = 0
+    for case in range(8):
+        nt = (60, 300)[case % 2]
+        y0 = rng.normal(size=4) @ spectrum.eigenvectors[:4]
+        y0 *= rng.uniform(1.0, 8.0) / math.sqrt(g.h * float(y0 @ y0))
+        gamma = free_decay_time(y0, BALL, f, g, nt=nt)
+        for T in (1e-3 * gamma, gamma * 10.0 ** rng.uniform(-3.0, 0.0), gamma):
+            free = free_run(y0, T, nt, f, g)
+            bound = dual_lower_bound(free, BALL)
+            data = [free.trajectory.states[-1]]
+            if f is F_ZERO:
+                data.append(linear_free_state(g.h * (spectrum.eigenvectors @ y0), spectrum,
+                                              T / nt, nt))
+            for xi in data:
+                lo, hi = dual_bound_enclosure(xi, T / nt, nt, f, g, spectrum, BALL)
+                assert lo <= bound <= hi, (case, T / gamma, lo, bound, hi)
+                positive_lo += lo > 0.0
+                finite_hi += hi < math.inf
+    assert positive_lo >= 16 and finite_hi >= 9
+
+
+def test_dual_bound_enclosure_is_tight_on_the_first_mode():
+    # y0 = 2e1 on the full grid: xi has no component off e1, so the ends
+    # differ only by the slack, most of it on the numerator near gamma.
+    for T in (0.01, 0.05, 0.1):
+        free = free_run(Y0, T, 300, F_ZERO, GRID)
+        lo, hi = dual_bound_enclosure(free.trajectory.states[-1], T / 300, 300, F_ZERO,
+                                      GRID, SPECTRUM, BALL)
+        assert 0.0 < lo <= dual_lower_bound(free, BALL) <= hi <= lo * (1.0 + 1e-4)
+
+
+def test_dual_bound_enclosure_off_the_first_mode():
+    # y0 = 2e2: a = 0, so the step norms have no positive lower end and hi
+    # is infinite; on the full grid the costate is q2^m * xi exactly, which
+    # the upper step norms hold up to the slack, so lo is nearly the bound.
+    y0 = 2.0 * dirichlet_eigs(GRID, 2).eigenvectors[1]
+    for T in (0.005, 0.02):
+        free = free_run(y0, T, 300, F_ZERO, GRID)
+        bound = dual_lower_bound(free, BALL)
+        lo, hi = dual_bound_enclosure(free.trajectory.states[-1], T / 300, 300, F_ZERO,
+                                      GRID, SPECTRUM, BALL)
+        assert bound * (1.0 - 1e-5) <= lo <= bound < hi == math.inf
+
+
+def test_dual_bound_enclosure_is_zero_when_the_bound_is():
+    # The costate bound overflows at L = 1e6; the numerator is negative from
+    # inside the ball and at the free-decay time.  No floating-point warning.
+    f = make_nonlinearity("scaled_tanh", 1e6)
+    gamma = free_decay_time(Y0, BALL, F_ZERO, GRID)
+    cases = [(Y0, 0.1, f), (0.4 * Y0 / 2.0, 0.1, F_ZERO), (Y0, gamma, F_ZERO)]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for y0, T, f in cases:
+            free = free_run(y0, T, 300, f, GRID)
+            assert dual_lower_bound(free, BALL) == 0.0
+            assert dual_bound_enclosure(free.trajectory.states[-1], T / 300, 300, f, GRID,
+                                        SPECTRUM, BALL) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -159,12 +159,13 @@ def test_minimal_norm_point_solves_the_free_run_once(gamma_zero, solve_calls):
 
 
 def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls, monkeypatch):
-    # A horizon the dual bound refutes costs its free run and one
-    # zero-reaction adjoint.  One left open adds the tanh costate of its free
-    # run, the bang-bang ray's first direction; the oracle call that confirms
-    # the lower end reuses that run and costate.  At the free-decay time the
-    # free run reaches the ball, so the point takes the zero control there
-    # without the ray and solves no adjoint.
+    # The dual bound's enclosure decides every horizon of this point without
+    # an adjoint solve, so a refuted horizon costs its free run alone.  One
+    # left open adds the tanh costate of its free run, the bang-bang ray's
+    # first direction; the oracle call that confirms the lower end reuses
+    # that run and costate.  At the free-decay time the free run reaches the
+    # ball, so the point takes the zero control there without the ray and
+    # solves no adjoint.  No zero-reaction adjoint is solved at all.
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT)
     rays = []
@@ -181,8 +182,8 @@ def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls, monkeypatch):
             kinds.append(tuple("tanh" if f is F_TANH else "zero"
                                for t, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
                                if t is traj))
-    assert sorted(kinds) == sorted([()] + [("zero",)] * refuted
-                                   + [("zero", "tanh")] * len(rays))
+    assert sorted(kinds) == sorted([()] * (1 + refuted) + [("tanh",)] * len(rays))
+    assert all(f is F_TANH for f in solve_calls.adjoint_reaction)
 
 
 def test_minimal_time_zero_bound_is_free_decay(gamma_zero):
@@ -623,16 +624,49 @@ def test_linear_minimal_time_refutes_with_the_pair_before_the_oracle(oracle_prob
 
 
 def test_linear_minimal_time_counts_every_probe(solve_calls):
-    # Each probe of the crossing search solves one free run, and the dual
-    # pair settles the crossing's upper end on that end's free run, so the
-    # point makes one probe more than it solves free runs.
+    # The dual bound's enclosure decides each probe of the crossing search
+    # from the closed-form free run, so the point simulates two free runs:
+    # at gamma, the first probe, and at the crossing, whose zero-reaction
+    # costate the dual pair takes to settle the second search's one probe.
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT)
     del solve_calls.forward[:]
     point = minimal_time(1.0, y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT, gamma_hint=gamma)
-    free_runs = sum(not u.values.any() for u, _ in solve_calls.forward)
+    free_runs = [traj for u, traj in solve_calls.forward if not u.values.any()]
     assert point.diagnostics["oracle_calls"] == 0
-    assert point.iterations == free_runs + 1 > 10
+    assert point.iterations > 10
+    assert [traj.dt for traj in free_runs] == [gamma / SMALL_NT, point.bracket_hi / SMALL_NT]
+    along = [f for traj, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
+             if traj is free_runs[1]]
+    assert len(solve_calls.adjoint) == len(along) == 1 and is_linear(along[0])
+
+
+@pytest.mark.parametrize("f, omega, M", [(F_ZERO, None, 20.0), (F_ZERO, (0.3, 0.8), 50.0),
+                                         (F_TANH, None, 50.0), (F_TANH, (0.3, 0.8), 50.0)],
+                         ids=["zero-full", "zero-masked", "tanh-full", "tanh-masked"])
+def test_straddled_horizons_solve_the_exact_bound(f, omega, M, monkeypatch):
+    # Off the first mode the enclosure of the dual bound straddles M at some
+    # horizons, which then solve the exact bound; the point is the one every
+    # horizon's exact bound gives, bit for bit.
+    g = SpatialGrid.build(n=31, ell=1.0, omega=omega)
+    modes = dirichlet_eigs(g, 3).eigenvectors
+    args = (2.0 * modes[0] + 1.5 * modes[2], BALL, f, g)
+    gamma = free_decay_time(*args, nt=SMALL_NT)
+    enclosed, exact = [], []
+    monkeypatch.setattr(solvers, "dual_bound_enclosure",
+                        lambda *a: enclosed.append(a) or reach.dual_bound_enclosure(*a))
+    monkeypatch.setattr(solvers, "dual_lower_bound",
+                        lambda *a: exact.append(a) or reach.dual_lower_bound(*a))
+    point = minimal_time(M, *args, nt=SMALL_NT, gamma_hint=gamma)
+    assert 0 < len(exact) < len(enclosed)
+    bounds = len(enclosed)
+    del exact[:]
+    monkeypatch.setattr(solvers, "dual_bound_enclosure", lambda *a: (0.0, math.inf))
+    reference = minimal_time(M, *args, nt=SMALL_NT, gamma_hint=gamma)
+    assert len(exact) == bounds
+    assert dataclasses.replace(point, control=None) == dataclasses.replace(reference,
+                                                                           control=None)
+    np.testing.assert_array_equal(point.control.values, reference.control.values)
 
 
 def test_linear_minimal_time_at_a_huge_bound_is_certified_near_zero():

@@ -3,8 +3,9 @@
 Runs each subcommand on each config in a fresh interpreter (``python -m
 heatctl.cli``), adding only the experiment fields the config lacks, plus
 step-count (``dt``), free-decay-edge, masked-control curve, second reaction
-term (``bounded_odd_rational``), tolerance-below-float-spacing, failure and
-refused-config variants.  Prints one line per run:
+term (``bounded_odd_rational``), initial state off the first mode,
+tolerance-below-float-spacing, failure and refused-config variants.  Prints
+one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
 
@@ -76,6 +77,13 @@ VARIANTS = [
     # the second built-in reaction term
     *[("rational", "tanh_sweep", cmd, ["nonlinearity.kind=bounded_odd_rational"])
       for cmd in ("mintime", "minnorm")],
+    # initial states off the first mode, where the minimal time's dual-bound
+    # enclosure is loose and falls back to the exact bound at some horizons:
+    # f = 0 and tanh, on full and masked control
+    *[("offmode", config, cmd, ['y0={"modes":{"1":2,"3":1.5}}', f"omega={omega}"])
+      for config in ("linear_equivalence", "tanh_sweep")
+      for omega in ("[0,1]", "[0.3,0.8]")
+      for cmd in ("mintime", "equivalence")],
     # width rules below the float spacing: the bracket ends on adjacent floats
     ("tiny", "linear_equivalence", "minnorm", ["solver.tol_m=1e-17"]),
     ("tiny", "linear_equivalence", "mintime", ["solver.tol_t=1e-17"]),
