@@ -157,7 +157,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 class Setup:
     """Validated configuration with the built domain objects."""
 
-    raw: dict
+    modes: tuple[tuple[int, float], ...] | None  # y0.modes parsed, sorted; None for a file
     grid: SpatialGrid
     f: object
     y0: np.ndarray
@@ -266,7 +266,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
     r = number("r", cfg.get("r"))
     ball = None if r is None else TargetBall(r=r)
 
-    y0 = None
+    y0 = modes = None
     y0_cfg = cfg.get("y0")
     if not isinstance(y0_cfg, dict) or not ({"modes", "file"} & set(y0_cfg)):
         fail("y0", "expected an object with a 'modes' map or a 'file' path")
@@ -283,11 +283,12 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             elif any(i < 1 or i > grid.n for i, _ in pairs):
                 fail("y0.modes", f"mode indices must lie in [1, {grid.n}]")
             else:
-                spec = dirichlet_eigs(grid, max(i for i, _ in pairs))
+                modes = tuple((i, float(c)) for i, c in pairs)
+                spec = dirichlet_eigs(grid, max(i for i, _ in modes))
                 y0 = np.zeros(grid.n)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for i, c in pairs:
-                        y0 += float(c) * spec.eigenvectors[i - 1]
+                    for i, c in modes:
+                        y0 += c * spec.eigenvectors[i - 1]
         elif not isinstance(y0_cfg["file"], str):
             fail("y0.file", f"expected a path string, got {y0_cfg['file']!r}")
         else:
@@ -333,7 +334,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
 
     if errors:
         raise ConfigError(errors)
-    return Setup(raw=cfg, grid=grid, f=f, y0=y0, ball=ball, nt=nt, dt=dt,
+    return Setup(modes=modes, grid=grid, f=f, y0=y0, ball=ball, nt=nt, dt=dt,
                  tol_t=tol_t, tol_m=tol_m, opts=ReachOptions(**reach_opts),
                  experiment=experiment)
 
@@ -372,16 +373,16 @@ def scalar_instance_for(setup: Setup) -> ScalarInstance | None:
     """Closed-form oracle instance, when the config is in its scope.
 
     Requires control on the whole interval, no reaction term, and initial
-    data on the first eigenfunction alone.
+    data on the first eigenfunction alone (the only nonzero parsed mode).
     """
     if setup.f.kind != "zero":
         return None
     if not np.all(setup.grid.omega_mask == 1.0):
         return None
-    modes = setup.raw.get("y0", {}).get("modes")
-    if not isinstance(modes, dict) or set(modes.keys()) not in ({1}, {"1"}):
+    nonzero = [(i, c) for i, c in setup.modes or () if c != 0.0]
+    if [i for i, _ in nonzero] != [1]:
         return None
-    a0 = float(next(iter(modes.values())))
+    a0 = nonzero[0][1]
     if a0 <= setup.ball.r:
         return None
     return ScalarInstance(a0=a0, r=setup.ball.r, lam=principal_eigenvalue(setup.grid))

@@ -8,10 +8,10 @@ the descent starts from the best of the zero control, a full-amplitude
 control along the costate of the uncontrolled run, and the caller's warm
 start.
 
-:func:`free_run` solves the uncontrolled run with one forward solve, and its
-masked costate on first read; a caller that probes many bounds at one horizon
-passes it to every oracle call.  The same run gives certificates that need no
-descent:
+One :class:`FreeRun` describes a horizon, and its run and costate are solved
+on first read; the oracle reads y0, T, nt, f and g from it alone, and a caller
+that probes many bounds at one horizon passes it to every oracle call.  The
+same run gives certificates that need no descent:
 
 * :func:`dual_lower_bound`, from weak duality: a norm bound below which no
   control reaches the ball (the discrete dual problem of Wang & Zuazua, SIAM
@@ -68,7 +68,7 @@ from .core import (
 )
 from .pde import (
     AdjointTrajectory,
-    DirichletSpectrum,
+    dirichlet_eigs,
     principal_eigenvalue,
     solve_adjoint,
     solve_forward,
@@ -194,17 +194,24 @@ def bangbang_values(masked: np.ndarray, norms: np.ndarray, level: float) -> np.n
 
 @dataclass(frozen=True)
 class FreeRun:
-    """The uncontrolled run on one step grid, with reaction ``f`` on grid ``g``.
-
-    ``trajectory`` is read-only.  ``masked`` is :func:`masked_costate` for the
-    adjoint with terminal datum y(T) and reaction f (the gradient of J at the
-    zero control), and ``norms`` its pointwise norm at each step.  Both are
-    read-only and solved on first read: one adjoint solve per run at most.
+    """The uncontrolled run from y0 over (0, T] in nt steps, with reaction
+    ``f`` on grid ``g``.  ``trajectory`` is the run, ``masked`` is
+    :func:`masked_costate` for the adjoint with terminal datum y(T) and
+    reaction f (the gradient of J at the zero control), and ``norms`` its
+    pointwise norm at each step.  Each is read-only and solved on first read:
+    one forward and one adjoint solve at most.  Built by :func:`free_run`.
     """
 
-    trajectory: StateTrajectory
+    y0: np.ndarray
+    T: float
+    nt: int
     f: NonlinearitySpec
     g: SpatialGrid
+
+    @cached_property
+    def trajectory(self) -> StateTrajectory:
+        return solve_forward(self.y0, ControlSignal.zeros(self.nt, self.T / self.nt, self.g),
+                             self.f, self.g)
 
     @cached_property
     def masked(self) -> np.ndarray:
@@ -222,9 +229,15 @@ class FreeRun:
 
 def free_run(y0: np.ndarray, T: float, nt: int, f: NonlinearitySpec,
              g: SpatialGrid) -> FreeRun:
-    """Solve the uncontrolled run over (0, T] in nt steps; its costate is
-    solved on first read."""
-    return FreeRun(solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), f, g), f, g)
+    """The :class:`FreeRun` of a read-only copy of y0, of shape (g.n,), over
+    (0, T], T > 0, in nt steps; solves nothing."""
+    if T <= 0.0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    y0 = np.array(y0, dtype=float)
+    if y0.shape != (g.n,):
+        raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({g.n},)")
+    y0.setflags(write=False)
+    return FreeRun(y0, T, nt, f, g)
 
 
 def is_linear(f: NonlinearitySpec) -> bool:
@@ -327,14 +340,14 @@ ENCLOSURE_SLACK = 1e-6
 
 
 def dual_bound_enclosure(xi: np.ndarray, dt: float, nt: int, f: NonlinearitySpec,
-                         g: SpatialGrid, spectrum: DirichletSpectrum, ball: TargetBall,
+                         g: SpatialGrid, ball: TargetBall,
                          opts: ReachOptions | None = None) -> tuple[float, float]:
     """(lo, hi) with lo <= ``dual_lower_bound(free, ball, opts)`` <= hi, where
     free is the free run of nt steps of dt with f on g and xi its terminal
     state; solves nothing.
 
-    Split xi = a*e_1 + xi_perp along the first eigenvector of ``spectrum``,
-    :func:`heatctl.pde.dirichlet_eigs` of g with two pairs or more (one when
+    Split xi = a*e_1 + xi_perp along the first eigenvector of g, with the
+    first two eigenpairs of :func:`heatctl.pde.dirichlet_eigs` (one when
     n = 1).  The zero-reaction costate m = nt - k steps before the end is
     R^m xi, with R = (I + dt*A)^-1; R^m e_1 = q_1^m e_1 and ||R^m xi_perp||
     <= q_2^m ||xi_perp||, with q_i = 1/(1 + dt*lambda_i), so
@@ -357,9 +370,10 @@ def dual_bound_enclosure(xi: np.ndarray, dt: float, nt: int, f: NonlinearitySpec
     margin = ENCLOSURE_SLACK * terms
     if numerator + margin <= 0.0:
         return 0.0, 0.0
+    spectrum = dirichlet_eigs(g, min(2, g.n))
     e1 = spectrum.eigenvectors[0]
     a = g.h * float(e1 @ xi)
-    q = 1.0 / (1.0 + dt * spectrum.eigenvalues[:2])
+    q = 1.0 / (1.0 + dt * spectrum.eigenvalues)
     m = np.arange(nt, 0, -1)
     with np.errstate(under="ignore"):
         q1m = q[0] ** m
@@ -498,56 +512,39 @@ def bangbang_ray(free: FreeRun, ball: TargetBall, M: float,
     return None
 
 
-def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
-                      f: NonlinearitySpec, g: SpatialGrid,
-                      opts: ReachOptions | None = None, nt: int = 300,
-                      warm_start: ControlSignal | None = None,
-                      free: FreeRun | None = None) -> ReachResult:
-    """Minimize the terminal norm over pointwise-bounded controls.
+def min_terminal_norm(free: FreeRun, M: float, ball: TargetBall,
+                      opts: ReachOptions | None = None,
+                      warm_start: ControlSignal | None = None) -> ReachResult:
+    """Minimize the terminal norm over pointwise-bounded controls at free's
+    horizon (its y0, T, nt, f and g).
 
     Terminates early as feasible once J drops below 0.5*(r - eps_feas_rel*r)^2,
     otherwise on stagnation of the projected step or on the iteration budget.
-    Backtracking enforces a non-increasing objective sequence.
+    Backtracking enforces a non-increasing objective sequence, and every
+    iteration starts with one adjoint solve, its gradient.
 
-    ``free`` is the :func:`free_run` of the same y0, f and g on this call's
-    step grid; without it the call solves its own.  ``warm_start`` must have
-    this call's nt steps; its step length is not checked, so a control can
-    be reused across horizons with the same nt.  A ``free`` on another step
-    grid, or a ``warm_start`` with another step count, raises
-    :class:`ValueError`.  M = 0 takes the same path as every other bound: the
+    ``warm_start`` must have free's nt steps (else :class:`ValueError`); its
+    step length is not checked, so a control can be reused across horizons
+    with the same nt.  M = 0 takes the same path as every other bound: the
     projection keeps every iterate at the zero control.
     """
     if opts is None:
         opts = ReachOptions()
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (g.n,):
-        raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({g.n},)")
+    y0, f, g, nt = free.y0, free.f, free.g, free.nt
+    if warm_start is not None and warm_start.nt != nt:
+        raise ValueError(f"warm start has {warm_start.nt} steps, expected {nt}")
 
-    dt = T / nt
+    dt = free.T / nt
     h = g.h
     r = ball.r
     target_j = 0.5 * max(r - opts.eps_feas_rel * r, 0.0) ** 2
 
-    if free is not None and (free.trajectory.nt != nt or free.trajectory.dt != dt):
-        raise ValueError(
-            f"free run has {free.trajectory.nt} steps of {free.trajectory.dt!r}, "
-            f"expected {nt} steps of {dt!r}"
-        )
-    if warm_start is not None and warm_start.nt != nt:
-        raise ValueError(f"warm start has {warm_start.nt} steps, expected {nt}")
-
-    # Warm starts: zero control, bang-bang against the free costate, and the
-    # caller's control (projected); keep the best.  The zero control's run is
-    # the free run, and its gradient is the free run's masked costate.  ``grad``
-    # is the gradient at the current iterate v, or None until it is solved.
-    if free is None:
-        free = free_run(y0, T, nt, f, g)
+    # Starts: zero control, bang-bang against the free costate, and the
+    # caller's control (projected); keep the best.
     v = np.zeros((nt, g.n))
-    j, traj, grad = _objective(free.trajectory), free.trajectory, free.masked
+    j, traj = _objective(free.trajectory), free.trajectory
     candidates = []
     try:
         candidates.append(bangbang_values(free.masked, free.norms, -M))
@@ -558,12 +555,12 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
     for cand in candidates:
         j_c, traj_c = _run(y0, cand, dt, f, g)
         if j_c < j:
-            v, j, traj, grad = cand, j_c, traj_c, None
+            v, j, traj = cand, j_c, traj_c
     history = [j]
 
     step = 1.0 / principal_eigenvalue(g)
     step_cap = step * 1e4
-    move_scale = M * math.sqrt(T)
+    move_scale = M * math.sqrt(free.T)
     iterations = 0
     converged = False
     # After an accepted step: the step s and the gradient it was taken along,
@@ -573,8 +570,7 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
         if j <= target_j:
             converged = True
             break
-        if grad is None:
-            grad = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
+        grad = masked_costate(solve_adjoint(traj, traj.states[-1], f, g), g)
         if s is not None:
             step = _spectral_step(s, grad - grad_prev, step, step_cap)
         accepted = False
@@ -591,7 +587,7 @@ def min_terminal_norm(y0: np.ndarray, T: float, M: float, ball: TargetBall,
             break
         s, grad_prev = trial - v, grad
         move = math.sqrt(dt * h * float(np.sum(s ** 2)))
-        v, j, traj, grad = trial, j_trial, traj_trial, None
+        v, j, traj = trial, j_trial, traj_trial
         history.append(j)
         if move <= opts.eps_stag * move_scale:
             converged = True

@@ -17,7 +17,8 @@ problem of Wang & Zuazua, SIAM J. Control Optim. 50 (2012), widened for a
 reaction term with |f'| <= L) refutes every value below its bound.
 Bang-bang controls along the masked costate give upper ends: for f = 0
 :func:`heatctl.reach.dual_pair`, with a reaction term
-:func:`heatctl.reach.bangbang_ray`, whose miss proves nothing.
+:func:`heatctl.reach.bangbang_ray`, whose miss proves nothing.  All of them
+and the oracle read a horizon's one :class:`heatctl.reach.FreeRun`.
 
 * The minimal norm takes the dual pair of its free run: it refutes every M
   below the lower end and calls the oracle on the others.  It searches
@@ -361,18 +362,21 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     """Smallest pointwise norm bound whose controls reach the ball at time T.
 
     For T at or beyond the free-decay time the value is 0 with the zero
-    control.  Otherwise the search starts from the free run's dual pair, or
-    doubles its upper end from 1 without the pair's control (module
-    docstring), and bisection stops once the bracket width is below
-    tol_M*(1 + upper).
+    control, once the free run reaches the ball (else, as with a short
+    ``gamma_hint``, :class:`NoFeasibleBoundError`).  Otherwise the search
+    starts from the free run's dual pair, or doubles its upper end from 1
+    without the pair's control (module docstring), and bisection stops once
+    the bracket width is below tol_M*(1 + upper).
     """
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    y0 = np.asarray(y0, dtype=float)
+    free = free_run(y0, T, nt, f, g)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if T >= gamma:
+        terminal = float(free.trajectory.norms[-1])
+        if not reaches_ball(terminal, ball, opts):
+            raise NoFeasibleBoundError(
+                f"the zero control does not reach the ball at T={T}, at or past the "
+                f"free-decay time {gamma:.6g}; the free run ends at norm {terminal:.6g}")
         return _point(T, 0.0, 0.0, ControlSignal.zeros(nt, T / nt, g), [], gamma, 0.0)
-    free = free_run(y0, T, nt, f, g)
 
     def width(hi):
         return tol_M * (1.0 + hi)
@@ -382,8 +386,7 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     def probe(M, warm_start=None):
         if M < bound:
             return _Decided(False)
-        return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
-                                 warm_start=warm_start, free=free)
+        return min_terminal_norm(free, M, ball, opts, warm_start=warm_start)
 
     doublings = 0
     if control is not None:
@@ -431,28 +434,20 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
 
     refuted = [0.0]
     # The last horizon the bound left open and nothing settled, with its free
-    # run (None for f = 0 when it was not simulated): for f = 0 the crossing,
-    # with a reaction term the ray's last miss.
+    # run: for f = 0 the crossing, with a reaction term the ray's last miss.
     left_open = {}
     if is_linear(f):
         spectrum = dirichlet_eigs(g, g.n)
         coeffs = g.h * (spectrum.eigenvectors @ y0)
-    else:
-        spectrum = dirichlet_eigs(g, min(2, g.n))
 
     def bounded(T):
-        """Whether T's dual bound exceeds M, and T's free run, or None for
-        f = 0 when the enclosure decided without it."""
-        dt = T / nt
-        if is_linear(f):
-            free, xi = None, linear_free_state(coeffs, spectrum, dt, nt)
-        else:
-            free = free_run(y0, T, nt, f, g)
-            xi = free.trajectory.states[-1]
-        lo, hi = dual_bound_enclosure(xi, dt, nt, f, g, spectrum, ball, opts)
+        """Whether T's dual bound exceeds M, and T's free run, which for f = 0
+        is simulated only when the enclosure does not decide."""
+        free, dt = free_run(y0, T, nt, f, g), T / nt
+        xi = (linear_free_state(coeffs, spectrum, dt, nt) if is_linear(f)
+              else free.trajectory.states[-1])
+        lo, hi = dual_bound_enclosure(xi, dt, nt, f, g, ball, opts)
         if lo <= M < hi:
-            if free is None:
-                free = free_run(y0, T, nt, f, g)
             lo = dual_lower_bound(free, ball, opts)
         if lo > M:
             refuted.append(T)
@@ -477,8 +472,6 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         exceeds, free = (False, left_open[T]) if T in left_open else bounded(T)
         if exceeds:
             return _Decided(False)
-        if free is None:
-            free = free_run(y0, T, nt, f, g)
         if is_linear(f):
             bound, level, control = dual_pair(free, ball, opts,
                                               lambda lo, hi: hi <= M or lo > M)
@@ -487,8 +480,7 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
             if bound > M:
                 refuted.append(T)
                 return _Decided(False)
-        return min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt,
-                                 warm_start=warm_start, free=free)
+        return min_terminal_norm(free, M, ball, opts, warm_start=warm_start)
 
     # The upper end, the first probe: the zero control reaches the ball at gamma.
     terminal = float(free_run(y0, gamma, nt, f, g).trajectory.norms[-1])

@@ -174,6 +174,28 @@ def test_equivalence_runs_on_small_grids(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("modes", [{"01": 2.0}, {" 1": 2.0}, {"1": 2.0, "2": 0}],
+                         ids=["leading-zero", "leading-space", "zero-second-mode"])
+@pytest.mark.parametrize("command, experiment, output", [
+    ("oracle-compare", {"M_values": [10.0], "T_values": [0.07]}, "oracle_compare.csv"),
+    ("sweep", {"M_grid": [10.0]}, "tau_curve.csv"),
+], ids=["oracle-compare", "sweep"])
+def test_closed_form_applies_to_every_spelling_of_the_first_mode(tmp_path, command,
+                                                                 experiment, output, modes):
+    # Each map reads as y0 = 2e1, the closed-form instance: oracle-compare
+    # runs and sweep fills its oracle_value column, as with {"1": 2.0}.
+    outputs = []
+    for name, y0_modes in (("plain", {"1": 2.0}), ("spelled", modes)):
+        cfg = write_config(tmp_path, name=f"{name}.json", grid={"ell": 1.0, "n": 31}, nt=60,
+                           y0={"modes": y0_modes}, experiment=experiment)
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        outputs.append((out / output).read_bytes())
+    assert outputs[1] == outputs[0]
+    if command == "sweep":
+        assert all(p["oracle_value"] is not None for p in curve_points(tmp_path / "spelled", "tau"))
+
+
 def curve_points(out, name):
     """The points of curve ``name`` in summary.json, after checking that each
     cell of ``<name>_curve.csv`` is the 17-digit text of the point's field

@@ -84,6 +84,17 @@ def test_too_many_eigenpairs_rejected():
         dirichlet_eigs(SpatialGrid.build(n=5), 6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 31, 127])
+def test_leading_eigenpairs_do_not_depend_on_the_count(n):
+    # The dual bound's enclosure takes two pairs and the linear minimal time
+    # all n; the first two must agree bit for bit.
+    g = SpatialGrid.build(n=n)
+    k = min(2, n)
+    few, every = dirichlet_eigs(g, k), dirichlet_eigs(g, n)
+    assert np.array_equal(few.eigenvalues, every.eigenvalues[:k])
+    assert np.array_equal(few.eigenvectors, every.eigenvectors[:k])
+
+
 # ---------------------------------------------------------------------------
 # Forward solve
 

@@ -8,6 +8,7 @@ import heatctl.reach as reach
 from heatctl import (
     ControlSignal,
     DegenerateCostateError,
+    DimensionMismatchError,
     NoFeasibleBoundError,
     ScalarInstance,
     SpatialGrid,
@@ -113,66 +114,69 @@ def test_spectral_step_branches(delta, step, expected):
 
 def test_zero_bound_reduces_to_free_run():
     gamma = free_decay_time(Y0, BALL, F_ZERO, GRID)
-    res_short = min_terminal_norm(Y0, 0.5 * gamma, 0.0, BALL, F_ZERO, GRID)
+    res_short = min_terminal_norm(free_run(Y0, 0.5 * gamma, 300, F_ZERO, GRID), 0.0, BALL)
     free = solve_forward(Y0, ControlSignal.zeros(300, 0.5 * gamma / 300, GRID),
                          F_ZERO, GRID)
     assert res_short.terminal_norm == pytest.approx(free.norms[-1], rel=1e-12)
     assert not res_short.feasible
     assert res_short.converged
     assert np.all(res_short.control.values == 0.0)
-    res_long = min_terminal_norm(Y0, 1.2 * gamma, 0.0, BALL, F_ZERO, GRID)
+    res_long = min_terminal_norm(free_run(Y0, 1.2 * gamma, 300, F_ZERO, GRID), 0.0, BALL)
     assert res_long.feasible
 
 
 def test_feasibility_brackets_closed_form_bound():
     # alpha(0.1) is about 3.86 on this instance; 4.0 reaches, 3.5 does not
-    assert min_terminal_norm(Y0, 0.1, 4.0, BALL, F_ZERO, GRID).feasible
-    assert not min_terminal_norm(Y0, 0.1, 3.5, BALL, F_ZERO, GRID).feasible
+    assert min_terminal_norm(free_run(Y0, 0.1, 300, F_ZERO, GRID), 4.0, BALL).feasible
+    assert not min_terminal_norm(free_run(Y0, 0.1, 300, F_ZERO, GRID), 3.5, BALL).feasible
 
 
 def test_feasibility_boundary_matches_closed_form_within_2pct():
     inst = ScalarInstance(a0=2.0, r=0.5, lam=principal_eigenvalue(GRID))
     for T in (0.05, 0.1):
         alpha = scalar_minimal_norm(inst, T)
-        assert min_terminal_norm(Y0, T, 1.02 * alpha, BALL, F_ZERO, GRID).feasible
-        assert not min_terminal_norm(Y0, T, 0.98 * alpha, BALL, F_ZERO, GRID).feasible
+        free = free_run(Y0, T, 300, F_ZERO, GRID)
+        assert min_terminal_norm(free, 1.02 * alpha, BALL).feasible
+        assert not min_terminal_norm(free, 0.98 * alpha, BALL).feasible
 
 
 def test_any_bound_feasible_past_free_decay_time():
     gamma = free_decay_time(Y0_MASKED, BALL, F_TANH, MASKED)
     for M in (0.0, 1.0, 25.0):
-        assert min_terminal_norm(Y0_MASKED, gamma, M, BALL, F_TANH, MASKED).feasible
+        assert min_terminal_norm(free_run(Y0_MASKED, gamma, 300, F_TANH, MASKED), M, BALL).feasible
 
 
 def test_objective_history_non_increasing():
-    res = min_terminal_norm(Y0_MASKED, 0.06, 5.0, BALL, F_TANH, MASKED)
+    res = min_terminal_norm(free_run(Y0_MASKED, 0.06, 300, F_TANH, MASKED), 5.0, BALL)
     hist = res.objective_history
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
 
 def test_result_control_respects_bound():
     M = 3.0
-    res = min_terminal_norm(Y0_MASKED, 0.08, M, BALL, F_TANH, MASKED)
+    res = min_terminal_norm(free_run(Y0_MASKED, 0.08, 300, F_TANH, MASKED), M, BALL)
     assert np.all(res.control.step_norms() <= M * (1.0 + 1e-12))
 
 
 def test_feasibility_monotone_in_bound_and_horizon():
     gamma = free_decay_time(Y0_MASKED, BALL, F_TANH, MASKED)
     T = 0.6 * gamma
-    flags = [min_terminal_norm(Y0_MASKED, T, M, BALL, F_TANH, MASKED).feasible
+    flags = [min_terminal_norm(free_run(Y0_MASKED, T, 300, F_TANH, MASKED), M, BALL).feasible
              for M in (0.5, 2.0, 8.0, 32.0)]
     assert flags == sorted(flags)  # once feasible, stays feasible as M grows
     M = 2.0
-    flags_t = [min_terminal_norm(Y0_MASKED, t, M, BALL, F_TANH, MASKED).feasible
+    flags_t = [min_terminal_norm(free_run(Y0_MASKED, t, 300, F_TANH, MASKED), M, BALL).feasible
                for t in (0.3 * gamma, 0.7 * gamma, gamma)]
     assert flags_t == sorted(flags_t)
 
 
 def test_min_terminal_norm_argument_checks():
     with pytest.raises(ValueError):
-        min_terminal_norm(Y0, -0.1, 1.0, BALL, F_ZERO, GRID)
+        free_run(Y0, -0.1, 300, F_ZERO, GRID)
+    with pytest.raises(DimensionMismatchError):
+        free_run(Y0[:-1], 0.1, 300, F_ZERO, GRID)
     with pytest.raises(ValueError):
-        min_terminal_norm(Y0, 0.1, -1.0, BALL, F_ZERO, GRID)
+        min_terminal_norm(free_run(Y0, 0.1, 300, F_ZERO, GRID), -1.0, BALL)
     with pytest.raises(ValueError):
         ReachOptions(max_iters=0)
 
@@ -228,12 +232,16 @@ def test_gradient_fd_zero_direction():
 @pytest.mark.parametrize("g, y0", [(GRID, Y0), (MASKED, Y0_MASKED)], ids=["full", "masked"])
 @pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
 def test_shared_free_run_keeps_every_bit(f, g, y0, warm):
+    # A FreeRun that other readers and another oracle call have used gives
+    # the same result as a fresh one, bit for bit.
     T, M, nt = 0.06, 3.0, 120
     ws = (ControlSignal(dt=T / nt, nt=nt, values=np.full((nt, g.n), -2.0), grid=g)
           if warm else None)
-    alone = min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws)
-    shared = min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws,
-                               free=free_run(y0, T, nt, f, g))
+    alone = min_terminal_norm(free_run(y0, T, nt, f, g), M, BALL, warm_start=ws)
+    free = free_run(y0, T, nt, f, g)
+    free.norms  # read first, as the dual pair reads it
+    min_terminal_norm(free, 2.0 * M, BALL, warm_start=ws)
+    shared = min_terminal_norm(free, M, BALL, warm_start=ws)
     assert alone.iterations > 0
     assert np.array_equal(shared.control.values, alone.control.values)
     for attr in ("terminal_norm", "objective_history", "iterations", "feasible",
@@ -241,11 +249,18 @@ def test_shared_free_run_keeps_every_bit(f, g, y0, warm):
         assert getattr(shared, attr) == getattr(alone, attr)
 
 
-@pytest.mark.parametrize("T_free, nt_free", [(0.05, 120), (0.06, 100)])
-def test_free_run_on_another_step_grid_is_refused(T_free, nt_free):
-    free = free_run(Y0, T_free, nt_free, F_ZERO, GRID)
-    with pytest.raises(ValueError, match="free run"):
-        min_terminal_norm(Y0, 0.06, 3.0, BALL, F_ZERO, GRID, nt=120, free=free)
+def test_free_run_solves_nothing_until_read(solve_calls):
+    free = free_run(Y0_MASKED, 0.06, 60, F_TANH, MASKED)
+    assert solve_calls.forward == [] and solve_calls.adjoint == []
+    traj = free.trajectory
+    (u, solved), = solve_calls.forward
+    assert solved is traj and solve_calls.adjoint == []
+    assert (u.nt, u.dt) == (60, 0.06 / 60) and not u.values.any()
+    free.masked
+    assert len(solve_calls.adjoint) == 1 and solve_calls.adjoint[0] is traj
+    assert solve_calls.adjoint_reaction == [F_TANH]
+    free.norms, free.masked, free.trajectory  # nothing more is solved
+    assert len(solve_calls.forward) == 1 and len(solve_calls.adjoint) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +301,7 @@ def test_bangbang_ray_is_the_zero_control_when_the_free_run_reaches(solve_calls)
     y0 = 2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_TANH, SMALL, nt=60)
     free = free_run(y0, 1.1 * gamma, 60, F_TANH, SMALL)
+    free.trajectory  # solved here, before the calls are counted
     del solve_calls.forward[:], solve_calls.adjoint[:]
     u = bangbang_ray(free, BALL, 5.0)
     assert (u.nt, u.dt) == (60, 1.1 * gamma / 60) and not u.values.any()
@@ -296,7 +312,7 @@ def test_bangbang_ray_is_the_zero_control_when_the_free_run_reaches(solve_calls)
 def test_warm_start_with_another_step_count_is_refused():
     ws = ControlSignal(dt=0.06 / 40, nt=40, values=np.full((40, GRID.n), -2.0), grid=GRID)
     with pytest.raises(ValueError, match="warm start has 40 steps, expected 120"):
-        min_terminal_norm(Y0, 0.06, 3.0, BALL, F_ZERO, GRID, nt=120, warm_start=ws)
+        min_terminal_norm(free_run(Y0, 0.06, 120, F_ZERO, GRID), 3.0, BALL, warm_start=ws)
 
 
 def test_degenerate_costate_skips_the_bangbang_start():
@@ -310,7 +326,7 @@ def test_degenerate_costate_skips_the_bangbang_start():
     free = free_run(y0, T, nt, F_ZERO, g)
     with pytest.raises(DegenerateCostateError):
         bangbang_values(free.masked, free.norms, -5.0)
-    res = min_terminal_norm(y0, T, 5.0, BALL, F_ZERO, g, nt=nt, free=free)
+    res = min_terminal_norm(free, 5.0, BALL)
     assert not res.feasible and res.converged
     assert res.terminal_norm == pytest.approx(float(free.trajectory.norms[-1]), rel=1e-9)
     # the dual pair and the bang-bang ray have no direction to follow either,
@@ -466,7 +482,8 @@ def test_oracle_matches_reference(f, g, y0, warm):
           if warm else None)
     ref = reference_min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws)
     assert ref.iterations > 0
-    assert_same_result(min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws), ref)
+    assert_same_result(min_terminal_norm(free_run(y0, T, nt, f, g), M, BALL, warm_start=ws),
+                       ref)
 
 
 @pytest.mark.parametrize("case", [
@@ -476,26 +493,14 @@ def test_oracle_matches_reference(f, g, y0, warm):
 ], ids=["zero-start-wins", "zero-start-wins-shared", "out-of-iterations"])
 def test_oracle_edge_cases_match_reference(case):
     case = dict(case)
+    free = free_run(Y0, case["T"], case["nt"], F_ZERO, GRID)
     if case.pop("free", False):
-        case["free"] = free_run(Y0, case["T"], case["nt"], F_ZERO, GRID)
+        case["free"] = free
     ref = reference_min_terminal_norm(Y0, **case, ball=BALL, f=F_ZERO, g=GRID)
-    res = min_terminal_norm(Y0, **case, ball=BALL, f=F_ZERO, g=GRID)
+    res = min_terminal_norm(free, case["M"], BALL, case.get("opts"))
     assert_same_result(res, ref)
     if "opts" in case:
         assert res.iterations == 1 and not res.converged
-
-
-def test_zero_start_reuses_the_free_costate(solve_calls):
-    T, M, nt = ZERO_START_WINS["T"], ZERO_START_WINS["M"], ZERO_START_WINS["nt"]
-    free = free_run(Y0, T, nt, F_ZERO, GRID)
-    res = min_terminal_norm(Y0, T, M, BALL, F_ZERO, GRID, nt=nt, free=free)
-    assert res.objective_history[0] == 0.5 * float(free.trajectory.norms[-1]) ** 2
-    assert res.iterations >= 2
-    # the free run's costate, solved on first read, is the one adjoint along
-    # the free trajectory; the first iteration takes it and each later one
-    # solves its own
-    along_free = [traj is free.trajectory for traj in solve_calls.adjoint]
-    assert along_free == [True] + [False] * (res.iterations - 1)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["own-free-run", "shared-free-run"])
@@ -504,6 +509,9 @@ def test_one_adjoint_per_descent_iteration(solve_calls, monkeypatch, shared):
     # anyway, so it adds no adjoint solve.
     T, M, nt = 0.06, 3.0, 120
     free = free_run(Y0_MASKED, T, nt, F_TANH, MASKED)
+    if shared:
+        free.masked  # read before the call, as the bang-bang ray reads it
+    del solve_calls.adjoint[:]
     steps = []
 
     def recorded_step(*args):
@@ -511,16 +519,30 @@ def test_one_adjoint_per_descent_iteration(solve_calls, monkeypatch, shared):
         return steps[-1]
 
     monkeypatch.setattr(reach, "_spectral_step", recorded_step)
-    res = min_terminal_norm(Y0_MASKED, T, M, BALL, F_TANH, MASKED, nt=nt,
-                            free=free if shared else None)
+    res = min_terminal_norm(free, M, BALL)
     accepted = len(res.objective_history) - 1
     assert accepted >= 3 and len(steps) == accepted - 1
     # the full-amplitude start wins, so the first iteration solves its gradient
     assert res.objective_history[0] < 0.5 * float(free.trajectory.norms[-1]) ** 2
-    # the free run's costate is solved inside the call, on first read,
-    # whether the run is shared or the call's own
-    assert len(solve_calls.adjoint) == res.iterations + 1
-    assert (solve_calls.adjoint[0] is free.trajectory) == shared
+    # the free run's costate is solved on first read: inside the call only
+    # when no one read it before
+    assert len(solve_calls.adjoint) == res.iterations + (not shared)
+    assert (solve_calls.adjoint[0] is free.trajectory) == (not shared)
+
+
+def test_one_adjoint_per_descent_iteration_when_the_zero_start_wins(solve_calls):
+    # With control on (0.1, 0.4) the full-amplitude start at M = 100
+    # overshoots, so the zero start wins.  Its first iteration still solves
+    # its gradient, along the free run again, after the free run's costate
+    # that the full-amplitude start read; each later iteration solves one.
+    g = SpatialGrid.build(n=31, ell=1.0, omega=(0.1, 0.4))
+    y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
+    free = free_run(y0, 0.3 * free_decay_time(y0, BALL, F_ZERO, g, nt=60), 60, F_ZERO, g)
+    res = min_terminal_norm(free, 100.0, BALL)
+    assert res.objective_history[0] == 0.5 * float(free.trajectory.norms[-1]) ** 2
+    assert res.iterations >= 2
+    along_free = [traj is free.trajectory for traj in solve_calls.adjoint]
+    assert along_free == [True, True] + [False] * (res.iterations - 1)
 
 
 def test_gradient_fd_check_matches_reference():
@@ -566,7 +588,7 @@ def test_dual_bound_is_below_every_feasible_control():
         y_free = free.trajectory.states[-1]
         feasible = []
         for M in (5.0, 10.0, 20.0, 40.0, 80.0):
-            res = min_terminal_norm(Y0_MASKED, T, M, BALL, F_ZERO, MASKED, nt=nt, free=free)
+            res = min_terminal_norm(free, M, BALL)
             if res.feasible:
                 feasible.append(float(np.max(res.control.step_norms())))
             else:
@@ -676,7 +698,7 @@ def test_reaction_dual_bound_refutes_only_infeasible_bounds(f, g, y0):
         assert "masked" not in vars(free)
         informative += bound > 0.0
         for M in (0.5 * bound, 0.9 * bound, 20.0, 80.0):
-            res = min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, free=free)
+            res = min_terminal_norm(free, M, BALL)
             if res.feasible:
                 assert float(np.max(res.control.step_norms())) >= bound
             if M < bound:
@@ -700,7 +722,6 @@ def test_dual_bound_is_zero_when_the_costate_bound_overflows():
 # ---------------------------------------------------------------------------
 # Dual bound enclosure
 
-SPECTRUM = dirichlet_eigs(GRID, 2)
 ENCLOSURE_GRIDS = [SpatialGrid.build(n=31, ell=1.0, omega=omega)
                    for omega in (None, (0.3, 0.8), (0.1, 0.4))]
 
@@ -728,7 +749,7 @@ def test_dual_bound_enclosure_holds_the_computed_bound(f, g):
                 data.append(linear_free_state(g.h * (spectrum.eigenvectors @ y0), spectrum,
                                               T / nt, nt))
             for xi in data:
-                lo, hi = dual_bound_enclosure(xi, T / nt, nt, f, g, spectrum, BALL)
+                lo, hi = dual_bound_enclosure(xi, T / nt, nt, f, g, BALL)
                 assert lo <= bound <= hi, (case, T / gamma, lo, bound, hi)
                 positive_lo += lo > 0.0
                 finite_hi += hi < math.inf
@@ -741,7 +762,7 @@ def test_dual_bound_enclosure_is_tight_on_the_first_mode():
     for T in (0.01, 0.05, 0.1):
         free = free_run(Y0, T, 300, F_ZERO, GRID)
         lo, hi = dual_bound_enclosure(free.trajectory.states[-1], T / 300, 300, F_ZERO,
-                                      GRID, SPECTRUM, BALL)
+                                      GRID, BALL)
         assert 0.0 < lo <= dual_lower_bound(free, BALL) <= hi <= lo * (1.0 + 1e-4)
 
 
@@ -754,7 +775,7 @@ def test_dual_bound_enclosure_off_the_first_mode():
         free = free_run(y0, T, 300, F_ZERO, GRID)
         bound = dual_lower_bound(free, BALL)
         lo, hi = dual_bound_enclosure(free.trajectory.states[-1], T / 300, 300, F_ZERO,
-                                      GRID, SPECTRUM, BALL)
+                                      GRID, BALL)
         assert bound * (1.0 - 1e-5) <= lo <= bound < hi == math.inf
 
 
@@ -770,7 +791,7 @@ def test_dual_bound_enclosure_is_zero_when_the_bound_is():
             free = free_run(y0, T, 300, f, GRID)
             assert dual_lower_bound(free, BALL) == 0.0
             assert dual_bound_enclosure(free.trajectory.states[-1], T / 300, 300, f, GRID,
-                                        SPECTRUM, BALL) == (0.0, 0.0)
+                                        BALL) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +821,8 @@ def test_dual_pair_brackets_every_feasible_control(g, y0):
             assert lo > (1.0 + 1e-3) * bound
         else:
             assert lo == pytest.approx(bound, rel=1e-12)
-        below = min_terminal_norm(y0, T, 0.99 * lo, BALL, F_ZERO, g, nt=nt, free=free)
-        above = min_terminal_norm(y0, T, 1.01 * hi, BALL, F_ZERO, g, nt=nt, free=free)
+        below = min_terminal_norm(free, 0.99 * lo, BALL)
+        above = min_terminal_norm(free, 1.01 * hi, BALL)
         assert not below.feasible and above.feasible
         assert float(np.max(above.control.step_norms())) >= lo
 
@@ -826,6 +847,7 @@ def test_dual_pair_keeps_only_a_control_that_reaches_the_ball(monkeypatch):
 
 def test_dual_pair_with_a_reaction_term_is_the_bound_alone(solve_calls):
     free = free_run(Y0_MASKED, 0.06, 60, F_TANH, MASKED)
+    free.trajectory  # solved here, before the calls are counted
     del solve_calls.forward[:]
     pair = dual_pair(free, BALL, None, never)
     assert solve_calls.forward == [] and len(solve_calls.adjoint) == 1

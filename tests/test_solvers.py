@@ -341,8 +341,7 @@ def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=None, nt=300,
 
     def probe(M, warm):
         nonlocal calls, inconclusive
-        res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm,
-                                free=free)
+        res = min_terminal_norm(free, M, ball, opts, warm_start=warm)
         if record is not None:
             record.append((M, res))
         calls += 1
@@ -397,7 +396,7 @@ def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=None, nt=300,
 
     def probe(T, warm):
         nonlocal calls, inconclusive
-        res = min_terminal_norm(y0, T, M, ball, f, g, opts=opts, nt=nt, warm_start=warm)
+        res = min_terminal_norm(free_run(y0, T, nt, f, g), M, ball, opts, warm_start=warm)
         if record is not None:
             record.append((T, res))
         calls += 1
@@ -449,12 +448,13 @@ def assert_same_point(point, ref):
 
 @pytest.fixture
 def oracle_probes(monkeypatch):
-    """Record ``(T, M, result)`` of every oracle call the value functions make."""
+    """Record ``(T, M, result)`` of every oracle call the value functions make,
+    T the horizon of the call's free run."""
     probes = []
 
-    def recorded(y0, T, M, *args, **kwargs):
-        res = min_terminal_norm(y0, T, M, *args, **kwargs)
-        probes.append((T, M, res))
+    def recorded(free, M, *args, **kwargs):
+        res = min_terminal_norm(free, M, *args, **kwargs)
+        probes.append((free.T, M, res))
         return res
 
     monkeypatch.setattr(solvers, "min_terminal_norm", recorded)
@@ -611,6 +611,28 @@ def test_minimal_time_refuses_a_free_decay_time_that_is_too_short(f, oracle_prob
     assert not reaches_ball(float(traj.norms[-1]), BALL)
 
 
+def test_minimal_norm_refuses_a_free_decay_time_that_is_too_short(oracle_probes, solve_calls):
+    # Past the given free-decay time the value is 0 only when the zero
+    # control reaches the ball.  With half the true one as the hint, the free
+    # run at 0.6 of the true one misses, so the point raises after that one
+    # free run and before any oracle call (it returned 0 with that control).
+    y0 = 2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0]
+    args = (y0, BALL, F_ZERO, SMALL)
+    gamma = free_decay_time(*args, nt=SMALL_NT)
+    T, short = 0.6 * gamma, 0.5 * gamma
+    del solve_calls.forward[:]
+    with pytest.raises(NoFeasibleBoundError) as err:
+        minimal_norm(T, *args, nt=SMALL_NT, gamma_hint=short)
+    assert oracle_probes == []
+    (u, traj), = solve_calls.forward
+    assert (u.nt, u.dt) == (SMALL_NT, T / SMALL_NT) and not u.values.any()
+    terminal = float(traj.norms[-1])
+    assert not reaches_ball(terminal, BALL)
+    assert str(err.value) == (
+        f"the zero control does not reach the ball at T={T}, at or past the free-decay "
+        f"time {short:.6g}; the free run ends at norm {terminal:.6g}")
+
+
 def test_linear_minimal_time_refutes_with_the_pair_before_the_oracle(oracle_probes):
     # Past the free run's bound crossing, the dual pair's raised lower end
     # exceeds M on every horizon the pair does not reach, so each is refuted
@@ -762,9 +784,9 @@ def test_a_missed_lower_end_takes_one_confirming_oracle_call(monkeypatch):
     gamma = free_decay_time(y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT)
     calls = []
 
-    def recorded(y0, T, M, *args, **kwargs):
-        res = min_terminal_norm(y0, T, M, *args, **kwargs)
-        calls.append((T, kwargs["warm_start"], res))
+    def recorded(free, M, *args, **kwargs):
+        res = min_terminal_norm(free, M, *args, **kwargs)
+        calls.append((free.T, kwargs["warm_start"], res))
         return res
 
     monkeypatch.setattr(solvers, "min_terminal_norm", recorded)

@@ -3,9 +3,9 @@
 Runs each subcommand on each config in a fresh interpreter (``python -m
 heatctl.cli``), adding only the experiment fields the config lacks, plus
 step-count (``dt``), free-decay-edge, masked-control curve, second reaction
-term (``bounded_odd_rational``), initial state off the first mode,
-tolerance-below-float-spacing, failure and refused-config variants.  Prints
-one line per run:
+term (``bounded_odd_rational``), initial state off the first mode, other
+spellings of the first mode, tolerance-below-float-spacing, failure and
+refused-config variants.  Prints one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
 
@@ -84,6 +84,10 @@ VARIANTS = [
       for config in ("linear_equivalence", "tanh_sweep")
       for omega in ("[0,1]", "[0.3,0.8]")
       for cmd in ("mintime", "equivalence")],
+    # other spellings of y0 = 2e1, which the closed-form instance takes
+    *[("spelling", "oracle_compare", cmd, [f'y0={{"modes":{modes}}}'])
+      for modes in ('{"01":2.0}', '{"1":2.0,"2":0}')
+      for cmd in ("oracle-compare", "sweep")],
     # width rules below the float spacing: the bracket ends on adjacent floats
     ("tiny", "linear_equivalence", "minnorm", ["solver.tol_m=1e-17"]),
     ("tiny", "linear_equivalence", "mintime", ["solver.tol_t=1e-17"]),
