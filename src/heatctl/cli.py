@@ -373,13 +373,18 @@ def scalar_instance_for(setup: Setup) -> ScalarInstance | None:
     """Closed-form oracle instance, when the config is in its scope.
 
     Requires control on the whole interval, no reaction term, and initial
-    data on the first eigenfunction alone (the only nonzero parsed mode).
+    data on the first eigenfunction alone (the only mode whose parsed
+    coefficients, summed per index as :func:`build_setup` sums them, are
+    nonzero).
     """
     if setup.f.kind != "zero":
         return None
     if not np.all(setup.grid.omega_mask == 1.0):
         return None
-    nonzero = [(i, c) for i, c in setup.modes or () if c != 0.0]
+    summed: dict[int, float] = {}
+    for i, c in setup.modes or ():
+        summed[i] = summed.get(i, 0.0) + c
+    nonzero = [(i, c) for i, c in summed.items() if c != 0.0]
     if [i for i, _ in nonzero] != [1]:
         return None
     a0 = nonzero[0][1]

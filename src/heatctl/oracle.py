@@ -1,6 +1,7 @@
 """Independent ground truth at desk scale.
 
-Two routes that share no code with the PDE solvers or the bisection layer:
+Two routes whose numerics share nothing with the PDE solvers or the
+bisection layer:
 
 * closed forms for the one-mode reduction (full-interval control, no reaction
   term, initial data on the first eigenfunction), where the optimal control is
@@ -11,12 +12,17 @@ Two routes that share no code with the PDE solvers or the bisection layer:
   It visits the levels in ascending order and stops at the first level some
   candidate reaches, so it integrates only the candidates that decide the
   bracket.
+
+The enumerator shares one thing with the solvers: the forked workers of
+:func:`heatctl.solvers._map_points`, over which it spreads its chunks of
+candidates.  What runs in them is this module's own RK4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from .core import (
     zero_reaction,
 )
 from .pde import dirichlet_eigs
+from .solvers import _map_points
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,11 @@ class LevelBracket:
     ``upper`` the smallest at which one succeeds.  ``lower`` is None when even
     the smallest level succeeds; ``upper`` is None when every level fails
     (value above the grid).  ``candidates`` counts the enumerated family;
-    ``evaluations`` counts RK4 steps over the integrated candidates only,
-    which are those at or below ``lower`` plus part of the band of ``upper``.
+    ``evaluations`` counts RK4 steps over the candidates the serial loop
+    integrates: those at or below ``lower``, then the band of ``upper``
+    through its first chunk holding a reaching candidate.  In forked workers
+    up to one chunk per further worker may be integrated past it; those are
+    not counted, so the count is the same however the chunks were run.
     """
 
     lower: float | None
@@ -100,6 +110,12 @@ RK4_REAL_STABILITY = 2.785293563405282
 
 # Most candidate-level evaluations an enumeration may ask for.
 ENUMERATION_BUDGET = 10_000_000
+
+
+class _Reached(Exception):
+    """Raised by the chunk of the level band ``args[0]`` that holds a
+    candidate reaching the ball; ``args[1]`` counts the candidates in the
+    order of the serial loop through that chunk."""
 
 
 def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
@@ -120,7 +136,11 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
     does not) is integrated ``chunk`` candidates at a time, and the first
     chunk holding a candidate that reaches the ball makes that level and all
     above it feasible.  Every level below was fully integrated and is
-    infeasible; candidates above the top level are never integrated.
+    infeasible; candidates above the top level are never integrated.  The
+    chunks, in that order, go to :func:`heatctl.solvers._map_points`, which
+    runs them in forked workers when it can; a reaching chunk raises
+    :class:`_Reached`, no chunk is handed out after it, and the first such
+    chunk in order is the one caught, so the bracket is the serial loop's.
 
     The bracket is exact for the enumerated family only: pick levels the
     amplitude grid can realize (e.g. a subset of its absolute values),
@@ -192,12 +212,18 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
             fy = f.f(y)
             return -(a * lam) - g.h * (fy @ modes.T) + force
 
-    integrated = 0
+    # The chunks in the order the serial loop visits them: band by band in
+    # ascending level, ``chunk`` candidates at a time.  ``through[i]`` counts
+    # the candidates of the bands below band i.
+    bands = [np.flatnonzero(band == i) for i in range(len(levels))]
+    through = list(accumulate((len(members) for members in bands), initial=0))
+    chunks = [(i, s) for i, members in enumerate(bands) for s in range(0, len(members), chunk)]
 
-    def reaches(members):
-        """Integrate the candidates ``members``; does any reach the ball?"""
-        nonlocal integrated
-        integrated += len(members)
+    def integrate(task):
+        """Integrate one chunk; raise :class:`_Reached` when a candidate of
+        it reaches the ball."""
+        i, s = task
+        members = bands[i][s:s + chunk]
         a = np.tile(a0, (len(members), 1))
         forces = np.einsum("ij,cmj->cmi", forcing_map, coeffs[members])
         for m in range(m_intervals):
@@ -208,14 +234,14 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
                 k3 = rhs(a + 0.5 * dt * k2, force)
                 k4 = rhs(a + dt * k3, force)
                 a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return bool(np.any(np.sqrt(np.einsum("ci,ci->c", a, a)) <= ball.r))
+        if np.any(np.sqrt(np.einsum("ci,ci->c", a, a)) <= ball.r):
+            raise _Reached(i, through[i] + s + len(members))
 
-    for first_feasible in range(len(levels)):
-        members = np.flatnonzero(band == first_feasible)
-        if any(reaches(members[s:s + chunk]) for s in range(0, len(members), chunk)):
-            break
-    else:
-        first_feasible = len(levels)
+    try:
+        _map_points(integrate, chunks)
+        first_feasible, integrated = len(levels), through[-1]
+    except _Reached as reached:
+        first_feasible, integrated = reached.args
 
     feasible_by_level = tuple(i >= first_feasible for i in range(len(levels)))
     lower = levels[first_feasible - 1] if first_feasible > 0 else None

@@ -79,7 +79,9 @@ this process may run on, at most one per point, and none when that makes
 fewer than two, when another thread is running, or when a function of the
 point's modules has been patched in place (a call recorder or a tracer).
 Each point runs the same code on the same inputs as in the serial loop, so
-the results are identical; ``taskset -c 0`` forces a serial run.
+the results are identical; ``taskset -c 0`` forces a serial run.  The
+brute-force bracket of :mod:`heatctl.oracle` maps its chunks of candidates
+the same way.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ from __future__ import annotations
 import inspect
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -159,11 +162,17 @@ class ValueCurve:
 def _serve(fn, conn) -> None:
     """Worker loop of :func:`_map_points`: answer each ``(x,)`` received with
     ``(True, fn(x))``, or ``(False, exception)`` when fn(x) raises, until
-    None arrives."""
+    None arrives.  An exception that does not survive pickling (a class
+    defined inside fn, say) is sent as a RuntimeError naming its type and
+    message."""
     while (task := conn.recv()) is not None:
         try:
             conn.send((True, fn(task[0])))
         except Exception as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}")
             conn.send((False, exc))
 
 
@@ -182,7 +191,9 @@ def _map_points(fn, xs) -> list:
     boundary.  When some fn(x) raises, no further x is handed out, and the
     exception of the first such x in order is raised, as the serial loop
     would raise it: the xs are handed out in order, so every earlier x has
-    been solved by then.
+    been solved by then.  A raise is also how a caller stops the map early:
+    :func:`heatctl.oracle.bruteforce_minimal_norm_bracket` raises from the
+    first chunk of candidates that reaches the ball.
 
     The main thread hands each worker its next x as soon as it answers and
     receives every result itself: a pool's result thread would unpickle the
@@ -232,12 +243,12 @@ def _map_points(fn, xs) -> list:
             hand_next(conn)
         while pending:
             for conn in wait(list(pending)):
+                index = pending.pop(conn)
                 try:
-                    outcome = conn.recv()
+                    outcomes[index] = conn.recv()
                 except EOFError:
                     raise RuntimeError("a worker process exited without an answer") from None
-                outcomes[pending.pop(conn)] = outcome
-                failed = failed or not outcome[0]
+                failed = failed or not outcomes[index][0]
                 hand_next(conn)
     except BaseException:
         for proc, _ in started:
@@ -249,7 +260,14 @@ def _map_points(fn, xs) -> list:
             conn.close()
     for ok, value in filter(None, outcomes):
         if not ok:
-            raise value
+            # The raised exception's traceback holds this frame, so no local
+            # may hold the exception: the frame, fn and what fn closes over
+            # would then live until a cyclic collection, not go with it.
+            outcomes = None
+            try:
+                raise value
+            finally:
+                value = None
     return [value for _, value in outcomes]
 
 

@@ -1,5 +1,7 @@
+import gc
+import os
 import sys
-from types import SimpleNamespace
+from types import FrameType, SimpleNamespace
 
 import pytest
 
@@ -36,3 +38,35 @@ def solve_calls(monkeypatch):
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """``use_cpus(count)`` makes the worker rule of ``solvers._map_points``
+    see ``count`` CPUs, whatever the host has."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return use
+
+
+@pytest.fixture
+def heatctl_frames_in_cycles():
+    """``heatctl_frames_in_cycles(run)`` calls ``run()`` with cyclic garbage
+    collection off, then names the heatctl frames that only a cyclic
+    collection frees: each one keeps its locals, arrays included, alive
+    until the collector runs."""
+    def collect(run):
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            return [obj.f_code.co_name for obj in gc.garbage
+                    if isinstance(obj, FrameType)
+                    and obj.f_globals.get("__name__", "").startswith("heatctl")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+    return collect

@@ -196,6 +196,27 @@ def test_closed_form_applies_to_every_spelling_of_the_first_mode(tmp_path, comma
         assert all(p["oracle_value"] is not None for p in curve_points(tmp_path / "spelled", "tau"))
 
 
+@pytest.mark.parametrize("command, experiment", [
+    ("oracle-compare", {"M_values": [10.0], "T_values": [0.07]}),
+    ("sweep", {"M_grid": [10.0]}),
+], ids=["oracle-compare", "sweep"])
+def test_closed_form_sums_a_mode_given_twice(tmp_path, command, experiment):
+    # build_setup sums "1" and "01" into y0 = 3e1, and so does the
+    # closed-form instance: every output equals that of {"1": 3.0}
+    outputs = []
+    for name, y0_modes in (("plain", {"1": 3.0}), ("twice", {"1": 2.0, "01": 1.0})):
+        cfg = write_config(tmp_path, name=f"{name}.json", grid={"ell": 1.0, "n": 31}, nt=60,
+                           y0={"modes": y0_modes}, experiment=experiment)
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = read_summary(out)
+        del summary["wall_time_s"], summary["config_hash"]
+        outputs.append((summary, {path.name: path.read_bytes()
+                                  for path in sorted(out.glob("*.csv"))}))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][1]
+
+
 def curve_points(out, name):
     """The points of curve ``name`` in summary.json, after checking that each
     cell of ``<name>_curve.csv`` is the 17-digit text of the point's field

@@ -4,8 +4,10 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,11 +34,6 @@ INSTANCES = {
 }
 
 
-def use_cpus(monkeypatch, count):
-    """Make the worker rule see ``count`` CPUs, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def assert_same_curve(curve, ref):
     assert dataclasses.replace(curve, points=()) == dataclasses.replace(ref, points=())
     assert len(curve.points) == len(ref.points)
@@ -58,11 +55,11 @@ def curves(f, g):
 
 
 @pytest.mark.parametrize("instance", list(INSTANCES))
-def test_pooled_curves_equal_serial_curves(monkeypatch, instance):
+def test_pooled_curves_equal_serial_curves(use_cpus, instance):
     f, g = INSTANCES[instance]
-    use_cpus(monkeypatch, 1)
+    use_cpus(1)
     serial = curves(f, g)
-    use_cpus(monkeypatch, 2)
+    use_cpus(2)
     pooled = curves(f, g)
     for curve, ref in zip(pooled, serial):
         assert_same_curve(curve, ref)
@@ -84,8 +81,8 @@ def fail_on_odd(x):
     return x
 
 
-def test_first_failure_in_order_is_raised(monkeypatch):
-    use_cpus(monkeypatch, 2)
+def test_first_failure_in_order_is_raised(use_cpus):
+    use_cpus(2)
     with pytest.raises(ValueError, match="^odd parameter 1$"):
         _map_points(fail_on_odd, [0, 1, 2, 3])
     assert multiprocessing.active_children() == []
@@ -93,7 +90,7 @@ def test_first_failure_in_order_is_raised(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_no_point_starts_after_a_failure(monkeypatch, tmp_path):
+def test_no_point_starts_after_a_failure(use_cpus, tmp_path):
     def fail_first(x):
         (tmp_path / str(x)).touch()
         if x == 0:
@@ -101,7 +98,7 @@ def test_no_point_starts_after_a_failure(monkeypatch, tmp_path):
         time.sleep(0.2)
         return x
 
-    use_cpus(monkeypatch, 2)
+    use_cpus(2)
     with pytest.raises(ValueError, match="^first$"):
         _map_points(fail_first, range(8))
     # the second worker finishes the point it holds, and nothing else starts
@@ -115,23 +112,64 @@ def exit_on_two(x):
     return x
 
 
-def test_worker_that_dies_is_an_error(monkeypatch):
-    use_cpus(monkeypatch, 2)
+def test_worker_that_dies_is_an_error(use_cpus):
+    use_cpus(2)
     with pytest.raises(RuntimeError, match="worker process exited"):
         _map_points(exit_on_two, [0, 1, 2, 3])
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_failing_curve_names_its_first_failing_point(monkeypatch, cpus):
-    # at a free-decay time that is too short the free run misses the ball,
-    # so both points fail at their first probe
+def fail_with_local_class(x):
+    class LocalError(Exception):
+        pass
+
+    if x == 1:
+        raise LocalError(f"local failure at {x}")
+    return x
+
+
+def test_unpicklable_failure_is_raised_by_name(use_cpus):
+    # an instance of a class defined inside fn cannot be pickled, so the
+    # worker sends a stand-in naming its class and message instead of dying
+    use_cpus(2)
+    name = f"{__name__}.fail_with_local_class.<locals>.LocalError"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(name)}: local failure at 1$"):
+        _map_points(fail_with_local_class, [0, 1, 2, 3])
+    assert multiprocessing.active_children() == []
+
+
+def failing_curve():
+    """A tanh curve whose points all fail at their first probe: at a
+    free-decay time that is too short the free run misses the ball."""
     f, g = INSTANCES["tanh-masked"]
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     short = 0.5 * free_decay_time(y0, BALL, f, g, nt=NT)
-    use_cpus(monkeypatch, cpus)
+    return partial(minimal_time_curve, [0.01, 0.02], y0, BALL, f, g, nt=NT, gamma_hint=short)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failing_curve_names_its_first_failing_point(use_cpus, cpus):
+    curve = failing_curve()
+    use_cpus(cpus)
     with pytest.raises(NoFeasibleBoundError, match="for M=0.01;"):
-        minimal_time_curve([0.01, 0.02], y0, BALL, f, g, nt=NT, gamma_hint=short)
+        curve()
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_pooled_curve_leaves_no_cycle(use_cpus, heatctl_frames_in_cycles):
+    # the raised error's traceback holds _map_points' frame, which must not
+    # hold the error in turn
+    curve = failing_curve()
+    use_cpus(2)
+
+    def run():
+        try:
+            curve()
+        except NoFeasibleBoundError:
+            return
+        raise AssertionError("the curve did not fail")
+
+    assert heatctl_frames_in_cycles(run) == []
     assert multiprocessing.active_children() == []
 
 
@@ -140,8 +178,8 @@ def report_pids(conn):
     conn.close()
 
 
-def test_daemonic_process_maps_serially(monkeypatch):
-    use_cpus(monkeypatch, 2)
+def test_daemonic_process_maps_serially(use_cpus):
+    use_cpus(2)
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     child = ctx.Process(target=report_pids, args=(sender,), daemon=True)
@@ -153,8 +191,8 @@ def test_daemonic_process_maps_serially(monkeypatch):
     assert results == [(1, pid), (2, pid), (3, pid)]
 
 
-def test_another_thread_maps_serially(monkeypatch):
-    use_cpus(monkeypatch, 2)
+def test_another_thread_maps_serially(use_cpus):
+    use_cpus(2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
@@ -166,11 +204,11 @@ def test_another_thread_maps_serially(monkeypatch):
     assert results == [(1, os.getpid()), (2, os.getpid()), (3, os.getpid())]
 
 
-def test_patched_solver_maps_serially(monkeypatch, solve_calls):
+def test_patched_solver_maps_serially(use_cpus, solve_calls):
     # a call recorder patched into this process sees every solve of a curve
     # that would otherwise run in workers
     f, g = INSTANCES["tanh-masked"]
-    use_cpus(monkeypatch, 2)
+    use_cpus(2)
     time_curve, _ = curves(f, g)
     assert all(p.control.grid is g for p in time_curve.points)
     assert len(solve_calls.forward) >= sum(p.diagnostics["oracle_calls"]
@@ -193,11 +231,11 @@ def cli_files(tmp_path, command, cfg, name):
                "experiment": {"M_grid": [0.0, 1.0, 5.0], "T_grid": [0.05, 0.1]}}),
     ("equivalence", {"experiment": {"T_grid": [0.05, 0.1], "M_grid": [5.0, 20.0]}}),
 ], ids=["sweep", "equivalence"])
-def test_pooled_cli_files_equal_serial_files(tmp_path, monkeypatch, command, cfg):
+def test_pooled_cli_files_equal_serial_files(tmp_path, use_cpus, command, cfg):
     cfg = {"grid": {"n": 31}, "y0": {"modes": {"1": 2.0}}, "r": 0.5, "nt": NT, **cfg}
-    use_cpus(monkeypatch, 1)
+    use_cpus(1)
     serial = cli_files(tmp_path, command, cfg, "serial")
-    use_cpus(monkeypatch, 2)
+    use_cpus(2)
     pooled = cli_files(tmp_path, command, cfg, "pooled")
     assert pooled == serial
     assert multiprocessing.active_children() == []

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -308,6 +310,79 @@ def test_bruteforce_integrates_only_the_deciding_candidates(case, chunk):
     first_hit = int(np.flatnonzero(terminal[band] <= BALL.r)[0])
     expected = np.count_nonzero(below) + min(len(band), (first_hit // chunk + 1) * chunk)
     assert integrated == expected
+
+
+# ---------------------------------------------------------------------------
+# Brute-force chunks in forked workers
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("case", sorted(BRACKET_CASES))
+def test_pooled_bracket_equals_serial_bracket(use_cpus, case, chunk):
+    args, n_steps = BRACKET_CASES[case]
+    use_cpus(1)
+    serial = bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=chunk)
+    use_cpus(2)
+    pooled = bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=chunk)
+    assert pooled == serial
+    assert multiprocessing.active_children() == []
+
+
+def with_reaction(case, f):
+    """The positional arguments of ``BRACKET_CASES[case]`` with tanh
+    replaced by ``f`` (1-Lipschitz), and its step count."""
+    args, n_steps = BRACKET_CASES[case]
+    spec = NonlinearitySpec(kind="custom", L=1.0, f=f, fprime=lambda y: 1.0 / np.cosh(y) ** 2)
+    return (*args[:6], spec, *args[7:]), n_steps
+
+
+def test_bracket_chunks_run_in_workers(use_cpus, tmp_path):
+    log = tmp_path / "pids"
+    seen = set()
+
+    def tanh(y):
+        # each process that evaluates the reaction logs its pid once
+        if os.getpid() not in seen:
+            seen.add(os.getpid())
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+        return np.tanh(y)
+
+    args, n_steps = with_reaction("tanh_2x2", tanh)
+    use_cpus(2)
+    bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=7)
+    pids = log.read_text().split()
+    assert len(set(pids)) == len(pids) == 2 and str(os.getpid()) not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_reaction_that_raises_in_a_worker_raises_as_in_serial(use_cpus):
+    def refusing(y):
+        # the short last chunk of a band is refused
+        if len(y) < 7:
+            raise ValueError(f"reaction refused {len(y)} states")
+        return np.tanh(y)
+
+    args, n_steps = with_reaction("tanh_2x2", refusing)
+    messages = []
+    for cpus in (1, 2):
+        use_cpus(cpus)
+        with pytest.raises(ValueError, match="^reaction refused") as failure:
+            bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=7)
+        messages.append(str(failure.value))
+        assert multiprocessing.active_children() == []
+    assert messages[1] == messages[0]
+
+
+def test_pooled_bracket_that_hits_leaves_no_cycle(use_cpus, heatctl_frames_in_cycles):
+    # the chunk that reaches the ball raises in a worker, and the bracket
+    # catches the error that _map_points raises again
+    args, n_steps = BRACKET_CASES["tanh_2x2"]
+    brackets = []
+    use_cpus(2)
+    assert heatctl_frames_in_cycles(lambda: brackets.append(
+        bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=7))) == []
+    assert brackets[0].upper is not None
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

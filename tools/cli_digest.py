@@ -88,6 +88,8 @@ VARIANTS = [
     *[("spelling", "oracle_compare", cmd, [f'y0={{"modes":{modes}}}'])
       for modes in ('{"01":2.0}', '{"1":2.0,"2":0}')
       for cmd in ("oracle-compare", "sweep")],
+    # mode 1 under two spellings, summed to y0 = 3e1
+    ("spelling", "oracle_compare", "oracle-compare", ['y0={"modes":{"1":2.0,"01":1.0}}']),
     # width rules below the float spacing: the bracket ends on adjacent floats
     ("tiny", "linear_equivalence", "minnorm", ["solver.tol_m=1e-17"]),
     ("tiny", "linear_equivalence", "mintime", ["solver.tol_t=1e-17"]),
