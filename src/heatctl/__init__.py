@@ -32,7 +32,9 @@ from .pde import (
     dirichlet_eigs,
     hitting_time,
     linear_free_state,
+    linear_response,
     principal_eigenvalue,
+    sine_basis,
     solve_adjoint,
     solve_forward,
 )

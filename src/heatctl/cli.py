@@ -11,12 +11,12 @@ the point records of its summary.
 
 Exit codes: 0 success, 2 invalid config (field-level diagnostics on stderr)
 or an unusable ``--out`` (one ``out:`` line), 3 initial state inside the
-target ball, 4 failed computation (no feasible bound or a diverging solve;
-one ``failed:`` line on stderr).  Every handler takes its step count from
-the one rule in :meth:`Setup.steps_for`.  ``equivalence`` and
-``oracle-compare`` solve their points through ``solvers._map_points``
-(forked workers, identical outputs), and each worker returns only the scalar
-record written for its point.
+target ball, 4 failed computation (no feasible bound, a diverging solve or
+an array too large to allocate; one ``failed:`` line on stderr).  Every
+handler takes its step count from the one rule in :meth:`Setup.steps_for`.
+``equivalence`` and ``oracle-compare`` solve their points through
+``solvers._map_points`` (forked workers, identical outputs), and each worker
+returns only the scalar record written for its point.
 """
 
 from __future__ import annotations
@@ -726,7 +726,7 @@ def main(argv=None) -> int:
     except RefusedRunError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoFeasibleBoundError, SolverDivergenceError) as exc:
+    except (NoFeasibleBoundError, SolverDivergenceError, MemoryError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
     wall = time.perf_counter() - started

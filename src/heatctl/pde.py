@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cholesky_banded, get_lapack_funcs
@@ -107,6 +108,18 @@ def dirichlet_eigs(g: SpatialGrid, k: int) -> DirichletSpectrum:
     return DirichletSpectrum(eigenvalues=lam, eigenvectors=vecs)
 
 
+@lru_cache(maxsize=8)
+def _sine_basis(n: int, h: float, ell: float) -> DirichletSpectrum:
+    return dirichlet_eigs(SpatialGrid(n=n, h=h, ell=ell, omega_mask=np.ones(n)), n)
+
+
+def sine_basis(g: SpatialGrid) -> DirichletSpectrum:
+    """All n eigenpairs of g, ``dirichlet_eigs(g, g.n)``: built on the first
+    call for a grid's n, h and ell, and shared by every later one (the
+    control region does not enter)."""
+    return _sine_basis(g.n, g.h, g.ell)
+
+
 def linear_free_state(coeffs: np.ndarray, spectrum: DirichletSpectrum, dt: float,
                       nt: int) -> np.ndarray:
     """The state after nt uncontrolled steps of dt with the zero reaction,
@@ -116,9 +129,44 @@ def linear_free_state(coeffs: np.ndarray, spectrum: DirichletSpectrum, dt: float
     Each step of the scheme applies (I + dt*A)^{-1}, which scales e_i by
     1/(1 + dt*lambda_i), so the state is sum_i (1 + dt*lambda_i)^(-nt)
     coeffs[i] e_i: :func:`solve_forward`'s last state up to rounding, at the
-    cost of one product with the n x n sine matrix.
+    cost of one product with the n x n sine matrix.  Powers of high modes
+    may underflow; that raises no floating-point error, as what they round
+    to is negligible in the sum.
     """
-    return (coeffs * (1.0 + dt * spectrum.eigenvalues) ** -float(nt)) @ spectrum.eigenvectors
+    with np.errstate(under="ignore"):
+        return (coeffs * (1.0 + dt * spectrum.eigenvalues) ** -float(nt)) @ spectrum.eigenvectors
+
+
+def _sine_sums(x: np.ndarray) -> np.ndarray:
+    """sum_j x[..., j-1] * sin(pi*i*j/(n+1)) for i = 1..n along the last axis,
+    of length n: the sine transform DST-I, less its factor 2, as the
+    imaginary part of a zero-padded real FFT."""
+    n = x.shape[-1]
+    padded = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    padded[..., 1:n + 1] = x
+    return -np.fft.rfft(padded)[..., 1:n + 1].imag
+
+
+def linear_response(values: np.ndarray, dt: float, g: SpatialGrid) -> np.ndarray:
+    """The state after len(values) steps of dt on g from 0 with the zero
+    reaction, step k adding dt*values[k].
+
+    In the sine basis e_i of :func:`sine_basis`, with q_i = 1/(1 + dt*lambda_i)
+    and nt = len(values), the state is
+    sum_i (dt * sum_k q_i^(nt-k) <values[k], e_i>_h) e_i: up to rounding the
+    last state of :func:`solve_forward` from 0 with a control of these
+    values, when they vanish off its control region (a
+    :class:`~heatctl.core.ControlSignal` zeroes them there).  The products
+    with the sine vectors are sine transforms (:func:`_sine_sums`), by FFT
+    rather than as one nt x n by n x n matrix product, which a
+    multi-threaded BLAS can make slower than the forward solve itself.
+    Powers may underflow, as in :func:`linear_free_state`.
+    """
+    steps = np.arange(len(values), 0, -1, dtype=float)[:, None]
+    with np.errstate(under="ignore"):
+        weights = (1.0 + dt * sine_basis(g).eigenvalues) ** -steps
+        coeffs = np.einsum("ki,ki->i", weights, _sine_sums(values))
+        return (2.0 * dt * g.h / g.ell) * _sine_sums(coeffs)
 
 
 def principal_eigenvalue(g: SpatialGrid) -> float:
@@ -191,7 +239,9 @@ def solve_adjoint(y: StateTrajectory, xi: np.ndarray, f: NonlinearitySpec,
         <y_lin(T), xi> = <dy0, psi(0)> + sum_k dt * <masked du(t_k), psi(t_k)>
 
     to machine precision; this identity is what the reachability gradients
-    rely on.
+    rely on.  With the zero reaction only y's dt and nt are read, so y may
+    be anything that has them, such as a :class:`heatctl.reach.FreeRun`
+    whose run was never simulated.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (g.n,):

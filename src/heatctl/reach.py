@@ -8,10 +8,14 @@ the descent starts from the best of the zero control, a full-amplitude
 control along the costate of the uncontrolled run, and the caller's warm
 start.
 
-One :class:`FreeRun` describes a horizon, and its run and costate are solved
-on first read; the oracle reads y0, T, nt, f and g from it alone, and a caller
-that probes many bounds at one horizon passes it to every oracle call.  The
-same run gives certificates that need no descent:
+One :class:`FreeRun` describes a horizon, and its run, terminal state and
+costate are solved on first read; the oracle reads y0, T, nt, f and g from it
+alone, and a caller that probes many bounds at one horizon passes it to every
+oracle call.  For f = 0 the terminal state y_free(T) is a closed form in the
+grid's sine basis and the costate needs only the run's dt and nt, so what
+reads only them (the dual bound and the dual pair below) simulates no free
+run; the oracle's zero start does.  The same run gives certificates that
+need no descent:
 
 * :func:`dual_lower_bound`, from weak duality: a norm bound below which no
   control reaches the ball (the discrete dual problem of Wang & Zuazua, SIAM
@@ -69,7 +73,10 @@ from .core import (
 from .pde import (
     AdjointTrajectory,
     dirichlet_eigs,
+    linear_free_state,
+    linear_response,
     principal_eigenvalue,
+    sine_basis,
     solve_adjoint,
     solve_forward,
 )
@@ -194,12 +201,16 @@ def bangbang_values(masked: np.ndarray, norms: np.ndarray, level: float) -> np.n
 
 @dataclass(frozen=True)
 class FreeRun:
-    """The uncontrolled run from y0 over (0, T] in nt steps, with reaction
-    ``f`` on grid ``g``.  ``trajectory`` is the run, ``masked`` is
-    :func:`masked_costate` for the adjoint with terminal datum y(T) and
-    reaction f (the gradient of J at the zero control), and ``norms`` its
-    pointwise norm at each step.  Each is read-only and solved on first read:
-    one forward and one adjoint solve at most.  Built by :func:`free_run`.
+    """The uncontrolled run from y0 over (0, T] in nt steps of dt = T/nt,
+    with reaction ``f`` on grid ``g``.  ``trajectory`` is the run,
+    ``terminal`` its last state, ``masked`` is :func:`masked_costate` for the
+    adjoint with terminal datum y(T) and reaction f (the gradient of J at the
+    zero control), and ``norms`` its pointwise norm at each step.  Each is
+    read-only and solved on first read: at most one forward and one adjoint
+    solve.  For f = 0 (:func:`is_linear`) ``terminal`` is
+    :func:`heatctl.pde.linear_free_state` in the grid's sine basis, and
+    ``masked`` takes its adjoint over the run's dt and nt alone, so only a
+    read of ``trajectory`` simulates the run.  Built by :func:`free_run`.
     """
 
     y0: np.ndarray
@@ -208,15 +219,30 @@ class FreeRun:
     f: NonlinearitySpec
     g: SpatialGrid
 
+    @property
+    def dt(self) -> float:
+        return self.T / self.nt
+
     @cached_property
     def trajectory(self) -> StateTrajectory:
-        return solve_forward(self.y0, ControlSignal.zeros(self.nt, self.T / self.nt, self.g),
+        return solve_forward(self.y0, ControlSignal.zeros(self.nt, self.dt, self.g),
                              self.f, self.g)
 
     @cached_property
+    def terminal(self) -> np.ndarray:
+        if not is_linear(self.f):
+            return self.trajectory.states[-1]
+        basis = sine_basis(self.g)
+        terminal = linear_free_state(self.g.h * (basis.eigenvectors @ self.y0), basis,
+                                     self.dt, self.nt)
+        terminal.setflags(write=False)
+        return terminal
+
+    @cached_property
     def masked(self) -> np.ndarray:
-        traj = self.trajectory
-        masked = masked_costate(solve_adjoint(traj, traj.states[-1], self.f, self.g), self.g)
+        # The zero-reaction adjoint reads only the run's dt and nt.
+        run = self if is_linear(self.f) else self.trajectory
+        masked = masked_costate(solve_adjoint(run, self.terminal, self.f, self.g), self.g)
         masked.setflags(write=False)
         return masked
 
@@ -311,24 +337,27 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None 
     terms is subtracted so the bound holds despite rounding, and the result
     is floored at 0 (also when the costate bounds vanish or overflow).
 
-    f and the grid are the free run's own.  ``xi`` defaults to y_free(T).
-    The bound costs one zero-reaction adjoint solve, unless ``norms`` gives
-    its step norms ||chi_omega psi0_k||, or for f = 0 with the default datum,
-    where it is the run's own costate (``free.norms``, solved on first read).
+    f and the grid are the free run's own, and y_free(T) is ``free.terminal``
+    (for f = 0 in closed form).  ``xi`` defaults to y_free(T).  The bound
+    costs one zero-reaction adjoint solve, which reads only the run's dt and
+    nt, unless ``norms`` gives its step norms ||chi_omega psi0_k||, or for
+    f = 0 with the default datum, where it is the run's own costate
+    (``free.norms``, solved on first read).  With a reaction term it also
+    simulates the run, once per FreeRun.
     """
-    traj, f, g = free.trajectory, free.f, free.g
+    f, g, y_free = free.f, free.g, free.terminal
     if xi is None and norms is None and is_linear(f):
         norms = free.norms
-    xi = traj.states[-1] if xi is None else np.asarray(xi, dtype=float)
+    xi = y_free if xi is None else np.asarray(xi, dtype=float)
     if norms is None:
-        norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, _ZERO, g), g), g.h)
+        norms = step_l2_norms(masked_costate(solve_adjoint(free, xi, _ZERO, g), g), g.h)
     xi_norm = math.sqrt(g.h * float(xi @ xi))
-    numerator, _ = _dual_numerator(g.h * float(traj.states[-1] @ xi), xi_norm, ball, opts)
+    numerator, _ = _dual_numerator(g.h * float(y_free @ xi), xi_norm, ball, opts)
     if numerator <= 0.0:
         return 0.0
     if not is_linear(f):
-        norms = reaction_costate_bounds(norms, xi_norm, traj.dt, f.L, g)
-    total = traj.dt * float(np.sum(norms))
+        norms = reaction_costate_bounds(norms, xi_norm, free.dt, f.L, g)
+    total = free.dt * float(np.sum(norms))
     if total <= 0.0:
         return 0.0
     return float(numerator / total)
@@ -428,32 +457,38 @@ def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions | None,
     adjoint gives the next w and raises lo.  hi*w, simulated once, is kept
     only if :func:`reaches_ball` accepts it; otherwise, or without a root or
     a direction, hi is inf.
+
+    y_free(T) is ``free.terminal`` and s is
+    :func:`heatctl.pde.linear_response`, both in closed form in the grid's
+    sine basis, so for f = 0 the pair costs free's costate (unless already
+    read), one zero-reaction adjoint solve per step after the first, and
+    the one forward solve of hi*w.
     """
     lo = dual_lower_bound(free, ball, opts)
     if not is_linear(free.f):
         return lo, math.inf, None
-    traj, f, g = free.trajectory, free.f, free.g
-    y_free = traj.states[-1]
+    f, g, dt = free.f, free.g, free.dt
+    y_free = free.terminal
     xi, masked, norms, hi, ray = y_free, free.masked, free.norms, math.inf, None
     try:
         for _ in range(DUAL_STEPS):
             w = bangbang_values(masked, norms, -1.0)
-            s = _run(np.zeros(g.n), w, traj.dt, f, g)[1].states[-1]
+            s = linear_response(w, dt, g)
             m = _smaller_root(y_free, s, ball, opts, g)
             if m is not None and m < hi:
                 hi, ray = m, w
             if hi < math.inf and done(lo, hi):
                 break
             xi = _next_datum(xi, y_free + (lo if m is None else m) * s, g)
-            masked = masked_costate(solve_adjoint(traj, xi, _ZERO, g), g)
+            masked = masked_costate(solve_adjoint(free, xi, _ZERO, g), g)
             norms = step_l2_norms(masked, g.h)
             lo = max(lo, dual_lower_bound(free, ball, opts, xi, norms))
     except DegenerateCostateError:
         pass
     if ray is None or not reaches_ball(
-            float(_run(traj.states[0], hi * ray, traj.dt, f, g)[1].norms[-1]), ball, opts):
+            float(_run(free.y0, hi * ray, dt, f, g)[1].norms[-1]), ball, opts):
         return lo, math.inf, None
-    return lo, hi, ControlSignal(dt=traj.dt, nt=traj.nt, values=hi * ray, grid=g)
+    return lo, hi, ControlSignal(dt=dt, nt=free.nt, values=hi * ray, grid=g)
 
 
 # Most steps :func:`bangbang_ray` takes.

@@ -44,18 +44,20 @@ and the oracle read a horizon's one :class:`heatctl.reach.FreeRun`.
   Each horizon's bound is first enclosed without a solve
   (:func:`heatctl.reach.dual_bound_enclosure`): the horizon is refuted when
   the enclosure's lower end exceeds M, open when its upper end does not, and
-  only in between is the exact bound solved.  For f = 0 the enclosure reads
-  y_free(T) in closed form (:func:`heatctl.pde.linear_free_state`, from the
-  sine coefficients of y0, taken once per point).  So a probe costs:
+  only in between is the exact bound solved.  Both read y_free(T) from the
+  horizon's free run (``FreeRun.terminal``), for f = 0 in closed form in the
+  grid's sine basis (:func:`heatctl.pde.sine_basis`, built once per grid),
+  so for f = 0 no probe simulates its free run.  A probe costs:
 
   - decided by the enclosure: no solve for f = 0, its free run with a
     reaction term;
-  - decided by the exact bound: the free run and one zero-reaction adjoint;
+  - decided by the exact bound: on top, one zero-reaction adjoint;
   - decided by the ray: on top, the free run's costate with the reaction
     term and the ray's runs (:func:`heatctl.reach.bangbang_ray`);
   - settled in the second search, once its bound leaves it open in the same
-    way: its free run, simulated once per horizon, then for f = 0 the run's
-    costate and the pair's solves, with a reaction term an oracle call.
+    way: for f = 0 the pair's solves (an adjoint per datum and one forward
+    solve, of its control: :func:`heatctl.reach.dual_pair`), with a
+    reaction term an oracle call on the free run already simulated.
 
 The minimal norm with a reaction term keeps its cold probe sequence (lower
 end 0, doubling from 1).  A refuted probe would have been infeasible for the
@@ -106,13 +108,7 @@ from .core import (
     TargetBall,
     l2_norm,
 )
-from .pde import (
-    dirichlet_eigs,
-    hitting_time,
-    linear_free_state,
-    principal_eigenvalue,
-    solve_forward,
-)
+from .pde import hitting_time, principal_eigenvalue, solve_forward
 from .reach import (
     ReachOptions,
     bangbang_ray,
@@ -454,17 +450,12 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     # The last horizon the bound left open and nothing settled, with its free
     # run: for f = 0 the crossing, with a reaction term the ray's last miss.
     left_open = {}
-    if is_linear(f):
-        spectrum = dirichlet_eigs(g, g.n)
-        coeffs = g.h * (spectrum.eigenvectors @ y0)
 
     def bounded(T):
         """Whether T's dual bound exceeds M, and T's free run, which for f = 0
-        is simulated only when the enclosure does not decide."""
-        free, dt = free_run(y0, T, nt, f, g), T / nt
-        xi = (linear_free_state(coeffs, spectrum, dt, nt) if is_linear(f)
-              else free.trajectory.states[-1])
-        lo, hi = dual_bound_enclosure(xi, dt, nt, f, g, ball, opts)
+        is never simulated here."""
+        free = free_run(y0, T, nt, f, g)
+        lo, hi = dual_bound_enclosure(free.terminal, free.dt, nt, f, g, ball, opts)
         if lo <= M < hi:
             lo = dual_lower_bound(free, ball, opts)
         if lo > M:

@@ -348,6 +348,19 @@ def test_failed_computation_exits_with_one_line(tmp_path, capsys, command, updat
     assert not out.exists()
 
 
+def test_state_array_too_large_to_allocate_exits_with_one_line(tmp_path, capsys):
+    # numpy refuses the (nt, n) arrays of 10^12 steps (924 TiB) before
+    # touching memory; that exited with a traceback.
+    out = tmp_path / "out"
+    config = Path(__file__).resolve().parents[1] / "configs" / "linear_equivalence.json"
+    assert main(["equivalence", "--config", str(config), "--out", str(out),
+                 "--override", "nt=1000000000000"]) == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("failed: ") and "Unable to allocate" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_override_changes_result_and_hash(tmp_path):
     cfg = write_config(tmp_path, experiment={"M": 10.0})
     out1, out2 = tmp_path / "a", tmp_path / "b"

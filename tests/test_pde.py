@@ -14,6 +14,7 @@ from heatctl import (
     control_scaling_gap,
     decay_envelope_check,
     dirichlet_eigs,
+    free_run,
     hitting_time,
     l2_norm,
     make_nonlinearity,
@@ -21,7 +22,13 @@ from heatctl import (
     solve_adjoint,
     solve_forward,
 )
-from heatctl.pde import diffusion_factor, diffusion_solve, linear_free_state
+from heatctl.pde import (
+    diffusion_factor,
+    diffusion_solve,
+    linear_free_state,
+    linear_response,
+    sine_basis,
+)
 
 GRID = SpatialGrid.build(n=127, ell=1.0)
 MASKED = SpatialGrid.build(n=63, ell=1.0, omega=(0.3, 0.8))
@@ -115,7 +122,8 @@ def test_forward_eigenmode_matches_hand_recurrence():
 def test_linear_free_state_matches_the_simulated_run(g):
     # Random initial states on several modes, horizons from 1e-3 to 1 of the
     # time the first mode takes to decay fourfold: the sine-basis closed form
-    # gives the free run's last state to 1e-12 relative.
+    # gives the free run's last state to 1e-12 relative, and it is the
+    # terminal state of the f = 0 FreeRun, bit for bit.
     rng = np.random.default_rng(18)
     spectrum = dirichlet_eigs(g, g.n)
     tau = math.log(4.0) / principal_eigenvalue(g)
@@ -126,6 +134,41 @@ def test_linear_free_state_matches_the_simulated_run(g):
         closed = linear_free_state(g.h * (spectrum.eigenvectors @ y0), spectrum, T / nt, nt)
         run = solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), F_ZERO, g).states[-1]
         assert l2_norm(closed - run, g) <= 1e-12 * l2_norm(run, g)
+        assert np.array_equal(free_run(y0, T, nt, F_ZERO, g).terminal, closed)
+
+
+@pytest.mark.parametrize("n, omega", [(127, None), (127, (0.3, 0.8)), (63, (0.3, 0.8)),
+                                      (100, (0.1, 0.4)), (1, None)],
+                         ids=["full", "masked", "masked-63", "masked-100", "one-node"])
+def test_linear_response_matches_the_forward_solve(n, omega):
+    # Random controls on the control region, horizons from 1e-3 to 1 of the
+    # time the first mode takes to decay fourfold, and step counts whose
+    # high-mode powers underflow: the sine-basis response from 0 is the
+    # simulated run's last state to 1e-12 relative, with no floating-point
+    # warning.
+    g = SpatialGrid.build(n=n, ell=1.0, omega=omega)
+    rng = np.random.default_rng(21)
+    tau = math.log(4.0) / principal_eigenvalue(g)
+    for case in range(8):
+        nt = (60, 300)[case % 2]
+        T = tau * 10.0 ** rng.uniform(-3.0, 0.0)
+        u = ControlSignal(dt=T / nt, nt=nt, values=rng.normal(size=(nt, g.n)), grid=g)
+        with np.errstate(all="raise"):
+            closed = linear_response(u.values, u.dt, g)
+        run = solve_forward(np.zeros(g.n), u, F_ZERO, g).states[-1]
+        assert l2_norm(closed - run, g) <= 1e-12 * l2_norm(run, g)
+
+
+def test_sine_basis_is_built_once_per_grid():
+    # Every n eigenpairs, bit for bit, shared by grids that differ only in
+    # their control region.
+    g, masked = SpatialGrid.build(n=31), SpatialGrid.build(n=31, omega=(0.3, 0.8))
+    basis = sine_basis(g)
+    assert sine_basis(masked) is basis and sine_basis(SpatialGrid.build(n=63)) is not basis
+    every = dirichlet_eigs(g, g.n)
+    assert np.array_equal(basis.eigenvalues, every.eigenvalues)
+    assert np.array_equal(basis.eigenvectors, every.eigenvectors)
+    assert not basis.eigenvectors.flags.writeable
 
 
 def test_forward_zero_stays_zero():

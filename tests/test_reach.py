@@ -261,6 +261,7 @@ def test_free_run_solves_nothing_until_read(solve_calls):
     assert solve_calls.adjoint_reaction == [F_TANH]
     free.norms, free.masked, free.trajectory  # nothing more is solved
     assert len(solve_calls.forward) == 1 and len(solve_calls.adjoint) == 1
+    assert np.array_equal(free.terminal, traj.states[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +534,19 @@ def test_one_adjoint_per_descent_iteration(solve_calls, monkeypatch, shared):
 def test_one_adjoint_per_descent_iteration_when_the_zero_start_wins(solve_calls):
     # With control on (0.1, 0.4) the full-amplitude start at M = 100
     # overshoots, so the zero start wins.  Its first iteration still solves
-    # its gradient, along the free run again, after the free run's costate
-    # that the full-amplitude start read; each later iteration solves one.
+    # its gradient, along the free run, after the free run's costate that
+    # the full-amplitude start read (for f = 0 over the FreeRun's dt and nt
+    # alone, from its closed-form terminal state); each later iteration
+    # solves one.
     g = SpatialGrid.build(n=31, ell=1.0, omega=(0.1, 0.4))
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     free = free_run(y0, 0.3 * free_decay_time(y0, BALL, F_ZERO, g, nt=60), 60, F_ZERO, g)
     res = min_terminal_norm(free, 100.0, BALL)
     assert res.objective_history[0] == 0.5 * float(free.trajectory.norms[-1]) ** 2
     assert res.iterations >= 2
-    along_free = [traj is free.trajectory for traj in solve_calls.adjoint]
-    assert along_free == [True, True] + [False] * (res.iterations - 1)
+    assert solve_calls.adjoint[0] is free
+    along_free = [traj is free.trajectory for traj in solve_calls.adjoint[1:]]
+    assert along_free == [True] + [False] * (res.iterations - 1)
 
 
 def test_gradient_fd_check_matches_reference():
@@ -606,15 +610,16 @@ def test_dual_bound_is_below_every_feasible_control():
 
 def reference_dual_lower_bound(free, ball, f, g, opts=None, xi=None):
     """The bound for f = 0 as it was before reaction terms, kept to check that
-    the linear arithmetic did not change."""
-    traj = free.trajectory
+    the linear arithmetic did not change; y_free(T) is the closed-form
+    ``free.terminal``, and the costates are solved along the simulated run."""
+    traj, y_free = free.trajectory, free.terminal
     if xi is None:
-        xi, norms = traj.states[-1], free.norms
+        xi, norms = y_free, free.norms
     else:
         xi = np.asarray(xi, dtype=float)
         norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, f, g), g), g.h)
     rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
-    pairing = g.h * float(traj.states[-1] @ xi)
+    pairing = g.h * float(y_free @ xi)
     slack = rho * math.sqrt(g.h * float(xi @ xi))
     total = traj.dt * float(np.sum(norms))
     numerator = pairing - slack - DUAL_ROUNDING * (abs(pairing) + slack)
@@ -852,3 +857,19 @@ def test_dual_pair_with_a_reaction_term_is_the_bound_alone(solve_calls):
     pair = dual_pair(free, BALL, None, never)
     assert solve_calls.forward == [] and len(solve_calls.adjoint) == 1
     assert pair == (dual_lower_bound(free, BALL), math.inf, None)
+
+
+@pytest.mark.parametrize("g, y0", [(GRID, Y0), (MASKED, Y0_MASKED)], ids=["full", "masked"])
+def test_linear_free_run_is_read_without_simulating_it(solve_calls, g, y0):
+    # For f = 0 the terminal state is closed-form and the costate reads only
+    # the run's dt and nt: the dual bound and the dual pair simulate no free
+    # run, only the pair's control, once.  The run is simulated when read.
+    free = free_run(y0, 0.06, 60, F_ZERO, g)
+    assert not free.terminal.flags.writeable
+    dual_lower_bound(free, BALL)
+    u = dual_pair(free, BALL, None, never)[2]
+    (simulated, _), = solve_calls.forward
+    assert np.array_equal(simulated.values, u.values)
+    assert solve_calls.adjoint and all(run is free for run in solve_calls.adjoint)
+    traj = free.trajectory
+    assert len(solve_calls.forward) == 2 and solve_calls.forward[1][1] is traj

@@ -10,6 +10,7 @@ from heatctl.core import step_l2_norms
 from heatctl.reach import bangbang_values, is_linear, masked_costate, reaches_ball
 from heatctl import (
     ControlSignal,
+    FreeRun,
     NoFeasibleBoundError,
     NonlinearitySpec,
     ReachOptions,
@@ -144,18 +145,20 @@ def test_free_run_at_the_free_decay_time_reaches_the_ball():
 
 def test_minimal_norm_point_solves_the_free_run_once(gamma_zero, solve_calls):
     # With the tanh reaction the point makes many oracle calls, all at T.
-    # Along the free run it solves the dual bound's costate (zero reaction)
-    # once, then the oracle's (tanh) once, on the first oracle call's read.
+    # It solves the dual bound's costate (zero reaction, over the FreeRun's
+    # dt and nt) once, and along the free run the oracle's (tanh) once, on
+    # the first oracle call's read.
     T, nt = 0.5 * gamma_zero, 300
     point = minimal_norm(T, Y0, BALL, F_TANH, GRID)
     assert point.diagnostics["oracle_calls"] > 1
     free = [traj for u, traj in solve_calls.forward
             if u.nt == nt and u.dt == T / nt and not u.values.any()]
     assert len(free) == 1
-    along_free = [f for traj, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
-                  if traj is free[0]]
-    assert [f is F_TANH for f in along_free] == [False, True]
-    assert is_linear(along_free[0])
+    (bound_run, bound_f), (oracle_run, oracle_f) = [
+        (y, f) for y, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
+        if y is free[0] or isinstance(y, FreeRun)]
+    assert (bound_run.T, bound_run.nt) == (T, nt) and is_linear(bound_f)
+    assert oracle_run is free[0] and oracle_f is F_TANH
 
 
 def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls, monkeypatch):
@@ -647,20 +650,23 @@ def test_linear_minimal_time_refutes_with_the_pair_before_the_oracle(oracle_prob
 
 def test_linear_minimal_time_counts_every_probe(solve_calls):
     # The dual bound's enclosure decides each probe of the crossing search
-    # from the closed-form free run, so the point simulates two free runs:
-    # at gamma, the first probe, and at the crossing, whose zero-reaction
-    # costate the dual pair takes to settle the second search's one probe.
+    # from the closed-form free run, and the dual pair settles the second
+    # search's one probe, at the crossing, from the crossing's FreeRun: its
+    # terminal state is closed-form and its zero-reaction costate reads only
+    # dt and nt.  So the point simulates one free run, at gamma, the first
+    # probe, and one control, the pair's, which it returns.
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT)
     del solve_calls.forward[:]
     point = minimal_time(1.0, y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT, gamma_hint=gamma)
-    free_runs = [traj for u, traj in solve_calls.forward if not u.values.any()]
     assert point.diagnostics["oracle_calls"] == 0
     assert point.iterations > 10
-    assert [traj.dt for traj in free_runs] == [gamma / SMALL_NT, point.bracket_hi / SMALL_NT]
-    along = [f for traj, f in zip(solve_calls.adjoint, solve_calls.adjoint_reaction)
-             if traj is free_runs[1]]
-    assert len(solve_calls.adjoint) == len(along) == 1 and is_linear(along[0])
+    (zero, free_run_at_gamma), (u, _) = solve_calls.forward
+    assert not zero.values.any() and free_run_at_gamma.dt == gamma / SMALL_NT
+    assert np.array_equal(u.values, point.control.values)
+    assert u.dt == point.bracket_hi / SMALL_NT
+    (run,), (f,) = solve_calls.adjoint, solve_calls.adjoint_reaction
+    assert (run.T, run.nt) == (point.bracket_hi, SMALL_NT) and is_linear(f)
 
 
 @pytest.mark.parametrize("f, omega, M", [(F_ZERO, None, 20.0), (F_ZERO, (0.3, 0.8), 50.0),
@@ -689,6 +695,22 @@ def test_straddled_horizons_solve_the_exact_bound(f, omega, M, monkeypatch):
     assert dataclasses.replace(point, control=None) == dataclasses.replace(reference,
                                                                            control=None)
     np.testing.assert_array_equal(point.control.values, reference.control.values)
+
+
+@pytest.mark.parametrize("omega", [None, (0.3, 0.8)], ids=["full", "masked"])
+def test_linear_value_points_raise_no_floating_point_error(omega):
+    # On n = 127 the closed forms' powers (1 + dt*lambda_i)^-m of high modes
+    # underflow near the free-decay time; minimal_time(5) raised
+    # FloatingPointError from linear_free_state under errstate(all="raise").
+    g = SpatialGrid.build(n=127, ell=1.0, omega=omega)
+    y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
+    with np.errstate(all="raise"):
+        gamma = free_decay_time(y0, BALL, F_ZERO, g)
+        time_point = minimal_time(5.0, y0, BALL, F_ZERO, g, gamma_hint=gamma)
+        norm_point = minimal_norm(0.5 * gamma, y0, BALL, F_ZERO, g, gamma_hint=gamma)
+    for point in (time_point, norm_point):
+        assert reaches_ball(float(solve_forward(y0, point.control, F_ZERO, g).norms[-1]),
+                            BALL)
 
 
 def test_linear_minimal_time_at_a_huge_bound_is_certified_near_zero():
