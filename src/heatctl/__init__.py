@@ -34,7 +34,6 @@ from .pde import (
     linear_free_state,
     linear_response,
     principal_eigenvalue,
-    sine_basis,
     solve_adjoint,
     solve_forward,
 )

@@ -51,7 +51,7 @@ from .pde import (
     principal_eigenvalue,
     solve_forward,
 )
-from .reach import ReachOptions, gradient_fd_check
+from .reach import ReachOptions, gradient_fd_check, is_linear
 from .solvers import (
     ValuePoint,
     _map_points,
@@ -246,12 +246,25 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
         else:
             omega = (float(omega_cfg[0]), float(omega_cfg[1]))
 
+    # The Laplacian's eigenvalues, principal_eigenvalue(grid) to 4/h^2, must be
+    # positive finite floats; n is checked before any array of n values is made.
     grid = None
-    if not errors:
+    if not errors and math.cos(math.pi / (n + 1)) == 1.0:
+        fail("grid.n", f"{n} nodes round the first eigenvalue's 1 - cos(pi/(n+1)) to 0")
+    elif not errors:
         try:
             grid = SpatialGrid.build(n=n, ell=ell, omega=omega)
         except ValueError as exc:
             fail("omega", str(exc))
+    if grid is not None:
+        try:
+            resolved = 0.0 < principal_eigenvalue(grid) <= 4.0 / grid.h ** 2 < math.inf
+        except (OverflowError, ZeroDivisionError):
+            resolved = False
+        if not resolved:
+            fail("grid.ell", f"the spacing ell/(n+1) = {grid.h:.3g} puts the Laplacian's "
+                             "eigenvalues outside the positive finite floats")
+            grid = None
 
     nl_cfg = section("nonlinearity")
     kind = nl_cfg.get("kind", "zero")
@@ -377,7 +390,7 @@ def scalar_instance_for(setup: Setup) -> ScalarInstance | None:
     coefficients, summed per index as :func:`build_setup` sums them, are
     nonzero).
     """
-    if setup.f.kind != "zero":
+    if not is_linear(setup.f):
         return None
     if not np.all(setup.grid.omega_mask == 1.0):
         return None

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cholesky_banded, get_lapack_funcs
@@ -91,6 +90,11 @@ class AdjointTrajectory:
             raise DimensionMismatchError("adjoint trajectory must hold nt+1 costates")
 
 
+def _eigenvalues(g: SpatialGrid, k: int) -> np.ndarray:
+    """lambda_i = (2/h^2)(1 - cos(i*pi*h/ell)) for i = 1..k."""
+    return (2.0 / g.h ** 2) * (1.0 - np.cos(np.arange(1, k + 1) * np.pi * g.h / g.ell))
+
+
 def dirichlet_eigs(g: SpatialGrid, k: int) -> DirichletSpectrum:
     """First k eigenpairs of the tridiagonal (1/h^2)[-1, 2, -1] operator.
 
@@ -102,39 +106,9 @@ def dirichlet_eigs(g: SpatialGrid, k: int) -> DirichletSpectrum:
     if k > g.n:
         raise DimensionMismatchError(f"requested {k} eigenpairs on a grid with n={g.n}")
     i = np.arange(1, k + 1)
-    lam = (2.0 / g.h ** 2) * (1.0 - np.cos(i * np.pi * g.h / g.ell))
     j = np.arange(1, g.n + 1)
     vecs = np.sin(np.outer(i, j) * np.pi / (g.n + 1)) * math.sqrt(2.0 / g.ell)
-    return DirichletSpectrum(eigenvalues=lam, eigenvectors=vecs)
-
-
-@lru_cache(maxsize=8)
-def _sine_basis(n: int, h: float, ell: float) -> DirichletSpectrum:
-    return dirichlet_eigs(SpatialGrid(n=n, h=h, ell=ell, omega_mask=np.ones(n)), n)
-
-
-def sine_basis(g: SpatialGrid) -> DirichletSpectrum:
-    """All n eigenpairs of g, ``dirichlet_eigs(g, g.n)``: built on the first
-    call for a grid's n, h and ell, and shared by every later one (the
-    control region does not enter)."""
-    return _sine_basis(g.n, g.h, g.ell)
-
-
-def linear_free_state(coeffs: np.ndarray, spectrum: DirichletSpectrum, dt: float,
-                      nt: int) -> np.ndarray:
-    """The state after nt uncontrolled steps of dt with the zero reaction,
-    from the state sum_i coeffs[i]*e_i over all n pairs of ``spectrum``
-    (coeffs[i] = <y0, e_i>_h).
-
-    Each step of the scheme applies (I + dt*A)^{-1}, which scales e_i by
-    1/(1 + dt*lambda_i), so the state is sum_i (1 + dt*lambda_i)^(-nt)
-    coeffs[i] e_i: :func:`solve_forward`'s last state up to rounding, at the
-    cost of one product with the n x n sine matrix.  Powers of high modes
-    may underflow; that raises no floating-point error, as what they round
-    to is negligible in the sum.
-    """
-    with np.errstate(under="ignore"):
-        return (coeffs * (1.0 + dt * spectrum.eigenvalues) ** -float(nt)) @ spectrum.eigenvectors
+    return DirichletSpectrum(eigenvalues=_eigenvalues(g, k), eigenvectors=vecs)
 
 
 def _sine_sums(x: np.ndarray) -> np.ndarray:
@@ -147,12 +121,29 @@ def _sine_sums(x: np.ndarray) -> np.ndarray:
     return -np.fft.rfft(padded)[..., 1:n + 1].imag
 
 
+def linear_free_state(y0: np.ndarray, dt: float, nt: int, g: SpatialGrid) -> np.ndarray:
+    """The state after nt uncontrolled steps of dt on g from y0 with the zero
+    reaction.
+
+    Each step of the scheme applies (I + dt*A)^{-1}, which scales the sine
+    vector e_i of :func:`dirichlet_eigs` by 1/(1 + dt*lambda_i), so the state
+    is sum_i (1 + dt*lambda_i)^(-nt) <y0, e_i>_h e_i: :func:`solve_forward`'s
+    last state up to rounding.  Both products with the sine vectors are sine
+    transforms (:func:`_sine_sums`), so no n x n matrix is built.  Powers of
+    high modes may underflow; that raises no floating-point error, as what
+    they round to is negligible in the sum.
+    """
+    with np.errstate(under="ignore"):
+        weights = (1.0 + dt * _eigenvalues(g, g.n)) ** -float(nt)
+        return (2.0 * g.h / g.ell) * _sine_sums(weights * _sine_sums(y0))
+
+
 def linear_response(values: np.ndarray, dt: float, g: SpatialGrid) -> np.ndarray:
     """The state after len(values) steps of dt on g from 0 with the zero
     reaction, step k adding dt*values[k].
 
-    In the sine basis e_i of :func:`sine_basis`, with q_i = 1/(1 + dt*lambda_i)
-    and nt = len(values), the state is
+    In the sine basis e_i of :func:`dirichlet_eigs`, with
+    q_i = 1/(1 + dt*lambda_i) and nt = len(values), the state is
     sum_i (dt * sum_k q_i^(nt-k) <values[k], e_i>_h) e_i: up to rounding the
     last state of :func:`solve_forward` from 0 with a control of these
     values, when they vanish off its control region (a
@@ -164,7 +155,7 @@ def linear_response(values: np.ndarray, dt: float, g: SpatialGrid) -> np.ndarray
     """
     steps = np.arange(len(values), 0, -1, dtype=float)[:, None]
     with np.errstate(under="ignore"):
-        weights = (1.0 + dt * sine_basis(g).eigenvalues) ** -steps
+        weights = (1.0 + dt * _eigenvalues(g, g.n)) ** -steps
         coeffs = np.einsum("ki,ki->i", weights, _sine_sums(values))
         return (2.0 * dt * g.h / g.ell) * _sine_sums(coeffs)
 

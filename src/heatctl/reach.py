@@ -11,21 +11,21 @@ start.
 One :class:`FreeRun` describes a horizon, and its run, terminal state and
 costate are solved on first read; the oracle reads y0, T, nt, f and g from it
 alone, and a caller that probes many bounds at one horizon passes it to every
-oracle call.  For f = 0 the terminal state y_free(T) is a closed form in the
-grid's sine basis and the costate needs only the run's dt and nt, so what
-reads only them (the dual bound and the dual pair below) simulates no free
-run; the oracle's zero start does.  The same run gives certificates that
-need no descent:
+oracle call.  For f = 0 the terminal state y_free(T) is a closed form
+(:func:`heatctl.pde.linear_free_state`) and the costate needs only the run's
+dt and nt, so what reads only them (the dual bound, its enclosure and the
+dual pair below) simulates no free run; the oracle's zero start does.  The
+same FreeRun gives certificates that need no descent:
 
 * :func:`dual_lower_bound`, from weak duality: a norm bound below which no
   control reaches the ball (the discrete dual problem of Wang & Zuazua, SIAM
   J. Control Optim. 50 (2012), for f = 0; widened by
   :func:`reaction_costate_bounds` for a reaction term, whose
   ``NonlinearitySpec.L`` it trusts), and :func:`dual_bound_enclosure`, which
-  brackets that bound for the default datum y_free(T) without a solve, from
-  the first sine mode of y_free(T) and the decay of the others, so that a
-  caller comparing the bound with a given M solves it only when M falls
-  inside the bracket;
+  brackets that bound for the default datum y_free(T) without an adjoint
+  solve, from the first sine mode of y_free(T) and the decay of the others,
+  so that a caller comparing the bound with a given M solves it only when M
+  falls inside the bracket;
 * upper ends of the paper's bang-bang form, a control of constant pointwise
   norm along the masked costate: :func:`dual_pair` (f = 0) finds the smallest
   level that reaches the ball, from linearity, and :func:`bangbang_ray` (a
@@ -76,7 +76,6 @@ from .pde import (
     linear_free_state,
     linear_response,
     principal_eigenvalue,
-    sine_basis,
     solve_adjoint,
     solve_forward,
 )
@@ -153,11 +152,10 @@ def _spectral_step(s: np.ndarray, delta: np.ndarray, step: float, cap: float) ->
 
 
 def reaches_ball(terminal_norm: float, ball: TargetBall,
-                 opts: ReachOptions | None = None) -> bool:
+                 opts: ReachOptions = ReachOptions()) -> bool:
     """Whether a terminal norm counts as reaching the ball: at most r plus the
     slack ``eps_feas_rel * r``."""
-    eps_feas_rel = (ReachOptions() if opts is None else opts).eps_feas_rel
-    return terminal_norm <= ball.r + eps_feas_rel * ball.r
+    return terminal_norm <= ball.r + opts.eps_feas_rel * ball.r
 
 
 def _objective(traj: StateTrajectory) -> float:
@@ -207,10 +205,10 @@ class FreeRun:
     adjoint with terminal datum y(T) and reaction f (the gradient of J at the
     zero control), and ``norms`` its pointwise norm at each step.  Each is
     read-only and solved on first read: at most one forward and one adjoint
-    solve.  For f = 0 (:func:`is_linear`) ``terminal`` is
-    :func:`heatctl.pde.linear_free_state` in the grid's sine basis, and
-    ``masked`` takes its adjoint over the run's dt and nt alone, so only a
-    read of ``trajectory`` simulates the run.  Built by :func:`free_run`.
+    solve.  For f = 0 (:func:`is_linear`) ``terminal`` is the closed form
+    :func:`heatctl.pde.linear_free_state`, and ``masked`` takes its adjoint
+    over the run's dt and nt alone, so only a read of ``trajectory``
+    simulates the run.  Built by :func:`free_run`.
     """
 
     y0: np.ndarray
@@ -232,9 +230,7 @@ class FreeRun:
     def terminal(self) -> np.ndarray:
         if not is_linear(self.f):
             return self.trajectory.states[-1]
-        basis = sine_basis(self.g)
-        terminal = linear_free_state(self.g.h * (basis.eigenvectors @ self.y0), basis,
-                                     self.dt, self.nt)
+        terminal = linear_free_state(self.y0, self.dt, self.nt, self.g)
         terminal.setflags(write=False)
         return terminal
 
@@ -301,17 +297,22 @@ def reaction_costate_bounds(norms: np.ndarray, xi_norm: float, dt: float, L: flo
         return np.minimum(norms + (grown - xi_norm * q ** m), grown)
 
 
+def _dual_radius(ball: TargetBall, opts: ReachOptions) -> float:
+    """rho = r(1 + eps_feas_rel): what :func:`reaches_ball` accepts, unrounded."""
+    return ball.r * (1.0 + opts.eps_feas_rel)
+
+
 def _dual_numerator(pairing: float, xi_norm: float, ball: TargetBall,
-                    opts: ReachOptions | None) -> tuple[float, float]:
-    """The dual bound's numerator <y_free(T), xi> - rho*||xi||, rho = r(1 +
-    eps_feas_rel), less ``DUAL_ROUNDING`` times the size of its terms, and
-    that size."""
-    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
+                    opts: ReachOptions) -> tuple[float, float]:
+    """The dual bound's numerator <y_free(T), xi> - rho*||xi||, with rho of
+    :func:`_dual_radius`, less ``DUAL_ROUNDING`` times the size of its terms,
+    and that size."""
+    rho = _dual_radius(ball, opts)
     terms = abs(pairing) + rho * xi_norm
     return pairing - rho * xi_norm - DUAL_ROUNDING * terms, terms
 
 
-def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None = None,
+def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions = ReachOptions(),
                      xi: np.ndarray | None = None, norms: np.ndarray | None = None) -> float:
     """A norm bound below which no control reaches the ball at free's horizon.
 
@@ -364,22 +365,21 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions | None 
 
 
 # Relative margin of :func:`dual_bound_enclosure` for the rounding of the
-# solves and of a closed-form datum, which stays near 1e-12 relative.
+# adjoint solve, against which it decays the modes in closed form.
 ENCLOSURE_SLACK = 1e-6
 
 
-def dual_bound_enclosure(xi: np.ndarray, dt: float, nt: int, f: NonlinearitySpec,
-                         g: SpatialGrid, ball: TargetBall,
-                         opts: ReachOptions | None = None) -> tuple[float, float]:
-    """(lo, hi) with lo <= ``dual_lower_bound(free, ball, opts)`` <= hi, where
-    free is the free run of nt steps of dt with f on g and xi its terminal
-    state; solves nothing.
+def dual_bound_enclosure(free: FreeRun, ball: TargetBall,
+                         opts: ReachOptions = ReachOptions()) -> tuple[float, float]:
+    """(lo, hi) with lo <= ``dual_lower_bound(free, ball, opts)`` <= hi,
+    from free's terminal state xi = y_free(T) (``free.terminal``); solves
+    nothing beyond that state, so for f = 0 nothing at all.
 
-    Split xi = a*e_1 + xi_perp along the first eigenvector of g, with the
-    first two eigenpairs of :func:`heatctl.pde.dirichlet_eigs` (one when
-    n = 1).  The zero-reaction costate m = nt - k steps before the end is
-    R^m xi, with R = (I + dt*A)^-1; R^m e_1 = q_1^m e_1 and ||R^m xi_perp||
-    <= q_2^m ||xi_perp||, with q_i = 1/(1 + dt*lambda_i), so
+    Split xi = a*e_1 + xi_perp along the first eigenvector of free's grid,
+    with the first two eigenpairs of :func:`heatctl.pde.dirichlet_eigs` (one
+    when n = 1).  The zero-reaction costate m = nt - k steps before the end
+    is R^m xi, with R = (I + dt*A)^-1; R^m e_1 = q_1^m e_1 and
+    ||R^m xi_perp|| <= q_2^m ||xi_perp||, with q_i = 1/(1 + dt*lambda_i), so
 
         | ||chi_omega psi0_k|| - q_1^m |a| ||chi_omega e_1|| | <= q_2^m ||xi_perp||.
 
@@ -387,12 +387,10 @@ def dual_bound_enclosure(xi: np.ndarray, dt: float, nt: int, f: NonlinearitySpec
     reaction term through :func:`reaction_costate_bounds`, which is monotone
     in the step norms, so the enclosure holds the bound as computed.
     ``ENCLOSURE_SLACK``, relative to q_1^m ||xi|| on each step and to the
-    terms of the numerator, covers the rounding of the adjoint solve and an
-    xi within rounding of the simulated y_free(T), such as
-    :func:`heatctl.pde.linear_free_state` gives for f = 0.  With a reaction
-    term, xi must be the free run's own terminal state.
+    terms of the numerator, covers the rounding of the adjoint solve that
+    the bound takes.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi, dt, nt, f, g = free.terminal, free.dt, free.nt, free.f, free.g
     pairing = g.h * float(xi @ xi)
     xi_norm = math.sqrt(pairing)
     numerator, terms = _dual_numerator(pairing, xi_norm, ball, opts)
@@ -423,10 +421,10 @@ DUAL_STEPS = 8
 
 
 def _smaller_root(y_free: np.ndarray, s: np.ndarray, ball: TargetBall,
-                  opts: ReachOptions | None, g: SpatialGrid) -> float | None:
-    """The smaller root m of ||y_free + m*s|| = r(1 + eps_feas_rel)(1 - DUAL_ROUNDING),
-    floored at 0, or None when there is no real root."""
-    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
+                  opts: ReachOptions, g: SpatialGrid) -> float | None:
+    """The smaller root m of ||y_free + m*s|| = rho(1 - DUAL_ROUNDING), rho of
+    :func:`_dual_radius`, floored at 0, or None when there is no real root."""
+    rho = _dual_radius(ball, opts)
     c = g.h * float(y_free @ y_free) - (rho * (1.0 - DUAL_ROUNDING)) ** 2
     a, b = g.h * float(s @ s), g.h * float(y_free @ s)
     disc = b * b - a * c
@@ -440,7 +438,7 @@ def _next_datum(xi: np.ndarray, y: np.ndarray, g: SpatialGrid) -> np.ndarray:
     return xi / l2_norm(xi, g) + y / l2_norm(y, g)
 
 
-def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions | None,
+def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions,
               done) -> tuple[float, float, ControlSignal | None]:
     """A certified bracket (lo, hi) on the minimal norm bound at free's
     horizon, with a control at level hi that reaches the ball.
@@ -496,7 +494,7 @@ RAY_STEPS = 2
 
 
 def bangbang_ray(free: FreeRun, ball: TargetBall, M: float,
-                 opts: ReachOptions | None = None) -> ControlSignal | None:
+                 opts: ReachOptions = ReachOptions()) -> ControlSignal | None:
     """A bang-bang control at a level at most M that reaches the ball at
     free's horizon, with free's reaction term, or None when none was found.
 
@@ -514,16 +512,15 @@ def bangbang_ray(free: FreeRun, ball: TargetBall, M: float,
     accepted by :func:`reaches_ball`; that run is its certificate.  A miss
     proves nothing.  None also when a costate has no direction.
     """
-    traj, f, g = free.trajectory, free.f, free.g
-    if reaches_ball(float(traj.norms[-1]), ball, opts):
-        return ControlSignal.zeros(traj.nt, traj.dt, g)
-    y0, y_free = traj.states[0], traj.states[-1]
+    y0, y_free, dt, nt, f, g = free.y0, free.terminal, free.dt, free.nt, free.f, free.g
+    if reaches_ball(float(free.trajectory.norms[-1]), ball, opts):
+        return ControlSignal.zeros(nt, dt, g)
 
     def at(level, w):
         """The run of level*w, and level*w when that run reaches the ball."""
-        run = _run(y0, level * w, traj.dt, f, g)[1]
+        run = _run(y0, level * w, dt, f, g)[1]
         if reaches_ball(float(run.norms[-1]), ball, opts):
-            return run, ControlSignal(dt=traj.dt, nt=traj.nt, values=level * w, grid=g)
+            return run, ControlSignal(dt=dt, nt=nt, values=level * w, grid=g)
         return run, None
 
     xi, masked, norms = y_free, free.masked, free.norms
@@ -548,7 +545,7 @@ def bangbang_ray(free: FreeRun, ball: TargetBall, M: float,
 
 
 def min_terminal_norm(free: FreeRun, M: float, ball: TargetBall,
-                      opts: ReachOptions | None = None,
+                      opts: ReachOptions = ReachOptions(),
                       warm_start: ControlSignal | None = None) -> ReachResult:
     """Minimize the terminal norm over pointwise-bounded controls at free's
     horizon (its y0, T, nt, f and g).
@@ -563,15 +560,13 @@ def min_terminal_norm(free: FreeRun, M: float, ball: TargetBall,
     with the same nt.  M = 0 takes the same path as every other bound: the
     projection keeps every iterate at the zero control.
     """
-    if opts is None:
-        opts = ReachOptions()
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
     y0, f, g, nt = free.y0, free.f, free.g, free.nt
     if warm_start is not None and warm_start.nt != nt:
         raise ValueError(f"warm start has {warm_start.nt} steps, expected {nt}")
 
-    dt = free.T / nt
+    dt = free.dt
     h = g.h
     r = ball.r
     target_j = 0.5 * max(r - opts.eps_feas_rel * r, 0.0) ** 2

@@ -45,9 +45,9 @@ and the oracle read a horizon's one :class:`heatctl.reach.FreeRun`.
   (:func:`heatctl.reach.dual_bound_enclosure`): the horizon is refuted when
   the enclosure's lower end exceeds M, open when its upper end does not, and
   only in between is the exact bound solved.  Both read y_free(T) from the
-  horizon's free run (``FreeRun.terminal``), for f = 0 in closed form in the
-  grid's sine basis (:func:`heatctl.pde.sine_basis`, built once per grid),
-  so for f = 0 no probe simulates its free run.  A probe costs:
+  horizon's free run (``FreeRun.terminal``), for f = 0 in closed form by two
+  sine transforms (:func:`heatctl.pde.linear_free_state`), so for f = 0 no
+  probe simulates its free run.  A probe costs:
 
   - decided by the enclosure: no solve for f = 0, its free run with a
     reaction term;
@@ -371,7 +371,7 @@ MAX_NORM_BOUND = 2.0 ** 60
 
 def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                  g: SpatialGrid, tol_M: float = 1e-3,
-                 opts: ReachOptions | None = None, nt: int = 300,
+                 opts: ReachOptions = ReachOptions(), nt: int = 300,
                  gamma_hint: float | None = None) -> ValuePoint:
     """Smallest pointwise norm bound whose controls reach the ball at time T.
 
@@ -420,7 +420,7 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
 
 def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                  g: SpatialGrid, tol_T: float = 1e-3,
-                 opts: ReachOptions | None = None, nt: int = 300,
+                 opts: ReachOptions = ReachOptions(), nt: int = 300,
                  gamma_hint: float | None = None) -> ValuePoint:
     """Smallest time at which controls bounded pointwise by M reach the ball.
 
@@ -455,7 +455,7 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         """Whether T's dual bound exceeds M, and T's free run, which for f = 0
         is never simulated here."""
         free = free_run(y0, T, nt, f, g)
-        lo, hi = dual_bound_enclosure(free.terminal, free.dt, nt, f, g, ball, opts)
+        lo, hi = dual_bound_enclosure(free, ball, opts)
         if lo <= M < hi:
             lo = dual_lower_bound(free, ball, opts)
         if lo > M:
@@ -536,7 +536,7 @@ class EquivalenceTimeReport:
 def verify_equivalence_time(T: float, y0: np.ndarray, ball: TargetBall,
                             f: NonlinearitySpec, g: SpatialGrid,
                             tol_M: float = 1e-3, tol_T: float = 1e-3,
-                            opts: ReachOptions | None = None, nt: int = 300,
+                            opts: ReachOptions = ReachOptions(), nt: int = 300,
                             gamma_hint: float | None = None) -> EquivalenceTimeReport:
     """|minimal_time(minimal_norm(T)) - T|, plus the hitting time of the
     minimal-norm control extended by zero past its horizon."""
@@ -580,7 +580,7 @@ class EquivalenceBoundReport:
 def verify_equivalence_bound(M: float, y0: np.ndarray, ball: TargetBall,
                              f: NonlinearitySpec, g: SpatialGrid,
                              tol_M: float = 1e-3, tol_T: float = 1e-3,
-                             opts: ReachOptions | None = None, nt: int = 300,
+                             opts: ReachOptions = ReachOptions(), nt: int = 300,
                              gamma_hint: float | None = None) -> EquivalenceBoundReport:
     """|minimal_norm(minimal_time(M)) - M| / max(M, 1), plus a check that the
     time-optimal control, over its own horizon, is norm-feasible at level M."""
@@ -607,7 +607,7 @@ def verify_equivalence_bound(M: float, y0: np.ndarray, ball: TargetBall,
 
 def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                        g: SpatialGrid, tol_T: float = 1e-3,
-                       opts: ReachOptions | None = None, nt: int = 300,
+                       opts: ReachOptions = ReachOptions(), nt: int = 300,
                        gamma_hint: float | None = None) -> ValueCurve:
     """Minimal-time values over a strictly increasing grid of norm bounds.
 
@@ -632,7 +632,7 @@ def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
 
 def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                        g: SpatialGrid, tol_M: float = 1e-3,
-                       opts: ReachOptions | None = None, nt: int = 300,
+                       opts: ReachOptions = ReachOptions(), nt: int = 300,
                        gamma_hint: float | None = None) -> ValueCurve:
     """Minimal-norm values over a strictly increasing grid of horizons.
 

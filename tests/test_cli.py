@@ -483,6 +483,38 @@ def test_bool_grid_size_is_field_error(tmp_path, capsys):
     assert "y0.modes" not in err
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"n": 10 ** 12}, "config: grid.n: 1000000000000 nodes round the first eigenvalue's "
+                      "1 - cos(pi/(n+1)) to 0\n"),
+    ({"n": 10 ** 20}, "config: grid.n: 100000000000000000000 nodes round the first "
+                      "eigenvalue's 1 - cos(pi/(n+1)) to 0\n"),
+    ({"ell": 1e-300}, "config: grid.ell: the spacing ell/(n+1) = 7.81e-303 puts the "
+                      "Laplacian's eigenvalues outside the positive finite floats\n"),
+    ({"ell": 1e300}, "config: grid.ell: the spacing ell/(n+1) = 7.81e+297 puts the "
+                     "Laplacian's eigenvalues outside the positive finite floats\n"),
+], ids=["n=1e12", "n=1e20", "ell=1e-300", "ell=1e300"])
+@pytest.mark.parametrize("y0", [{"modes": {"1": 2.0}}, {"file": "y0.txt"}],
+                         ids=["modes", "file"])
+@pytest.mark.parametrize("command", ["gamma", "simulate", "minnorm"])
+def test_grids_that_break_the_laplacian_are_field_errors(tmp_path, capsys, solve_calls,
+                                                         command, y0, grid, message):
+    # n = 1e12 made SpatialGrid.build ask numpy for 7.28 TiB, n = 1e20 was
+    # reported as an omega error, and ell = 1e-300 and 1e300 ended in a
+    # ZeroDivisionError and an OverflowError from the eigenvalues: tracebacks
+    # with exit 1, from a file y0 inside the handler.  Now each is one field
+    # line from the config check, before any array of n values is made.
+    (tmp_path / "y0.txt").write_text(" ".join(["1.0"] * 127))
+    cfg = json.loads(json.dumps(LINEAR_CONFIG))
+    cfg["grid"].update(grid)
+    cfg["y0"], cfg["experiment"] = y0, {"horizon": 0.1, "T": 0.05}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+    assert not out.exists() and not solve_calls.forward
+
+
 def test_gradcheck_non_numeric_horizon_is_field_error(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment={"T": "abc"})
     code = main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -23,11 +23,11 @@ from heatctl import (
     solve_forward,
 )
 from heatctl.pde import (
+    _sine_sums,
     diffusion_factor,
     diffusion_solve,
     linear_free_state,
     linear_response,
-    sine_basis,
 )
 
 GRID = SpatialGrid.build(n=127, ell=1.0)
@@ -118,28 +118,36 @@ def test_forward_eigenmode_matches_hand_recurrence():
         amp /= 1.0 + dt * lam1
 
 
-@pytest.mark.parametrize("g", [GRID, MASKED], ids=["full", "masked"])
-def test_linear_free_state_matches_the_simulated_run(g):
+CLOSED_FORM_GRIDS = pytest.mark.parametrize(
+    "n, omega", [(127, None), (127, (0.3, 0.8)), (63, (0.3, 0.8)), (100, (0.1, 0.4)),
+                 (1, None)],
+    ids=["full", "masked", "masked-63", "masked-100", "one-node"])
+
+
+@CLOSED_FORM_GRIDS
+def test_linear_free_state_matches_the_simulated_run(n, omega):
     # Random initial states on several modes, horizons from 1e-3 to 1 of the
-    # time the first mode takes to decay fourfold: the sine-basis closed form
-    # gives the free run's last state to 1e-12 relative, and it is the
-    # terminal state of the f = 0 FreeRun, bit for bit.
+    # time the first mode takes to decay fourfold, and step counts whose
+    # high-mode powers underflow: the sine-transform closed form gives the
+    # free run's last state to 1e-12 relative, with no floating-point
+    # warning, and it is the terminal state of the f = 0 FreeRun, bit for bit.
+    g = SpatialGrid.build(n=n, ell=1.0, omega=omega)
     rng = np.random.default_rng(18)
-    spectrum = dirichlet_eigs(g, g.n)
+    modes = dirichlet_eigs(g, min(6, g.n)).eigenvectors
     tau = math.log(4.0) / principal_eigenvalue(g)
     for case in range(12):
         nt = (60, 300)[case % 2]
-        y0 = (rng.normal(size=6) * [2.0, 1.0, 1.0, 0.5, 0.5, 0.5]) @ spectrum.eigenvectors[:6]
+        y0 = (rng.normal(size=len(modes)) * [2.0, 1.0, 1.0, 0.5, 0.5, 0.5][:len(modes)]) @ modes
         T = tau * 10.0 ** rng.uniform(-3.0, 0.0)
-        closed = linear_free_state(g.h * (spectrum.eigenvectors @ y0), spectrum, T / nt, nt)
+        with np.errstate(all="raise"):
+            closed = linear_free_state(y0, T / nt, nt, g)
+            terminal = free_run(y0, T, nt, F_ZERO, g).terminal
         run = solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), F_ZERO, g).states[-1]
         assert l2_norm(closed - run, g) <= 1e-12 * l2_norm(run, g)
-        assert np.array_equal(free_run(y0, T, nt, F_ZERO, g).terminal, closed)
+        assert np.array_equal(terminal, closed)
 
 
-@pytest.mark.parametrize("n, omega", [(127, None), (127, (0.3, 0.8)), (63, (0.3, 0.8)),
-                                      (100, (0.1, 0.4)), (1, None)],
-                         ids=["full", "masked", "masked-63", "masked-100", "one-node"])
+@CLOSED_FORM_GRIDS
 def test_linear_response_matches_the_forward_solve(n, omega):
     # Random controls on the control region, horizons from 1e-3 to 1 of the
     # time the first mode takes to decay fourfold, and step counts whose
@@ -159,16 +167,21 @@ def test_linear_response_matches_the_forward_solve(n, omega):
         assert l2_norm(closed - run, g) <= 1e-12 * l2_norm(run, g)
 
 
-def test_sine_basis_is_built_once_per_grid():
-    # Every n eigenpairs, bit for bit, shared by grids that differ only in
-    # their control region.
-    g, masked = SpatialGrid.build(n=31), SpatialGrid.build(n=31, omega=(0.3, 0.8))
-    basis = sine_basis(g)
-    assert sine_basis(masked) is basis and sine_basis(SpatialGrid.build(n=63)) is not basis
-    every = dirichlet_eigs(g, g.n)
-    assert np.array_equal(basis.eigenvalues, every.eigenvalues)
-    assert np.array_equal(basis.eigenvectors, every.eigenvectors)
-    assert not basis.eigenvectors.flags.writeable
+@CLOSED_FORM_GRIDS
+def test_linear_response_reads_the_eigenvalues_of_dirichlet_eigs(n, omega):
+    # The response as it was computed from the eigenvalues of all n pairs of
+    # dirichlet_eigs: the shared eigenvalue formula keeps it bit for bit.
+    g = SpatialGrid.build(n=n, ell=1.0, omega=omega)
+    rng = np.random.default_rng(22)
+    lam = dirichlet_eigs(g, g.n).eigenvalues
+    for nt, T in ((60, 0.01), (300, 0.2)):
+        u = ControlSignal(dt=T / nt, nt=nt, values=rng.normal(size=(nt, g.n)), grid=g)
+        steps = np.arange(nt, 0, -1, dtype=float)[:, None]
+        with np.errstate(under="ignore"):
+            weights = (1.0 + u.dt * lam) ** -steps
+            coeffs = np.einsum("ki,ki->i", weights, _sine_sums(u.values))
+            reference = (2.0 * u.dt * g.h / g.ell) * _sine_sums(coeffs)
+        assert np.array_equal(linear_response(u.values, u.dt, g), reference)
 
 
 def test_forward_zero_stays_zero():

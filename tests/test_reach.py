@@ -26,7 +26,7 @@ from heatctl import (
     solve_forward,
 )
 from heatctl.core import step_l2_norms
-from heatctl.pde import diffusion_factor, diffusion_solve, linear_free_state
+from heatctl.pde import diffusion_factor, diffusion_solve
 from heatctl.reach import (
     DUAL_ROUNDING,
     ReachOptions,
@@ -333,7 +333,7 @@ def test_degenerate_costate_skips_the_bangbang_start():
     # the dual pair and the bang-bang ray have no direction to follow either,
     # so a minimal-norm point falls back to doubling with the oracle, which
     # finds no bound that works
-    assert dual_pair(free, BALL, None, never)[1:] == (math.inf, None)
+    assert dual_pair(free, BALL, ReachOptions(), never)[1:] == (math.inf, None)
     assert bangbang_ray(free, BALL, 5.0) is None
     with pytest.raises(NoFeasibleBoundError, match=r"norm bound 1\.15e\+18"):
         minimal_norm(T, y0, BALL, F_ZERO, g, nt=nt, gamma_hint=1.0)
@@ -346,10 +346,8 @@ def test_degenerate_costate_skips_the_bangbang_start():
 # is solved right after acceptance and the next step taken from it at once.
 
 
-def reference_min_terminal_norm(y0, T, M, ball, f, g, opts=None, nt=300,
+def reference_min_terminal_norm(y0, T, M, ball, f, g, opts=ReachOptions(), nt=300,
                                 warm_start=None, free=None):
-    if opts is None:
-        opts = ReachOptions()
     y0 = np.asarray(y0, dtype=float)
     dt = T / nt
     h = g.h
@@ -498,7 +496,7 @@ def test_oracle_edge_cases_match_reference(case):
     if case.pop("free", False):
         case["free"] = free
     ref = reference_min_terminal_norm(Y0, **case, ball=BALL, f=F_ZERO, g=GRID)
-    res = min_terminal_norm(free, case["M"], BALL, case.get("opts"))
+    res = min_terminal_norm(free, case["M"], BALL, case.get("opts", ReachOptions()))
     assert_same_result(res, ref)
     if "opts" in case:
         assert res.iterations == 1 and not res.converged
@@ -608,7 +606,7 @@ def test_dual_bound_is_below_every_feasible_control():
     assert informative >= 15
 
 
-def reference_dual_lower_bound(free, ball, f, g, opts=None, xi=None):
+def reference_dual_lower_bound(free, ball, f, g, opts=ReachOptions(), xi=None):
     """The bound for f = 0 as it was before reaction terms, kept to check that
     the linear arithmetic did not change; y_free(T) is the closed-form
     ``free.terminal``, and the costates are solved along the simulated run."""
@@ -618,7 +616,7 @@ def reference_dual_lower_bound(free, ball, f, g, opts=None, xi=None):
     else:
         xi = np.asarray(xi, dtype=float)
         norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, f, g), g), g.h)
-    rho = ball.r * (1.0 + (ReachOptions() if opts is None else opts).eps_feas_rel)
+    rho = ball.r * (1.0 + opts.eps_feas_rel)
     pairing = g.h * float(y_free @ xi)
     slack = rho * math.sqrt(g.h * float(xi @ xi))
     total = traj.dt * float(np.sum(norms))
@@ -737,27 +735,22 @@ ENCLOSURE_GRIDS = [SpatialGrid.build(n=31, ell=1.0, omega=omega)
 def test_dual_bound_enclosure_holds_the_computed_bound(f, g):
     # Random initial states on the first four modes, horizons from 1e-3*gamma
     # to gamma: the enclosure holds the bound of the free run as computed,
-    # from the run's terminal state and, for f = 0, from its closed form too.
+    # both read from one FreeRun (for f = 0 its closed-form terminal state).
     rng = np.random.default_rng(18)
-    spectrum = dirichlet_eigs(g, g.n)
+    modes = dirichlet_eigs(g, 4).eigenvectors
     positive_lo = finite_hi = 0
     for case in range(8):
         nt = (60, 300)[case % 2]
-        y0 = rng.normal(size=4) @ spectrum.eigenvectors[:4]
+        y0 = rng.normal(size=4) @ modes
         y0 *= rng.uniform(1.0, 8.0) / math.sqrt(g.h * float(y0 @ y0))
         gamma = free_decay_time(y0, BALL, f, g, nt=nt)
         for T in (1e-3 * gamma, gamma * 10.0 ** rng.uniform(-3.0, 0.0), gamma):
             free = free_run(y0, T, nt, f, g)
             bound = dual_lower_bound(free, BALL)
-            data = [free.trajectory.states[-1]]
-            if f is F_ZERO:
-                data.append(linear_free_state(g.h * (spectrum.eigenvectors @ y0), spectrum,
-                                              T / nt, nt))
-            for xi in data:
-                lo, hi = dual_bound_enclosure(xi, T / nt, nt, f, g, BALL)
-                assert lo <= bound <= hi, (case, T / gamma, lo, bound, hi)
-                positive_lo += lo > 0.0
-                finite_hi += hi < math.inf
+            lo, hi = dual_bound_enclosure(free, BALL)
+            assert lo <= bound <= hi, (case, T / gamma, lo, bound, hi)
+            positive_lo += lo > 0.0
+            finite_hi += hi < math.inf
     assert positive_lo >= 16 and finite_hi >= 9
 
 
@@ -766,8 +759,7 @@ def test_dual_bound_enclosure_is_tight_on_the_first_mode():
     # differ only by the slack, most of it on the numerator near gamma.
     for T in (0.01, 0.05, 0.1):
         free = free_run(Y0, T, 300, F_ZERO, GRID)
-        lo, hi = dual_bound_enclosure(free.trajectory.states[-1], T / 300, 300, F_ZERO,
-                                      GRID, BALL)
+        lo, hi = dual_bound_enclosure(free, BALL)
         assert 0.0 < lo <= dual_lower_bound(free, BALL) <= hi <= lo * (1.0 + 1e-4)
 
 
@@ -779,8 +771,7 @@ def test_dual_bound_enclosure_off_the_first_mode():
     for T in (0.005, 0.02):
         free = free_run(y0, T, 300, F_ZERO, GRID)
         bound = dual_lower_bound(free, BALL)
-        lo, hi = dual_bound_enclosure(free.trajectory.states[-1], T / 300, 300, F_ZERO,
-                                      GRID, BALL)
+        lo, hi = dual_bound_enclosure(free, BALL)
         assert bound * (1.0 - 1e-5) <= lo <= bound < hi == math.inf
 
 
@@ -795,8 +786,7 @@ def test_dual_bound_enclosure_is_zero_when_the_bound_is():
         for y0, T, f in cases:
             free = free_run(y0, T, 300, f, GRID)
             assert dual_lower_bound(free, BALL) == 0.0
-            assert dual_bound_enclosure(free.trajectory.states[-1], T / 300, 300, f, GRID,
-                                        BALL) == (0.0, 0.0)
+            assert dual_bound_enclosure(free, BALL) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +806,7 @@ def test_dual_pair_brackets_every_feasible_control(g, y0):
     rho = BALL.r * (1.0 + ReachOptions().eps_feas_rel)
     for T in (0.03, 0.06, 0.1):
         free = free_run(y0, T, nt, F_ZERO, g)
-        lo, hi, u = dual_pair(free, BALL, None, never)
+        lo, hi, u = dual_pair(free, BALL, ReachOptions(), never)
         assert (u.nt, u.dt) == (nt, T / nt)
         assert solve_forward(y0, u, F_ZERO, g).norms[-1] <= rho * (1.0 - 0.5 * DUAL_ROUNDING)
         np.testing.assert_allclose(u.step_norms(), hi, rtol=1e-12)
@@ -837,7 +827,8 @@ def test_dual_pair_stops_once_done():
     # rounding margins; done is consulted only with hi finite.
     free = free_run(Y0, 0.06, 60, F_ZERO, GRID)
     seen = []
-    lo, hi, u = dual_pair(free, BALL, None, lambda lo, hi: seen.append(hi) or hi - lo <= 1e-3 * hi)
+    lo, hi, u = dual_pair(free, BALL, ReachOptions(),
+                          lambda lo, hi: seen.append(hi) or hi - lo <= 1e-3 * hi)
     assert seen == [hi] and math.isfinite(hi) and u is not None
 
 
@@ -845,16 +836,16 @@ def test_dual_pair_keeps_only_a_control_that_reaches_the_ball(monkeypatch):
     # A negative rounding margin aims the level at a radius outside the
     # ball, so the run that certifies the control misses it.
     free = free_run(Y0_MASKED, 0.06, 60, F_ZERO, MASKED)
-    assert dual_pair(free, BALL, None, never)[2] is not None
+    assert dual_pair(free, BALL, ReachOptions(), never)[2] is not None
     monkeypatch.setattr(reach, "DUAL_ROUNDING", -1e-2)
-    assert dual_pair(free, BALL, None, never)[1:] == (math.inf, None)
+    assert dual_pair(free, BALL, ReachOptions(), never)[1:] == (math.inf, None)
 
 
 def test_dual_pair_with_a_reaction_term_is_the_bound_alone(solve_calls):
     free = free_run(Y0_MASKED, 0.06, 60, F_TANH, MASKED)
     free.trajectory  # solved here, before the calls are counted
     del solve_calls.forward[:]
-    pair = dual_pair(free, BALL, None, never)
+    pair = dual_pair(free, BALL, ReachOptions(), never)
     assert solve_calls.forward == [] and len(solve_calls.adjoint) == 1
     assert pair == (dual_lower_bound(free, BALL), math.inf, None)
 
@@ -867,7 +858,7 @@ def test_linear_free_run_is_read_without_simulating_it(solve_calls, g, y0):
     free = free_run(y0, 0.06, 60, F_ZERO, g)
     assert not free.terminal.flags.writeable
     dual_lower_bound(free, BALL)
-    u = dual_pair(free, BALL, None, never)[2]
+    u = dual_pair(free, BALL, ReachOptions(), never)[2]
     (simulated, _), = solve_calls.forward
     assert np.array_equal(simulated.values, u.values)
     assert solve_calls.adjoint and all(run is free for run in solve_calls.adjoint)

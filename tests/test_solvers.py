@@ -326,7 +326,7 @@ def test_curves_require_increasing_grids():
 # ---------------------------------------------------------------------------
 # The bisection driver against the two loops it replaced
 
-def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=None, nt=300,
+def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=ReachOptions(), nt=300,
                            gamma_hint=None, record=None):
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
@@ -383,7 +383,7 @@ def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=None, nt=300,
                                    "doublings": doublings})
 
 
-def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=None, nt=300,
+def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=ReachOptions(), nt=300,
                            gamma_hint=None, record=None):
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)

@@ -99,6 +99,11 @@ VARIANTS = [
     ("fail", "tanh_sweep", "mintime", ["experiment.M=1e300"]),
     ("fail", "tanh_sweep", "minnorm", ["experiment.T=0.01", "solver.max_iters=1"]),
     ("fail", "linear_equivalence", "minnorm", ["omega=[0.1,0.4]", "experiment.T=0.007"]),
+    # grids whose Laplacian has no eigenvalues in the positive finite floats
+    *[("refused", "linear_equivalence", cmd, [grid])
+      for grid in ("grid.n=1000000000000", "grid.n=100000000000000000000",
+                   "grid.ell=1e-300", "grid.ell=1e300")
+      for cmd in ("gamma", "simulate", "minnorm")],
     # feasibility slacks outside (0, 1)
     ("slack", "linear_equivalence", "mintime", ["solver.eps_feas=1e200"]),
     ("slack", "linear_equivalence", "mintime", ["solver.eps_feas=1"]),
