@@ -45,8 +45,8 @@ from .core import (
 )
 from .oracle import ScalarInstance, scalar_minimal_norm, scalar_minimal_time
 from .pde import (
+    _sine_vector,
     decay_envelope_check,
-    dirichlet_eigs,
     hitting_time,
     principal_eigenvalue,
     solve_forward,
@@ -277,6 +277,9 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             fail("nonlinearity", str(exc))
 
     r = number("r", cfg.get("r"))
+    if r is not None and r * r / ell < sys.float_info.min:  # h*sum(y_j^2) would underflow
+        fail("r", f"{r!r} is too small: r*r/ell is below the smallest normal float")
+        r = None
     ball = None if r is None else TargetBall(r=r)
 
     y0 = modes = None
@@ -297,11 +300,10 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
                 fail("y0.modes", f"mode indices must lie in [1, {grid.n}]")
             else:
                 modes = tuple((i, float(c)) for i, c in pairs)
-                spec = dirichlet_eigs(grid, max(i for i, _ in modes))
                 y0 = np.zeros(grid.n)
                 with np.errstate(over="ignore", invalid="ignore"):
                     for i, c in modes:
-                        y0 += c * spec.eigenvectors[i - 1]
+                        y0 += c * _sine_vector(grid, i)
         elif not isinstance(y0_cfg["file"], str):
             fail("y0.file", f"expected a path string, got {y0_cfg['file']!r}")
         else:
@@ -492,24 +494,14 @@ def run_equivalence(setup: Setup):
     kwargs = dict(tol_M=setup.tol_m, tol_T=setup.tol_t, opts=setup.opts, nt=nt,
                   gamma_hint=gamma)
 
-    # Each round trip returns only the scalars written below, not its reports.
+    # Each round trip returns its report's fields but the two value points:
+    # their names are the keys of the record written below.
     def round_trip(job):
         kind, x = job
-        if kind == "time":
-            rep = verify_equivalence_time(x, *args, **kwargs)
-            return {
-                "T": rep.T, "alpha": rep.norm_value, "roundtrip": rep.time_roundtrip,
-                "residual": rep.residual,
-                "extension_hitting_time": rep.extension_hitting_time,
-                "extension_residual": rep.extension_residual,
-            }
-        rep = verify_equivalence_bound(x, *args, **kwargs)
-        return {
-            "M": rep.M, "tau": rep.time_value, "roundtrip": rep.norm_roundtrip,
-            "relative_residual": rep.relative_residual,
-            "restricted_max_norm": rep.restricted_max_norm,
-            "restriction_ok": bool(rep.restriction_ok),
-        }
+        verify = verify_equivalence_time if kind == "time" else verify_equivalence_bound
+        rep = verify(x, *args, **kwargs)
+        return {key: value for key, value in vars(rep).items()
+                if not isinstance(value, ValuePoint)}
 
     records = _map_points(round_trip, [("time", T) for T in T_grid]
                           + [("bound", M) for M in M_grid])
@@ -724,7 +716,11 @@ def main(argv=None) -> int:
     # Refuse an --out that cannot become a directory before any solve; the
     # directory itself is made only once the run has succeeded.
     out_dir = Path(args.out)
-    nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    try:
+        nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    except OSError as exc:
+        print(f"out: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if nearest is not None and not nearest.is_dir():
         print(f"out: {nearest} exists and is not a directory", file=sys.stderr)
         return EXIT_CONFIG

@@ -105,10 +105,14 @@ def dirichlet_eigs(g: SpatialGrid, k: int) -> DirichletSpectrum:
         raise ValueError(f"need k >= 1, got {k}")
     if k > g.n:
         raise DimensionMismatchError(f"requested {k} eigenpairs on a grid with n={g.n}")
-    i = np.arange(1, k + 1)
-    j = np.arange(1, g.n + 1)
-    vecs = np.sin(np.outer(i, j) * np.pi / (g.n + 1)) * math.sqrt(2.0 / g.ell)
+    vecs = np.array([_sine_vector(g, i) for i in range(1, k + 1)])
     return DirichletSpectrum(eigenvalues=_eigenvalues(g, k), eigenvectors=vecs)
+
+
+def _sine_vector(g: SpatialGrid, i: int) -> np.ndarray:
+    """The i-th discretely normalized sine vector sqrt(2/ell) sin(i*j*pi/(n+1)),
+    j = 1..n: row i - 1 of :func:`dirichlet_eigs`, without the rows before it."""
+    return np.sin(i * np.arange(1, g.n + 1) * np.pi / (g.n + 1)) * math.sqrt(2.0 / g.ell)
 
 
 def _sine_sums(x: np.ndarray) -> np.ndarray:

@@ -23,9 +23,10 @@ same FreeRun gives certificates that need no descent:
   :func:`reaction_costate_bounds` for a reaction term, whose
   ``NonlinearitySpec.L`` it trusts), and :func:`dual_bound_enclosure`, which
   brackets that bound for the default datum y_free(T) without an adjoint
-  solve, from the first sine mode of y_free(T) and the decay of the others,
-  so that a caller comparing the bound with a given M solves it only when M
-  falls inside the bracket;
+  solve: it passes a bracket of the costate's step norms, from the first
+  sine mode of y_free(T) and the decay of the others, through the bound's
+  own N(xi) and D(xi) (:func:`_dual_terms`), so that a caller comparing
+  the bound with a given M solves it only when M falls inside the bracket;
 * upper ends of the paper's bang-bang form, a control of constant pointwise
   norm along the masked costate: :func:`dual_pair` (f = 0) finds the smallest
   level that reaches the ball, from linearity, and :func:`bangbang_ray` (a
@@ -290,6 +291,8 @@ def reaction_costate_bounds(norms: np.ndarray, xi_norm: float, dt: float, L: flo
     the first term, and the step norm q(1 + dt*L) the second.  When
     (q(1+dt*L))^m overflows, b_k is infinite, which makes the bound 0.
     """
+    if xi_norm == 0.0:
+        return norms  # a zero datum has a zero costate; 0*inf below would be NaN
     q = 1.0 / (1.0 + dt * principal_eigenvalue(g))
     m = np.arange(len(norms), 0, -1)
     with np.errstate(over="ignore", under="ignore"):
@@ -302,14 +305,28 @@ def _dual_radius(ball: TargetBall, opts: ReachOptions) -> float:
     return ball.r * (1.0 + opts.eps_feas_rel)
 
 
-def _dual_numerator(pairing: float, xi_norm: float, ball: TargetBall,
-                    opts: ReachOptions) -> tuple[float, float]:
-    """The dual bound's numerator <y_free(T), xi> - rho*||xi||, with rho of
-    :func:`_dual_radius`, less ``DUAL_ROUNDING`` times the size of its terms,
-    and that size."""
+def _dual_terms(free: FreeRun, ball: TargetBall, opts: ReachOptions, xi: np.ndarray,
+                norms: np.ndarray) -> tuple[float, float]:
+    """N and D of the dual bound N/D at the datum xi, given the step norms of
+    its zero-reaction costate: N = <y_free(T), xi> - rho*||xi||, rho of
+    :func:`_dual_radius`, less ``DUAL_ROUNDING`` times the size of its terms;
+    D = sum_k dt*b_k, with b_k the norms, for a reaction term widened by
+    :func:`reaction_costate_bounds` with ``f.L``."""
+    g = free.g
+    pairing = g.h * float(free.terminal @ xi)
+    xi_norm = math.sqrt(g.h * float(xi @ xi))
     rho = _dual_radius(ball, opts)
-    terms = abs(pairing) + rho * xi_norm
-    return pairing - rho * xi_norm - DUAL_ROUNDING * terms, terms
+    numerator = pairing - rho * xi_norm - DUAL_ROUNDING * (abs(pairing) + rho * xi_norm)
+    if not is_linear(free.f):
+        norms = reaction_costate_bounds(norms, xi_norm, free.dt, free.f.L, g)
+    return numerator, free.dt * float(np.sum(norms))
+
+
+def _dual_quotient(numerator: float, total: float, vanishing: float = 0.0) -> float:
+    """N/D of :func:`_dual_terms`: 0 when N <= 0, else ``vanishing`` when D is 0."""
+    if numerator <= 0.0:
+        return 0.0
+    return numerator / total if total > 0.0 else vanishing
 
 
 def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions = ReachOptions(),
@@ -322,7 +339,7 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions = Reach
     terminal norm is at most rho = r(1 + eps_feas_rel) (what
     :func:`reaches_ball` accepts) satisfies
 
-        M >= LB(xi) = (<y_free(T), xi> - rho*||xi||) / sum_k dt*b_k,
+        M >= LB(xi) = N(xi) / D(xi) = (<y_free(T), xi> - rho*||xi||) / sum_k dt*b_k,
 
     because the scheme gives <y(T), xi> = <y_free(T), xi> +
     sum_k dt*<v_k, psi_k>, with psi the costate along the divided
@@ -334,9 +351,9 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions = Reach
     where |f'| <= f.L everywhere.  That holds by construction for the
     built-in kinds of :func:`heatctl.core.make_nonlinearity`;
     :func:`heatctl.core.validate_nonlinearity` only samples a finite range,
-    and a custom spec is trusted.  A margin of ``DUAL_ROUNDING`` times the
-    terms is subtracted so the bound holds despite rounding, and the result
-    is floored at 0 (also when the costate bounds vanish or overflow).
+    and a custom spec is trusted.  N and D are :func:`_dual_terms`, whose
+    margin of ``DUAL_ROUNDING`` times the terms of N keeps the bound valid
+    despite rounding; it is 0 when N or D is not positive, or D overflows.
 
     f and the grid are the free run's own, and y_free(T) is ``free.terminal``
     (for f = 0 in closed form).  ``xi`` defaults to y_free(T).  The bound
@@ -346,27 +363,34 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions = Reach
     (``free.norms``, solved on first read).  With a reaction term it also
     simulates the run, once per FreeRun.
     """
-    f, g, y_free = free.f, free.g, free.terminal
-    if xi is None and norms is None and is_linear(f):
+    g = free.g
+    if xi is None and norms is None and is_linear(free.f):
         norms = free.norms
-    xi = y_free if xi is None else np.asarray(xi, dtype=float)
+    xi = free.terminal if xi is None else np.asarray(xi, dtype=float)
     if norms is None:
         norms = step_l2_norms(masked_costate(solve_adjoint(free, xi, _ZERO, g), g), g.h)
-    xi_norm = math.sqrt(g.h * float(xi @ xi))
-    numerator, _ = _dual_numerator(g.h * float(y_free @ xi), xi_norm, ball, opts)
-    if numerator <= 0.0:
-        return 0.0
-    if not is_linear(f):
-        norms = reaction_costate_bounds(norms, xi_norm, free.dt, f.L, g)
-    total = free.dt * float(np.sum(norms))
-    if total <= 0.0:
-        return 0.0
-    return float(numerator / total)
+    return _dual_quotient(*_dual_terms(free, ball, opts, xi, norms))
 
 
 # Relative margin of :func:`dual_bound_enclosure` for the rounding of the
 # adjoint solve, against which it decays the modes in closed form.
 ENCLOSURE_SLACK = 1e-6
+
+
+def _first_mode_bracket(free: FreeRun) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of the step norms ||chi_omega psi0_k|| of the
+    zero-reaction costate of the datum y_free(T) (:func:`dual_bound_enclosure`)."""
+    xi, dt, nt, g = free.terminal, free.dt, free.nt, free.g
+    spectrum = dirichlet_eigs(g, min(2, g.n))
+    e1 = spectrum.eigenvectors[0]
+    a = g.h * float(e1 @ xi)
+    q = 1.0 / (1.0 + dt * spectrum.eigenvalues)
+    m = np.arange(nt, 0, -1)
+    with np.errstate(under="ignore"):
+        q1m = q[0] ** m
+        centre = q1m * (abs(a) * l2_norm(g.omega_mask * e1, g))
+        spread = q[-1] ** m * l2_norm(xi - a * e1, g) + ENCLOSURE_SLACK * q1m * l2_norm(xi, g)
+    return np.maximum(centre - spread, 0.0), centre + spread
 
 
 def dual_bound_enclosure(free: FreeRun, ball: TargetBall,
@@ -383,37 +407,15 @@ def dual_bound_enclosure(free: FreeRun, ball: TargetBall,
 
         | ||chi_omega psi0_k|| - q_1^m |a| ||chi_omega e_1|| | <= q_2^m ||xi_perp||.
 
-    Both ends of that interval go through the bound's own formula, for a
-    reaction term through :func:`reaction_costate_bounds`, which is monotone
-    in the step norms, so the enclosure holds the bound as computed.
-    ``ENCLOSURE_SLACK``, relative to q_1^m ||xi|| on each step and to the
-    terms of the numerator, covers the rounding of the adjoint solve that
-    the bound takes.
+    ``ENCLOSURE_SLACK``, relative to q_1^m ||xi|| on each step, covers the
+    bound's adjoint solve's rounding.  The bound's own :func:`_dual_terms` at
+    the upper ends give lo, at the lower ends hi (infinite when their D is
+    0): N is the bound's bit for bit, and N/D is monotone in each step norm
+    in floating point, so the enclosure holds the bound as computed.
     """
-    xi, dt, nt, f, g = free.terminal, free.dt, free.nt, free.f, free.g
-    pairing = g.h * float(xi @ xi)
-    xi_norm = math.sqrt(pairing)
-    numerator, terms = _dual_numerator(pairing, xi_norm, ball, opts)
-    margin = ENCLOSURE_SLACK * terms
-    if numerator + margin <= 0.0:
-        return 0.0, 0.0
-    spectrum = dirichlet_eigs(g, min(2, g.n))
-    e1 = spectrum.eigenvectors[0]
-    a = g.h * float(e1 @ xi)
-    q = 1.0 / (1.0 + dt * spectrum.eigenvalues)
-    m = np.arange(nt, 0, -1)
-    with np.errstate(under="ignore"):
-        q1m = q[0] ** m
-        centre = q1m * (abs(a) * l2_norm(g.omega_mask * e1, g))
-        spread = q[-1] ** m * l2_norm(xi - a * e1, g) + ENCLOSURE_SLACK * q1m * xi_norm
-    lo_norms, hi_norms = np.maximum(centre - spread, 0.0), centre + spread
-    if not is_linear(f):
-        lo_norms = reaction_costate_bounds(lo_norms, xi_norm, dt, f.L, g)
-        hi_norms = reaction_costate_bounds(hi_norms, xi_norm, dt, f.L, g)
-    lo_total, hi_total = dt * float(np.sum(lo_norms)), dt * float(np.sum(hi_norms))
-    lo = max(numerator - margin, 0.0) / hi_total if hi_total > 0.0 else 0.0
-    hi = (numerator + margin) / lo_total if lo_total > 0.0 else math.inf
-    return lo, hi
+    lower, upper = _first_mode_bracket(free)
+    return (_dual_quotient(*_dual_terms(free, ball, opts, free.terminal, upper)),
+            _dual_quotient(*_dual_terms(free, ball, opts, free.terminal, lower), math.inf))
 
 
 # Most dual steps :func:`dual_pair` takes.

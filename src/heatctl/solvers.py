@@ -524,8 +524,8 @@ class EquivalenceTimeReport:
     """Round trip T -> minimal norm -> minimal time, plus the zero-extension check."""
 
     T: float
-    norm_value: float
-    time_roundtrip: float
+    alpha: float
+    roundtrip: float
     residual: float
     extension_hitting_time: float | None
     extension_residual: float | None
@@ -555,8 +555,8 @@ def verify_equivalence_time(T: float, y0: np.ndarray, ball: TargetBall,
                                            values=extended, grid=g), f, g)
     ext_hit = hitting_time(traj, ball)
     ext_residual = None if ext_hit is None else abs(ext_hit - T)
-    return EquivalenceTimeReport(T=T, norm_value=np_point.value,
-                                 time_roundtrip=tp_point.value, residual=residual,
+    return EquivalenceTimeReport(T=T, alpha=np_point.value,
+                                 roundtrip=tp_point.value, residual=residual,
                                  extension_hitting_time=ext_hit,
                                  extension_residual=ext_residual,
                                  norm_point=np_point, time_point=tp_point)
@@ -567,11 +567,10 @@ class EquivalenceBoundReport:
     """Round trip M -> minimal time -> minimal norm, plus the restriction check."""
 
     M: float
-    time_value: float
-    norm_roundtrip: float
+    tau: float
+    roundtrip: float
     relative_residual: float
     restricted_max_norm: float
-    restricted_terminal_norm: float
     restriction_ok: bool
     time_point: ValuePoint
     norm_point: ValuePoint
@@ -596,11 +595,9 @@ def verify_equivalence_bound(M: float, y0: np.ndarray, ball: TargetBall,
     terminal = float(solve_forward(y0, tp_point.control, f, g).norms[-1])
     restriction_ok = (max_norm <= M * (1.0 + 1e-6) + 1e-300
                       and reaches_ball(terminal, ball, opts))
-    return EquivalenceBoundReport(M=M, time_value=tp_point.value,
-                                  norm_roundtrip=np_point.value,
+    return EquivalenceBoundReport(M=M, tau=tp_point.value, roundtrip=np_point.value,
                                   relative_residual=residual,
                                   restricted_max_norm=max_norm,
-                                  restricted_terminal_norm=terminal,
                                   restriction_ok=restriction_ok,
                                   time_point=tp_point, norm_point=np_point)
 

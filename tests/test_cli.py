@@ -13,6 +13,7 @@ from heatctl.cli import (
     EXIT_INITIAL_STATE,
     EXIT_OK,
     HANDLERS,
+    build_setup,
     canonical_json,
     main,
 )
@@ -564,3 +565,96 @@ def test_non_object_section_is_field_error(tmp_path, capsys, field, value):
     cfg[field] = value
     assert run_gamma_with(tmp_path, cfg) == EXIT_CONFIG
     assert f"config: {field}: expected an object" in capsys.readouterr().err
+
+
+def test_y0_mode_on_a_large_grid_builds_one_sine_vector():
+    # y0 summed rows of the sine table up to the highest listed mode, here a
+    # 182 TiB table that numpy refused with a traceback; each listed mode is
+    # now one sine vector.  Only the config is built: a handler's state
+    # arrays on this grid would take about 12 GB.
+    n = 5_000_000
+    cfg = json.loads(json.dumps(LINEAR_CONFIG))
+    cfg["grid"]["n"], cfg["y0"] = n, {"modes": {str(n): 1.0}}
+    setup = build_setup(cfg, Path("."))
+    j = np.array([1, n // 2 + 1, n])
+    np.testing.assert_array_equal(setup.y0[j - 1], np.sin(n * j * np.pi / (n + 1)) * math.sqrt(2.0))
+    assert setup.modes == ((n, 1.0),)
+    assert math.isclose(math.sqrt(setup.grid.h * float(setup.y0 @ setup.y0)), 1.0, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("r", [5e-324, 1e-310, 1e-200, 1e-160])
+@pytest.mark.parametrize("command", ["gamma", "mintime"])
+def test_radius_too_small_for_the_discrete_norm_is_field_error(tmp_path, capsys, solve_calls,
+                                                               command, r):
+    # h*sum(y_j^2) underflows before a state reaches such a ball: subnormal
+    # radii overflowed log(norm0/r) into a traceback, and r = 1e-300 gave a
+    # shorter free-decay time than r = 1e-200.
+    cfg = write_config(tmp_path, r=r, experiment={"M": 5.0})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config: r: {r!r} is too small") and err.count("\n") == 1
+    assert not out.exists() and not solve_calls.forward
+
+
+def test_smallest_radius_the_discrete_norm_resolves_still_runs(tmp_path):
+    # and a smaller ball is reached later, down to it
+    gammas = []
+    for r in (1e-100, 1e-150, 2e-154):
+        cfg = write_config(tmp_path, r=r)
+        out = tmp_path / f"out{r}"
+        assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        gammas.append(read_summary(out)["outputs"]["gamma"])
+    assert gammas[0] < gammas[1] < gammas[2] < math.inf
+
+
+def test_out_component_past_the_file_name_limit_is_one_line_exit_2(tmp_path, capsys):
+    # Path.exists() re-raised ENAMETOOLONG: a traceback with exit 1
+    cfg = write_config(tmp_path)
+    out = tmp_path / ("x" * 300) / "out"
+    assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("out: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, updates, argv, message", [
+    ("gamma", {"r": 10 ** 400}, [], "config: r: expected a positive finite number, got 1000"),
+    ("gamma", {"y0": [2.0]}, [], "config: y0: expected an object with a 'modes' map"),
+    ("gamma", {"y0": {"modes": {"a": 2.0}}}, [], "config: y0.modes: expected a map of mode"),
+    ("gamma", {"y0": {"modes": {"16": 2.0}}}, [],
+     "config: y0.modes: mode indices must lie in [1, 15]"),
+    ("gamma", {"y0": {"file": "short.txt"}}, [], "config: y0.file: "),
+    ("gamma", {"y0": {"file": "nan.txt"}}, [], "config: y0.file: "),
+    ("gamma", {"y0": {"file": "missing.txt"}}, [], "config: y0.file: "),
+    ("minnorm", {}, [], "config: experiment.T: required by this subcommand"),
+    ("equivalence", {"experiment": {"M_grid": [5.0]}}, [],
+     "config: experiment.T_grid: required by this subcommand"),
+    ("equivalence", {"experiment": {"T_grid": 0.05, "M_grid": []}}, [],
+     "config: experiment.T_grid: expected a list of finite numbers"),
+    ("sweep", {"experiment": {"M_grid": []}}, [],
+     "config: experiment.M_grid: expected a nonempty list of finite numbers"),
+    ("sweep", {}, [], "config: experiment: sweep needs an M_grid and/or a T_grid"),
+    ("oracle-compare", {}, [], "config: experiment: oracle-compare needs M_values"),
+    ("gamma", {}, ["--override", "nt"], "config: override: expected key=value, got 'nt'"),
+    ("gamma", {}, ["--config", "{tmp}/missing.json"], "config: [Errno 2] "),
+    ("gamma", {}, ["--config", "{tmp}/list.json"], "config: top level must be a JSON object"),
+    ("gamma", {}, ["--out", "{tmp}/blocked"], "out: "),
+], ids=["integer-past-float", "y0-not-object", "mode-not-integer", "mode-out-of-range",
+        "file-short", "file-nan", "file-missing", "key-missing", "list-missing",
+        "list-not-list", "list-empty", "sweep-no-grid", "compare-no-values",
+        "override-without-equals", "config-unreadable", "config-not-object",
+        "write-fails-after-run"])
+def test_config_and_output_errors_are_one_line_exit_2(tmp_path, capsys, command, updates,
+                                                      argv, message):
+    # each fails before solving, or after a run on 15 nodes for the write
+    (tmp_path / "short.txt").write_text(" ".join(["1.0"] * 14))
+    (tmp_path / "nan.txt").write_text(" ".join(["1.0"] * 14 + ["nan"]))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "blocked" / "summary.json").mkdir(parents=True)
+    cfg = write_config(tmp_path, **{"grid": {"ell": 1.0, "n": 15}, **updates})
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+            *(arg.format(tmp=tmp_path) for arg in argv)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -712,7 +712,7 @@ def test_reaction_dual_bound_refutes_only_infeasible_bounds(f, g, y0):
 
 def test_dual_bound_is_zero_when_the_costate_bound_overflows():
     # (q(1 + dt*L))^m overflows at L = 1e6; the bound is then 0, with no
-    # floating-point warning or NaN on the way.
+    # floating-point warning or NaN on the way, also at a zero datum.
     f = make_nonlinearity("scaled_tanh", 1e6)
     nt = 300
     free = free_run(Y0, 0.1, nt, f, GRID)
@@ -720,6 +720,7 @@ def test_dual_bound_is_zero_when_the_costate_bound_overflows():
         warnings.simplefilter("error")
         assert dual_lower_bound(free, BALL) == 0.0
         assert dual_lower_bound(free, BALL, xi=Y0) == 0.0
+        assert dual_lower_bound(free, BALL, xi=np.zeros(GRID.n)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -754,9 +755,43 @@ def test_dual_bound_enclosure_holds_the_computed_bound(f, g):
     assert positive_lo >= 16 and finite_hi >= 9
 
 
+@pytest.mark.parametrize("g", ENCLOSURE_GRIDS[:2], ids=["full", "masked"])
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH, F_RATIONAL],
+                         ids=["zero", "scaled_tanh", "bounded_odd_rational"])
+def test_dual_bound_enclosure_passes_its_step_norms_through_the_bound(monkeypatch, f, g):
+    # Both ends are the bound's own N/D at a bracket of the step norms: at
+    # the exact norms (zero spread) each end is the bound bit for bit, and
+    # any bracket of them gives lo <= bound <= hi with no tolerance.
+    rng = np.random.default_rng(23)
+    modes = dirichlet_eigs(g, 3).eigenvectors
+    bracket = []
+    monkeypatch.setattr(reach, "_first_mode_bracket", lambda free: bracket[-1])
+    checked = 0
+    for case in range(4):
+        y0 = rng.normal(size=3) @ modes
+        y0 *= rng.uniform(2.0, 8.0) / math.sqrt(g.h * float(y0 @ y0))
+        gamma = free_decay_time(y0, BALL, f, g, nt=60)
+        for T in (0.01 * gamma, 0.3 * gamma):
+            free = free_run(y0, T, 60, f, g)
+            norms = step_l2_norms(
+                masked_costate(solve_adjoint(free, free.terminal, F_ZERO, g), g), g.h)
+            bound = dual_lower_bound(free, BALL, norms=norms)
+            assert bound == dual_lower_bound(free, BALL) > 0.0
+            bracket.append((norms, norms))
+            assert dual_bound_enclosure(free, BALL) == (bound, bound)
+            for spread in (1e-12, 1e-3, 0.5):
+                lower = norms * (1.0 - spread * rng.uniform(size=norms.size))
+                upper = norms * (1.0 + spread * rng.uniform(size=norms.size))
+                bracket.append((lower, upper))
+                lo, hi = dual_bound_enclosure(free, BALL)
+                assert lo <= bound <= hi and lo < hi
+                checked += 1
+    assert checked == 24
+
+
 def test_dual_bound_enclosure_is_tight_on_the_first_mode():
     # y0 = 2e1 on the full grid: xi has no component off e1, so the ends
-    # differ only by the slack, most of it on the numerator near gamma.
+    # differ only by the slack on the step norms.
     for T in (0.01, 0.05, 0.1):
         free = free_run(Y0, T, 300, F_ZERO, GRID)
         lo, hi = dual_bound_enclosure(free, BALL)

@@ -257,7 +257,7 @@ def test_minimal_norm_control_is_bangbang(gamma_zero):
 def test_equivalence_time_at_free_decay(gamma_zero):
     report = verify_equivalence_time(gamma_zero, Y0, BALL, F_ZERO, GRID,
                                      gamma_hint=gamma_zero)
-    assert report.norm_value == 0.0
+    assert report.alpha == 0.0
     assert report.residual <= 0.02 * gamma_zero
     assert report.extension_residual <= 0.02 * gamma_zero
 
@@ -274,7 +274,7 @@ def test_equivalence_bound_zero(gamma_zero):
     report = verify_equivalence_bound(0.0, Y0, BALL, F_ZERO, GRID,
                                       gamma_hint=gamma_zero)
     assert report.relative_residual == 0.0
-    assert report.norm_roundtrip == 0.0
+    assert report.roundtrip == 0.0
 
 
 def test_equivalence_bound_linear_instance(gamma_zero):

@@ -123,6 +123,10 @@ VARIANTS = [
     ("grid", "tanh_sweep", "sweep", ["experiment.M_grid=[5,1]"]),
     ("grid", "linear_equivalence", "sweep", ["experiment.T_grid=[0.05,0.5]"]),
     ("grid", "oracle_compare", "oracle-compare", ["experiment.T_values=[0.5]"]),
+    # radii too small for the discrete norm: r*r/ell below the smallest normal float
+    *[("refused", "linear_equivalence", cmd, [f"r={r}"])
+      for r in ("5e-324", "1e-200")
+      for cmd in ("gamma", "mintime")],
 ]
 
 
