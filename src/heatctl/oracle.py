@@ -11,7 +11,8 @@ bisection layer:
   between the largest infeasible and the smallest feasible level of a grid.
   It visits the levels in ascending order and stops at the first level some
   candidate reaches, so it integrates only the candidates that decide the
-  bracket.
+  bracket.  Within a chunk of candidates it integrates each distinct control
+  prefix (the coefficients of the slices so far) once per slice.
 
 The enumerator shares one thing with the solvers: the forked workers of
 :func:`heatctl.solvers._map_points`, over which it spreads its chunks of
@@ -30,6 +31,7 @@ from .core import (
     DimensionMismatchError,
     EnumerationBudgetError,
     NonlinearitySpec,
+    SolverDivergenceError,
     SpatialGrid,
     TargetBall,
     zero_reaction,
@@ -90,9 +92,12 @@ class LevelBracket:
     (value above the grid).  ``candidates`` counts the enumerated family;
     ``evaluations`` counts RK4 steps over the candidates the serial loop
     integrates: those at or below ``lower``, then the band of ``upper``
-    through its first chunk holding a reaching candidate.  In forked workers
-    up to one chunk per further worker may be integrated past it; those are
-    not counted, so the count is the same however the chunks were run.
+    through its first chunk holding a reaching candidate.  It counts each
+    candidate's steps on every slice, not the RK4 rows that run: a chunk
+    integrates each distinct control prefix once per slice, so fewer rows
+    run than it counts.  In forked workers up to one chunk per further
+    worker may be integrated past it; those are not counted, so the count
+    is the same however the chunks were run.
     """
 
     lower: float | None
@@ -142,6 +147,14 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
     :class:`_Reached`, no chunk is handed out after it, and the first such
     chunk in order is the one caught, so the bracket is the serial loop's.
 
+    A candidate's state at the end of a slice depends only on its
+    coefficients up to that slice (its prefix).  A chunk integrates each
+    distinct prefix once per slice, from its parent prefix's state at the
+    end of the slice before, so candidates sharing their first slices share
+    those slices' RK4 steps.  A chunk whose terminal amplitudes are not
+    finite raises :class:`SolverDivergenceError` instead of counting them
+    as misses.
+
     The bracket is exact for the enumerated family only: pick levels the
     amplitude grid can realize (e.g. a subset of its absolute values),
     otherwise the bracket is biased toward larger values.
@@ -149,6 +162,8 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (g.n,):
         raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({g.n},)")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("initial state y0 must be finite")
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"horizon T must be positive and finite, got {T}")
     for name, value in (("k_modes", k_modes), ("m_intervals", m_intervals),
@@ -214,7 +229,10 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
 
     # The chunks in the order the serial loop visits them: band by band in
     # ascending level, ``chunk`` candidates at a time.  ``through[i]`` counts
-    # the candidates of the bands below band i.
+    # the candidates of the bands below band i.  Slice 0 is the most
+    # significant digit of a candidate index, so ``c // per_slice**(m-1-s)``
+    # numbers c's prefix through slice s.
+    per_slice = len(amp_grid) ** k_modes
     bands = [np.flatnonzero(band == i) for i in range(len(levels))]
     through = list(accumulate((len(members) for members in bands), initial=0))
     chunks = [(i, s) for i, members in enumerate(bands) for s in range(0, len(members), chunk)]
@@ -224,16 +242,22 @@ def bruteforce_minimal_norm_bracket(y0: np.ndarray, T: float, k_modes: int,
         it reaches the ball."""
         i, s = task
         members = bands[i][s:s + chunk]
-        a = np.tile(a0, (len(members), 1))
         forces = np.einsum("ij,cmj->cmi", forcing_map, coeffs[members])
+        # a holds one row per distinct prefix; row[c] is member c's row.
+        a, row = a0[None, :], np.zeros(len(members), dtype=np.intp)
         for m in range(m_intervals):
-            force = forces[:, m, :]
+            _, first, inverse = np.unique(members // per_slice ** (m_intervals - 1 - m),
+                                          return_index=True, return_inverse=True)
+            a, force, row = a[row[first]], forces[first, m, :], inverse
             for _ in range(steps_per_slice):
                 k1 = rhs(a, force)
                 k2 = rhs(a + 0.5 * dt * k1, force)
                 k3 = rhs(a + 0.5 * dt * k2, force)
                 k4 = rhs(a + dt * k3, force)
                 a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(a)):
+            raise SolverDivergenceError(
+                f"RK4 on the mode amplitudes gave non-finite terminal states at level {levels[i]}")
         if np.any(np.sqrt(np.einsum("ci,ci->c", a, a)) <= ball.r):
             raise _Reached(i, through[i] + s + len(members))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ from heatctl import (
     EnumerationBudgetError,
     NonlinearitySpec,
     ScalarInstance,
+    SolverDivergenceError,
     SpatialGrid,
     TargetBall,
     bruteforce_minimal_norm_bracket,
@@ -272,6 +274,11 @@ BRACKET_CASES = {
                       F_TANH, G31_MASKED, BALL), 40),
     "custom_zero_kind": ((Y0_31, 0.05, 2, 2, np.linspace(-32.0, 32.0, 5),
                           [2.0, 4.0, 8.0, 16.0, 32.0], F_TANH5_ZERO_KIND, G31, BALL), 40),
+    # Three slices: prefixes of depth 1 and 2 are shared inside a chunk.
+    "three_slices_one_mode": ((Y0_31, 0.1, 1, 3, np.linspace(-6.0, 6.0, 7), [2.0, 4.0, 6.0],
+                               F_TANH, G31, BALL), 60),
+    "three_slices_two_modes": ((-Y0_31, 0.1, 2, 3, np.linspace(-4.0, 4.0, 3), [2.0, 4.0, 6.0],
+                                F_TANH, G31, BALL), 60),
 }
 
 
@@ -355,11 +362,21 @@ def test_bracket_chunks_run_in_workers(use_cpus, tmp_path):
     assert multiprocessing.active_children() == []
 
 
+def inside_the_ball(y):
+    """Which of the grid states y lie inside the ball; on tanh_2x2 with
+    chunk=7 only the first chunk of the band of ``upper``, the 13th chunk,
+    reaches such states."""
+    return np.sqrt(G31.h * np.einsum("ci,ci->c", y, y)) < BALL.r
+
+
 def test_reaction_that_raises_in_a_worker_raises_as_in_serial(use_cpus):
+    calls = []
+
     def refusing(y):
-        # the short last chunk of a band is refused
-        if len(y) < 7:
+        # the states inside the ball are refused
+        if np.any(inside_the_ball(y)):
             raise ValueError(f"reaction refused {len(y)} states")
+        calls.append(len(y))
         return np.tanh(y)
 
     args, n_steps = with_reaction("tanh_2x2", refusing)
@@ -370,7 +387,66 @@ def test_reaction_that_raises_in_a_worker_raises_as_in_serial(use_cpus):
             bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=7)
         messages.append(str(failure.value))
         assert multiprocessing.active_children() == []
+    # serially, every RK4 stage of the first chunk ran before the refusal
+    assert len(calls) > 4 * n_steps
     assert messages[1] == messages[0]
+
+
+def test_non_finite_terminal_states_raise_as_in_serial(use_cpus):
+    """A reaction that turns the reaching states into NaN makes their chunk
+    raise, instead of counting them as misses (which gave upper = None)."""
+    def nan_inside_the_ball(y):
+        return np.where(inside_the_ball(y)[:, None], np.nan, np.tanh(y))
+
+    args, n_steps = with_reaction("tanh_2x2", nan_inside_the_ball)
+    messages = []
+    for cpus in (1, 2):
+        use_cpus(cpus)
+        with pytest.raises(SolverDivergenceError, match="non-finite") as failure:
+            bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=7)
+        messages.append(str(failure.value))
+        assert multiprocessing.active_children() == []
+    assert messages[1] == messages[0]
+
+
+def test_non_finite_y0_is_refused_as_in_serial(use_cpus):
+    """y0 = inf gave NaN terminal norms, counted as misses: upper = None."""
+    args, n_steps = BRACKET_CASES["tanh_2x2"]
+    for cpus in (1, 2):
+        use_cpus(cpus)
+        with pytest.raises(ValueError, match="y0"):
+            bruteforce_minimal_norm_bracket(np.full(31, np.inf), *args[1:], n_steps=n_steps)
+        assert multiprocessing.active_children() == []
+
+
+def test_bracket_integrates_each_distinct_prefix_once(use_cpus):
+    """Serially, a chunk runs one RK4 row per distinct prefix (coefficients
+    of slices 0..s) on slice s, so the reaction sees 4 * steps_per_slice rows
+    per distinct prefix and slice, not per candidate and slice."""
+    rows = []
+
+    def tanh(y):
+        rows.append(len(y))
+        return np.tanh(y)
+
+    args, n_steps = with_reaction("tanh_2x2", tanh)
+    use_cpus(1)
+    bracket = bruteforce_minimal_norm_bracket(*args, n_steps=n_steps, chunk=512)
+    _, _, k_modes, m_intervals, amp_grid, levels = args[:6]
+    (_, upper, *_), level, _ = reference_bracket(*BRACKET_CASES["tanh_2x2"][0],
+                                                 n_steps=n_steps)
+    band = np.searchsorted(np.asarray(levels) * (1.0 + 1e-12), level)
+    coeffs = np.array(list(itertools.product(amp_grid, repeat=k_modes * m_intervals)))
+    # each band is one chunk; the bands through that of upper are integrated
+    prefixes = 0
+    for i in range(levels.index(upper) + 1):
+        members = coeffs[band == i]
+        assert len(members) <= 512
+        prefixes += sum(len(np.unique(members[:, :k_modes * (s + 1)], axis=0))
+                        for s in range(m_intervals))
+    steps_per_slice = n_steps // m_intervals
+    assert sum(rows) == 4 * steps_per_slice * prefixes
+    assert sum(rows) < 4 * bracket.evaluations
 
 
 def test_pooled_bracket_that_hits_leaves_no_cycle(use_cpus, heatctl_frames_in_cycles):
@@ -400,6 +476,7 @@ BAD_BRACKET_INPUTS = [
     ({"k_modes": 1.5}, "k_modes"),
     ({"n_steps": 0}, "n_steps"),
     ({"chunk": 0}, "chunk"),
+    ({"y0": np.full(31, math.inf)}, "y0"),
 ]
 
 
