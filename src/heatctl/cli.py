@@ -171,10 +171,11 @@ class Setup:
 
     def steps_for(self, T: float = 1.0) -> int:
         """Time steps per solve over a horizon T: ``nt`` when the config gives
-        it, otherwise ``round(T / dt)`` clipped to [200, 2000]."""
+        it, otherwise ``round(T / dt)`` clipped to [200, 2000], the ratio
+        clipped before rounding (it may overflow to inf)."""
         if self.nt is not None:
             return self.nt
-        return int(np.clip(round(T / self.dt), 200, 2000))
+        return int(np.clip(round(min(T / self.dt, 2000)), 200, 2000))
 
 
 def _is_number(value, integer: bool = False) -> bool:
@@ -280,7 +281,6 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
     if r is not None and r * r / ell < sys.float_info.min:  # h*sum(y_j^2) would underflow
         fail("r", f"{r!r} is too small: r*r/ell is below the smallest normal float")
         r = None
-    ball = None if r is None else TargetBall(r=r)
 
     y0 = modes = None
     y0_cfg = cfg.get("y0")
@@ -339,9 +339,9 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
     reach_opts = dict(
         max_iters=number("solver.max_iters", sol.get("max_iters", 200), integer=True),
         eps_stag=number("solver.eps_stag", sol.get("eps_stag", 1e-7)),
-        eps_feas_rel=number("solver.eps_feas", sol.get("eps_feas", 1e-3)),
     )
-    if reach_opts["eps_feas_rel"] is not None and reach_opts["eps_feas_rel"] >= 1.0:
+    eps_feas = number("solver.eps_feas", sol.get("eps_feas", 1e-3))
+    if eps_feas is not None and eps_feas >= 1.0:
         fail("solver.eps_feas",
              f"expected a positive finite number below 1, got {sol['eps_feas']!r}")
 
@@ -349,8 +349,8 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
 
     if errors:
         raise ConfigError(errors)
-    return Setup(modes=modes, grid=grid, f=f, y0=y0, ball=ball, nt=nt, dt=dt,
-                 tol_t=tol_t, tol_m=tol_m, opts=ReachOptions(**reach_opts),
+    return Setup(modes=modes, grid=grid, f=f, y0=y0, ball=TargetBall(r, eps_feas), nt=nt,
+                 dt=dt, tol_t=tol_t, tol_m=tol_m, opts=ReachOptions(**reach_opts),
                  experiment=experiment)
 
 
@@ -390,7 +390,8 @@ def scalar_instance_for(setup: Setup) -> ScalarInstance | None:
     Requires control on the whole interval, no reaction term, and initial
     data on the first eigenfunction alone (the only mode whose parsed
     coefficients, summed per index as :func:`build_setup` sums them, are
-    nonzero).
+    nonzero), of either sign: with f = 0 the problem is symmetric under
+    y -> -y, so a0 is that coefficient's absolute value.
     """
     if not is_linear(setup.f):
         return None
@@ -402,7 +403,7 @@ def scalar_instance_for(setup: Setup) -> ScalarInstance | None:
     nonzero = [(i, c) for i, c in summed.items() if c != 0.0]
     if [i for i, _ in nonzero] != [1]:
         return None
-    a0 = nonzero[0][1]
+    a0 = abs(nonzero[0][1])
     if a0 <= setup.ball.r:
         return None
     return ScalarInstance(a0=a0, r=setup.ball.r, lam=principal_eigenvalue(setup.grid))

@@ -107,13 +107,28 @@ def l2_norm(v: np.ndarray, g: SpatialGrid) -> float:
 
 @dataclass(frozen=True)
 class TargetBall:
-    """Closed ball of radius r around the origin in the discrete L2 space."""
+    """Closed ball of radius r around the origin in the discrete L2 space, and
+    the feasibility slack ``eps_feas_rel`` relative to r, in (0, 1): from 1 on
+    the oracle's early-stop radius r(1 - eps_feas_rel) would be 0."""
 
     r: float
+    eps_feas_rel: float = 1e-3
 
     def __post_init__(self):
         if self.r <= 0.0:
             raise ValueError(f"target radius must be positive, got {self.r}")
+        if not 0.0 < self.eps_feas_rel < 1.0:
+            raise ValueError("the feasibility slack eps_feas_rel must lie in (0, 1), "
+                             f"got {self.eps_feas_rel}")
+
+    def reaches(self, norm: float) -> bool:
+        """Whether a terminal norm is at most r plus the slack eps_feas_rel*r."""
+        return norm <= self.r + self.eps_feas_rel * self.r
+
+    @property
+    def rho(self) -> float:
+        """r(1 + eps_feas_rel): what :meth:`reaches` accepts, unrounded."""
+        return self.r * (1.0 + self.eps_feas_rel)
 
 
 @dataclass(frozen=True)

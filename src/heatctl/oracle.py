@@ -63,12 +63,12 @@ def scalar_minimal_time(inst: ScalarInstance, M: float) -> float:
     """Minimal time for a' = -lam*a + u, |u| <= M, from a0 down to r.
 
     Full thrust u = -M is optimal; integrating the resulting linear equation
-    gives (1/lam) * log((a0 + M/lam) / (r + M/lam)).
+    gives (1/lam) * log((a0 + M/lam) / (r + M/lam)), computed as
+    log1p((a0 - r) / (r + M/lam)) so that a large M keeps its digits.
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
-    shift = M / inst.lam
-    return math.log((inst.a0 + shift) / (inst.r + shift)) / inst.lam
+    return math.log1p((inst.a0 - inst.r) / (inst.r + M / inst.lam)) / inst.lam
 
 
 def scalar_minimal_norm(inst: ScalarInstance, T: float) -> float:
@@ -79,7 +79,8 @@ def scalar_minimal_norm(inst: ScalarInstance, T: float) -> float:
             "the minimal norm is 0 or undefined there"
         )
     decay = math.exp(-inst.lam * T)
-    return inst.lam * (inst.a0 * decay - inst.r) / (1.0 - decay)
+    # 1 - decay as -expm1(-lam*T), which keeps the digits of a short horizon
+    return inst.lam * (inst.a0 * decay - inst.r) / -math.expm1(-inst.lam * T)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ same FreeRun gives certificates that need no descent:
 
 Each quantity has one definition here: ``_objective`` is J,
 :func:`masked_costate` its gradient (also the direction of
-:func:`bangbang_values`), and :func:`reaches_ball` the feasibility test.
+:func:`bangbang_values`), and :func:`accept` the run and ``ball.reaches``
+test of every control returned without the oracle.
 
 The step rule is fixed.  The first step is 1/lambda_1, and a rejected step is
 halved (at most ``MAX_BACKTRACKS`` times per iteration), so the objective
@@ -89,27 +90,22 @@ MAX_BACKTRACKS = 45
 
 @dataclass(frozen=True)
 class ReachOptions:
-    """The oracle's iteration budget and tolerances, as a config sets them.
+    """The oracle's budget, as a config sets it.
 
     ``max_iters`` bounds the descent iterations; ``eps_stag`` ends the descent
-    once an accepted step moves the control by less than eps_stag*M*sqrt(T);
-    ``eps_feas_rel`` is the feasibility slack relative to the target radius
-    (see :func:`reaches_ball`), below 1: from 1 on the oracle's early-stop
-    radius r(1 - eps_feas_rel) is 0.  The step rule is fixed: a spectral
+    once an accepted step moves the control by less than eps_stag*M*sqrt(T).
+    The feasibility slack is the ball's.  The step rule is fixed: a spectral
     step with backtracking (module docstring).
     """
 
     max_iters: int = 200
     eps_stag: float = 1e-7
-    eps_feas_rel: float = 1e-3
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("the iteration budget must be positive")
-        if self.eps_stag <= 0.0 or self.eps_feas_rel <= 0.0:
+        if self.eps_stag <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.eps_feas_rel >= 1.0:
-            raise ValueError("the feasibility slack eps_feas_rel must be below 1")
 
 
 @dataclass(frozen=True)
@@ -150,13 +146,6 @@ def _spectral_step(s: np.ndarray, delta: np.ndarray, step: float, cap: float) ->
     if s_delta <= 0.0:
         return min(step * STEP_GROWTH, cap)
     return min(float(np.sum(s * s)) / s_delta, cap)
-
-
-def reaches_ball(terminal_norm: float, ball: TargetBall,
-                 opts: ReachOptions = ReachOptions()) -> bool:
-    """Whether a terminal norm counts as reaching the ball: at most r plus the
-    slack ``eps_feas_rel * r``."""
-    return terminal_norm <= ball.r + opts.eps_feas_rel * ball.r
 
 
 def _objective(traj: StateTrajectory) -> float:
@@ -269,6 +258,21 @@ def is_linear(f: NonlinearitySpec) -> bool:
     return f.f is zero_reaction and f.fprime is zero_reaction
 
 
+def accept(free: FreeRun, ball: TargetBall, values: np.ndarray | None = None
+           ) -> tuple[StateTrajectory, ControlSignal | None]:
+    """The run of the control ``values`` (zero when None: free's cached
+    ``trajectory``) from free's y0 on free's step grid, and that control when
+    ``ball.reaches`` accepts the run's terminal norm, else None.  Raises
+    :class:`SolverDivergenceError` when that norm is not finite."""
+    if values is None:
+        control, run = ControlSignal.zeros(free.nt, free.dt, free.g), free.trajectory
+    else:
+        control = ControlSignal(dt=free.dt, nt=free.nt, values=values, grid=free.g)
+        run = solve_forward(free.y0, control, free.f, free.g)
+    _objective(run)
+    return run, control if ball.reaches(float(run.norms[-1])) else None
+
+
 # Relative margin, on the terms of the bound, for the rounding of the solves.
 DUAL_ROUNDING = 1e-9
 
@@ -300,22 +304,17 @@ def reaction_costate_bounds(norms: np.ndarray, xi_norm: float, dt: float, L: flo
         return np.minimum(norms + (grown - xi_norm * q ** m), grown)
 
 
-def _dual_radius(ball: TargetBall, opts: ReachOptions) -> float:
-    """rho = r(1 + eps_feas_rel): what :func:`reaches_ball` accepts, unrounded."""
-    return ball.r * (1.0 + opts.eps_feas_rel)
-
-
-def _dual_terms(free: FreeRun, ball: TargetBall, opts: ReachOptions, xi: np.ndarray,
+def _dual_terms(free: FreeRun, ball: TargetBall, xi: np.ndarray,
                 norms: np.ndarray) -> tuple[float, float]:
     """N and D of the dual bound N/D at the datum xi, given the step norms of
-    its zero-reaction costate: N = <y_free(T), xi> - rho*||xi||, rho of
-    :func:`_dual_radius`, less ``DUAL_ROUNDING`` times the size of its terms;
+    its zero-reaction costate: N = <y_free(T), xi> - rho*||xi||, rho the
+    ball's, less ``DUAL_ROUNDING`` times the size of its terms;
     D = sum_k dt*b_k, with b_k the norms, for a reaction term widened by
     :func:`reaction_costate_bounds` with ``f.L``."""
     g = free.g
     pairing = g.h * float(free.terminal @ xi)
     xi_norm = math.sqrt(g.h * float(xi @ xi))
-    rho = _dual_radius(ball, opts)
+    rho = ball.rho
     numerator = pairing - rho * xi_norm - DUAL_ROUNDING * (abs(pairing) + rho * xi_norm)
     if not is_linear(free.f):
         norms = reaction_costate_bounds(norms, xi_norm, free.dt, free.f.L, g)
@@ -329,15 +328,15 @@ def _dual_quotient(numerator: float, total: float, vanishing: float = 0.0) -> fl
     return numerator / total if total > 0.0 else vanishing
 
 
-def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions = ReachOptions(),
-                     xi: np.ndarray | None = None, norms: np.ndarray | None = None) -> float:
+def dual_lower_bound(free: FreeRun, ball: TargetBall, xi: np.ndarray | None = None,
+                     norms: np.ndarray | None = None) -> float:
     """A norm bound below which no control reaches the ball at free's horizon.
 
     Weak duality: let psi be the costate of the terminal datum xi along the
     run of a control v, and b_k >= ||chi_omega psi_k|| at each step.  Every
     control supported on omega whose steps have norm at most M and whose
-    terminal norm is at most rho = r(1 + eps_feas_rel) (what
-    :func:`reaches_ball` accepts) satisfies
+    terminal norm is at most rho = ``ball.rho`` (what ``ball.reaches``
+    accepts) satisfies
 
         M >= LB(xi) = N(xi) / D(xi) = (<y_free(T), xi> - rho*||xi||) / sum_k dt*b_k,
 
@@ -369,7 +368,7 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, opts: ReachOptions = Reach
     xi = free.terminal if xi is None else np.asarray(xi, dtype=float)
     if norms is None:
         norms = step_l2_norms(masked_costate(solve_adjoint(free, xi, _ZERO, g), g), g.h)
-    return _dual_quotient(*_dual_terms(free, ball, opts, xi, norms))
+    return _dual_quotient(*_dual_terms(free, ball, xi, norms))
 
 
 # Relative margin of :func:`dual_bound_enclosure` for the rounding of the
@@ -393,9 +392,8 @@ def _first_mode_bracket(free: FreeRun) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(centre - spread, 0.0), centre + spread
 
 
-def dual_bound_enclosure(free: FreeRun, ball: TargetBall,
-                         opts: ReachOptions = ReachOptions()) -> tuple[float, float]:
-    """(lo, hi) with lo <= ``dual_lower_bound(free, ball, opts)`` <= hi,
+def dual_bound_enclosure(free: FreeRun, ball: TargetBall) -> tuple[float, float]:
+    """(lo, hi) with lo <= ``dual_lower_bound(free, ball)`` <= hi,
     from free's terminal state xi = y_free(T) (``free.terminal``); solves
     nothing beyond that state, so for f = 0 nothing at all.
 
@@ -414,8 +412,8 @@ def dual_bound_enclosure(free: FreeRun, ball: TargetBall,
     in floating point, so the enclosure holds the bound as computed.
     """
     lower, upper = _first_mode_bracket(free)
-    return (_dual_quotient(*_dual_terms(free, ball, opts, free.terminal, upper)),
-            _dual_quotient(*_dual_terms(free, ball, opts, free.terminal, lower), math.inf))
+    return (_dual_quotient(*_dual_terms(free, ball, free.terminal, upper)),
+            _dual_quotient(*_dual_terms(free, ball, free.terminal, lower), math.inf))
 
 
 # Most dual steps :func:`dual_pair` takes.
@@ -423,11 +421,10 @@ DUAL_STEPS = 8
 
 
 def _smaller_root(y_free: np.ndarray, s: np.ndarray, ball: TargetBall,
-                  opts: ReachOptions, g: SpatialGrid) -> float | None:
-    """The smaller root m of ||y_free + m*s|| = rho(1 - DUAL_ROUNDING), rho of
-    :func:`_dual_radius`, floored at 0, or None when there is no real root."""
-    rho = _dual_radius(ball, opts)
-    c = g.h * float(y_free @ y_free) - (rho * (1.0 - DUAL_ROUNDING)) ** 2
+                  g: SpatialGrid) -> float | None:
+    """The smaller root m of ||y_free + m*s|| = rho(1 - DUAL_ROUNDING), rho the
+    ball's, floored at 0, or None when there is no real root."""
+    c = g.h * float(y_free @ y_free) - (ball.rho * (1.0 - DUAL_ROUNDING)) ** 2
     a, b = g.h * float(s @ s), g.h * float(y_free @ s)
     disc = b * b - a * c
     q = -b + math.sqrt(disc) if disc >= 0.0 else 0.0
@@ -440,8 +437,7 @@ def _next_datum(xi: np.ndarray, y: np.ndarray, g: SpatialGrid) -> np.ndarray:
     return xi / l2_norm(xi, g) + y / l2_norm(y, g)
 
 
-def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions,
-              done) -> tuple[float, float, ControlSignal | None]:
+def dual_pair(free: FreeRun, ball: TargetBall, done) -> tuple[float, float, ControlSignal | None]:
     """A certified bracket (lo, hi) on the minimal norm bound at free's
     horizon, with a control at level hi that reaches the ball.
 
@@ -450,13 +446,13 @@ def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions,
     For f = 0 each of at most ``DUAL_STEPS`` steps takes the unit bang-bang
     control w of the zero-reaction costate of a datum xi (first y_free(T))
     and its response s from 0; as y(T; m*w) = y_free(T) + m*s, hi drops to
-    the smaller root of ||y_free(T) + m*s|| = r(1 + eps_feas_rel)(1 - DUAL_ROUNDING)
+    the smaller root of ||y_free(T) + m*s|| = ``ball.rho``(1 - DUAL_ROUNDING)
     (:func:`_smaller_root`).
     Until ``done(lo, hi)`` holds with hi finite, xi moves towards
     y = y_free(T) + m*s (lo*s without a root) by :func:`_next_datum`, and its
-    adjoint gives the next w and raises lo.  hi*w, simulated once, is kept
-    only if :func:`reaches_ball` accepts it; otherwise, or without a root or
-    a direction, hi is inf.
+    adjoint gives the next w and raises lo.  hi*w is kept only if
+    :func:`accept` accepts it; otherwise, or without a root or a direction,
+    hi is inf.
 
     y_free(T) is ``free.terminal`` and s is
     :func:`heatctl.pde.linear_response`, both in closed form in the grid's
@@ -464,17 +460,16 @@ def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions,
     read), one zero-reaction adjoint solve per step after the first, and
     the one forward solve of hi*w.
     """
-    lo = dual_lower_bound(free, ball, opts)
+    lo = dual_lower_bound(free, ball)
     if not is_linear(free.f):
         return lo, math.inf, None
-    f, g, dt = free.f, free.g, free.dt
-    y_free = free.terminal
+    g, dt, y_free = free.g, free.dt, free.terminal
     xi, masked, norms, hi, ray = y_free, free.masked, free.norms, math.inf, None
     try:
         for _ in range(DUAL_STEPS):
             w = bangbang_values(masked, norms, -1.0)
             s = linear_response(w, dt, g)
-            m = _smaller_root(y_free, s, ball, opts, g)
+            m = _smaller_root(y_free, s, ball, g)
             if m is not None and m < hi:
                 hi, ray = m, w
             if hi < math.inf and done(lo, hi):
@@ -482,21 +477,18 @@ def dual_pair(free: FreeRun, ball: TargetBall, opts: ReachOptions,
             xi = _next_datum(xi, y_free + (lo if m is None else m) * s, g)
             masked = masked_costate(solve_adjoint(free, xi, _ZERO, g), g)
             norms = step_l2_norms(masked, g.h)
-            lo = max(lo, dual_lower_bound(free, ball, opts, xi, norms))
+            lo = max(lo, dual_lower_bound(free, ball, xi, norms))
     except DegenerateCostateError:
         pass
-    if ray is None or not reaches_ball(
-            float(_run(free.y0, hi * ray, dt, f, g)[1].norms[-1]), ball, opts):
-        return lo, math.inf, None
-    return lo, hi, ControlSignal(dt=dt, nt=free.nt, values=hi * ray, grid=g)
+    control = None if ray is None else accept(free, ball, hi * ray)[1]
+    return (lo, math.inf, None) if control is None else (lo, hi, control)
 
 
 # Most steps :func:`bangbang_ray` takes.
 RAY_STEPS = 2
 
 
-def bangbang_ray(free: FreeRun, ball: TargetBall, M: float,
-                 opts: ReachOptions = ReachOptions()) -> ControlSignal | None:
+def bangbang_ray(free: FreeRun, ball: TargetBall, M: float) -> ControlSignal | None:
     """A bang-bang control at a level at most M that reaches the ball at
     free's horizon, with free's reaction term, or None when none was found.
 
@@ -510,30 +502,22 @@ def bangbang_ray(free: FreeRun, ball: TargetBall, M: float,
     ball and out, at long horizons and large M.  If both miss, xi moves
     towards the terminal state of the better run by :func:`_next_datum`, and
     its adjoint, with free's reaction term along that run, gives the next w.
-    A control is returned only when its run, on free's step grid, is
-    accepted by :func:`reaches_ball`; that run is its certificate.  A miss
-    proves nothing.  None also when a costate has no direction.
+    Every control, the zero one included, is returned by :func:`accept`, on
+    free's step grid; its run is its certificate.  A miss proves nothing.
+    None also when a costate has no direction.
     """
-    y0, y_free, dt, nt, f, g = free.y0, free.terminal, free.dt, free.nt, free.f, free.g
-    if reaches_ball(float(free.trajectory.norms[-1]), ball, opts):
-        return ControlSignal.zeros(nt, dt, g)
-
-    def at(level, w):
-        """The run of level*w, and level*w when that run reaches the ball."""
-        run = _run(y0, level * w, dt, f, g)[1]
-        if reaches_ball(float(run.norms[-1]), ball, opts):
-            return run, ControlSignal(dt=dt, nt=nt, values=level * w, grid=g)
-        return run, None
-
+    if (control := accept(free, ball)[1]) is not None:
+        return control
+    y_free, f, g = free.terminal, free.f, free.g
     xi, masked, norms = y_free, free.masked, free.norms
     try:
         for step in range(RAY_STEPS):
             w = bangbang_values(masked, norms, -1.0)
-            best, control = at(M, w)
+            best, control = accept(free, ball, M * w)
             if control is None:
-                m = _smaller_root(y_free, (best.states[-1] - y_free) / M, ball, opts, g)
+                m = _smaller_root(y_free, (best.states[-1] - y_free) / M, ball, g)
                 if m is not None and 0.0 < m < M:
-                    run, control = at(m, w)
+                    run, control = accept(free, ball, m * w)
                     best = min(best, run, key=lambda r: r.norms[-1])
             if control is not None:
                 return control
@@ -552,8 +536,9 @@ def min_terminal_norm(free: FreeRun, M: float, ball: TargetBall,
     """Minimize the terminal norm over pointwise-bounded controls at free's
     horizon (its y0, T, nt, f and g).
 
-    Terminates early as feasible once J drops below 0.5*(r - eps_feas_rel*r)^2,
-    otherwise on stagnation of the projected step or on the iteration budget.
+    Terminates early as feasible once J drops below 0.5*(r - eps_feas_rel*r)^2
+    (the ball's slack), otherwise on stagnation of the projected step or on
+    the iteration budget.
     Backtracking enforces a non-increasing objective sequence, and every
     iteration starts with one adjoint solve, its gradient.
 
@@ -571,7 +556,7 @@ def min_terminal_norm(free: FreeRun, M: float, ball: TargetBall,
     dt = free.dt
     h = g.h
     r = ball.r
-    target_j = 0.5 * max(r - opts.eps_feas_rel * r, 0.0) ** 2
+    target_j = 0.5 * max(r - ball.eps_feas_rel * r, 0.0) ** 2
 
     # Starts: zero control, bang-bang against the free costate, and the
     # caller's control (projected); keep the best.
@@ -630,7 +615,7 @@ def min_terminal_norm(free: FreeRun, M: float, ball: TargetBall,
     terminal = float(traj.norms[-1])
     return ReachResult(terminal_norm=terminal,
                        control=ControlSignal(dt=dt, nt=nt, values=v, grid=g),
-                       iterations=iterations, feasible=reaches_ball(terminal, ball, opts),
+                       iterations=iterations, feasible=ball.reaches(terminal),
                        converged=converged, objective_history=tuple(history))
 
 

@@ -111,6 +111,7 @@ from .core import (
 from .pde import hitting_time, principal_eigenvalue, solve_forward
 from .reach import (
     ReachOptions,
+    accept,
     bangbang_ray,
     dual_bound_enclosure,
     dual_lower_bound,
@@ -118,7 +119,6 @@ from .reach import (
     free_run,
     is_linear,
     min_terminal_norm,
-    reaches_ball,
 )
 
 
@@ -385,17 +385,17 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     free = free_run(y0, T, nt, f, g)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
     if T >= gamma:
-        terminal = float(free.trajectory.norms[-1])
-        if not reaches_ball(terminal, ball, opts):
+        run, zero = accept(free, ball)
+        if zero is None:
             raise NoFeasibleBoundError(
                 f"the zero control does not reach the ball at T={T}, at or past the "
-                f"free-decay time {gamma:.6g}; the free run ends at norm {terminal:.6g}")
-        return _point(T, 0.0, 0.0, ControlSignal.zeros(nt, T / nt, g), [], gamma, 0.0)
+                f"free-decay time {gamma:.6g}; the free run ends at norm {run.norms[-1]:.6g}")
+        return _point(T, 0.0, 0.0, zero, [], gamma, 0.0)
 
     def width(hi):
         return tol_M * (1.0 + hi)
 
-    bound, level, control = dual_pair(free, ball, opts, lambda lo, hi: hi - lo <= width(hi))
+    bound, level, control = dual_pair(free, ball, lambda lo, hi: hi - lo <= width(hi))
 
     def probe(M, warm_start=None):
         if M < bound:
@@ -424,13 +424,14 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
                  gamma_hint: float | None = None) -> ValuePoint:
     """Smallest time at which controls bounded pointwise by M reach the ball.
 
-    M = 0 degenerates to the free-decay time.  Otherwise bisect on the horizon
-    over (0, free-decay time], where the zero control reaches the ball at the
-    upper end (checked first, raising :class:`NoFeasibleBoundError` when the
-    free run misses, as with a ``gamma_hint`` shorter than the free-decay
-    time).  The dual bound, enclosed without a solve where that decides,
-    refutes horizons, and the bang-bang ray (a reaction term) or the dual
-    pair at the crossing (f = 0) settles the others (module docstring);
+    The zero control must reach the ball at the free-decay time (checked
+    first, raising :class:`NoFeasibleBoundError` when the free run misses, as
+    with a ``gamma_hint`` shorter than the free-decay time).  M = 0
+    degenerates to that time.  Otherwise bisect on the horizon over (0,
+    free-decay time], whose upper end that check certifies.  The dual bound,
+    enclosed without a solve where that decides, refutes horizons, and the
+    bang-bang ray (a reaction term) or the dual pair at the crossing (f = 0)
+    settles the others (module docstring);
     feasibility is monotone in the horizon because the ball is invariant
     under free decay.
     tol_T is relative to the free-decay time.
@@ -439,7 +440,12 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         raise ValueError(f"norm bound must be nonnegative, got {M}")
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
-    zero = ControlSignal.zeros(nt, gamma / nt, g)
+    # The zero control reaches the ball at gamma: for M > 0 the upper end, the first probe.
+    run, zero = accept(free_run(y0, gamma, nt, f, g), ball)
+    if zero is None:
+        raise NoFeasibleBoundError(
+            f"could not certify feasibility near the free-decay time {gamma:.6g} "
+            f"for M={M}; the free run ends at norm {run.norms[-1]:.6g} there")
     if M == 0.0:
         return _point(M, gamma, gamma, zero, [], gamma, 0.0)
 
@@ -455,9 +461,9 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         """Whether T's dual bound exceeds M, and T's free run, which for f = 0
         is never simulated here."""
         free = free_run(y0, T, nt, f, g)
-        lo, hi = dual_bound_enclosure(free, ball, opts)
+        lo, hi = dual_bound_enclosure(free, ball)
         if lo <= M < hi:
-            lo = dual_lower_bound(free, ball, opts)
+            lo = dual_lower_bound(free, ball)
         if lo > M:
             refuted.append(T)
         return lo > M, free
@@ -467,7 +473,7 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         if exceeds:
             return _Decided(False)
         if not is_linear(f):
-            control = bangbang_ray(free, ball, M, opts)
+            control = bangbang_ray(free, ball, M)
             if control is not None:
                 return _Decided(True, control)
         left_open.clear()
@@ -482,8 +488,7 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         if exceeds:
             return _Decided(False)
         if is_linear(f):
-            bound, level, control = dual_pair(free, ball, opts,
-                                              lambda lo, hi: hi <= M or lo > M)
+            bound, level, control = dual_pair(free, ball, lambda lo, hi: hi <= M or lo > M)
             if level <= M:
                 return _Decided(True, control)
             if bound > M:
@@ -491,12 +496,6 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
                 return _Decided(False)
         return min_terminal_norm(free, M, ball, opts, warm_start=warm_start)
 
-    # The upper end, the first probe: the zero control reaches the ball at gamma.
-    terminal = float(free_run(y0, gamma, nt, f, g).trajectory.norms[-1])
-    if not reaches_ball(terminal, ball, opts):
-        raise NoFeasibleBoundError(
-            f"could not certify feasibility near the free-decay time {gamma:.6g} "
-            f"for M={M}; the free run ends at norm {terminal:.6g} there")
     log = [_Decided(True, zero)]
     lo, hi, control = _bisect(probe, log, 0.0, gamma, zero, width)
     # The second search, with certified probes.
@@ -593,8 +592,7 @@ def verify_equivalence_bound(M: float, y0: np.ndarray, ball: TargetBall,
 
     max_norm = float(np.max(tp_point.control.step_norms()))
     terminal = float(solve_forward(y0, tp_point.control, f, g).norms[-1])
-    restriction_ok = (max_norm <= M * (1.0 + 1e-6) + 1e-300
-                      and reaches_ball(terminal, ball, opts))
+    restriction_ok = max_norm <= M * (1.0 + 1e-6) + 1e-300 and ball.reaches(terminal)
     return EquivalenceBoundReport(M=M, tau=tp_point.value, roundtrip=np_point.value,
                                   relative_residual=residual,
                                   restricted_max_norm=max_norm,

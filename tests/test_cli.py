@@ -175,16 +175,18 @@ def test_equivalence_runs_on_small_grids(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("modes", [{"01": 2.0}, {" 1": 2.0}, {"1": 2.0, "2": 0}],
-                         ids=["leading-zero", "leading-space", "zero-second-mode"])
+@pytest.mark.parametrize("modes", [{"01": 2.0}, {" 1": 2.0}, {"1": 2.0, "2": 0}, {"1": -2.0}],
+                         ids=["leading-zero", "leading-space", "zero-second-mode", "negative"])
 @pytest.mark.parametrize("command, experiment, output", [
     ("oracle-compare", {"M_values": [10.0], "T_values": [0.07]}, "oracle_compare.csv"),
     ("sweep", {"M_grid": [10.0]}, "tau_curve.csv"),
 ], ids=["oracle-compare", "sweep"])
 def test_closed_form_applies_to_every_spelling_of_the_first_mode(tmp_path, command,
                                                                  experiment, output, modes):
-    # Each map reads as y0 = 2e1, the closed-form instance: oracle-compare
-    # runs and sweep fills its oracle_value column, as with {"1": 2.0}.
+    # Each map reads as y0 = 2e1, the closed-form instance, or as -2e1, its
+    # mirror image (with f = 0 the problem is symmetric under y -> -y):
+    # oracle-compare runs and sweep fills its oracle_value column, with the
+    # outputs of {"1": 2.0}.
     outputs = []
     for name, y0_modes in (("plain", {"1": 2.0}), ("spelled", modes)):
         cfg = write_config(tmp_path, name=f"{name}.json", grid={"ell": 1.0, "n": 31}, nt=60,
@@ -325,6 +327,24 @@ def test_step_count_rule_from_dt(tmp_path, dt):
         else:
             nt = read_summary(out)["diagnostics"]["nt"]
         assert nt == expected, command
+
+
+@pytest.mark.parametrize("command, experiment", [
+    ("simulate", {"horizon": 1e10}),
+    ("minnorm", {"T": 1e10}),
+    ("gradcheck", {"T": 1e10, "pairs": 1}),
+])
+def test_step_count_from_an_overflowing_ratio_is_clipped(tmp_path, command, experiment):
+    # T / dt overflows to inf, which round() refuses: the ratio is clipped
+    # to 2000 before rounding.
+    cfg = write_config(tmp_path, grid={"ell": 1.0, "n": 15}, nt=None, dt=1e-300,
+                       experiment=experiment)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    if command == "minnorm":
+        assert len((out / "control_norms.csv").read_text().splitlines()) == 1 + 2000
+    else:
+        assert read_summary(out)["diagnostics"]["nt"] == 2000
 
 
 @pytest.mark.parametrize("command, updates, message", [

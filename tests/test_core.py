@@ -156,6 +156,20 @@ def test_target_ball_requires_positive_radius():
         TargetBall(-1.0)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1e300, math.nan])
+def test_target_ball_refuses_a_feasibility_slack_outside_zero_and_one(eps):
+    # r(1 - eps_feas_rel), the oracle's early-stop radius, is 0 from 1 on.
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+        TargetBall(0.5, eps_feas_rel=eps)
+
+
+def test_target_ball_acceptance_radius():
+    ball = TargetBall(0.5, eps_feas_rel=1e-2)
+    assert ball.rho == 0.5 * (1.0 + 1e-2)
+    assert ball.reaches(0.5 + 1e-2 * 0.5) and not ball.reaches(0.506)
+    assert TargetBall(0.5).eps_feas_rel == 1e-3
+
+
 def test_control_signal_masks_off_region():
     g = SpatialGrid.build(n=9, ell=1.0, omega=(0.3, 0.8))
     rng = np.random.default_rng(2)

@@ -67,6 +67,22 @@ def test_scalar_minimal_time_vanishes_for_huge_thrust():
     assert scalar_minimal_time(INST, 1e9) < 1e-8
 
 
+@pytest.mark.parametrize("T", [1e-300, 1e-16])
+def test_scalar_minimal_norm_keeps_its_digits_at_short_horizons(T):
+    # 1 - exp(-lam*T) cancels to 0 below T ~ 1e-17 (a ZeroDivisionError) and
+    # was 1.2% low at 1e-16; the value tends to (a0 - r)/T.
+    target = (INST.a0 - INST.r) / T
+    assert scalar_minimal_norm(INST, T) == pytest.approx(target, rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [1e17, 1e300])
+def test_scalar_minimal_time_keeps_its_digits_at_large_bounds(M):
+    # log((a0 + M/lam)/(r + M/lam)) was 50% high at 1e17 and 0 at 1e300; the
+    # value tends to (a0 - r)/M.
+    target = (INST.a0 - INST.r) / M
+    assert scalar_minimal_time(INST, M) == pytest.approx(target, rel=1e-12)
+
+
 def test_scalar_values_monotone():
     times = [scalar_minimal_time(INST, m) for m in (0.0, 1.0, 5.0, 25.0, 125.0)]
     assert all(b < a for a, b in zip(times, times[1:]))

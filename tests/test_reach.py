@@ -38,7 +38,6 @@ from heatctl.reach import (
     dual_bound_enclosure,
     dual_pair,
     masked_costate,
-    reaches_ball,
     reaction_costate_bounds,
 )
 from heatctl.solvers import free_decay_time
@@ -181,12 +180,6 @@ def test_min_terminal_norm_argument_checks():
         ReachOptions(max_iters=0)
 
 
-def test_reach_options_refuse_a_feasibility_slack_of_one():
-    # r(1 - eps_feas_rel), the oracle's early-stop radius, is 0 from 1 on.
-    with pytest.raises(ValueError, match="below 1"):
-        ReachOptions(eps_feas_rel=1.0)
-
-
 # ---------------------------------------------------------------------------
 # Gradient verification
 
@@ -289,7 +282,7 @@ def test_bangbang_ray_reaches_the_ball_within_the_bound(f, g):
             if u is None:
                 continue
             assert (u.nt, u.dt) == (nt, c * gamma / nt)
-            assert reaches_ball(float(solve_forward(y0, u, f, g).norms[-1]), BALL)
+            assert BALL.reaches(float(solve_forward(y0, u, f, g).norms[-1]))
             level = float(np.max(u.step_norms()))
             np.testing.assert_allclose(u.step_norms(), level, rtol=1e-12)
             assert dual_lower_bound(free, BALL) <= level <= M * (1.0 + 1e-12)
@@ -307,7 +300,7 @@ def test_bangbang_ray_is_the_zero_control_when_the_free_run_reaches(solve_calls)
     u = bangbang_ray(free, BALL, 5.0)
     assert (u.nt, u.dt) == (60, 1.1 * gamma / 60) and not u.values.any()
     assert solve_calls.forward == [] and solve_calls.adjoint == []
-    assert reaches_ball(float(solve_forward(y0, u, F_TANH, SMALL).norms[-1]), BALL)
+    assert BALL.reaches(float(solve_forward(y0, u, F_TANH, SMALL).norms[-1]))
 
 
 def test_warm_start_with_another_step_count_is_refused():
@@ -333,7 +326,7 @@ def test_degenerate_costate_skips_the_bangbang_start():
     # the dual pair and the bang-bang ray have no direction to follow either,
     # so a minimal-norm point falls back to doubling with the oracle, which
     # finds no bound that works
-    assert dual_pair(free, BALL, ReachOptions(), never)[1:] == (math.inf, None)
+    assert dual_pair(free, BALL, never)[1:] == (math.inf, None)
     assert bangbang_ray(free, BALL, 5.0) is None
     with pytest.raises(NoFeasibleBoundError, match=r"norm bound 1\.15e\+18"):
         minimal_norm(T, y0, BALL, F_ZERO, g, nt=nt, gamma_hint=1.0)
@@ -352,7 +345,7 @@ def reference_min_terminal_norm(y0, T, M, ball, f, g, opts=ReachOptions(), nt=30
     dt = T / nt
     h = g.h
     r = ball.r
-    eps_feas = opts.eps_feas_rel * r
+    eps_feas = ball.eps_feas_rel * r
     target_j = 0.5 * max(r - eps_feas, 0.0) ** 2
 
     def objective(traj):
@@ -570,7 +563,7 @@ def test_dual_bound_of_the_free_run_is_the_discrete_one_mode_value(T):
     nt, a0 = 300, 2.0
     dt = T / nt
     q = 1.0 / (1.0 + dt * principal_eigenvalue(GRID))
-    rho = BALL.r * (1.0 + ReachOptions().eps_feas_rel)
+    rho = BALL.r * (1.0 + BALL.eps_feas_rel)
     alpha_d = (q ** nt * a0 - rho) / (dt * sum(q ** j for j in range(1, nt + 1)))
     bound = dual_lower_bound(free_run(Y0, T, nt, F_ZERO, GRID), BALL)
     assert bound <= alpha_d
@@ -606,7 +599,7 @@ def test_dual_bound_is_below_every_feasible_control():
     assert informative >= 15
 
 
-def reference_dual_lower_bound(free, ball, f, g, opts=ReachOptions(), xi=None):
+def reference_dual_lower_bound(free, ball, f, g, xi=None):
     """The bound for f = 0 as it was before reaction terms, kept to check that
     the linear arithmetic did not change; y_free(T) is the closed-form
     ``free.terminal``, and the costates are solved along the simulated run."""
@@ -616,7 +609,7 @@ def reference_dual_lower_bound(free, ball, f, g, opts=ReachOptions(), xi=None):
     else:
         xi = np.asarray(xi, dtype=float)
         norms = step_l2_norms(masked_costate(solve_adjoint(traj, xi, f, g), g), g.h)
-    rho = ball.r * (1.0 + opts.eps_feas_rel)
+    rho = ball.r * (1.0 + ball.eps_feas_rel)
     pairing = g.h * float(y_free @ xi)
     slack = rho * math.sqrt(g.h * float(xi @ xi))
     total = traj.dt * float(np.sum(norms))
@@ -838,10 +831,10 @@ def test_dual_pair_brackets_every_feasible_control(g, y0):
     # lo and none it finds feasible has a step norm below lo.  On the masked
     # grid the steps raise lo above the free run's bound and close the gap.
     nt = 60
-    rho = BALL.r * (1.0 + ReachOptions().eps_feas_rel)
+    rho = BALL.r * (1.0 + BALL.eps_feas_rel)
     for T in (0.03, 0.06, 0.1):
         free = free_run(y0, T, nt, F_ZERO, g)
-        lo, hi, u = dual_pair(free, BALL, ReachOptions(), never)
+        lo, hi, u = dual_pair(free, BALL, never)
         assert (u.nt, u.dt) == (nt, T / nt)
         assert solve_forward(y0, u, F_ZERO, g).norms[-1] <= rho * (1.0 - 0.5 * DUAL_ROUNDING)
         np.testing.assert_allclose(u.step_norms(), hi, rtol=1e-12)
@@ -862,7 +855,7 @@ def test_dual_pair_stops_once_done():
     # rounding margins; done is consulted only with hi finite.
     free = free_run(Y0, 0.06, 60, F_ZERO, GRID)
     seen = []
-    lo, hi, u = dual_pair(free, BALL, ReachOptions(),
+    lo, hi, u = dual_pair(free, BALL,
                           lambda lo, hi: seen.append(hi) or hi - lo <= 1e-3 * hi)
     assert seen == [hi] and math.isfinite(hi) and u is not None
 
@@ -871,16 +864,16 @@ def test_dual_pair_keeps_only_a_control_that_reaches_the_ball(monkeypatch):
     # A negative rounding margin aims the level at a radius outside the
     # ball, so the run that certifies the control misses it.
     free = free_run(Y0_MASKED, 0.06, 60, F_ZERO, MASKED)
-    assert dual_pair(free, BALL, ReachOptions(), never)[2] is not None
+    assert dual_pair(free, BALL, never)[2] is not None
     monkeypatch.setattr(reach, "DUAL_ROUNDING", -1e-2)
-    assert dual_pair(free, BALL, ReachOptions(), never)[1:] == (math.inf, None)
+    assert dual_pair(free, BALL, never)[1:] == (math.inf, None)
 
 
 def test_dual_pair_with_a_reaction_term_is_the_bound_alone(solve_calls):
     free = free_run(Y0_MASKED, 0.06, 60, F_TANH, MASKED)
     free.trajectory  # solved here, before the calls are counted
     del solve_calls.forward[:]
-    pair = dual_pair(free, BALL, ReachOptions(), never)
+    pair = dual_pair(free, BALL, never)
     assert solve_calls.forward == [] and len(solve_calls.adjoint) == 1
     assert pair == (dual_lower_bound(free, BALL), math.inf, None)
 
@@ -893,7 +886,7 @@ def test_linear_free_run_is_read_without_simulating_it(solve_calls, g, y0):
     free = free_run(y0, 0.06, 60, F_ZERO, g)
     assert not free.terminal.flags.writeable
     dual_lower_bound(free, BALL)
-    u = dual_pair(free, BALL, ReachOptions(), never)[2]
+    u = dual_pair(free, BALL, never)[2]
     (simulated, _), = solve_calls.forward
     assert np.array_equal(simulated.values, u.values)
     assert solve_calls.adjoint and all(run is free for run in solve_calls.adjoint)

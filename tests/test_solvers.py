@@ -7,7 +7,7 @@ import pytest
 import heatctl.reach as reach
 import heatctl.solvers as solvers
 from heatctl.core import step_l2_norms
-from heatctl.reach import bangbang_values, is_linear, masked_costate, reaches_ball
+from heatctl.reach import bangbang_values, is_linear, masked_costate
 from heatctl import (
     ControlSignal,
     FreeRun,
@@ -137,7 +137,7 @@ def test_free_run_at_the_free_decay_time_reaches_the_ball():
                           * float(np.sqrt(g.h * y0 @ y0)))
         gamma = free_decay_time(y0, ball, f, g, nt=nt)
         terminal = float(free_run(y0, gamma, nt, f, g).trajectory.norms[-1])
-        assert reaches_ball(terminal, ball), (case, terminal / ball.r)
+        assert ball.reaches(terminal), (case, terminal / ball.r)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +492,7 @@ def assert_certified_point(point, ref, probes, width, y0, f, g, conclusive=True)
     assert point.value == 0.5 * (lo + hi)
     assert 0.0 <= bound <= lo
     u, is_norm = point.control, "doublings" in point.diagnostics
-    assert reaches_ball(float(solve_forward(y0, u, f, g).norms[-1]), BALL)
+    assert BALL.reaches(float(solve_forward(y0, u, f, g).norms[-1]))
     assert u.nt * u.dt == pytest.approx(point.parameter if is_norm else hi, rel=1e-12)
     level = float(np.max(u.step_norms()))
     assert level <= (hi if is_norm else point.parameter) * (1.0 + 1e-12)
@@ -593,25 +593,48 @@ def test_bisection_driver_exhaustion_errors_match_reference_loops():
     assert "norm bound 1.15e+18" in str(new.value)
 
 
-@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
-def test_minimal_time_refuses_a_free_decay_time_that_is_too_short(f, oracle_probes,
+@pytest.mark.parametrize("f, M", [(F_ZERO, 0.01), (F_TANH, 0.01), (F_ZERO, 0.0), (F_TANH, 0.0)],
+                         ids=["zero", "tanh", "zero-M=0", "tanh-M=0"])
+def test_minimal_time_refuses_a_free_decay_time_that_is_too_short(f, M, oracle_probes,
                                                                    solve_calls):
     # The search rests on the zero control reaching the ball at the given
     # free-decay time.  At half the true one the free run misses, so the first
-    # probe raises, after that one free run and before any oracle call.
+    # probe raises, after that one free run and before any oracle call.  So
+    # does M = 0, whose value is that time (it returned it with that control).
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     args = (y0, BALL, f, SMALL_MASKED)
     short = 0.5 * free_decay_time(*args, nt=SMALL_NT)
     del solve_calls.forward[:]
     with pytest.raises(NoFeasibleBoundError) as err:
-        minimal_time(0.01, *args, nt=SMALL_NT, gamma_hint=short)
+        minimal_time(M, *args, nt=SMALL_NT, gamma_hint=short)
     assert oracle_probes == []
     (u, traj), = solve_calls.forward
     assert u.nt * u.dt == pytest.approx(short) and not u.values.any()
     assert str(err.value) == (
-        f"could not certify feasibility near the free-decay time {short:.6g} for M=0.01; "
+        f"could not certify feasibility near the free-decay time {short:.6g} for M={M}; "
         f"the free run ends at norm {float(traj.norms[-1]):.6g} there")
-    assert not reaches_ball(float(traj.norms[-1]), BALL)
+    assert not BALL.reaches(float(traj.norms[-1]))
+
+
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
+@pytest.mark.parametrize("g", [SMALL, SMALL_MASKED], ids=["full", "masked"])
+def test_every_returned_control_reaches_the_ball(f, g):
+    # Each value point's control, simulated again on its own step grid,
+    # reaches the ball: the minimal norm's at horizons on both sides of the
+    # free-decay time, the minimal time's at M = 0 too.
+    y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
+    args = (y0, BALL, f, g)
+    gamma = free_decay_time(*args, nt=SMALL_NT)
+
+    def check(u, horizon):
+        assert (u.nt, u.dt) == (SMALL_NT, horizon / SMALL_NT)
+        assert BALL.reaches(float(solve_forward(y0, u, f, g).norms[-1]))
+
+    for c in (0.5, 1.0, 1.5):
+        check(minimal_norm(c * gamma, *args, nt=SMALL_NT, gamma_hint=gamma).control, c * gamma)
+    for M in (0.0, 5.0, 20.0):
+        point = minimal_time(M, *args, nt=SMALL_NT, gamma_hint=gamma)
+        check(point.control, point.bracket_hi)
 
 
 def test_minimal_norm_refuses_a_free_decay_time_that_is_too_short(oracle_probes, solve_calls):
@@ -630,7 +653,7 @@ def test_minimal_norm_refuses_a_free_decay_time_that_is_too_short(oracle_probes,
     (u, traj), = solve_calls.forward
     assert (u.nt, u.dt) == (SMALL_NT, T / SMALL_NT) and not u.values.any()
     terminal = float(traj.norms[-1])
-    assert not reaches_ball(terminal, BALL)
+    assert not BALL.reaches(terminal)
     assert str(err.value) == (
         f"the zero control does not reach the ball at T={T}, at or past the free-decay "
         f"time {short:.6g}; the free run ends at norm {terminal:.6g}")
@@ -645,7 +668,7 @@ def test_linear_minimal_time_refutes_with_the_pair_before_the_oracle(oracle_prob
     point = minimal_time(50.0, y0, BALL, F_ZERO, g)
     assert oracle_probes == [] and point.diagnostics["oracle_calls"] == 0
     assert point.diagnostics["dual_lower_bound"] == point.bracket_lo
-    assert reaches_ball(float(solve_forward(y0, point.control, F_ZERO, g).norms[-1]), BALL)
+    assert BALL.reaches(float(solve_forward(y0, point.control, F_ZERO, g).norms[-1]))
 
 
 def test_linear_minimal_time_counts_every_probe(solve_calls):
@@ -709,8 +732,7 @@ def test_linear_value_points_raise_no_floating_point_error(omega):
         time_point = minimal_time(5.0, y0, BALL, F_ZERO, g, gamma_hint=gamma)
         norm_point = minimal_norm(0.5 * gamma, y0, BALL, F_ZERO, g, gamma_hint=gamma)
     for point in (time_point, norm_point):
-        assert reaches_ball(float(solve_forward(y0, point.control, F_ZERO, g).norms[-1]),
-                            BALL)
+        assert BALL.reaches(float(solve_forward(y0, point.control, F_ZERO, g).norms[-1]))
 
 
 def test_linear_minimal_time_at_a_huge_bound_is_certified_near_zero():
@@ -724,7 +746,7 @@ def test_linear_minimal_time_at_a_huge_bound_is_certified_near_zero():
     assert point.diagnostics["oracle_calls"] == 0
     u = point.control
     assert u.nt * u.dt == pytest.approx(point.bracket_hi, rel=1e-12)
-    assert reaches_ball(float(solve_forward(y0, u, F_ZERO, SMALL).norms[-1]), BALL)
+    assert BALL.reaches(float(solve_forward(y0, u, F_ZERO, SMALL).norms[-1]))
     assert np.isfinite(u.step_norms()).all()
 
 

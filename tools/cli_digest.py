@@ -4,8 +4,9 @@ Runs each subcommand on each config in a fresh interpreter (``python -m
 heatctl.cli``), adding only the experiment fields the config lacks, plus
 step-count (``dt``), free-decay-edge, masked-control curve, second reaction
 term (``bounded_odd_rational``), initial state off the first mode, other
-spellings of the first mode, tolerance-below-float-spacing, failure and
-refused-config variants.  Prints one line per run:
+spellings of the first mode, tolerance-below-float-spacing, failure,
+refused-config, overflowing step-count, extreme closed-form and
+negative-first-mode variants.  Prints one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
 
@@ -127,6 +128,16 @@ VARIANTS = [
     *[("refused", "linear_equivalence", cmd, [f"r={r}"])
       for r in ("5e-324", "1e-200")
       for cmd in ("gamma", "mintime")],
+    # step counts from a ratio T/dt that overflows to inf
+    *[("overflow", "linear_equivalence", cmd, ["nt=null", "dt=1e-300", f"experiment.{key}=1e10"])
+      for cmd, key in (("minnorm", "T"), ("simulate", "horizon"), ("gradcheck", "T"))],
+    # closed forms at a vanishing horizon and a huge bound
+    ("extreme", "linear_equivalence", "sweep", ["experiment.T_grid=[1e-300]"]),
+    ("extreme", "oracle_compare", "oracle-compare", ["experiment.T_values=[1e-300]"]),
+    ("extreme", "oracle_compare", "oracle-compare", ["experiment.M_values=[1e17]"]),
+    # a negative first-mode coefficient, the mirror image of the closed-form instance
+    *[("negative", "oracle_compare", cmd, ['y0={"modes":{"1":-2.0}}'])
+      for cmd in ("oracle-compare", "sweep")],
 ]
 
 
