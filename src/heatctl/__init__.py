@@ -50,6 +50,7 @@ from .reach import (
 from .solvers import (
     EquivalenceBoundReport,
     EquivalenceTimeReport,
+    Problem,
     ValueCurve,
     ValuePoint,
     bangbang_report,

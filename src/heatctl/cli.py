@@ -26,6 +26,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -53,6 +54,7 @@ from .pde import (
 )
 from .reach import ReachOptions, gradient_fd_check, is_linear
 from .solvers import (
+    Problem,
     ValuePoint,
     _map_points,
     free_decay_time,
@@ -172,10 +174,22 @@ class Setup:
     def steps_for(self, T: float = 1.0) -> int:
         """Time steps per solve over a horizon T: ``nt`` when the config gives
         it, otherwise ``round(T / dt)`` clipped to [200, 2000], the ratio
-        clipped before rounding (it may overflow to inf)."""
-        if self.nt is not None:
-            return self.nt
-        return int(np.clip(round(min(T / self.dt, 2000)), 200, 2000))
+        clipped before rounding (it may overflow to inf).  MemoryError when
+        28 arrays of (nt+1)*n floats (one process held 25) exceed the host."""
+        nt = self.nt if self.nt is not None else int(
+            np.clip(round(min(T / self.dt, 2000)), 200, 2000))
+        try:
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        except (AttributeError, ValueError, OSError):  # not reported here
+            memory = -1
+        if 0 < memory < 28 * (nt + 1) * self.grid.n * 8:
+            raise MemoryError(f"grid.n={self.grid.n} and nt={nt} need more than the host's memory")
+        return nt
+
+    def problem(self, nt: int) -> Problem:
+        """The control problem of this config, solved in nt steps."""
+        return Problem(self.y0, self.ball, self.f, self.grid, nt=nt, tol_t=self.tol_t,
+                       tol_m=self.tol_m, opts=self.opts)
 
 
 def _is_number(value, integer: bool = False) -> bool:
@@ -473,37 +487,33 @@ def _value_point_run(point: ValuePoint, parameter: str, value: str):
 
 def run_minnorm(setup: Setup):
     T = _require_number(setup.experiment, "T")
-    point = minimal_norm(T, setup.y0, setup.ball, setup.f, setup.grid,
-                         tol_M=setup.tol_m, opts=setup.opts, nt=setup.steps_for(T))
+    point = minimal_norm(setup.problem(setup.steps_for(T)), T)
     return _value_point_run(point, "T", "alpha")
 
 
 def run_mintime(setup: Setup):
     M = _require_number(setup.experiment, "M", sign="nonnegative")
-    point = minimal_time(M, setup.y0, setup.ball, setup.f, setup.grid,
-                         tol_T=setup.tol_t, opts=setup.opts, nt=setup.steps_for())
+    point = minimal_time(setup.problem(setup.steps_for()), M)
     return _value_point_run(point, "M", "tau")
 
 
 def run_equivalence(setup: Setup):
     T_grid = _number_list(setup.experiment, "T_grid", "positive", allow_empty=True)
     M_grid = _number_list(setup.experiment, "M_grid", "nonnegative", allow_empty=True)
-    nt = setup.steps_for()
-    gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
-    _refuse_horizons_past("T_grid", T_grid, gamma, "the free-decay time")
-    args = (setup.y0, setup.ball, setup.f, setup.grid)
-    kwargs = dict(tol_M=setup.tol_m, tol_T=setup.tol_t, opts=setup.opts, nt=nt,
-                  gamma_hint=gamma)
+    problem = setup.problem(setup.steps_for())
+    _refuse_horizons_past("T_grid", T_grid, problem.gamma, "the free-decay time")
 
     # Each round trip returns its report's fields but the two value points:
     # their names are the keys of the record written below.
     def round_trip(job):
         kind, x = job
         verify = verify_equivalence_time if kind == "time" else verify_equivalence_bound
-        rep = verify(x, *args, **kwargs)
+        rep = verify(problem, x)
         return {key: value for key, value in vars(rep).items()
                 if not isinstance(value, ValuePoint)}
 
+    if T_grid or M_grid:
+        problem.zero  # every round trip reads it: certified here once, not in each worker
     records = _map_points(round_trip, [("time", T) for T in T_grid]
                           + [("bound", M) for M in M_grid])
     time_reports, bound_reports = records[:len(T_grid)], records[len(T_grid):]
@@ -512,7 +522,7 @@ def run_equivalence(setup: Setup):
             + [["bound", r["M"], r["tau"], r["roundtrip"], r["relative_residual"]]
                for r in bound_reports])
     outputs = {
-        "gamma": gamma,
+        "gamma": problem.gamma,
         "time_roundtrips": time_reports,
         "bound_roundtrips": bound_reports,
         "max_time_residual": max((r["residual"] for r in time_reports), default=0.0),
@@ -520,7 +530,7 @@ def run_equivalence(setup: Setup):
                                   default=0.0),
     }
     header = ["kind", "param", "value", "roundtrip", "residual"]
-    return outputs, {"nt": nt}, {"equivalence.csv": (header, rows)}
+    return outputs, {"nt": problem.nt}, {"equivalence.csv": (header, rows)}
 
 
 def run_sweep(setup: Setup):
@@ -574,22 +584,22 @@ def run_oracle_compare(setup: Setup):
         raise ConfigError(["experiment: oracle-compare needs M_values and/or T_values"])
     _refuse_horizons_past("T_values", T_values, inst.free_decay_time,
                           "the closed-form free-decay time")
-    nt = setup.steps_for()
-    gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
-    specs = {"minimal_time": (minimal_time, setup.tol_t, scalar_minimal_time),
-             "minimal_norm": (minimal_norm, setup.tol_m, scalar_minimal_norm)}
+    problem = setup.problem(setup.steps_for())
+    specs = {"minimal_time": (minimal_time, scalar_minimal_time),
+             "minimal_norm": (minimal_norm, scalar_minimal_norm)}
 
     # Each point returns only the scalars written below, not its control.
     def compare(job):
         kind, x = job
-        solve, tol, closed_form = specs[kind]
-        point = solve(x, setup.y0, setup.ball, setup.f, setup.grid, tol,
-                      opts=setup.opts, nt=nt, gamma_hint=gamma)
+        solve, closed_form = specs[kind]
+        point = solve(problem, x)
         target = closed_form(inst, x)
         gap = abs(point.value - target) / max(abs(target), 1e-300)
         return {"kind": kind, "parameter": x,
                 "solver": point.value, "oracle": target, "rel_gap": gap}
 
+    if M_values:
+        problem.zero  # every minimal time reads it: certified here once, not in each worker
     records = _map_points(compare, [("minimal_time", M) for M in M_values]
                           + [("minimal_norm", T) for T in T_values])
     rows = [[r["kind"], r["parameter"], r["solver"], r["oracle"], r["rel_gap"]]
@@ -597,10 +607,10 @@ def run_oracle_compare(setup: Setup):
     outputs = {
         "rows": records,
         "max_rel_gap": max((r["rel_gap"] for r in records), default=0.0),
-        "gamma": gamma,
+        "gamma": problem.gamma,
     }
     header = ["kind", "param", "solver", "oracle", "rel_gap"]
-    return outputs, {"nt": nt}, {"oracle_compare.csv": (header, rows)}
+    return outputs, {"nt": problem.nt}, {"oracle_compare.csv": (header, rows)}
 
 
 def run_gradcheck(setup: Setup):

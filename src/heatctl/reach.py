@@ -242,9 +242,9 @@ class FreeRun:
 def free_run(y0: np.ndarray, T: float, nt: int, f: NonlinearitySpec,
              g: SpatialGrid) -> FreeRun:
     """The :class:`FreeRun` of a read-only copy of y0, of shape (g.n,), over
-    (0, T], T > 0, in nt steps; solves nothing."""
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    (0, T], 0 < T < inf, in nt steps; solves nothing."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     y0 = np.array(y0, dtype=float)
     if y0.shape != (g.n,):
         raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({g.n},)")

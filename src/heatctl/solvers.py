@@ -26,20 +26,19 @@ and the oracle read a horizon's one :class:`heatctl.reach.FreeRun`.
   the pair has a control (f = 0, as a rule); otherwise it first doubles from
   1 until the oracle finds a feasible bound, giving up, with the last upper
   end named, before the next would pass ``MAX_NORM_BOUND``.
-* The minimal time searches (0, gamma], gamma the free-decay time: it first
-  checks that the zero control reaches the ball at gamma, which counts as
-  its first probe, and raises :class:`NoFeasibleBoundError` otherwise.  A
-  first search refutes each horizon whose free run's bound exceeds M; with
-  a reaction term the ray decides the others, a miss counting as infeasible
-  for this search only, and for f = 0 they stay open, so the search finds
-  where the bound crosses M.  A second search then steps down from an upper
-  end known to be feasible, probing one given horizon first, and halves; its
-  probes are refuted by the bound, settled or refuted by the pair (f = 0),
-  or else decided by the oracle.  For f = 0 it steps down from gamma with
-  the zero control, the crossing first.  With a reaction term it runs only
-  when the lower end is a miss, and steps down from the ray's upper end, the
-  miss first, which the oracle confirms warm-started from the ray's control:
-  one oracle call per point, as a rule.
+* The minimal time searches (0, gamma], gamma the free-decay time, whose
+  zero control the :class:`Problem` certifies once, which counts as its
+  first probe.  A first search refutes each horizon whose free run's bound
+  exceeds M; with a reaction term the ray decides the others, a miss
+  counting as infeasible for this search only, and for f = 0 they stay open,
+  so the search finds where the bound crosses M.  A second search then steps
+  down from an upper end known to be feasible, probing one given horizon
+  first, and halves; its probes are refuted by the bound, settled or refuted
+  by the pair (f = 0), or else decided by the oracle.  For f = 0 it steps
+  down from gamma with the zero control, the crossing first.  With a
+  reaction term it runs only when the lower end is a miss, and steps down
+  from the ray's upper end, the miss first, which the oracle confirms
+  warm-started from the ray's control: one oracle call per point, as a rule.
 
   Each horizon's bound is first enclosed without a solve
   (:func:`heatctl.reach.dual_bound_enclosure`): the horizon is refuted when
@@ -74,12 +73,13 @@ ray-decided ones and the upper end's certificate included.  A point's
 ``bracket_lo`` is an infeasible oracle probe or its bound, never a ray's
 miss, and its ``bracket_hi`` a feasible probe whose control it returns.
 
-The points of a curve are independent of each other once the free-decay time
-is known, so :func:`minimal_time_curve` and :func:`minimal_norm_curve` solve
-them in forked worker processes (:func:`_map_points`): one worker per CPU
-this process may run on, at most one per point, and none when that makes
-fewer than two, when another thread is running, or when a function of the
-point's modules has been patched in place (a call recorder or a tracer).
+The value functions take one :class:`Problem`.  The points of a curve are
+independent of each other given it, so :func:`minimal_time_curve` and
+:func:`minimal_norm_curve` solve them in forked worker processes
+(:func:`_map_points`): one worker per CPU this process may run on, at most
+one per point, and none when that makes fewer than two, when another
+thread is running, or when a function of the point's modules has been
+patched in place (a call recorder or a tracer).
 Each point runs the same code on the same inputs as in the serial loop, so
 the results are identical; ``taskset -c 0`` forces a serial run.  The
 brute-force bracket of :mod:`heatctl.oracle` maps its chunks of candidates
@@ -94,7 +94,7 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -308,6 +308,48 @@ def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One control problem: y0, the ball, f and g, solved in nt steps with
+    the value functions' tolerances and the oracle's budget.  It keeps a
+    read-only copy of y0 and the free-decay time ``gamma``, found unless
+    given (ValueError when 0 or not finite), and certifies ``zero`` lazily."""
+
+    y0: np.ndarray
+    ball: TargetBall
+    f: NonlinearitySpec
+    g: SpatialGrid
+    nt: int = 300
+    tol_t: float = 1e-3
+    tol_m: float = 1e-3
+    opts: ReachOptions = ReachOptions()
+    gamma: float | None = None
+
+    def __post_init__(self):
+        y0 = np.array(self.y0, dtype=float)
+        y0.setflags(write=False)
+        gamma = (free_decay_time(y0, self.ball, self.f, self.g, nt=self.nt)
+                 if self.gamma is None else self.gamma)
+        if not 0.0 < gamma < math.inf:
+            raise ValueError("the initial state is in the target ball: gamma is 0" if gamma == 0
+                             else f"free-decay time must be positive and finite, got {gamma}")
+        self.__dict__.update(y0=y0, gamma=gamma)  # frozen: bypass __setattr__
+
+    @cached_property
+    def zero(self) -> ControlSignal:
+        """The zero control, certified at gamma when first read, or NoFeasibleBoundError."""
+        run, zero = accept(self.free_run(self.gamma), self.ball)
+        if zero is None:
+            raise NoFeasibleBoundError(
+                f"could not certify feasibility near the free-decay time {self.gamma:.6g}; "
+                f"the free run ends at norm {run.norms[-1]:.6g} there")
+        return zero
+
+    def free_run(self, T: float) -> reach.FreeRun:
+        """The :class:`heatctl.reach.FreeRun` over (0, T]; solves nothing."""
+        return free_run(self.y0, T, self.nt, self.f, self.g)
+
+
 def _bisect(probe, log: list, lo: float, hi: float, control: ControlSignal | None,
             width, first: float | None = None) -> tuple[float, float, ControlSignal | None]:
     """Narrow a certified bracket of a monotone probe, called as
@@ -369,23 +411,18 @@ class _Decided(NamedTuple):
 MAX_NORM_BOUND = 2.0 ** 60
 
 
-def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
-                 g: SpatialGrid, tol_M: float = 1e-3,
-                 opts: ReachOptions = ReachOptions(), nt: int = 300,
-                 gamma_hint: float | None = None) -> ValuePoint:
+def minimal_norm(problem: Problem, T: float) -> ValuePoint:
     """Smallest pointwise norm bound whose controls reach the ball at time T.
 
-    For T at or beyond the free-decay time the value is 0 with the zero
-    control, once the free run reaches the ball (else, as with a short
-    ``gamma_hint``, :class:`NoFeasibleBoundError`).  Otherwise the search
-    starts from the free run's dual pair, or doubles its upper end from 1
-    without the pair's control (module docstring), and bisection stops once
-    the bracket width is below tol_M*(1 + upper).
+    At or past the free-decay time it is 0 with the zero control, once the
+    free run reaches the ball (else :class:`NoFeasibleBoundError`).
+    Otherwise the search starts from the free run's dual pair, or doubles its
+    upper end from 1 without the pair's control (module docstring), and
+    bisection stops once the bracket width is below tol_m*(1 + upper).
     """
-    free = free_run(y0, T, nt, f, g)
-    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
+    free, ball, gamma = problem.free_run(T), problem.ball, problem.gamma
     if T >= gamma:
-        run, zero = accept(free, ball)
+        run, zero = (None, problem.zero) if T == gamma else accept(free, ball)
         if zero is None:
             raise NoFeasibleBoundError(
                 f"the zero control does not reach the ball at T={T}, at or past the "
@@ -393,14 +430,14 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
         return _point(T, 0.0, 0.0, zero, [], gamma, 0.0)
 
     def width(hi):
-        return tol_M * (1.0 + hi)
+        return problem.tol_m * (1.0 + hi)
 
     bound, level, control = dual_pair(free, ball, lambda lo, hi: hi - lo <= width(hi))
 
     def probe(M, warm_start=None):
         if M < bound:
             return _Decided(False)
-        return min_terminal_norm(free, M, ball, opts, warm_start=warm_start)
+        return min_terminal_norm(free, M, ball, problem.opts, warm_start=warm_start)
 
     doublings = 0
     if control is not None:
@@ -418,39 +455,26 @@ def minimal_norm(T: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     return _point(T, lo, hi, control, log, gamma, bound, doublings=doublings)
 
 
-def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
-                 g: SpatialGrid, tol_T: float = 1e-3,
-                 opts: ReachOptions = ReachOptions(), nt: int = 300,
-                 gamma_hint: float | None = None) -> ValuePoint:
-    """Smallest time at which controls bounded pointwise by M reach the ball.
+def minimal_time(problem: Problem, M: float) -> ValuePoint:
+    """Smallest time at which controls bounded pointwise by M >= 0 reach the ball.
 
-    The zero control must reach the ball at the free-decay time (checked
-    first, raising :class:`NoFeasibleBoundError` when the free run misses, as
-    with a ``gamma_hint`` shorter than the free-decay time).  M = 0
-    degenerates to that time.  Otherwise bisect on the horizon over (0,
-    free-decay time], whose upper end that check certifies.  The dual bound,
-    enclosed without a solve where that decides, refutes horizons, and the
-    bang-bang ray (a reaction term) or the dual pair at the crossing (f = 0)
-    settles the others (module docstring);
+    M = 0 gives the free-decay time with the problem's zero control.
+    Otherwise bisect on the horizon over (0, free-decay time], whose upper
+    end that control certifies, to a width of tol_t times the free-decay
+    time.  The dual bound, enclosed without a solve where that decides,
+    refutes horizons, and the bang-bang ray (a reaction term) or the dual
+    pair at the crossing (f = 0) settles the others (module docstring);
     feasibility is monotone in the horizon because the ball is invariant
     under free decay.
-    tol_T is relative to the free-decay time.
     """
-    if M < 0.0:
+    if not M >= 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
-    y0 = np.asarray(y0, dtype=float)
-    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
-    # The zero control reaches the ball at gamma: for M > 0 the upper end, the first probe.
-    run, zero = accept(free_run(y0, gamma, nt, f, g), ball)
-    if zero is None:
-        raise NoFeasibleBoundError(
-            f"could not certify feasibility near the free-decay time {gamma:.6g} "
-            f"for M={M}; the free run ends at norm {run.norms[-1]:.6g} there")
+    ball, f, gamma, zero = problem.ball, problem.f, problem.gamma, problem.zero
     if M == 0.0:
         return _point(M, gamma, gamma, zero, [], gamma, 0.0)
 
     def width(hi):
-        return tol_T * gamma
+        return problem.tol_t * gamma
 
     refuted = [0.0]
     # The last horizon the bound left open and nothing settled, with its free
@@ -460,7 +484,7 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
     def bounded(T):
         """Whether T's dual bound exceeds M, and T's free run, which for f = 0
         is never simulated here."""
-        free = free_run(y0, T, nt, f, g)
+        free = problem.free_run(T)
         lo, hi = dual_bound_enclosure(free, ball)
         if lo <= M < hi:
             lo = dual_lower_bound(free, ball)
@@ -494,7 +518,7 @@ def minimal_time(M: float, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec
             if bound > M:
                 refuted.append(T)
                 return _Decided(False)
-        return min_terminal_norm(free, M, ball, opts, warm_start=warm_start)
+        return min_terminal_norm(free, M, ball, problem.opts, warm_start=warm_start)
 
     log = [_Decided(True, zero)]
     lo, hi, control = _bisect(probe, log, 0.0, gamma, zero, width)
@@ -532,27 +556,19 @@ class EquivalenceTimeReport:
     time_point: ValuePoint
 
 
-def verify_equivalence_time(T: float, y0: np.ndarray, ball: TargetBall,
-                            f: NonlinearitySpec, g: SpatialGrid,
-                            tol_M: float = 1e-3, tol_T: float = 1e-3,
-                            opts: ReachOptions = ReachOptions(), nt: int = 300,
-                            gamma_hint: float | None = None) -> EquivalenceTimeReport:
+def verify_equivalence_time(problem: Problem, T: float) -> EquivalenceTimeReport:
     """|minimal_time(minimal_norm(T)) - T|, plus the hitting time of the
     minimal-norm control extended by zero past its horizon."""
-    y0 = np.asarray(y0, dtype=float)
-    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
-    np_point = minimal_norm(T, y0, ball, f, g, tol_M=tol_M, opts=opts, nt=nt,
-                            gamma_hint=gamma)
-    tp_point = minimal_time(np_point.value, y0, ball, f, g, tol_T=tol_T, opts=opts,
-                            nt=nt, gamma_hint=gamma)
+    np_point = minimal_norm(problem, T)
+    tp_point = minimal_time(problem, np_point.value)
     residual = abs(tp_point.value - T)
 
-    ctrl = np_point.control
-    extra = max(nt // 2, 1)
+    ctrl, g = np_point.control, problem.g
+    extra = max(problem.nt // 2, 1)
     extended = np.vstack([ctrl.values, np.zeros((extra, g.n))])
-    traj = solve_forward(y0, ControlSignal(dt=ctrl.dt, nt=ctrl.nt + extra,
-                                           values=extended, grid=g), f, g)
-    ext_hit = hitting_time(traj, ball)
+    traj = solve_forward(problem.y0, ControlSignal(dt=ctrl.dt, nt=ctrl.nt + extra,
+                                                   values=extended, grid=g), problem.f, g)
+    ext_hit = hitting_time(traj, problem.ball)
     ext_residual = None if ext_hit is None else abs(ext_hit - T)
     return EquivalenceTimeReport(T=T, alpha=np_point.value,
                                  roundtrip=tp_point.value, residual=residual,
@@ -575,24 +591,16 @@ class EquivalenceBoundReport:
     norm_point: ValuePoint
 
 
-def verify_equivalence_bound(M: float, y0: np.ndarray, ball: TargetBall,
-                             f: NonlinearitySpec, g: SpatialGrid,
-                             tol_M: float = 1e-3, tol_T: float = 1e-3,
-                             opts: ReachOptions = ReachOptions(), nt: int = 300,
-                             gamma_hint: float | None = None) -> EquivalenceBoundReport:
+def verify_equivalence_bound(problem: Problem, M: float) -> EquivalenceBoundReport:
     """|minimal_norm(minimal_time(M)) - M| / max(M, 1), plus a check that the
     time-optimal control, over its own horizon, is norm-feasible at level M."""
-    y0 = np.asarray(y0, dtype=float)
-    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
-    tp_point = minimal_time(M, y0, ball, f, g, tol_T=tol_T, opts=opts, nt=nt,
-                            gamma_hint=gamma)
-    np_point = minimal_norm(tp_point.value, y0, ball, f, g, tol_M=tol_M, opts=opts,
-                            nt=nt, gamma_hint=gamma)
+    tp_point = minimal_time(problem, M)
+    np_point = minimal_norm(problem, tp_point.value)
     residual = abs(np_point.value - M) / max(M, 1.0)
 
     max_norm = float(np.max(tp_point.control.step_norms()))
-    terminal = float(solve_forward(y0, tp_point.control, f, g).norms[-1])
-    restriction_ok = max_norm <= M * (1.0 + 1e-6) + 1e-300 and ball.reaches(terminal)
+    terminal = float(solve_forward(problem.y0, tp_point.control, problem.f, problem.g).norms[-1])
+    restriction_ok = max_norm <= M * (1.0 + 1e-6) + 1e-300 and problem.ball.reaches(terminal)
     return EquivalenceBoundReport(M=M, tau=tp_point.value, roundtrip=np_point.value,
                                   relative_residual=residual,
                                   restricted_max_norm=max_norm,
@@ -613,16 +621,15 @@ def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
     M_grid = [float(m) for m in M_grid]
     if not M_grid or any(b <= a for a, b in zip(M_grid, M_grid[1:])):
         raise ValueError("norm-bound grid must be nonempty and strictly increasing")
-    y0 = np.asarray(y0, dtype=float)
-    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
-    points = tuple(_map_points(partial(minimal_time, y0=y0, ball=ball, f=f, g=g, tol_T=tol_T,
-                                       opts=opts, nt=nt, gamma_hint=gamma), M_grid))
+    problem = Problem(y0, ball, f, g, nt=nt, tol_t=tol_T, opts=opts, gamma=gamma_hint)
+    problem.zero  # certified here once, not in each forked worker
+    points = tuple(_map_points(partial(minimal_time, problem), M_grid))
     values = [p.value for p in points]
     strictly_decreasing = all(b < a for a, b in zip(values, values[1:]))
     return ValueCurve(points=points, monotone=strictly_decreasing,
-                      diagnostics={"free_decay_time": gamma,
-                                   "first_value_over_free_decay": values[0] / gamma,
-                                   "last_value_over_free_decay": values[-1] / gamma})
+                      diagnostics={"free_decay_time": problem.gamma,
+                                   "first_value_over_free_decay": values[0] / problem.gamma,
+                                   "last_value_over_free_decay": values[-1] / problem.gamma})
 
 
 def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
@@ -638,18 +645,15 @@ def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
     T_grid = [float(t) for t in T_grid]
     if not T_grid or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
         raise ValueError("horizon grid must be nonempty and strictly increasing")
-    y0 = np.asarray(y0, dtype=float)
-    gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
-    if T_grid[0] <= 0.0 or T_grid[-1] > gamma * (1.0 + 1e-9):
-        raise ValueError(
-            f"horizon grid must lie in (0, {gamma:.6g}] (the free-decay time)"
-        )
-    points = tuple(_map_points(partial(minimal_norm, y0=y0, ball=ball, f=f, g=g, tol_M=tol_M,
-                                       opts=opts, nt=nt, gamma_hint=gamma), T_grid))
+    problem = Problem(y0, ball, f, g, nt=nt, tol_m=tol_M, opts=opts, gamma=gamma_hint)
+    if T_grid[0] <= 0.0 or T_grid[-1] > problem.gamma * (1.0 + 1e-9):
+        raise ValueError(f"horizon grid must lie in (0, {problem.gamma:.6g}] "
+                         "(the free-decay time)")
+    points = tuple(_map_points(partial(minimal_norm, problem), T_grid))
     values = [p.value for p in points]
     non_increasing = all(b <= a for a, b in zip(values, values[1:]))
     return ValueCurve(points=points, monotone=non_increasing,
-                      diagnostics={"free_decay_time": gamma})
+                      diagnostics={"free_decay_time": problem.gamma})
 
 
 # The functions of the modules a value point runs through, as imported.

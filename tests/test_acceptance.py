@@ -17,6 +17,7 @@ import pytest
 
 from heatctl import (
     ControlSignal,
+    Problem,
     ScalarInstance,
     SpatialGrid,
     TargetBall,
@@ -73,23 +74,18 @@ def gamma_tanh():
 @pytest.fixture(scope="module")
 def roundtrips_linear(gamma_linear):
     gamma = gamma_linear
-    times = [verify_equivalence_time(c * gamma, Y0, BALL, F_ZERO, GRID,
-                                     gamma_hint=gamma)
-             for c in (0.3, 0.5, 0.7, 0.9)]
-    bounds = [verify_equivalence_bound(M, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma)
-              for M in (1.0, 3.0, 10.0, 30.0)]
+    problem = Problem(Y0, BALL, F_ZERO, GRID, gamma=gamma)
+    times = [verify_equivalence_time(problem, c * gamma) for c in (0.3, 0.5, 0.7, 0.9)]
+    bounds = [verify_equivalence_bound(problem, M) for M in (1.0, 3.0, 10.0, 30.0)]
     return times, bounds
 
 
 @pytest.fixture(scope="module")
 def roundtrips_tanh(gamma_tanh):
     gamma = gamma_tanh
-    times = [verify_equivalence_time(c * gamma, Y0_MASKED, BALL, F_TANH, MASKED,
-                                     gamma_hint=gamma)
-             for c in (0.3, 0.5, 0.7, 0.9)]
-    bounds = [verify_equivalence_bound(M, Y0_MASKED, BALL, F_TANH, MASKED,
-                                       gamma_hint=gamma)
-              for M in (1.0, 3.0, 10.0, 30.0)]
+    problem = Problem(Y0_MASKED, BALL, F_TANH, MASKED, gamma=gamma)
+    times = [verify_equivalence_time(problem, c * gamma) for c in (0.3, 0.5, 0.7, 0.9)]
+    bounds = [verify_equivalence_bound(problem, M) for M in (1.0, 3.0, 10.0, 30.0)]
     return times, bounds
 
 
@@ -167,17 +163,18 @@ def test_criterion_3_closed_form_agreement(gamma_linear):
 
     gaps = []
     ok = True
+    problem = Problem(Y0, BALL, F_ZERO, GRID, gamma=gamma_linear)
     for M in (1.0, 10.0, 100.0):
         target = scalar_minimal_time(INST, M)
         assert abs(dense_thrust_run(-M, target) - INST.r) < 1e-8
-        point = minimal_time(M, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_linear)
+        point = minimal_time(problem, M)
         gap = abs(point.value - target) / target
         gaps.append(gap)
         ok = ok and gap <= 0.02
     for T in (0.03, 0.07, 0.1):
         target = scalar_minimal_norm(INST, T)
         assert abs(dense_thrust_run(-target, T) - INST.r) < 1e-8
-        point = minimal_norm(T, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_linear)
+        point = minimal_norm(problem, T)
         gap = abs(point.value - target) / target
         gaps.append(gap)
         ok = ok and gap <= 0.02
@@ -213,9 +210,10 @@ def test_criterion_5_monotonicity_and_limits():
                                Y0, BALL, F_TANH, GRID)
     values = [p.value for p in curve.points]
     strict = all(b < a for a, b in zip(values, values[1:]))
-    small = minimal_time(0.01, Y0, BALL, F_TANH, GRID, gamma_hint=gamma)
+    problem = Problem(Y0, BALL, F_TANH, GRID, gamma=gamma)
+    small = minimal_time(problem, 0.01)
     small_gap = abs(small.value - gamma) / gamma
-    large = minimal_time(1000.0, Y0, BALL, F_TANH, GRID, gamma_hint=gamma)
+    large = minimal_time(problem, 1000.0)
     ok = strict and small_gap <= 0.02 and large.value <= 0.02 * gamma
     report(5, ok,
            f"monotone limits: strictly decreasing {strict}, "
@@ -271,14 +269,14 @@ def test_criterion_6_bangbang_controls(roundtrips_linear, roundtrips_tanh):
 
 def test_criterion_7_bruteforce_brackets(gamma_linear):
     started = time.perf_counter()
-    point_lin = minimal_norm(0.1, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_linear)
+    point_lin = minimal_norm(Problem(Y0, BALL, F_ZERO, GRID, gamma=gamma_linear), 0.1)
     bracket_lin = bruteforce_minimal_norm_bracket(
         Y0, 0.1, 1, 1, np.linspace(-4.5, 4.5, 19),
         [3.0, 3.5, 4.0, 4.5], F_ZERO, GRID, BALL)
     lin_ok = (bracket_lin.lower is not None and bracket_lin.upper is not None
               and bracket_lin.lower < point_lin.value <= bracket_lin.upper)
 
-    point_tanh = minimal_norm(0.1, Y0, BALL, F_TANH, GRID)
+    point_tanh = minimal_norm(Problem(Y0, BALL, F_TANH, GRID), 0.1)
     bracket_tanh = bruteforce_minimal_norm_bracket(
         Y0, 0.1, 2, 2, np.arange(-4.0, 4.5, 0.5),
         [2.5, 3.0, 3.5, 4.0], F_TANH, GRID, BALL, n_steps=60)

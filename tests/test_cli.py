@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -369,13 +370,21 @@ def test_failed_computation_exits_with_one_line(tmp_path, capsys, command, updat
     assert not out.exists()
 
 
-def test_state_array_too_large_to_allocate_exits_with_one_line(tmp_path, capsys):
+def test_state_array_too_large_to_allocate_exits_with_one_line(tmp_path, capsys, monkeypatch):
     # numpy refuses the (nt, n) arrays of 10^12 steps (924 TiB) before
-    # touching memory; that exited with a traceback.
+    # touching memory; that exited with a traceback.  Where sysconf reports
+    # the host's memory (1 TiB here), the step count is refused before numpy
+    # is asked.
     out = tmp_path / "out"
     config = Path(__file__).resolve().parents[1] / "configs" / "linear_equivalence.json"
-    assert main(["equivalence", "--config", str(config), "--out", str(out),
-                 "--override", "nt=1000000000000"]) == EXIT_FAILED
+    argv = ["equivalence", "--config", str(config), "--out", str(out),
+            "--override", "nt=1000000000000"]
+    host_memory(monkeypatch, 2 ** 40)
+    assert main(argv) == EXIT_FAILED
+    assert capsys.readouterr().err == (
+        "failed: grid.n=127 and nt=1000000000000 need more than the host's memory\n")
+    host_memory(monkeypatch, None)
+    assert main(argv) == EXIT_FAILED
     err = capsys.readouterr().err
     assert err.startswith("failed: ") and "Unable to allocate" in err
     assert err.count("\n") == 1
@@ -678,3 +687,50 @@ def test_config_and_output_errors_are_one_line_exit_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# 28 arrays of (nt+1)*n floats on LINEAR_CONFIG's grid: what one process is allowed.
+PER_PROCESS = 28 * 301 * 127 * 8
+EVERY_FIELD = {"horizon": 0.1, "T": 0.05, "M": 5.0, "T_grid": [0.05], "M_grid": [5.0],
+               "M_values": [10.0], "T_values": [0.07], "pairs": 2}
+
+
+def host_memory(monkeypatch, memory):
+    """Make ``os.sysconf`` report ``memory`` bytes of physical memory, or
+    lack the names when memory is None."""
+    def sysconf(name):
+        if memory is None:
+            raise ValueError("unrecognized configuration name")
+        return {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}[name]
+    monkeypatch.setattr(os, "sysconf", sysconf)
+
+
+@pytest.mark.parametrize("command", list(HANDLERS))
+def test_a_run_too_large_for_the_host_is_refused_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                                   solve_calls, command):
+    # gamma with grid.n = 1000000 was killed (exit 137, no stderr line): numpy
+    # allocated arrays the host could not hold.  Each handler's step count now
+    # checks the arrays of one process against the host.
+    host_memory(monkeypatch, PER_PROCESS - 1)
+    cfg = write_config(tmp_path, experiment=EVERY_FIELD)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_FAILED
+    assert capsys.readouterr().err == (
+        "failed: grid.n=127 and nt=300 need more than the host's memory\n")
+    assert not out.exists() and not solve_calls.forward
+
+
+@pytest.mark.parametrize("command", ["simulate", "gamma", "minnorm", "mintime", "gradcheck"])
+def test_a_run_that_does_not_fork_fits_in_one_process_share(tmp_path, monkeypatch, use_cpus,
+                                                           command):
+    # These handlers never fork, so the CPUs they might fork to do not count.
+    use_cpus(64)
+    host_memory(monkeypatch, PER_PROCESS)
+    cfg = write_config(tmp_path, experiment=EVERY_FIELD)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_the_memory_check_is_skipped_where_the_host_does_not_report_it(tmp_path, monkeypatch):
+    host_memory(monkeypatch, None)
+    cfg = write_config(tmp_path)
+    assert main(["gamma", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK

@@ -139,19 +139,23 @@ def test_unpicklable_failure_is_raised_by_name(use_cpus):
 
 
 def failing_curve():
-    """A tanh curve whose points all fail at their first probe: at a
-    free-decay time that is too short the free run misses the ball."""
-    f, g = INSTANCES["tanh-masked"]
+    """A linear minimal-norm curve whose points all fail, and its first
+    horizon: on these short horizons control on (0.1, 0.4) cannot bring the
+    state outside it into the ball at any bound, so each point's doubling
+    gives up."""
+    f, g = make_nonlinearity("zero"), SpatialGrid.build(n=31, ell=1.0, omega=(0.1, 0.4))
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
-    short = 0.5 * free_decay_time(y0, BALL, f, g, nt=NT)
-    return partial(minimal_time_curve, [0.01, 0.02], y0, BALL, f, g, nt=NT, gamma_hint=short)
+    gamma = free_decay_time(y0, BALL, f, g, nt=NT)
+    horizons = [0.05 * gamma, 0.1 * gamma]
+    curve = partial(minimal_norm_curve, horizons, y0, BALL, f, g, nt=NT, gamma_hint=gamma)
+    return curve, horizons[0]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_failing_curve_names_its_first_failing_point(use_cpus, cpus):
-    curve = failing_curve()
+    curve, first = failing_curve()
     use_cpus(cpus)
-    with pytest.raises(NoFeasibleBoundError, match="for M=0.01;"):
+    with pytest.raises(NoFeasibleBoundError, match=f"at T={re.escape(str(first))}$"):
         curve()
     assert multiprocessing.active_children() == []
 
@@ -159,7 +163,7 @@ def test_failing_curve_names_its_first_failing_point(use_cpus, cpus):
 def test_failed_pooled_curve_leaves_no_cycle(use_cpus, heatctl_frames_in_cycles):
     # the raised error's traceback holds _map_points' frame, which must not
     # hold the error in turn
-    curve = failing_curve()
+    curve, _ = failing_curve()
     use_cpus(2)
 
     def run():

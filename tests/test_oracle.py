@@ -9,6 +9,7 @@ import pytest
 from heatctl import (
     EnumerationBudgetError,
     NonlinearitySpec,
+    Problem,
     ScalarInstance,
     SolverDivergenceError,
     SpatialGrid,
@@ -145,7 +146,7 @@ def test_bruteforce_bracket_contains_solver_value():
     levels = [3.0, 3.5, 4.0, 4.5]
     bracket = bruteforce_minimal_norm_bracket(
         Y0, 0.1, 1, 1, np.linspace(-4.5, 4.5, 19), levels, F_ZERO, GRID, BALL)
-    point = minimal_norm(0.1, Y0, BALL, F_ZERO, GRID)
+    point = minimal_norm(Problem(Y0, BALL, F_ZERO, GRID), 0.1)
     assert bracket.lower < point.value <= bracket.upper
 
 
@@ -177,7 +178,7 @@ def test_bruteforce_two_mode_nonlinear_bracket():
     levels = [2.0, 3.0, 4.0]
     bracket = bruteforce_minimal_norm_bracket(
         Y0, 0.1, 2, 2, amp, levels, f_tanh, GRID, BALL, n_steps=80)
-    point = minimal_norm(0.1, Y0, BALL, f_tanh, GRID)
+    point = minimal_norm(Problem(Y0, BALL, f_tanh, GRID), 0.1)
     assert bracket.lower is not None and bracket.upper is not None
     assert bracket.lower < point.value <= bracket.upper
 

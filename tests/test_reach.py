@@ -10,6 +10,7 @@ from heatctl import (
     DegenerateCostateError,
     DimensionMismatchError,
     NoFeasibleBoundError,
+    Problem,
     ScalarInstance,
     SpatialGrid,
     TargetBall,
@@ -180,6 +181,14 @@ def test_min_terminal_norm_argument_checks():
         ReachOptions(max_iters=0)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
+def test_free_run_refuses_a_horizon_outside_the_positive_floats(T):
+    # nan and inf reached the solves: scipy refused a NaN array, or the
+    # search diverged
+    with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {T}"):
+        free_run(Y0, T, 300, F_ZERO, GRID)
+
+
 # ---------------------------------------------------------------------------
 # Gradient verification
 
@@ -329,7 +338,7 @@ def test_degenerate_costate_skips_the_bangbang_start():
     assert dual_pair(free, BALL, never)[1:] == (math.inf, None)
     assert bangbang_ray(free, BALL, 5.0) is None
     with pytest.raises(NoFeasibleBoundError, match=r"norm bound 1\.15e\+18"):
-        minimal_norm(T, y0, BALL, F_ZERO, g, nt=nt, gamma_hint=1.0)
+        minimal_norm(Problem(y0, BALL, F_ZERO, g, nt=nt, gamma=1.0), T)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from heatctl import (
     FreeRun,
     NoFeasibleBoundError,
     NonlinearitySpec,
+    Problem,
     ReachOptions,
     ScalarInstance,
     SpatialGrid,
@@ -51,6 +52,11 @@ INST = ScalarInstance(a0=2.0, r=0.5, lam=LAM1)
 @pytest.fixture(scope="module")
 def gamma_zero():
     return free_decay_time(Y0, BALL, F_ZERO, GRID)
+
+
+@pytest.fixture(scope="module")
+def linear(gamma_zero):
+    return Problem(Y0, BALL, F_ZERO, GRID, gamma=gamma_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -93,27 +99,27 @@ def test_free_decay_horizon_cap(monkeypatch):
 # ---------------------------------------------------------------------------
 # Minimal norm
 
-def test_minimal_norm_zero_at_free_decay_time(gamma_zero):
-    point = minimal_norm(gamma_zero, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+def test_minimal_norm_zero_at_free_decay_time(gamma_zero, linear):
+    point = minimal_norm(linear, gamma_zero)
     assert point.value == 0.0
     assert np.all(point.control.values == 0.0)
 
 
-def test_minimal_norm_zero_past_free_decay_time(gamma_zero):
-    point = minimal_norm(2.0 * gamma_zero, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+def test_minimal_norm_zero_past_free_decay_time(gamma_zero, linear):
+    point = minimal_norm(linear, 2.0 * gamma_zero)
     assert point.value == 0.0
 
 
-def test_minimal_norm_matches_closed_form(gamma_zero):
-    point = minimal_norm(0.1, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+def test_minimal_norm_matches_closed_form(linear):
+    point = minimal_norm(linear, 0.1)
     target = scalar_minimal_norm(INST, 0.1)
     assert point.value == pytest.approx(target, rel=0.02)
     assert point.bracket_hi - point.bracket_lo <= 1e-3 * (1.0 + point.bracket_hi)
     assert point.bracket_lo <= point.value <= point.bracket_hi
 
 
-def test_minimal_norm_control_is_certified(gamma_zero):
-    point = minimal_norm(0.07, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+def test_minimal_norm_control_is_certified(linear):
+    point = minimal_norm(linear, 0.07)
     traj = solve_forward(Y0, point.control, F_ZERO, GRID)
     assert traj.norms[-1] <= BALL.r * (1.0 + 1e-3)
     assert np.all(point.control.step_norms() <= point.bracket_hi * (1.0 + 1e-12))
@@ -149,7 +155,7 @@ def test_minimal_norm_point_solves_the_free_run_once(gamma_zero, solve_calls):
     # dt and nt) once, and along the free run the oracle's (tanh) once, on
     # the first oracle call's read.
     T, nt = 0.5 * gamma_zero, 300
-    point = minimal_norm(T, Y0, BALL, F_TANH, GRID)
+    point = minimal_norm(Problem(Y0, BALL, F_TANH, GRID), T)
     assert point.diagnostics["oracle_calls"] > 1
     free = [traj for u, traj in solve_calls.forward
             if u.nt == nt and u.dt == T / nt and not u.values.any()]
@@ -175,7 +181,7 @@ def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls, monkeypatch):
     monkeypatch.setattr(solvers, "bangbang_ray",
                         lambda *args: rays.append(args) or reach.bangbang_ray(*args))
     del solve_calls.forward[:]
-    point = minimal_time(5.0, y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT, gamma_hint=gamma)
+    point = minimal_time(Problem(y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT, gamma=gamma), 5.0)
     assert point.diagnostics["oracle_calls"] == 1
     refuted = point.iterations - 2 - len(rays)
     assert refuted > 0 and point.diagnostics["dual_lower_bound"] > 0.0
@@ -189,27 +195,103 @@ def test_refuted_horizon_solves_no_reaction_adjoint(solve_calls, monkeypatch):
     assert all(f is F_TANH for f in solve_calls.adjoint_reaction)
 
 
-def test_minimal_time_zero_bound_is_free_decay(gamma_zero):
-    point = minimal_time(0.0, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+def test_minimal_time_zero_bound_is_free_decay(gamma_zero, linear):
+    point = minimal_time(linear, 0.0)
     assert point.value == gamma_zero
 
 
-def test_minimal_time_matches_closed_form(gamma_zero):
-    point = minimal_time(10.0, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+def test_minimal_time_matches_closed_form(linear):
+    point = minimal_time(linear, 10.0)
     target = scalar_minimal_time(INST, 10.0)
     assert point.value == pytest.approx(target, rel=0.02)
 
 
-def test_minimal_time_large_bound_goes_fast(gamma_zero):
-    point = minimal_time(100.0, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+def test_minimal_time_large_bound_goes_fast(gamma_zero, linear):
+    point = minimal_time(linear, 100.0)
     assert point.value < 0.25 * gamma_zero
     assert point.value == pytest.approx(scalar_minimal_time(INST, 100.0), rel=0.02)
 
 
-def test_minimal_time_stays_within_free_decay_range(gamma_zero):
+def test_minimal_time_stays_within_free_decay_range(gamma_zero, linear):
     for M in (0.5, 5.0):
-        point = minimal_time(M, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+        point = minimal_time(linear, M)
         assert 0.0 < point.value <= gamma_zero
+
+
+# ---------------------------------------------------------------------------
+# The problem
+
+@pytest.mark.parametrize("f", [F_ZERO, F_TANH], ids=["zero", "tanh"])
+def test_one_problem_certifies_its_zero_control_once(f, solve_calls):
+    # Each minimal time simulated the zero control at gamma again: six runs
+    # for the points below.  The problem runs it once, when it is built, and
+    # every point and round trip takes its zero control.
+    y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
+    gamma = free_decay_time(y0, BALL, f, SMALL_MASKED, nt=SMALL_NT)
+    del solve_calls.forward[:]
+    problem = Problem(y0, BALL, f, SMALL_MASKED, nt=SMALL_NT, gamma=gamma)
+    trips = [verify_equivalence_time(problem, 0.5 * gamma), verify_equivalence_bound(problem, 5.0)]
+    points = [minimal_time(problem, M) for M in (0.0, 1.0, 20.0)]
+    at_gamma = [u for u, _ in solve_calls.forward
+                if (u.nt, u.dt) == (SMALL_NT, gamma / SMALL_NT) and not u.values.any()]
+    assert len(at_gamma) == 1
+    assert points[0].control is problem.zero and points[0].value == gamma
+    assert all(p.diagnostics["free_decay_time"] == gamma
+               for p in points + [trips[0].time_point, trips[1].time_point])
+
+
+def test_problem_keeps_its_own_copy_of_y0():
+    y0 = 2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0]
+    kept = y0.copy()
+    problem = Problem(y0, BALL, F_ZERO, SMALL, nt=SMALL_NT)
+    before = minimal_time(problem, 5.0)
+    y0 *= 10.0
+    assert np.array_equal(problem.y0, kept) and not problem.y0.flags.writeable
+    assert_same_point(minimal_time(problem, 5.0), before)
+    assert problem.gamma == free_decay_time(kept, BALL, F_ZERO, SMALL, nt=SMALL_NT)
+
+
+def test_problem_refuses_an_initial_state_in_the_ball(solve_calls):
+    # minimal_time failed there with free_run's "horizon must be positive,
+    # got 0.0", and minimal_norm returned 0
+    with pytest.raises(ValueError, match="initial state is in the target ball"):
+        Problem(0.3 * E1, BALL, F_ZERO, GRID)
+    assert not solve_calls.forward
+
+
+@pytest.fixture(scope="module")
+def small():
+    return Problem(2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0], BALL, F_ZERO, SMALL,
+                   nt=SMALL_NT)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf], ids=["nan", "inf"])
+def test_minimal_norm_refuses_a_non_finite_horizon(small, T, solve_calls):
+    # scipy raised "array must not contain infs or NaNs" from inside a solve
+    with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {T}"):
+        minimal_norm(small, T)
+    assert not solve_calls.forward
+
+
+@pytest.mark.parametrize("M", [math.nan, -math.inf, -1.0])
+def test_minimal_time_refuses_a_bound_that_is_not_nonnegative(small, M, solve_calls):
+    # M = nan raised SolverDivergenceError ("...reduce dt") from inside a solve
+    with pytest.raises(ValueError, match=f"norm bound must be nonnegative, got {M}"):
+        minimal_time(small, M)
+    assert not solve_calls.forward
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf], ids=["nan", "inf"])
+def test_problem_refuses_a_non_finite_free_decay_time(gamma):
+    with pytest.raises(ValueError,
+                       match=f"free-decay time must be positive and finite, got {gamma}"):
+        Problem(Y0, BALL, F_ZERO, GRID, gamma=gamma)
+
+
+def test_minimal_time_at_an_infinite_bound_keeps_its_certified_bracket(small):
+    point = minimal_time(small, math.inf)
+    assert point.bracket_lo == 0.0 < point.bracket_hi <= 1e-3 * small.gamma
+    assert BALL.reaches(float(solve_forward(small.y0, point.control, F_ZERO, SMALL).norms[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -246,40 +328,36 @@ def test_bangbang_report_zero_control():
         bangbang_report(u, 0.0, 0.05)
 
 
-def test_minimal_norm_control_is_bangbang(gamma_zero):
-    point = minimal_norm(0.1, Y0, BALL, F_ZERO, GRID, gamma_hint=gamma_zero)
+def test_minimal_norm_control_is_bangbang(linear):
+    point = minimal_norm(linear, 0.1)
     assert bangbang_report(point.control, point.value, 0.05) >= 0.95
 
 
 # ---------------------------------------------------------------------------
 # Equivalence round trips
 
-def test_equivalence_time_at_free_decay(gamma_zero):
-    report = verify_equivalence_time(gamma_zero, Y0, BALL, F_ZERO, GRID,
-                                     gamma_hint=gamma_zero)
+def test_equivalence_time_at_free_decay(gamma_zero, linear):
+    report = verify_equivalence_time(linear, gamma_zero)
     assert report.alpha == 0.0
     assert report.residual <= 0.02 * gamma_zero
     assert report.extension_residual <= 0.02 * gamma_zero
 
 
-def test_equivalence_time_linear_instance(gamma_zero):
-    report = verify_equivalence_time(0.1, Y0, BALL, F_ZERO, GRID,
-                                     gamma_hint=gamma_zero)
+def test_equivalence_time_linear_instance(linear):
+    report = verify_equivalence_time(linear, 0.1)
     assert report.residual / report.T <= 0.02
     assert report.extension_residual is not None
     assert report.extension_residual <= 0.02 * report.T
 
 
-def test_equivalence_bound_zero(gamma_zero):
-    report = verify_equivalence_bound(0.0, Y0, BALL, F_ZERO, GRID,
-                                      gamma_hint=gamma_zero)
+def test_equivalence_bound_zero(linear):
+    report = verify_equivalence_bound(linear, 0.0)
     assert report.relative_residual == 0.0
     assert report.roundtrip == 0.0
 
 
-def test_equivalence_bound_linear_instance(gamma_zero):
-    report = verify_equivalence_bound(10.0, Y0, BALL, F_ZERO, GRID,
-                                      gamma_hint=gamma_zero)
+def test_equivalence_bound_linear_instance(linear):
+    report = verify_equivalence_bound(linear, 10.0)
     assert report.relative_residual <= 0.02
     assert report.restriction_ok
     assert report.restricted_max_norm <= 10.0 * (1.0 + 1e-6)
@@ -551,9 +629,10 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
     refutations = []
 
     def check(value_fn, x, reference, width, **kwargs):
-        point = value_fn(x, y0, BALL, f, g, nt=SMALL_NT, **kwargs)
+        point = value_fn(Problem(y0, BALL, f, g, nt=SMALL_NT, gamma=gamma, **kwargs), x)
         ref_probes = []
-        ref = reference(x, y0, BALL, f, g, nt=SMALL_NT, record=ref_probes, **kwargs)
+        ref = reference(x, y0, BALL, f, g, nt=SMALL_NT, gamma_hint=gamma, record=ref_probes,
+                        **kwargs)
         probes = [(M if value_fn is minimal_norm else T, res)
                   for T, M, res in oracle_probes]
         if not is_linear(f) and value_fn is minimal_norm:
@@ -564,19 +643,17 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
         del oracle_probes[:]
         return point
 
-    doublings = [check(minimal_norm, T, reference_minimal_norm, norm_width,
-                       gamma_hint=gamma).diagnostics.get("doublings", 0)
+    doublings = [check(minimal_norm, T, reference_minimal_norm,
+                       norm_width).diagnostics.get("doublings", 0)
                  for T in (0.3 * gamma, 0.7 * gamma, gamma)]
     if not is_linear(f):
         assert doublings[0] > 0
     for M in (0.0, 1.0, 20.0):
-        check(minimal_time, M, reference_minimal_time, time_width, gamma_hint=gamma)
+        check(minimal_time, M, reference_minimal_time, time_width)
     # a short iteration budget leaves some probes inconclusive
     few = ReachOptions(max_iters=5)
-    check(minimal_norm, 0.3 * gamma, reference_minimal_norm, norm_width, opts=few,
-          gamma_hint=gamma)
-    check(minimal_time, 5.0, reference_minimal_time, time_width, opts=few,
-          gamma_hint=gamma)
+    check(minimal_norm, 0.3 * gamma, reference_minimal_norm, norm_width, opts=few)
+    check(minimal_time, 5.0, reference_minimal_time, time_width, opts=few)
     if not is_linear(f):
         assert sum(refutations) > 0
 
@@ -586,7 +663,7 @@ def test_bisection_driver_exhaustion_errors_match_reference_loops():
     args = (y0, BALL, F_TANH, SMALL_MASKED)
     one_step = ReachOptions(max_iters=1)
     with pytest.raises(NoFeasibleBoundError) as new:
-        minimal_norm(0.002, *args, opts=one_step, nt=SMALL_NT)
+        minimal_norm(Problem(*args, nt=SMALL_NT, opts=one_step), 0.002)
     with pytest.raises(NoFeasibleBoundError) as ref:
         reference_minimal_norm(0.002, *args, opts=one_step, nt=SMALL_NT)
     assert str(new.value) == str(ref.value)
@@ -598,20 +675,21 @@ def test_bisection_driver_exhaustion_errors_match_reference_loops():
 def test_minimal_time_refuses_a_free_decay_time_that_is_too_short(f, M, oracle_probes,
                                                                    solve_calls):
     # The search rests on the zero control reaching the ball at the given
-    # free-decay time.  At half the true one the free run misses, so the first
-    # probe raises, after that one free run and before any oracle call.  So
-    # does M = 0, whose value is that time (it returned it with that control).
+    # free-decay time.  At half the true one the free run misses, so the
+    # problem's zero control raises when the point first reads it, after that
+    # one free run and before any oracle call.  So does M = 0, whose value is
+    # that time (it returned it with that control).
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     args = (y0, BALL, f, SMALL_MASKED)
     short = 0.5 * free_decay_time(*args, nt=SMALL_NT)
     del solve_calls.forward[:]
     with pytest.raises(NoFeasibleBoundError) as err:
-        minimal_time(M, *args, nt=SMALL_NT, gamma_hint=short)
+        minimal_time(Problem(*args, nt=SMALL_NT, gamma=short), M)
     assert oracle_probes == []
     (u, traj), = solve_calls.forward
     assert u.nt * u.dt == pytest.approx(short) and not u.values.any()
     assert str(err.value) == (
-        f"could not certify feasibility near the free-decay time {short:.6g} for M={M}; "
+        f"could not certify feasibility near the free-decay time {short:.6g}; "
         f"the free run ends at norm {float(traj.norms[-1]):.6g} there")
     assert not BALL.reaches(float(traj.norms[-1]))
 
@@ -630,25 +708,26 @@ def test_every_returned_control_reaches_the_ball(f, g):
         assert (u.nt, u.dt) == (SMALL_NT, horizon / SMALL_NT)
         assert BALL.reaches(float(solve_forward(y0, u, f, g).norms[-1]))
 
+    problem = Problem(*args, nt=SMALL_NT, gamma=gamma)
     for c in (0.5, 1.0, 1.5):
-        check(minimal_norm(c * gamma, *args, nt=SMALL_NT, gamma_hint=gamma).control, c * gamma)
+        check(minimal_norm(problem, c * gamma).control, c * gamma)
     for M in (0.0, 5.0, 20.0):
-        point = minimal_time(M, *args, nt=SMALL_NT, gamma_hint=gamma)
+        point = minimal_time(problem, M)
         check(point.control, point.bracket_hi)
 
 
 def test_minimal_norm_refuses_a_free_decay_time_that_is_too_short(oracle_probes, solve_calls):
     # Past the given free-decay time the value is 0 only when the zero
-    # control reaches the ball.  With half the true one as the hint, the free
-    # run at 0.6 of the true one misses, so the point raises after that one
-    # free run and before any oracle call (it returned 0 with that control).
+    # control reaches the ball.  With half the true one as the problem's, the
+    # free run at 0.6 of the true one misses, so the point raises after that
+    # one free run and before any oracle call (it returned 0 with that control).
     y0 = 2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0]
     args = (y0, BALL, F_ZERO, SMALL)
     gamma = free_decay_time(*args, nt=SMALL_NT)
     T, short = 0.6 * gamma, 0.5 * gamma
     del solve_calls.forward[:]
     with pytest.raises(NoFeasibleBoundError) as err:
-        minimal_norm(T, *args, nt=SMALL_NT, gamma_hint=short)
+        minimal_norm(Problem(*args, nt=SMALL_NT, gamma=short), T)
     assert oracle_probes == []
     (u, traj), = solve_calls.forward
     assert (u.nt, u.dt) == (SMALL_NT, T / SMALL_NT) and not u.values.any()
@@ -659,13 +738,32 @@ def test_minimal_norm_refuses_a_free_decay_time_that_is_too_short(oracle_probes,
         f"time {short:.6g}; the free run ends at norm {terminal:.6g}")
 
 
+def test_a_problem_solves_nothing_it_does_not_read(oracle_probes, solve_calls):
+    # The zero control at the free-decay time is simulated only when a point
+    # reads it: a minimal norm below that time does not, and one at that time
+    # returns it (each simulated it again).  With a too-short free-decay time,
+    # horizons below it are solved as before.
+    y0 = 2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0]
+    args = (y0, BALL, F_ZERO, SMALL)
+    gamma = free_decay_time(*args, nt=SMALL_NT)
+    problem = Problem(*args, nt=SMALL_NT, gamma=gamma)
+    below = minimal_norm(Problem(*args, nt=SMALL_NT, gamma=0.5 * gamma), 0.25 * gamma)
+    assert not any(u.nt * u.dt == pytest.approx(0.5 * gamma) for u, _ in solve_calls.forward)
+    assert_same_point(dataclasses.replace(below, diagnostics={}),
+                      dataclasses.replace(minimal_norm(problem, 0.25 * gamma), diagnostics={}))
+    del solve_calls.forward[:], oracle_probes[:]
+    point = minimal_norm(problem, gamma)
+    assert point.value == 0.0 and point.control is problem.zero
+    assert len(solve_calls.forward) == 1 and oracle_probes == []
+
+
 def test_linear_minimal_time_refutes_with_the_pair_before_the_oracle(oracle_probes):
     # Past the free run's bound crossing, the dual pair's raised lower end
     # exceeds M on every horizon the pair does not reach, so each is refuted
     # without an oracle call (four such calls, each infeasible, before).
     g = SpatialGrid.build(n=127, ell=1.0, omega=(0.3, 0.8))
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
-    point = minimal_time(50.0, y0, BALL, F_ZERO, g)
+    point = minimal_time(Problem(y0, BALL, F_ZERO, g), 50.0)
     assert oracle_probes == [] and point.diagnostics["oracle_calls"] == 0
     assert point.diagnostics["dual_lower_bound"] == point.bracket_lo
     assert BALL.reaches(float(solve_forward(y0, point.control, F_ZERO, g).norms[-1]))
@@ -681,7 +779,7 @@ def test_linear_minimal_time_counts_every_probe(solve_calls):
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT)
     del solve_calls.forward[:]
-    point = minimal_time(1.0, y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT, gamma_hint=gamma)
+    point = minimal_time(Problem(y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT, gamma=gamma), 1.0)
     assert point.diagnostics["oracle_calls"] == 0
     assert point.iterations > 10
     (zero, free_run_at_gamma), (u, _) = solve_calls.forward
@@ -708,12 +806,13 @@ def test_straddled_horizons_solve_the_exact_bound(f, omega, M, monkeypatch):
                         lambda *a: enclosed.append(a) or reach.dual_bound_enclosure(*a))
     monkeypatch.setattr(solvers, "dual_lower_bound",
                         lambda *a: exact.append(a) or reach.dual_lower_bound(*a))
-    point = minimal_time(M, *args, nt=SMALL_NT, gamma_hint=gamma)
+    problem = Problem(*args, nt=SMALL_NT, gamma=gamma)
+    point = minimal_time(problem, M)
     assert 0 < len(exact) < len(enclosed)
     bounds = len(enclosed)
     del exact[:]
     monkeypatch.setattr(solvers, "dual_bound_enclosure", lambda *a: (0.0, math.inf))
-    reference = minimal_time(M, *args, nt=SMALL_NT, gamma_hint=gamma)
+    reference = minimal_time(problem, M)
     assert len(exact) == bounds
     assert dataclasses.replace(point, control=None) == dataclasses.replace(reference,
                                                                            control=None)
@@ -728,9 +827,9 @@ def test_linear_value_points_raise_no_floating_point_error(omega):
     g = SpatialGrid.build(n=127, ell=1.0, omega=omega)
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     with np.errstate(all="raise"):
-        gamma = free_decay_time(y0, BALL, F_ZERO, g)
-        time_point = minimal_time(5.0, y0, BALL, F_ZERO, g, gamma_hint=gamma)
-        norm_point = minimal_norm(0.5 * gamma, y0, BALL, F_ZERO, g, gamma_hint=gamma)
+        problem = Problem(y0, BALL, F_ZERO, g)
+        time_point = minimal_time(problem, 5.0)
+        norm_point = minimal_norm(problem, 0.5 * problem.gamma)
     for point in (time_point, norm_point):
         assert BALL.reaches(float(solve_forward(y0, point.control, F_ZERO, g).norms[-1]))
 
@@ -741,7 +840,7 @@ def test_linear_minimal_time_at_a_huge_bound_is_certified_near_zero():
     # level; the oracle's full-amplitude start at M = 1e300 overflowed.
     y0 = 2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_ZERO, SMALL, nt=SMALL_NT)
-    point = minimal_time(1e300, y0, BALL, F_ZERO, SMALL, nt=SMALL_NT, gamma_hint=gamma)
+    point = minimal_time(Problem(y0, BALL, F_ZERO, SMALL, nt=SMALL_NT, gamma=gamma), 1e300)
     assert point.bracket_lo == 0.0 < point.bracket_hi <= 1e-3 * gamma
     assert point.diagnostics["oracle_calls"] == 0
     u = point.control
@@ -758,10 +857,10 @@ def test_linear_minimal_norm_climb_gives_up_before_it_overflows(oracle_probes):
     # overflow (they did past 1e36), and names the largest bound it probed.
     g = SpatialGrid.build(n=31, ell=1.0, omega=(0.1, 0.4))
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
-    gamma = free_decay_time(y0, BALL, F_ZERO, g, nt=SMALL_NT)
+    problem = Problem(y0, BALL, F_ZERO, g, nt=SMALL_NT)
     for c in (0.05, 0.1):
         with pytest.raises(NoFeasibleBoundError, match="no feasible control") as err:
-            minimal_norm(c * gamma, y0, BALL, F_ZERO, g, nt=SMALL_NT, gamma_hint=gamma)
+            minimal_norm(problem, c * problem.gamma)
         named = float(str(err.value).split("norm bound ")[1].split()[0])
         probed = [M for _, M, _ in oracle_probes]
         assert max(probed) == solvers.MAX_NORM_BOUND
@@ -776,9 +875,10 @@ def test_dual_lower_bound_is_recorded_on_every_point(f):
     args = (y0, BALL, f, SMALL_MASKED)
     gamma = free_decay_time(*args, nt=SMALL_NT)
     kwargs = dict(nt=SMALL_NT, gamma_hint=gamma)
-    trip = verify_equivalence_bound(5.0, *args, **kwargs)
-    points = [minimal_norm(0.5 * gamma, *args, **kwargs), minimal_norm(gamma, *args, **kwargs),
-              minimal_time(0.0, *args, **kwargs), trip.time_point, trip.norm_point,
+    problem = Problem(*args, nt=SMALL_NT, gamma=gamma)
+    trip = verify_equivalence_bound(problem, 5.0)
+    points = [minimal_norm(problem, 0.5 * gamma), minimal_norm(problem, gamma),
+              minimal_time(problem, 0.0), trip.time_point, trip.norm_point,
               *minimal_time_curve([1.0, 20.0], *args, **kwargs).points,
               *minimal_norm_curve([0.3 * gamma], *args, **kwargs).points]
     bounds = [p.diagnostics["dual_lower_bound"] for p in points]
@@ -814,9 +914,9 @@ def test_a_width_below_the_float_spacing_ends_on_adjacent_floats(f, value_fn, mo
     args = (y0, BALL, f, SMALL_MASKED)
     gamma = free_decay_time(*args, nt=SMALL_NT)
     if value_fn == "minimal_time":
-        point = minimal_time(5.0, *args, tol_T=1e-17, nt=SMALL_NT, gamma_hint=gamma)
+        point = minimal_time(Problem(*args, nt=SMALL_NT, tol_t=1e-17, gamma=gamma), 5.0)
     else:
-        point = minimal_norm(0.5 * gamma, *args, tol_M=1e-17, nt=SMALL_NT, gamma_hint=gamma)
+        point = minimal_norm(Problem(*args, nt=SMALL_NT, tol_m=1e-17, gamma=gamma), 0.5 * gamma)
     assert point.bracket_hi == np.nextafter(point.bracket_lo, np.inf)
 
 
@@ -834,7 +934,7 @@ def test_a_missed_lower_end_takes_one_confirming_oracle_call(monkeypatch):
         return res
 
     monkeypatch.setattr(solvers, "min_terminal_norm", recorded)
-    point = minimal_time(5.0, y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT, gamma_hint=gamma)
+    point = minimal_time(Problem(y0, BALL, F_TANH, SMALL_MASKED, nt=SMALL_NT, gamma=gamma), 5.0)
     assert len(calls) == 1 == point.diagnostics["oracle_calls"]
     (T, warm, res), = calls
     assert T == point.bracket_lo and warm is point.control
@@ -852,7 +952,7 @@ def test_a_feasible_confirmation_descends_to_a_certified_lower_end(oracle_probes
     g = SpatialGrid.build(n=31, ell=1.0, omega=(0.1, 0.4))
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_TANH, g, nt=SMALL_NT)
-    point = minimal_time(20.0, y0, BALL, F_TANH, g, nt=SMALL_NT, gamma_hint=gamma)
+    point = minimal_time(Problem(y0, BALL, F_TANH, g, nt=SMALL_NT, gamma=gamma), 20.0)
     probes = [(T, res) for T, _, res in oracle_probes]
     steps = [T for T, _ in probes]
     assert len(probes) == point.diagnostics["oracle_calls"] >= 4
