@@ -43,7 +43,6 @@ from .reach import (
     ReachResult,
     dual_bound_enclosure,
     dual_lower_bound,
-    free_run,
     gradient_fd_check,
     min_terminal_norm,
 )

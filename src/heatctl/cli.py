@@ -57,7 +57,6 @@ from .solvers import (
     Problem,
     ValuePoint,
     _map_points,
-    free_decay_time,
     minimal_norm,
     minimal_norm_curve,
     minimal_time,
@@ -466,9 +465,8 @@ def run_simulate(setup: Setup):
 
 def run_gamma(setup: Setup):
     nt = setup.steps_for()
-    value = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
-    horizon = value * 1.05 if value > 0 else 1.0
-    traj = solve_forward(setup.y0, ControlSignal.zeros(nt, horizon / nt, setup.grid),
+    value = setup.problem(nt).gamma
+    traj = solve_forward(setup.y0, ControlSignal.zeros(nt, value * 1.05 / nt, setup.grid),
                          setup.f, setup.grid)
     rows = [[t, nrm] for t, nrm in zip(traj.times, traj.norms)]
     outputs = {"gamma": value, "radius": setup.ball.r,
@@ -543,7 +541,7 @@ def run_sweep(setup: Setup):
             raise ConfigError([f"experiment.{key}: expected a strictly increasing list"])
     nt = setup.steps_for()
     inst = scalar_instance_for(setup)
-    gamma = free_decay_time(setup.y0, setup.ball, setup.f, setup.grid, nt=nt)
+    gamma = setup.problem(nt).gamma
     if T_grid is not None:
         _refuse_horizons_past("T_grid", T_grid, gamma, "the free-decay time")
         if inst is not None:

@@ -8,10 +8,10 @@ the descent starts from the best of the zero control, a full-amplitude
 control along the costate of the uncontrolled run, and the caller's warm
 start.
 
-One :class:`FreeRun` describes a horizon, and its run, terminal state and
-costate are solved on first read; the oracle reads y0, T, nt, f and g from it
-alone, and a caller that probes many bounds at one horizon passes it to every
-oracle call.  For f = 0 the terminal state y_free(T) is a closed form
+A :class:`FreeRun` is a horizon with its ball, whose run, terminal state and
+costate are solved on first read; the oracle and every certificate below read
+y0, T, nt, f, g and the ball from it alone, so one FreeRun serves every call
+at its horizon.  For f = 0 its terminal state y_free(T) is a closed form
 (:func:`heatctl.pde.linear_free_state`) and the costate needs only the run's
 dt and nt, so what reads only them (the dual bound, its enclosure and the
 dual pair below) simulates no free run; the oracle's zero start does.  The
@@ -37,7 +37,7 @@ same FreeRun gives certificates that need no descent:
 
 Each quantity has one definition here: ``_objective`` is J,
 :func:`masked_costate` its gradient (also the direction of
-:func:`bangbang_values`), and :func:`accept` the run and ``ball.reaches``
+:func:`bangbang_values`), and :func:`accept` the run and ``free.ball.reaches``
 test of every control returned without the oracle.
 
 The step rule is fixed.  The first step is 1/lambda_1, and a rejected step is
@@ -189,8 +189,9 @@ def bangbang_values(masked: np.ndarray, norms: np.ndarray, level: float) -> np.n
 
 @dataclass(frozen=True)
 class FreeRun:
-    """The uncontrolled run from y0 over (0, T] in nt steps of dt = T/nt,
-    with reaction ``f`` on grid ``g``.  ``trajectory`` is the run,
+    """The uncontrolled run from y0, kept as a read-only float copy of shape
+    (g.n,), over (0, T], 0 < T < inf, in nt steps of dt = T/nt, with reaction
+    ``f`` on grid ``g``, towards ``ball``.  ``trajectory`` is the run,
     ``terminal`` its last state, ``masked`` is :func:`masked_costate` for the
     adjoint with terminal datum y(T) and reaction f (the gradient of J at the
     zero control), and ``norms`` its pointwise norm at each step.  Each is
@@ -198,7 +199,7 @@ class FreeRun:
     solve.  For f = 0 (:func:`is_linear`) ``terminal`` is the closed form
     :func:`heatctl.pde.linear_free_state`, and ``masked`` takes its adjoint
     over the run's dt and nt alone, so only a read of ``trajectory``
-    simulates the run.  Built by :func:`free_run`.
+    simulates the run.
     """
 
     y0: np.ndarray
@@ -206,6 +207,17 @@ class FreeRun:
     nt: int
     f: NonlinearitySpec
     g: SpatialGrid
+    ball: TargetBall
+
+    def __post_init__(self):
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.T}")
+        y0 = np.array(self.y0, dtype=float)
+        if y0.shape != (self.g.n,):
+            raise DimensionMismatchError(
+                f"initial state has shape {y0.shape}, expected ({self.g.n},)")
+        y0.setflags(write=False)
+        self.__dict__["y0"] = y0  # frozen: bypass __setattr__
 
     @property
     def dt(self) -> float:
@@ -239,30 +251,17 @@ class FreeRun:
         return norms
 
 
-def free_run(y0: np.ndarray, T: float, nt: int, f: NonlinearitySpec,
-             g: SpatialGrid) -> FreeRun:
-    """The :class:`FreeRun` of a read-only copy of y0, of shape (g.n,), over
-    (0, T], 0 < T < inf, in nt steps; solves nothing."""
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {T}")
-    y0 = np.array(y0, dtype=float)
-    if y0.shape != (g.n,):
-        raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({g.n},)")
-    y0.setflags(write=False)
-    return FreeRun(y0, T, nt, f, g)
-
-
 def is_linear(f: NonlinearitySpec) -> bool:
     """Whether f is the built-in zero reaction, recognised by identity as in
     :mod:`heatctl.pde` (a custom spec that merely has ``kind="zero"`` is not)."""
     return f.f is zero_reaction and f.fprime is zero_reaction
 
 
-def accept(free: FreeRun, ball: TargetBall, values: np.ndarray | None = None
+def accept(free: FreeRun, values: np.ndarray | None = None
            ) -> tuple[StateTrajectory, ControlSignal | None]:
     """The run of the control ``values`` (zero when None: free's cached
     ``trajectory``) from free's y0 on free's step grid, and that control when
-    ``ball.reaches`` accepts the run's terminal norm, else None.  Raises
+    ``free.ball.reaches`` accepts the run's terminal norm, else None.  Raises
     :class:`SolverDivergenceError` when that norm is not finite."""
     if values is None:
         control, run = ControlSignal.zeros(free.nt, free.dt, free.g), free.trajectory
@@ -270,7 +269,7 @@ def accept(free: FreeRun, ball: TargetBall, values: np.ndarray | None = None
         control = ControlSignal(dt=free.dt, nt=free.nt, values=values, grid=free.g)
         run = solve_forward(free.y0, control, free.f, free.g)
     _objective(run)
-    return run, control if ball.reaches(float(run.norms[-1])) else None
+    return run, control if free.ball.reaches(float(run.norms[-1])) else None
 
 
 # Relative margin, on the terms of the bound, for the rounding of the solves.
@@ -304,17 +303,16 @@ def reaction_costate_bounds(norms: np.ndarray, xi_norm: float, dt: float, L: flo
         return np.minimum(norms + (grown - xi_norm * q ** m), grown)
 
 
-def _dual_terms(free: FreeRun, ball: TargetBall, xi: np.ndarray,
-                norms: np.ndarray) -> tuple[float, float]:
+def _dual_terms(free: FreeRun, xi: np.ndarray, norms: np.ndarray) -> tuple[float, float]:
     """N and D of the dual bound N/D at the datum xi, given the step norms of
-    its zero-reaction costate: N = <y_free(T), xi> - rho*||xi||, rho the
+    its zero-reaction costate: N = <y_free(T), xi> - rho*||xi||, rho free's
     ball's, less ``DUAL_ROUNDING`` times the size of its terms;
     D = sum_k dt*b_k, with b_k the norms, for a reaction term widened by
     :func:`reaction_costate_bounds` with ``f.L``."""
     g = free.g
     pairing = g.h * float(free.terminal @ xi)
     xi_norm = math.sqrt(g.h * float(xi @ xi))
-    rho = ball.rho
+    rho = free.ball.rho
     numerator = pairing - rho * xi_norm - DUAL_ROUNDING * (abs(pairing) + rho * xi_norm)
     if not is_linear(free.f):
         norms = reaction_costate_bounds(norms, xi_norm, free.dt, free.f.L, g)
@@ -328,15 +326,15 @@ def _dual_quotient(numerator: float, total: float, vanishing: float = 0.0) -> fl
     return numerator / total if total > 0.0 else vanishing
 
 
-def dual_lower_bound(free: FreeRun, ball: TargetBall, xi: np.ndarray | None = None,
+def dual_lower_bound(free: FreeRun, xi: np.ndarray | None = None,
                      norms: np.ndarray | None = None) -> float:
-    """A norm bound below which no control reaches the ball at free's horizon.
+    """A norm bound below which no control reaches free's ball at its horizon.
 
     Weak duality: let psi be the costate of the terminal datum xi along the
     run of a control v, and b_k >= ||chi_omega psi_k|| at each step.  Every
     control supported on omega whose steps have norm at most M and whose
-    terminal norm is at most rho = ``ball.rho`` (what ``ball.reaches``
-    accepts) satisfies
+    terminal norm is at most rho = ``free.ball.rho`` (what
+    ``free.ball.reaches`` accepts) satisfies
 
         M >= LB(xi) = N(xi) / D(xi) = (<y_free(T), xi> - rho*||xi||) / sum_k dt*b_k,
 
@@ -368,7 +366,7 @@ def dual_lower_bound(free: FreeRun, ball: TargetBall, xi: np.ndarray | None = No
     xi = free.terminal if xi is None else np.asarray(xi, dtype=float)
     if norms is None:
         norms = step_l2_norms(masked_costate(solve_adjoint(free, xi, _ZERO, g), g), g.h)
-    return _dual_quotient(*_dual_terms(free, ball, xi, norms))
+    return _dual_quotient(*_dual_terms(free, xi, norms))
 
 
 # Relative margin of :func:`dual_bound_enclosure` for the rounding of the
@@ -392,8 +390,8 @@ def _first_mode_bracket(free: FreeRun) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(centre - spread, 0.0), centre + spread
 
 
-def dual_bound_enclosure(free: FreeRun, ball: TargetBall) -> tuple[float, float]:
-    """(lo, hi) with lo <= ``dual_lower_bound(free, ball)`` <= hi,
+def dual_bound_enclosure(free: FreeRun) -> tuple[float, float]:
+    """(lo, hi) with lo <= ``dual_lower_bound(free)`` <= hi,
     from free's terminal state xi = y_free(T) (``free.terminal``); solves
     nothing beyond that state, so for f = 0 nothing at all.
 
@@ -412,19 +410,20 @@ def dual_bound_enclosure(free: FreeRun, ball: TargetBall) -> tuple[float, float]
     in floating point, so the enclosure holds the bound as computed.
     """
     lower, upper = _first_mode_bracket(free)
-    return (_dual_quotient(*_dual_terms(free, ball, free.terminal, upper)),
-            _dual_quotient(*_dual_terms(free, ball, free.terminal, lower), math.inf))
+    return (_dual_quotient(*_dual_terms(free, free.terminal, upper)),
+            _dual_quotient(*_dual_terms(free, free.terminal, lower), math.inf))
 
 
 # Most dual steps :func:`dual_pair` takes.
 DUAL_STEPS = 8
 
 
-def _smaller_root(y_free: np.ndarray, s: np.ndarray, ball: TargetBall,
-                  g: SpatialGrid) -> float | None:
-    """The smaller root m of ||y_free + m*s|| = rho(1 - DUAL_ROUNDING), rho the
-    ball's, floored at 0, or None when there is no real root."""
-    c = g.h * float(y_free @ y_free) - (ball.rho * (1.0 - DUAL_ROUNDING)) ** 2
+def _smaller_root(free: FreeRun, s: np.ndarray) -> float | None:
+    """The smaller root m of ||y_free(T) + m*s|| = rho(1 - DUAL_ROUNDING), with
+    y_free(T) = ``free.terminal`` and rho free's ball's, floored at 0, or None
+    when there is no real root."""
+    y_free, g = free.terminal, free.g
+    c = g.h * float(y_free @ y_free) - (free.ball.rho * (1.0 - DUAL_ROUNDING)) ** 2
     a, b = g.h * float(s @ s), g.h * float(y_free @ s)
     disc = b * b - a * c
     q = -b + math.sqrt(disc) if disc >= 0.0 else 0.0
@@ -437,16 +436,16 @@ def _next_datum(xi: np.ndarray, y: np.ndarray, g: SpatialGrid) -> np.ndarray:
     return xi / l2_norm(xi, g) + y / l2_norm(y, g)
 
 
-def dual_pair(free: FreeRun, ball: TargetBall, done) -> tuple[float, float, ControlSignal | None]:
+def dual_pair(free: FreeRun, done) -> tuple[float, float, ControlSignal | None]:
     """A certified bracket (lo, hi) on the minimal norm bound at free's
-    horizon, with a control at level hi that reaches the ball.
+    horizon, with a control at level hi that reaches free's ball.
 
     lo starts at :func:`dual_lower_bound`; with a reaction term that is all
     (:func:`bangbang_ray` is its upper end there).
     For f = 0 each of at most ``DUAL_STEPS`` steps takes the unit bang-bang
     control w of the zero-reaction costate of a datum xi (first y_free(T))
     and its response s from 0; as y(T; m*w) = y_free(T) + m*s, hi drops to
-    the smaller root of ||y_free(T) + m*s|| = ``ball.rho``(1 - DUAL_ROUNDING)
+    the smaller root of ||y_free(T) + m*s|| = ``free.ball.rho``(1 - DUAL_ROUNDING)
     (:func:`_smaller_root`).
     Until ``done(lo, hi)`` holds with hi finite, xi moves towards
     y = y_free(T) + m*s (lo*s without a root) by :func:`_next_datum`, and its
@@ -460,7 +459,7 @@ def dual_pair(free: FreeRun, ball: TargetBall, done) -> tuple[float, float, Cont
     read), one zero-reaction adjoint solve per step after the first, and
     the one forward solve of hi*w.
     """
-    lo = dual_lower_bound(free, ball)
+    lo = dual_lower_bound(free)
     if not is_linear(free.f):
         return lo, math.inf, None
     g, dt, y_free = free.g, free.dt, free.terminal
@@ -469,7 +468,7 @@ def dual_pair(free: FreeRun, ball: TargetBall, done) -> tuple[float, float, Cont
         for _ in range(DUAL_STEPS):
             w = bangbang_values(masked, norms, -1.0)
             s = linear_response(w, dt, g)
-            m = _smaller_root(y_free, s, ball, g)
+            m = _smaller_root(free, s)
             if m is not None and m < hi:
                 hi, ray = m, w
             if hi < math.inf and done(lo, hi):
@@ -477,10 +476,10 @@ def dual_pair(free: FreeRun, ball: TargetBall, done) -> tuple[float, float, Cont
             xi = _next_datum(xi, y_free + (lo if m is None else m) * s, g)
             masked = masked_costate(solve_adjoint(free, xi, _ZERO, g), g)
             norms = step_l2_norms(masked, g.h)
-            lo = max(lo, dual_lower_bound(free, ball, xi, norms))
+            lo = max(lo, dual_lower_bound(free, xi, norms))
     except DegenerateCostateError:
         pass
-    control = None if ray is None else accept(free, ball, hi * ray)[1]
+    control = None if ray is None else accept(free, hi * ray)[1]
     return (lo, math.inf, None) if control is None else (lo, hi, control)
 
 
@@ -488,9 +487,9 @@ def dual_pair(free: FreeRun, ball: TargetBall, done) -> tuple[float, float, Cont
 RAY_STEPS = 2
 
 
-def bangbang_ray(free: FreeRun, ball: TargetBall, M: float) -> ControlSignal | None:
-    """A bang-bang control at a level at most M that reaches the ball at
-    free's horizon, with free's reaction term, or None when none was found.
+def bangbang_ray(free: FreeRun, M: float) -> ControlSignal | None:
+    """A bang-bang control at a level at most M that reaches free's ball at
+    its horizon, with free's reaction term, or None when none was found.
 
     The zero control when the free run reaches the ball.  Otherwise each of
     at most ``RAY_STEPS`` steps takes the unit bang-bang control w of the
@@ -506,18 +505,18 @@ def bangbang_ray(free: FreeRun, ball: TargetBall, M: float) -> ControlSignal | N
     free's step grid; its run is its certificate.  A miss proves nothing.
     None also when a costate has no direction.
     """
-    if (control := accept(free, ball)[1]) is not None:
+    if (control := accept(free)[1]) is not None:
         return control
     y_free, f, g = free.terminal, free.f, free.g
     xi, masked, norms = y_free, free.masked, free.norms
     try:
         for step in range(RAY_STEPS):
             w = bangbang_values(masked, norms, -1.0)
-            best, control = accept(free, ball, M * w)
+            best, control = accept(free, M * w)
             if control is None:
-                m = _smaller_root(y_free, (best.states[-1] - y_free) / M, ball, g)
+                m = _smaller_root(free, (best.states[-1] - y_free) / M)
                 if m is not None and 0.0 < m < M:
-                    run, control = accept(free, ball, m * w)
+                    run, control = accept(free, m * w)
                     best = min(best, run, key=lambda r: r.norms[-1])
             if control is not None:
                 return control
@@ -530,14 +529,13 @@ def bangbang_ray(free: FreeRun, ball: TargetBall, M: float) -> ControlSignal | N
     return None
 
 
-def min_terminal_norm(free: FreeRun, M: float, ball: TargetBall,
-                      opts: ReachOptions = ReachOptions(),
+def min_terminal_norm(free: FreeRun, M: float, opts: ReachOptions = ReachOptions(),
                       warm_start: ControlSignal | None = None) -> ReachResult:
     """Minimize the terminal norm over pointwise-bounded controls at free's
-    horizon (its y0, T, nt, f and g).
+    horizon (its y0, T, nt, f and g), towards free's ball.
 
     Terminates early as feasible once J drops below 0.5*(r - eps_feas_rel*r)^2
-    (the ball's slack), otherwise on stagnation of the projected step or on
+    (free's ball's slack), otherwise on stagnation of the projected step or on
     the iteration budget.
     Backtracking enforces a non-increasing objective sequence, and every
     iteration starts with one adjoint solve, its gradient.
@@ -555,8 +553,8 @@ def min_terminal_norm(free: FreeRun, M: float, ball: TargetBall,
 
     dt = free.dt
     h = g.h
-    r = ball.r
-    target_j = 0.5 * max(r - ball.eps_feas_rel * r, 0.0) ** 2
+    r = free.ball.r
+    target_j = 0.5 * max(r - free.ball.eps_feas_rel * r, 0.0) ** 2
 
     # Starts: zero control, bang-bang against the free costate, and the
     # caller's control (projected); keep the best.
@@ -615,7 +613,7 @@ def min_terminal_norm(free: FreeRun, M: float, ball: TargetBall,
     terminal = float(traj.norms[-1])
     return ReachResult(terminal_norm=terminal,
                        control=ControlSignal(dt=dt, nt=nt, values=v, grid=g),
-                       iterations=iterations, feasible=ball.reaches(terminal),
+                       iterations=iterations, feasible=free.ball.reaches(terminal),
                        converged=converged, objective_history=tuple(history))
 
 

@@ -18,7 +18,8 @@ reaction term with |f'| <= L) refutes every value below its bound.
 Bang-bang controls along the masked costate give upper ends: for f = 0
 :func:`heatctl.reach.dual_pair`, with a reaction term
 :func:`heatctl.reach.bangbang_ray`, whose miss proves nothing.  All of them
-and the oracle read a horizon's one :class:`heatctl.reach.FreeRun`.
+and the oracle read a horizon's one :class:`heatctl.reach.FreeRun`, target
+ball included, which only :meth:`Problem.free_run` builds.
 
 * The minimal norm takes the dual pair of its free run: it refutes every M
   below the lower end and calls the oracle on the others.  It searches
@@ -116,7 +117,6 @@ from .reach import (
     dual_bound_enclosure,
     dual_lower_bound,
     dual_pair,
-    free_run,
     is_linear,
     min_terminal_norm,
 )
@@ -311,7 +311,9 @@ def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
 @dataclass(frozen=True, eq=False)
 class Problem:
     """One control problem: y0, the ball, f and g, solved in nt steps with
-    the value functions' tolerances and the oracle's budget.  It keeps a
+    the value functions' tolerances and the oracle's budget.  It refuses
+    (ValueError naming the field) a tolerance outside (0, inf), an nt that
+    is not a positive int, and a y0 that is not finite, then keeps a
     read-only copy of y0 and the free-decay time ``gamma``, found unless
     given (ValueError when 0 or not finite), and certifies ``zero`` lazily."""
 
@@ -326,7 +328,14 @@ class Problem:
     gamma: float | None = None
 
     def __post_init__(self):
+        for name, tol in (("tol_t", self.tol_t), ("tol_m", self.tol_m)):
+            if not 0.0 < tol < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {tol}")
+        if isinstance(self.nt, bool) or not isinstance(self.nt, (int, np.integer)) or self.nt < 1:
+            raise ValueError(f"nt must be a positive integer, got {self.nt!r}")
         y0 = np.array(self.y0, dtype=float)
+        if not np.isfinite(y0).all():
+            raise ValueError("y0 must be finite")
         y0.setflags(write=False)
         gamma = (free_decay_time(y0, self.ball, self.f, self.g, nt=self.nt)
                  if self.gamma is None else self.gamma)
@@ -338,7 +347,7 @@ class Problem:
     @cached_property
     def zero(self) -> ControlSignal:
         """The zero control, certified at gamma when first read, or NoFeasibleBoundError."""
-        run, zero = accept(self.free_run(self.gamma), self.ball)
+        run, zero = accept(self.free_run(self.gamma))
         if zero is None:
             raise NoFeasibleBoundError(
                 f"could not certify feasibility near the free-decay time {self.gamma:.6g}; "
@@ -347,7 +356,7 @@ class Problem:
 
     def free_run(self, T: float) -> reach.FreeRun:
         """The :class:`heatctl.reach.FreeRun` over (0, T]; solves nothing."""
-        return free_run(self.y0, T, self.nt, self.f, self.g)
+        return reach.FreeRun(self.y0, T, self.nt, self.f, self.g, self.ball)
 
 
 def _bisect(probe, log: list, lo: float, hi: float, control: ControlSignal | None,
@@ -420,9 +429,9 @@ def minimal_norm(problem: Problem, T: float) -> ValuePoint:
     upper end from 1 without the pair's control (module docstring), and
     bisection stops once the bracket width is below tol_m*(1 + upper).
     """
-    free, ball, gamma = problem.free_run(T), problem.ball, problem.gamma
+    free, gamma = problem.free_run(T), problem.gamma
     if T >= gamma:
-        run, zero = (None, problem.zero) if T == gamma else accept(free, ball)
+        run, zero = (None, problem.zero) if T == gamma else accept(free)
         if zero is None:
             raise NoFeasibleBoundError(
                 f"the zero control does not reach the ball at T={T}, at or past the "
@@ -432,12 +441,12 @@ def minimal_norm(problem: Problem, T: float) -> ValuePoint:
     def width(hi):
         return problem.tol_m * (1.0 + hi)
 
-    bound, level, control = dual_pair(free, ball, lambda lo, hi: hi - lo <= width(hi))
+    bound, level, control = dual_pair(free, lambda lo, hi: hi - lo <= width(hi))
 
     def probe(M, warm_start=None):
         if M < bound:
             return _Decided(False)
-        return min_terminal_norm(free, M, ball, problem.opts, warm_start=warm_start)
+        return min_terminal_norm(free, M, problem.opts, warm_start=warm_start)
 
     doublings = 0
     if control is not None:
@@ -469,7 +478,7 @@ def minimal_time(problem: Problem, M: float) -> ValuePoint:
     """
     if not M >= 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
-    ball, f, gamma, zero = problem.ball, problem.f, problem.gamma, problem.zero
+    f, gamma, zero = problem.f, problem.gamma, problem.zero
     if M == 0.0:
         return _point(M, gamma, gamma, zero, [], gamma, 0.0)
 
@@ -485,9 +494,9 @@ def minimal_time(problem: Problem, M: float) -> ValuePoint:
         """Whether T's dual bound exceeds M, and T's free run, which for f = 0
         is never simulated here."""
         free = problem.free_run(T)
-        lo, hi = dual_bound_enclosure(free, ball)
+        lo, hi = dual_bound_enclosure(free)
         if lo <= M < hi:
-            lo = dual_lower_bound(free, ball)
+            lo = dual_lower_bound(free)
         if lo > M:
             refuted.append(T)
         return lo > M, free
@@ -497,7 +506,7 @@ def minimal_time(problem: Problem, M: float) -> ValuePoint:
         if exceeds:
             return _Decided(False)
         if not is_linear(f):
-            control = bangbang_ray(free, ball, M)
+            control = bangbang_ray(free, M)
             if control is not None:
                 return _Decided(True, control)
         left_open.clear()
@@ -512,13 +521,13 @@ def minimal_time(problem: Problem, M: float) -> ValuePoint:
         if exceeds:
             return _Decided(False)
         if is_linear(f):
-            bound, level, control = dual_pair(free, ball, lambda lo, hi: hi <= M or lo > M)
+            bound, level, control = dual_pair(free, lambda lo, hi: hi <= M or lo > M)
             if level <= M:
                 return _Decided(True, control)
             if bound > M:
                 refuted.append(T)
                 return _Decided(False)
-        return min_terminal_norm(free, M, ball, problem.opts, warm_start=warm_start)
+        return min_terminal_norm(free, M, problem.opts, warm_start=warm_start)
 
     log = [_Decided(True, zero)]
     lo, hi, control = _bisect(probe, log, 0.0, gamma, zero, width)

@@ -17,6 +17,7 @@ import pytest
 
 from heatctl import (
     ControlSignal,
+    FreeRun,
     Problem,
     ScalarInstance,
     SpatialGrid,
@@ -26,7 +27,6 @@ from heatctl import (
     control_scaling_gap,
     dirichlet_eigs,
     free_decay_time,
-    free_run,
     gradient_fd_check,
     make_nonlinearity,
     minimal_norm,
@@ -251,8 +251,7 @@ def test_criterion_6_bangbang_controls(roundtrips_linear, roundtrips_tanh):
     at_bound = []
     for point in [rep.time_point for rep in times] + [rep.time_point for rep in bounds]:
         u, M = point.control, point.parameter
-        ray = bangbang_ray(free_run(Y0_MASKED, point.bracket_hi, u.nt, F_TANH, MASKED),
-                           BALL, M)
+        ray = bangbang_ray(FreeRun(Y0_MASKED, point.bracket_hi, u.nt, F_TANH, MASKED, BALL), M)
         if (ray is not None and np.array_equal(ray.values, u.values)
                 and np.max(u.step_norms()) == pytest.approx(M, rel=1e-12)):
             at_bound.append(bangbang_report(u, M, 1e-9))

@@ -7,6 +7,7 @@ from scipy.linalg import cho_solve_banded
 from heatctl import (
     ControlSignal,
     DimensionMismatchError,
+    FreeRun,
     NonlinearitySpec,
     SolverDivergenceError,
     SpatialGrid,
@@ -14,7 +15,6 @@ from heatctl import (
     control_scaling_gap,
     decay_envelope_check,
     dirichlet_eigs,
-    free_run,
     hitting_time,
     l2_norm,
     make_nonlinearity,
@@ -141,7 +141,7 @@ def test_linear_free_state_matches_the_simulated_run(n, omega):
         T = tau * 10.0 ** rng.uniform(-3.0, 0.0)
         with np.errstate(all="raise"):
             closed = linear_free_state(y0, T / nt, nt, g)
-            terminal = free_run(y0, T, nt, F_ZERO, g).terminal
+            terminal = FreeRun(y0, T, nt, F_ZERO, g, TargetBall(0.5)).terminal
         run = solve_forward(y0, ControlSignal.zeros(nt, T / nt, g), F_ZERO, g).states[-1]
         assert l2_norm(closed - run, g) <= 1e-12 * l2_norm(run, g)
         assert np.array_equal(terminal, closed)

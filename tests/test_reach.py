@@ -16,7 +16,6 @@ from heatctl import (
     TargetBall,
     dirichlet_eigs,
     dual_lower_bound,
-    free_run,
     gradient_fd_check,
     make_nonlinearity,
     min_terminal_norm,
@@ -30,6 +29,7 @@ from heatctl.core import step_l2_norms
 from heatctl.pde import diffusion_factor, diffusion_solve
 from heatctl.reach import (
     DUAL_ROUNDING,
+    FreeRun,
     ReachOptions,
     ReachResult,
     _project_values,
@@ -114,69 +114,69 @@ def test_spectral_step_branches(delta, step, expected):
 
 def test_zero_bound_reduces_to_free_run():
     gamma = free_decay_time(Y0, BALL, F_ZERO, GRID)
-    res_short = min_terminal_norm(free_run(Y0, 0.5 * gamma, 300, F_ZERO, GRID), 0.0, BALL)
+    res_short = min_terminal_norm(FreeRun(Y0, 0.5 * gamma, 300, F_ZERO, GRID, BALL), 0.0)
     free = solve_forward(Y0, ControlSignal.zeros(300, 0.5 * gamma / 300, GRID),
                          F_ZERO, GRID)
     assert res_short.terminal_norm == pytest.approx(free.norms[-1], rel=1e-12)
     assert not res_short.feasible
     assert res_short.converged
     assert np.all(res_short.control.values == 0.0)
-    res_long = min_terminal_norm(free_run(Y0, 1.2 * gamma, 300, F_ZERO, GRID), 0.0, BALL)
+    res_long = min_terminal_norm(FreeRun(Y0, 1.2 * gamma, 300, F_ZERO, GRID, BALL), 0.0)
     assert res_long.feasible
 
 
 def test_feasibility_brackets_closed_form_bound():
     # alpha(0.1) is about 3.86 on this instance; 4.0 reaches, 3.5 does not
-    assert min_terminal_norm(free_run(Y0, 0.1, 300, F_ZERO, GRID), 4.0, BALL).feasible
-    assert not min_terminal_norm(free_run(Y0, 0.1, 300, F_ZERO, GRID), 3.5, BALL).feasible
+    assert min_terminal_norm(FreeRun(Y0, 0.1, 300, F_ZERO, GRID, BALL), 4.0).feasible
+    assert not min_terminal_norm(FreeRun(Y0, 0.1, 300, F_ZERO, GRID, BALL), 3.5).feasible
 
 
 def test_feasibility_boundary_matches_closed_form_within_2pct():
     inst = ScalarInstance(a0=2.0, r=0.5, lam=principal_eigenvalue(GRID))
     for T in (0.05, 0.1):
         alpha = scalar_minimal_norm(inst, T)
-        free = free_run(Y0, T, 300, F_ZERO, GRID)
-        assert min_terminal_norm(free, 1.02 * alpha, BALL).feasible
-        assert not min_terminal_norm(free, 0.98 * alpha, BALL).feasible
+        free = FreeRun(Y0, T, 300, F_ZERO, GRID, BALL)
+        assert min_terminal_norm(free, 1.02 * alpha).feasible
+        assert not min_terminal_norm(free, 0.98 * alpha).feasible
 
 
 def test_any_bound_feasible_past_free_decay_time():
     gamma = free_decay_time(Y0_MASKED, BALL, F_TANH, MASKED)
     for M in (0.0, 1.0, 25.0):
-        assert min_terminal_norm(free_run(Y0_MASKED, gamma, 300, F_TANH, MASKED), M, BALL).feasible
+        assert min_terminal_norm(FreeRun(Y0_MASKED, gamma, 300, F_TANH, MASKED, BALL), M).feasible
 
 
 def test_objective_history_non_increasing():
-    res = min_terminal_norm(free_run(Y0_MASKED, 0.06, 300, F_TANH, MASKED), 5.0, BALL)
+    res = min_terminal_norm(FreeRun(Y0_MASKED, 0.06, 300, F_TANH, MASKED, BALL), 5.0)
     hist = res.objective_history
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
 
 def test_result_control_respects_bound():
     M = 3.0
-    res = min_terminal_norm(free_run(Y0_MASKED, 0.08, 300, F_TANH, MASKED), M, BALL)
+    res = min_terminal_norm(FreeRun(Y0_MASKED, 0.08, 300, F_TANH, MASKED, BALL), M)
     assert np.all(res.control.step_norms() <= M * (1.0 + 1e-12))
 
 
 def test_feasibility_monotone_in_bound_and_horizon():
     gamma = free_decay_time(Y0_MASKED, BALL, F_TANH, MASKED)
     T = 0.6 * gamma
-    flags = [min_terminal_norm(free_run(Y0_MASKED, T, 300, F_TANH, MASKED), M, BALL).feasible
+    flags = [min_terminal_norm(FreeRun(Y0_MASKED, T, 300, F_TANH, MASKED, BALL), M).feasible
              for M in (0.5, 2.0, 8.0, 32.0)]
     assert flags == sorted(flags)  # once feasible, stays feasible as M grows
     M = 2.0
-    flags_t = [min_terminal_norm(free_run(Y0_MASKED, t, 300, F_TANH, MASKED), M, BALL).feasible
+    flags_t = [min_terminal_norm(FreeRun(Y0_MASKED, t, 300, F_TANH, MASKED, BALL), M).feasible
                for t in (0.3 * gamma, 0.7 * gamma, gamma)]
     assert flags_t == sorted(flags_t)
 
 
 def test_min_terminal_norm_argument_checks():
     with pytest.raises(ValueError):
-        free_run(Y0, -0.1, 300, F_ZERO, GRID)
+        FreeRun(Y0, -0.1, 300, F_ZERO, GRID, BALL)
     with pytest.raises(DimensionMismatchError):
-        free_run(Y0[:-1], 0.1, 300, F_ZERO, GRID)
+        FreeRun(Y0[:-1], 0.1, 300, F_ZERO, GRID, BALL)
     with pytest.raises(ValueError):
-        min_terminal_norm(free_run(Y0, 0.1, 300, F_ZERO, GRID), -1.0, BALL)
+        min_terminal_norm(FreeRun(Y0, 0.1, 300, F_ZERO, GRID, BALL), -1.0)
     with pytest.raises(ValueError):
         ReachOptions(max_iters=0)
 
@@ -186,7 +186,7 @@ def test_free_run_refuses_a_horizon_outside_the_positive_floats(T):
     # nan and inf reached the solves: scipy refused a NaN array, or the
     # search diverged
     with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {T}"):
-        free_run(Y0, T, 300, F_ZERO, GRID)
+        FreeRun(Y0, T, 300, F_ZERO, GRID, BALL)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +239,11 @@ def test_shared_free_run_keeps_every_bit(f, g, y0, warm):
     T, M, nt = 0.06, 3.0, 120
     ws = (ControlSignal(dt=T / nt, nt=nt, values=np.full((nt, g.n), -2.0), grid=g)
           if warm else None)
-    alone = min_terminal_norm(free_run(y0, T, nt, f, g), M, BALL, warm_start=ws)
-    free = free_run(y0, T, nt, f, g)
+    alone = min_terminal_norm(FreeRun(y0, T, nt, f, g, BALL), M, warm_start=ws)
+    free = FreeRun(y0, T, nt, f, g, BALL)
     free.norms  # read first, as the dual pair reads it
-    min_terminal_norm(free, 2.0 * M, BALL, warm_start=ws)
-    shared = min_terminal_norm(free, M, BALL, warm_start=ws)
+    min_terminal_norm(free, 2.0 * M, warm_start=ws)
+    shared = min_terminal_norm(free, M, warm_start=ws)
     assert alone.iterations > 0
     assert np.array_equal(shared.control.values, alone.control.values)
     for attr in ("terminal_norm", "objective_history", "iterations", "feasible",
@@ -252,7 +252,7 @@ def test_shared_free_run_keeps_every_bit(f, g, y0, warm):
 
 
 def test_free_run_solves_nothing_until_read(solve_calls):
-    free = free_run(Y0_MASKED, 0.06, 60, F_TANH, MASKED)
+    free = FreeRun(Y0_MASKED, 0.06, 60, F_TANH, MASKED, BALL)
     assert solve_calls.forward == [] and solve_calls.adjoint == []
     traj = free.trajectory
     (u, solved), = solve_calls.forward
@@ -285,16 +285,16 @@ def test_bangbang_ray_reaches_the_ball_within_the_bound(f, g):
     gamma = free_decay_time(y0, BALL, f, g, nt=nt)
     levels = []
     for c in (0.2, 0.5, 0.8):
-        free = free_run(y0, c * gamma, nt, f, g)
+        free = FreeRun(y0, c * gamma, nt, f, g, BALL)
         for M in (2.0, 10.0, 50.0):
-            u = bangbang_ray(free, BALL, M)
+            u = bangbang_ray(free, M)
             if u is None:
                 continue
             assert (u.nt, u.dt) == (nt, c * gamma / nt)
             assert BALL.reaches(float(solve_forward(y0, u, f, g).norms[-1]))
             level = float(np.max(u.step_norms()))
             np.testing.assert_allclose(u.step_norms(), level, rtol=1e-12)
-            assert dual_lower_bound(free, BALL) <= level <= M * (1.0 + 1e-12)
+            assert dual_lower_bound(free) <= level <= M * (1.0 + 1e-12)
             levels.append(level / M)
     assert any(x == pytest.approx(1.0, rel=1e-12) for x in levels)
     assert any(x < 0.9 for x in levels)
@@ -303,10 +303,10 @@ def test_bangbang_ray_reaches_the_ball_within_the_bound(f, g):
 def test_bangbang_ray_is_the_zero_control_when_the_free_run_reaches(solve_calls):
     y0 = 2.0 * dirichlet_eigs(SMALL, 1).eigenvectors[0]
     gamma = free_decay_time(y0, BALL, F_TANH, SMALL, nt=60)
-    free = free_run(y0, 1.1 * gamma, 60, F_TANH, SMALL)
+    free = FreeRun(y0, 1.1 * gamma, 60, F_TANH, SMALL, BALL)
     free.trajectory  # solved here, before the calls are counted
     del solve_calls.forward[:], solve_calls.adjoint[:]
-    u = bangbang_ray(free, BALL, 5.0)
+    u = bangbang_ray(free, 5.0)
     assert (u.nt, u.dt) == (60, 1.1 * gamma / 60) and not u.values.any()
     assert solve_calls.forward == [] and solve_calls.adjoint == []
     assert BALL.reaches(float(solve_forward(y0, u, F_TANH, SMALL).norms[-1]))
@@ -315,7 +315,7 @@ def test_bangbang_ray_is_the_zero_control_when_the_free_run_reaches(solve_calls)
 def test_warm_start_with_another_step_count_is_refused():
     ws = ControlSignal(dt=0.06 / 40, nt=40, values=np.full((40, GRID.n), -2.0), grid=GRID)
     with pytest.raises(ValueError, match="warm start has 40 steps, expected 120"):
-        min_terminal_norm(free_run(Y0, 0.06, 120, F_ZERO, GRID), 3.0, BALL, warm_start=ws)
+        min_terminal_norm(FreeRun(Y0, 0.06, 120, F_ZERO, GRID, BALL), 3.0, warm_start=ws)
 
 
 def test_degenerate_costate_skips_the_bangbang_start():
@@ -326,17 +326,17 @@ def test_degenerate_costate_skips_the_bangbang_start():
     assert int(g.omega_mask.sum()) == 1
     y0 = 2.0 * dirichlet_eigs(g, 2).eigenvectors[1]
     T, nt = 0.01, 20
-    free = free_run(y0, T, nt, F_ZERO, g)
+    free = FreeRun(y0, T, nt, F_ZERO, g, BALL)
     with pytest.raises(DegenerateCostateError):
         bangbang_values(free.masked, free.norms, -5.0)
-    res = min_terminal_norm(free, 5.0, BALL)
+    res = min_terminal_norm(free, 5.0)
     assert not res.feasible and res.converged
     assert res.terminal_norm == pytest.approx(float(free.trajectory.norms[-1]), rel=1e-9)
     # the dual pair and the bang-bang ray have no direction to follow either,
     # so a minimal-norm point falls back to doubling with the oracle, which
     # finds no bound that works
-    assert dual_pair(free, BALL, never)[1:] == (math.inf, None)
-    assert bangbang_ray(free, BALL, 5.0) is None
+    assert dual_pair(free, never)[1:] == (math.inf, None)
+    assert bangbang_ray(free, 5.0) is None
     with pytest.raises(NoFeasibleBoundError, match=r"norm bound 1\.15e\+18"):
         minimal_norm(Problem(y0, BALL, F_ZERO, g, nt=nt, gamma=1.0), T)
 
@@ -367,7 +367,7 @@ def reference_min_terminal_norm(y0, T, M, ball, f, g, opts=ReachOptions(), nt=30
                                                          grid=g), f, g))
 
     if free is None and M > 0.0:
-        free = free_run(y0, T, nt, f, g)
+        free = FreeRun(y0, T, nt, f, g, ball)
     v = np.zeros((nt, g.n))
     j, traj = run(v) if free is None else objective(free.trajectory)
     candidates = []
@@ -483,7 +483,7 @@ def test_oracle_matches_reference(f, g, y0, warm):
           if warm else None)
     ref = reference_min_terminal_norm(y0, T, M, BALL, f, g, nt=nt, warm_start=ws)
     assert ref.iterations > 0
-    assert_same_result(min_terminal_norm(free_run(y0, T, nt, f, g), M, BALL, warm_start=ws),
+    assert_same_result(min_terminal_norm(FreeRun(y0, T, nt, f, g, BALL), M, warm_start=ws),
                        ref)
 
 
@@ -494,11 +494,11 @@ def test_oracle_matches_reference(f, g, y0, warm):
 ], ids=["zero-start-wins", "zero-start-wins-shared", "out-of-iterations"])
 def test_oracle_edge_cases_match_reference(case):
     case = dict(case)
-    free = free_run(Y0, case["T"], case["nt"], F_ZERO, GRID)
+    free = FreeRun(Y0, case["T"], case["nt"], F_ZERO, GRID, BALL)
     if case.pop("free", False):
         case["free"] = free
     ref = reference_min_terminal_norm(Y0, **case, ball=BALL, f=F_ZERO, g=GRID)
-    res = min_terminal_norm(free, case["M"], BALL, case.get("opts", ReachOptions()))
+    res = min_terminal_norm(free, case["M"], case.get("opts", ReachOptions()))
     assert_same_result(res, ref)
     if "opts" in case:
         assert res.iterations == 1 and not res.converged
@@ -509,7 +509,7 @@ def test_one_adjoint_per_descent_iteration(solve_calls, monkeypatch, shared):
     # The spectral step uses the gradient that the next iteration solves
     # anyway, so it adds no adjoint solve.
     T, M, nt = 0.06, 3.0, 120
-    free = free_run(Y0_MASKED, T, nt, F_TANH, MASKED)
+    free = FreeRun(Y0_MASKED, T, nt, F_TANH, MASKED, BALL)
     if shared:
         free.masked  # read before the call, as the bang-bang ray reads it
     del solve_calls.adjoint[:]
@@ -520,7 +520,7 @@ def test_one_adjoint_per_descent_iteration(solve_calls, monkeypatch, shared):
         return steps[-1]
 
     monkeypatch.setattr(reach, "_spectral_step", recorded_step)
-    res = min_terminal_norm(free, M, BALL)
+    res = min_terminal_norm(free, M)
     accepted = len(res.objective_history) - 1
     assert accepted >= 3 and len(steps) == accepted - 1
     # the full-amplitude start wins, so the first iteration solves its gradient
@@ -540,8 +540,8 @@ def test_one_adjoint_per_descent_iteration_when_the_zero_start_wins(solve_calls)
     # solves one.
     g = SpatialGrid.build(n=31, ell=1.0, omega=(0.1, 0.4))
     y0 = 2.0 * dirichlet_eigs(g, 1).eigenvectors[0]
-    free = free_run(y0, 0.3 * free_decay_time(y0, BALL, F_ZERO, g, nt=60), 60, F_ZERO, g)
-    res = min_terminal_norm(free, 100.0, BALL)
+    free = FreeRun(y0, 0.3 * free_decay_time(y0, BALL, F_ZERO, g, nt=60), 60, F_ZERO, g, BALL)
+    res = min_terminal_norm(free, 100.0)
     assert res.objective_history[0] == 0.5 * float(free.trajectory.norms[-1]) ** 2
     assert res.iterations >= 2
     assert solve_calls.adjoint[0] is free
@@ -574,7 +574,7 @@ def test_dual_bound_of_the_free_run_is_the_discrete_one_mode_value(T):
     q = 1.0 / (1.0 + dt * principal_eigenvalue(GRID))
     rho = BALL.r * (1.0 + BALL.eps_feas_rel)
     alpha_d = (q ** nt * a0 - rho) / (dt * sum(q ** j for j in range(1, nt + 1)))
-    bound = dual_lower_bound(free_run(Y0, T, nt, F_ZERO, GRID), BALL)
+    bound = dual_lower_bound(FreeRun(Y0, T, nt, F_ZERO, GRID, BALL))
     assert bound <= alpha_d
     assert bound == pytest.approx(alpha_d, rel=1e-8)
 
@@ -588,21 +588,21 @@ def test_dual_bound_is_below_every_feasible_control():
     nt = 60
     informative = 0
     for T in (0.03, 0.06, 0.1):
-        free = free_run(Y0_MASKED, T, nt, F_ZERO, MASKED)
+        free = FreeRun(Y0_MASKED, T, nt, F_ZERO, MASKED, BALL)
         y_free = free.trajectory.states[-1]
         feasible = []
         for M in (5.0, 10.0, 20.0, 40.0, 80.0):
-            res = min_terminal_norm(free, M, BALL)
+            res = min_terminal_norm(free, M)
             if res.feasible:
                 feasible.append(float(np.max(res.control.step_norms())))
             else:
                 y_T = solve_forward(Y0_MASKED, res.control, F_ZERO, MASKED).states[-1]
-                assert dual_lower_bound(free, BALL, xi=y_T) > M
+                assert dual_lower_bound(free, xi=y_T) > M
         assert feasible
         data = [None, y_free, *(y_free + s * rng.standard_normal(MASKED.n)
                                 for s in (0.01, 0.1, 1.0) for _ in range(3))]
         for xi in data:
-            bound = dual_lower_bound(free, BALL, xi=xi)
+            bound = dual_lower_bound(free, xi=xi)
             informative += bound > 0.0
             assert bound <= min(feasible)
     assert informative >= 15
@@ -632,12 +632,12 @@ def reference_dual_lower_bound(free, ball, f, g, xi=None):
 def test_linear_dual_bound_keeps_every_bit(g, y0):
     rng = np.random.default_rng(9)
     for T in (0.03, 0.07, 0.1):
-        free = free_run(y0, T, 60, F_ZERO, g)
+        free = FreeRun(y0, T, 60, F_ZERO, g, BALL)
         y_free = free.trajectory.states[-1]
         data = [None, *(y_free + s * rng.standard_normal(g.n) for s in (0.01, 1.0))]
         for xi in data:
             ref = reference_dual_lower_bound(free, BALL, F_ZERO, g, xi=xi)
-            assert dual_lower_bound(free, BALL, xi=xi) == ref
+            assert dual_lower_bound(free, xi=xi) == ref
         assert reference_dual_lower_bound(free, BALL, F_ZERO, g) > 0.0
 
 
@@ -697,13 +697,13 @@ def test_reaction_dual_bound_refutes_only_infeasible_bounds(f, g, y0):
     nt = 60
     refuted = informative = 0
     for T in (0.03, 0.06, 0.1):
-        free = free_run(y0, T, nt, f, g)
-        bound = dual_lower_bound(free, BALL)
+        free = FreeRun(y0, T, nt, f, g, BALL)
+        bound = dual_lower_bound(free)
         # the bound solves a zero-reaction adjoint, not the run's own costate
         assert "masked" not in vars(free)
         informative += bound > 0.0
         for M in (0.5 * bound, 0.9 * bound, 20.0, 80.0):
-            res = min_terminal_norm(free, M, BALL)
+            res = min_terminal_norm(free, M)
             if res.feasible:
                 assert float(np.max(res.control.step_norms())) >= bound
             if M < bound:
@@ -717,12 +717,12 @@ def test_dual_bound_is_zero_when_the_costate_bound_overflows():
     # floating-point warning or NaN on the way, also at a zero datum.
     f = make_nonlinearity("scaled_tanh", 1e6)
     nt = 300
-    free = free_run(Y0, 0.1, nt, f, GRID)
+    free = FreeRun(Y0, 0.1, nt, f, GRID, BALL)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        assert dual_lower_bound(free, BALL) == 0.0
-        assert dual_lower_bound(free, BALL, xi=Y0) == 0.0
-        assert dual_lower_bound(free, BALL, xi=np.zeros(GRID.n)) == 0.0
+        assert dual_lower_bound(free) == 0.0
+        assert dual_lower_bound(free, xi=Y0) == 0.0
+        assert dual_lower_bound(free, xi=np.zeros(GRID.n)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -748,9 +748,9 @@ def test_dual_bound_enclosure_holds_the_computed_bound(f, g):
         y0 *= rng.uniform(1.0, 8.0) / math.sqrt(g.h * float(y0 @ y0))
         gamma = free_decay_time(y0, BALL, f, g, nt=nt)
         for T in (1e-3 * gamma, gamma * 10.0 ** rng.uniform(-3.0, 0.0), gamma):
-            free = free_run(y0, T, nt, f, g)
-            bound = dual_lower_bound(free, BALL)
-            lo, hi = dual_bound_enclosure(free, BALL)
+            free = FreeRun(y0, T, nt, f, g, BALL)
+            bound = dual_lower_bound(free)
+            lo, hi = dual_bound_enclosure(free)
             assert lo <= bound <= hi, (case, T / gamma, lo, bound, hi)
             positive_lo += lo > 0.0
             finite_hi += hi < math.inf
@@ -774,18 +774,18 @@ def test_dual_bound_enclosure_passes_its_step_norms_through_the_bound(monkeypatc
         y0 *= rng.uniform(2.0, 8.0) / math.sqrt(g.h * float(y0 @ y0))
         gamma = free_decay_time(y0, BALL, f, g, nt=60)
         for T in (0.01 * gamma, 0.3 * gamma):
-            free = free_run(y0, T, 60, f, g)
+            free = FreeRun(y0, T, 60, f, g, BALL)
             norms = step_l2_norms(
                 masked_costate(solve_adjoint(free, free.terminal, F_ZERO, g), g), g.h)
-            bound = dual_lower_bound(free, BALL, norms=norms)
-            assert bound == dual_lower_bound(free, BALL) > 0.0
+            bound = dual_lower_bound(free, norms=norms)
+            assert bound == dual_lower_bound(free) > 0.0
             bracket.append((norms, norms))
-            assert dual_bound_enclosure(free, BALL) == (bound, bound)
+            assert dual_bound_enclosure(free) == (bound, bound)
             for spread in (1e-12, 1e-3, 0.5):
                 lower = norms * (1.0 - spread * rng.uniform(size=norms.size))
                 upper = norms * (1.0 + spread * rng.uniform(size=norms.size))
                 bracket.append((lower, upper))
-                lo, hi = dual_bound_enclosure(free, BALL)
+                lo, hi = dual_bound_enclosure(free)
                 assert lo <= bound <= hi and lo < hi
                 checked += 1
     assert checked == 24
@@ -795,9 +795,9 @@ def test_dual_bound_enclosure_is_tight_on_the_first_mode():
     # y0 = 2e1 on the full grid: xi has no component off e1, so the ends
     # differ only by the slack on the step norms.
     for T in (0.01, 0.05, 0.1):
-        free = free_run(Y0, T, 300, F_ZERO, GRID)
-        lo, hi = dual_bound_enclosure(free, BALL)
-        assert 0.0 < lo <= dual_lower_bound(free, BALL) <= hi <= lo * (1.0 + 1e-4)
+        free = FreeRun(Y0, T, 300, F_ZERO, GRID, BALL)
+        lo, hi = dual_bound_enclosure(free)
+        assert 0.0 < lo <= dual_lower_bound(free) <= hi <= lo * (1.0 + 1e-4)
 
 
 def test_dual_bound_enclosure_off_the_first_mode():
@@ -806,9 +806,9 @@ def test_dual_bound_enclosure_off_the_first_mode():
     # the upper step norms hold up to the slack, so lo is nearly the bound.
     y0 = 2.0 * dirichlet_eigs(GRID, 2).eigenvectors[1]
     for T in (0.005, 0.02):
-        free = free_run(y0, T, 300, F_ZERO, GRID)
-        bound = dual_lower_bound(free, BALL)
-        lo, hi = dual_bound_enclosure(free, BALL)
+        free = FreeRun(y0, T, 300, F_ZERO, GRID, BALL)
+        bound = dual_lower_bound(free)
+        lo, hi = dual_bound_enclosure(free)
         assert bound * (1.0 - 1e-5) <= lo <= bound < hi == math.inf
 
 
@@ -821,9 +821,9 @@ def test_dual_bound_enclosure_is_zero_when_the_bound_is():
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         for y0, T, f in cases:
-            free = free_run(y0, T, 300, f, GRID)
-            assert dual_lower_bound(free, BALL) == 0.0
-            assert dual_bound_enclosure(free, BALL) == (0.0, 0.0)
+            free = FreeRun(y0, T, 300, f, GRID, BALL)
+            assert dual_lower_bound(free) == 0.0
+            assert dual_bound_enclosure(free) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -842,19 +842,19 @@ def test_dual_pair_brackets_every_feasible_control(g, y0):
     nt = 60
     rho = BALL.r * (1.0 + BALL.eps_feas_rel)
     for T in (0.03, 0.06, 0.1):
-        free = free_run(y0, T, nt, F_ZERO, g)
-        lo, hi, u = dual_pair(free, BALL, never)
+        free = FreeRun(y0, T, nt, F_ZERO, g, BALL)
+        lo, hi, u = dual_pair(free, never)
         assert (u.nt, u.dt) == (nt, T / nt)
         assert solve_forward(y0, u, F_ZERO, g).norms[-1] <= rho * (1.0 - 0.5 * DUAL_ROUNDING)
         np.testing.assert_allclose(u.step_norms(), hi, rtol=1e-12)
         assert 0.0 < hi - lo <= 1e-6 * hi
-        bound = dual_lower_bound(free, BALL)
+        bound = dual_lower_bound(free)
         if g is MASKED:
             assert lo > (1.0 + 1e-3) * bound
         else:
             assert lo == pytest.approx(bound, rel=1e-12)
-        below = min_terminal_norm(free, 0.99 * lo, BALL)
-        above = min_terminal_norm(free, 1.01 * hi, BALL)
+        below = min_terminal_norm(free, 0.99 * lo)
+        above = min_terminal_norm(free, 1.01 * hi)
         assert not below.feasible and above.feasible
         assert float(np.max(above.control.step_norms())) >= lo
 
@@ -862,29 +862,28 @@ def test_dual_pair_brackets_every_feasible_control(g, y0):
 def test_dual_pair_stops_once_done():
     # On the full grid the first step already closes the gap to the
     # rounding margins; done is consulted only with hi finite.
-    free = free_run(Y0, 0.06, 60, F_ZERO, GRID)
+    free = FreeRun(Y0, 0.06, 60, F_ZERO, GRID, BALL)
     seen = []
-    lo, hi, u = dual_pair(free, BALL,
-                          lambda lo, hi: seen.append(hi) or hi - lo <= 1e-3 * hi)
+    lo, hi, u = dual_pair(free, lambda lo, hi: seen.append(hi) or hi - lo <= 1e-3 * hi)
     assert seen == [hi] and math.isfinite(hi) and u is not None
 
 
 def test_dual_pair_keeps_only_a_control_that_reaches_the_ball(monkeypatch):
     # A negative rounding margin aims the level at a radius outside the
     # ball, so the run that certifies the control misses it.
-    free = free_run(Y0_MASKED, 0.06, 60, F_ZERO, MASKED)
-    assert dual_pair(free, BALL, never)[2] is not None
+    free = FreeRun(Y0_MASKED, 0.06, 60, F_ZERO, MASKED, BALL)
+    assert dual_pair(free, never)[2] is not None
     monkeypatch.setattr(reach, "DUAL_ROUNDING", -1e-2)
-    assert dual_pair(free, BALL, never)[1:] == (math.inf, None)
+    assert dual_pair(free, never)[1:] == (math.inf, None)
 
 
 def test_dual_pair_with_a_reaction_term_is_the_bound_alone(solve_calls):
-    free = free_run(Y0_MASKED, 0.06, 60, F_TANH, MASKED)
+    free = FreeRun(Y0_MASKED, 0.06, 60, F_TANH, MASKED, BALL)
     free.trajectory  # solved here, before the calls are counted
     del solve_calls.forward[:]
-    pair = dual_pair(free, BALL, never)
+    pair = dual_pair(free, never)
     assert solve_calls.forward == [] and len(solve_calls.adjoint) == 1
-    assert pair == (dual_lower_bound(free, BALL), math.inf, None)
+    assert pair == (dual_lower_bound(free), math.inf, None)
 
 
 @pytest.mark.parametrize("g, y0", [(GRID, Y0), (MASKED, Y0_MASKED)], ids=["full", "masked"])
@@ -892,10 +891,10 @@ def test_linear_free_run_is_read_without_simulating_it(solve_calls, g, y0):
     # For f = 0 the terminal state is closed-form and the costate reads only
     # the run's dt and nt: the dual bound and the dual pair simulate no free
     # run, only the pair's control, once.  The run is simulated when read.
-    free = free_run(y0, 0.06, 60, F_ZERO, g)
+    free = FreeRun(y0, 0.06, 60, F_ZERO, g, BALL)
     assert not free.terminal.flags.writeable
-    dual_lower_bound(free, BALL)
-    u = dual_pair(free, BALL, never)[2]
+    dual_lower_bound(free)
+    u = dual_pair(free, never)[2]
     (simulated, _), = solve_calls.forward
     assert np.array_equal(simulated.values, u.values)
     assert solve_calls.adjoint and all(run is free for run in solve_calls.adjoint)
