@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 invalid config (field-level diagnostics on stderr)
 or an unusable ``--out`` (one ``out:`` line), 3 initial state inside the
 target ball, 4 failed computation (no feasible bound, a diverging solve or
 an array too large to allocate; one ``failed:`` line on stderr).  Every
-handler takes its step count from the one rule in :meth:`Setup.steps_for`.
+handler solves in the config's ``nt`` steps, which :meth:`Setup.steps_for`
+refuses when they would not fit in the host's memory.  A config field outside
+``experiment`` that the parser does not read is a config error.
 ``equivalence`` and ``oracle-compare`` solve their points through
 ``solvers._map_points`` (forked workers, identical outputs), and each worker
 returns only the scalar record written for its point.
@@ -45,15 +47,10 @@ from .core import (
     validate_nonlinearity,
 )
 from .oracle import ScalarInstance, scalar_minimal_norm, scalar_minimal_time
-from .pde import (
-    _sine_vector,
-    decay_envelope_check,
-    hitting_time,
-    principal_eigenvalue,
-    solve_forward,
-)
-from .reach import ReachOptions, gradient_fd_check, is_linear
+from .pde import _sine_vector, decay_envelope_check, hitting_time, principal_eigenvalue
+from .reach import FreeRun, ReachOptions, gradient_fd_check, is_linear
 from .solvers import (
+    DEFAULT_NT,
     Problem,
     ValuePoint,
     _map_points,
@@ -163,32 +160,28 @@ class Setup:
     f: object
     y0: np.ndarray
     ball: TargetBall
-    nt: int | None
-    dt: float | None
+    nt: int
     tol_t: float
     tol_m: float
     opts: ReachOptions
     experiment: dict
 
-    def steps_for(self, T: float = 1.0) -> int:
-        """Time steps per solve over a horizon T: ``nt`` when the config gives
-        it, otherwise ``round(T / dt)`` clipped to [200, 2000], the ratio
-        clipped before rounding (it may overflow to inf).  MemoryError when
-        28 arrays of (nt+1)*n floats (one process held 25) exceed the host."""
-        nt = self.nt if self.nt is not None else int(
-            np.clip(round(min(T / self.dt, 2000)), 200, 2000))
+    def steps_for(self) -> int:
+        """Time steps per solve, ``nt``; MemoryError when 28 arrays of
+        (nt+1)*n floats (one process held 25) exceed the host."""
         try:
             memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         except (AttributeError, ValueError, OSError):  # not reported here
             memory = -1
-        if 0 < memory < 28 * (nt + 1) * self.grid.n * 8:
-            raise MemoryError(f"grid.n={self.grid.n} and nt={nt} need more than the host's memory")
-        return nt
+        if 0 < memory < 28 * (self.nt + 1) * self.grid.n * 8:
+            raise MemoryError(f"grid.n={self.grid.n} and nt={self.nt} need more than the "
+                              "host's memory")
+        return self.nt
 
-    def problem(self, nt: int) -> Problem:
-        """The control problem of this config, solved in nt steps."""
-        return Problem(self.y0, self.ball, self.f, self.grid, nt=nt, tol_t=self.tol_t,
-                       tol_m=self.tol_m, opts=self.opts)
+    def problem(self) -> Problem:
+        """The control problem of this config; :meth:`steps_for` checks its nt first."""
+        return Problem(self.y0, self.ball, self.f, self.grid, nt=self.steps_for(),
+                       tol_t=self.tol_t, tol_m=self.tol_m, opts=self.opts)
 
 
 def _is_number(value, integer: bool = False) -> bool:
@@ -234,22 +227,26 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             errors.extend(exc.errors)
             return None
 
+    # Each field is popped from a copy of its section as it is read, so what
+    # is left at the end is unknown; cfg itself stays as given (it is hashed).
+    top = dict(cfg)
+
     def section(name):
-        value = cfg.get(name)
+        value = top.pop(name, None)
         if value is None:
             return {}
         if not isinstance(value, dict):
             fail(name, f"expected an object, got {value!r}")
             return {}
-        return value
+        return dict(value)
 
     grid_cfg = section("grid")
-    n = number("grid.n", grid_cfg.get("n", 127), integer=True)
-    ell = number("grid.ell", grid_cfg.get("ell", 1.0))
+    n = number("grid.n", grid_cfg.pop("n", 127), integer=True)
+    ell = number("grid.ell", grid_cfg.pop("ell", 1.0))
     if ell is None:
         ell = 1.0
 
-    omega_cfg = cfg.get("omega")
+    omega_cfg = top.pop("omega", None)
     omega = None
     if omega_cfg is not None:
         if (not isinstance(omega_cfg, (list, tuple)) or len(omega_cfg) != 2
@@ -281,8 +278,8 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             grid = None
 
     nl_cfg = section("nonlinearity")
-    kind = nl_cfg.get("kind", "zero")
-    L = number("nonlinearity.L", nl_cfg.get("L", 1.0), sign="nonnegative")
+    kind = nl_cfg.pop("kind", "zero")
+    L = number("nonlinearity.L", nl_cfg.pop("L", 1.0), sign="nonnegative")
     f = None
     if L is not None:
         try:
@@ -290,18 +287,21 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
         except ValueError as exc:
             fail("nonlinearity", str(exc))
 
-    r = number("r", cfg.get("r"))
+    r = number("r", top.pop("r", None))
     if r is not None and r * r / ell < sys.float_info.min:  # h*sum(y_j^2) would underflow
         fail("r", f"{r!r} is too small: r*r/ell is below the smallest normal float")
         r = None
 
     y0 = modes = None
-    y0_cfg = cfg.get("y0")
-    if not isinstance(y0_cfg, dict) or not ({"modes", "file"} & set(y0_cfg)):
-        fail("y0", "expected an object with a 'modes' map or a 'file' path")
+    y0_cfg = top.pop("y0", None)
+    y0_cfg = dict(y0_cfg) if isinstance(y0_cfg, dict) else {}
+    source = {key: y0_cfg.pop(key) for key in ("modes", "file") if key in y0_cfg}
+    if len(source) != 1:
+        fail("y0", "expected a 'modes' map or a 'file' path, not both" if source
+             else "expected an object with a 'modes' map or a 'file' path")
     elif grid is not None:
-        if "modes" in y0_cfg:
-            modes_map = y0_cfg["modes"]
+        if "modes" in source:
+            modes_map = source["modes"]
             try:
                 pairs = sorted((int(k), v) for k, v in modes_map.items())
             except (AttributeError, TypeError, ValueError):
@@ -317,10 +317,10 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
                 with np.errstate(over="ignore", invalid="ignore"):
                     for i, c in modes:
                         y0 += c * _sine_vector(grid, i)
-        elif not isinstance(y0_cfg["file"], str):
-            fail("y0.file", f"expected a path string, got {y0_cfg['file']!r}")
+        elif not isinstance(source["file"], str):
+            fail("y0.file", f"expected a path string, got {source['file']!r}")
         else:
-            path = Path(y0_cfg["file"])
+            path = Path(source["file"])
             if not path.is_absolute():
                 path = config_dir / path
             try:
@@ -337,33 +337,31 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             if y0 is not None and not math.isfinite(l2_norm(y0, grid)):
                 fail("y0", "the initial state's L2 norm is not finite")
 
-    nt = cfg.get("nt")
-    dt = cfg.get("dt")
-    if nt is not None:
-        nt = number("nt", nt, integer=True)
-    if dt is not None:
-        dt = number("dt", dt)
-    if nt is None and dt is None:
-        nt = 300
+    nt = number("nt", top.pop("nt", DEFAULT_NT), integer=True)
 
     sol = section("solver")
-    tol_t = number("solver.tol_t", sol.get("tol_t", 1e-3))
-    tol_m = number("solver.tol_m", sol.get("tol_m", 1e-3))
+    tol_t = number("solver.tol_t", sol.pop("tol_t", 1e-3))
+    tol_m = number("solver.tol_m", sol.pop("tol_m", 1e-3))
     reach_opts = dict(
-        max_iters=number("solver.max_iters", sol.get("max_iters", 200), integer=True),
-        eps_stag=number("solver.eps_stag", sol.get("eps_stag", 1e-7)),
+        max_iters=number("solver.max_iters", sol.pop("max_iters", 200), integer=True),
+        eps_stag=number("solver.eps_stag", sol.pop("eps_stag", 1e-7)),
     )
-    eps_feas = number("solver.eps_feas", sol.get("eps_feas", 1e-3))
+    eps_feas_given = sol.pop("eps_feas", 1e-3)
+    eps_feas = number("solver.eps_feas", eps_feas_given)
     if eps_feas is not None and eps_feas >= 1.0:
         fail("solver.eps_feas",
-             f"expected a positive finite number below 1, got {sol['eps_feas']!r}")
+             f"expected a positive finite number below 1, got {eps_feas_given!r}")
 
+    # Each handler reads its own part of experiment, so none of it is unknown.
     experiment = section("experiment")
+    for prefix, unread in (("", top), ("grid.", grid_cfg), ("nonlinearity.", nl_cfg),
+                           ("y0.", y0_cfg), ("solver.", sol)):
+        errors.extend(f"{prefix}{key}: unknown field" for key in unread)
 
     if errors:
         raise ConfigError(errors)
     return Setup(modes=modes, grid=grid, f=f, y0=y0, ball=TargetBall(r, eps_feas), nt=nt,
-                 dt=dt, tol_t=tol_t, tol_m=tol_m, opts=ReachOptions(**reach_opts),
+                 tol_t=tol_t, tol_m=tol_m, opts=ReachOptions(**reach_opts),
                  experiment=experiment)
 
 
@@ -443,9 +441,7 @@ def run_simulate(setup: Setup):
     T = _require_number(setup.experiment, "horizon")
     tol = config_number("experiment.envelope_tol",
                         setup.experiment.get("envelope_tol", 1e-3), sign="nonnegative")
-    nt = setup.steps_for(T)
-    traj = solve_forward(setup.y0, ControlSignal.zeros(nt, T / nt, setup.grid),
-                         setup.f, setup.grid)
+    traj = FreeRun(setup.y0, T, setup.steps_for(), setup.f, setup.grid, setup.ball).trajectory
     report = decay_envelope_check(traj, setup.grid, tol)
     t_hit = hitting_time(traj, setup.ball)
     lam1 = principal_eigenvalue(setup.grid)
@@ -460,18 +456,16 @@ def run_simulate(setup: Setup):
         "envelope_limit": report.limit,
         "envelope_passed": bool(report.passed),
     }
-    return outputs, {"nt": nt}, {"norms.csv": (["t", "norm", "envelope"], rows)}
+    return outputs, {"nt": traj.nt}, {"norms.csv": (["t", "norm", "envelope"], rows)}
 
 
 def run_gamma(setup: Setup):
-    nt = setup.steps_for()
-    value = setup.problem(nt).gamma
-    traj = solve_forward(setup.y0, ControlSignal.zeros(nt, value * 1.05 / nt, setup.grid),
-                         setup.f, setup.grid)
+    problem = setup.problem()
+    traj = problem.free_run(problem.gamma * 1.05).trajectory
     rows = [[t, nrm] for t, nrm in zip(traj.times, traj.norms)]
-    outputs = {"gamma": value, "radius": setup.ball.r,
+    outputs = {"gamma": problem.gamma, "radius": setup.ball.r,
                "initial_norm": l2_norm(setup.y0, setup.grid)}
-    return outputs, {"nt": nt}, {"free_decay.csv": (["t", "norm"], rows)}
+    return outputs, {"nt": problem.nt}, {"free_decay.csv": (["t", "norm"], rows)}
 
 
 def _value_point_run(point: ValuePoint, parameter: str, value: str):
@@ -485,20 +479,20 @@ def _value_point_run(point: ValuePoint, parameter: str, value: str):
 
 def run_minnorm(setup: Setup):
     T = _require_number(setup.experiment, "T")
-    point = minimal_norm(setup.problem(setup.steps_for(T)), T)
+    point = minimal_norm(setup.problem(), T)
     return _value_point_run(point, "T", "alpha")
 
 
 def run_mintime(setup: Setup):
     M = _require_number(setup.experiment, "M", sign="nonnegative")
-    point = minimal_time(setup.problem(setup.steps_for()), M)
+    point = minimal_time(setup.problem(), M)
     return _value_point_run(point, "M", "tau")
 
 
 def run_equivalence(setup: Setup):
     T_grid = _number_list(setup.experiment, "T_grid", "positive", allow_empty=True)
     M_grid = _number_list(setup.experiment, "M_grid", "nonnegative", allow_empty=True)
-    problem = setup.problem(setup.steps_for())
+    problem = setup.problem()
     _refuse_horizons_past("T_grid", T_grid, problem.gamma, "the free-decay time")
 
     # Each round trip returns its report's fields but the two value points:
@@ -539,9 +533,8 @@ def run_sweep(setup: Setup):
     for key, grid in (("M_grid", M_grid), ("T_grid", T_grid)):
         if grid is not None and any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError([f"experiment.{key}: expected a strictly increasing list"])
-    nt = setup.steps_for()
     inst = scalar_instance_for(setup)
-    gamma = setup.problem(nt).gamma
+    gamma = setup.problem().gamma
     if T_grid is not None:
         _refuse_horizons_past("T_grid", T_grid, gamma, "the free-decay time")
         if inst is not None:
@@ -557,7 +550,7 @@ def run_sweep(setup: Setup):
         if grid is None:
             continue
         curve = curve_of(grid, setup.y0, setup.ball, setup.f, setup.grid, tol,
-                         opts=setup.opts, nt=nt, gamma_hint=gamma)
+                         opts=setup.opts, nt=setup.nt, gamma_hint=gamma)
         records = [_point_record(p, None if inst is None else closed_form(inst, p.parameter))
                    for p in curve.points]
         series[f"{name}_curve.csv"] = (
@@ -566,7 +559,7 @@ def run_sweep(setup: Setup):
               r["iterations"]] for r in records])
         outputs[name] = {"points": records, monotone_key: curve.monotone,
                          **curve.diagnostics}
-    return outputs, {"nt": nt}, series
+    return outputs, {"nt": setup.nt}, series
 
 
 def run_oracle_compare(setup: Setup):
@@ -582,7 +575,7 @@ def run_oracle_compare(setup: Setup):
         raise ConfigError(["experiment: oracle-compare needs M_values and/or T_values"])
     _refuse_horizons_past("T_values", T_values, inst.free_decay_time,
                           "the closed-form free-decay time")
-    problem = setup.problem(setup.steps_for())
+    problem = setup.problem()
     specs = {"minimal_time": (minimal_time, scalar_minimal_time),
              "minimal_norm": (minimal_norm, scalar_minimal_norm)}
 
@@ -619,7 +612,7 @@ def run_gradcheck(setup: Setup):
                          sign="nonnegative")
     fd_step = config_number("experiment.fd_step", exp.get("fd_step", 1e-5))
     amplitude = config_number("experiment.amplitude", exp.get("amplitude", 1.0), sign=None)
-    nt = setup.steps_for(T)
+    nt = setup.steps_for()
     dt = T / nt
     rng = np.random.default_rng(seed)
     rows = []

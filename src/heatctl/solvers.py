@@ -19,7 +19,8 @@ Bang-bang controls along the masked costate give upper ends: for f = 0
 :func:`heatctl.reach.dual_pair`, with a reaction term
 :func:`heatctl.reach.bangbang_ray`, whose miss proves nothing.  All of them
 and the oracle read a horizon's one :class:`heatctl.reach.FreeRun`, target
-ball included, which only :meth:`Problem.free_run` builds.
+ball included, which :meth:`Problem.free_run` builds.  Every uncontrolled
+run, the free decay's included, is a FreeRun's ``trajectory``.
 
 * The minimal norm takes the dual pair of its free run: it refutes every M
   below the lower end and calls the oracle on the others.  It searches
@@ -276,9 +277,12 @@ def _patched() -> bool:
 # How often :func:`free_decay_time` doubles its horizon before it gives up.
 FREE_DECAY_DOUBLINGS = 60
 
+# Time steps per solve when the caller gives no nt.
+DEFAULT_NT = 300
+
 
 def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
-                    g: SpatialGrid, nt: int = 300) -> float:
+                    g: SpatialGrid, nt: int = DEFAULT_NT) -> float:
     """First time the uncontrolled run enters the target ball.
 
     Starts from a horizon suggested by the decay envelope and doubles it until
@@ -292,13 +296,13 @@ def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
         return 0.0
     horizon = max(1.2 * math.log(norm0 / ball.r) / principal_eigenvalue(g), 1e-9)
     for _ in range(FREE_DECAY_DOUBLINGS):
-        traj = solve_forward(y0, ControlSignal.zeros(nt, horizon / nt, g), f, g)
+        traj = reach.FreeRun(y0, horizon, nt, f, g, ball).trajectory
         t_rough = hitting_time(traj, ball)
         if t_rough is not None:
             if t_rough <= 0.0:
                 return 0.0
             refined_h = t_rough * (1.0 + 5.0 / nt)
-            traj = solve_forward(y0, ControlSignal.zeros(nt, refined_h / nt, g), f, g)
+            traj = reach.FreeRun(y0, refined_h, nt, f, g, ball).trajectory
             t = hitting_time(traj, ball)
             return t if t is not None else t_rough
         horizon *= 2.0
@@ -321,7 +325,7 @@ class Problem:
     ball: TargetBall
     f: NonlinearitySpec
     g: SpatialGrid
-    nt: int = 300
+    nt: int = DEFAULT_NT
     tol_t: float = 1e-3
     tol_m: float = 1e-3
     opts: ReachOptions = ReachOptions()
@@ -619,7 +623,7 @@ def verify_equivalence_bound(problem: Problem, M: float) -> EquivalenceBoundRepo
 
 def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                        g: SpatialGrid, tol_T: float = 1e-3,
-                       opts: ReachOptions = ReachOptions(), nt: int = 300,
+                       opts: ReachOptions = ReachOptions(), nt: int = DEFAULT_NT,
                        gamma_hint: float | None = None) -> ValueCurve:
     """Minimal-time values over a strictly increasing grid of norm bounds.
 
@@ -643,7 +647,7 @@ def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
 
 def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                        g: SpatialGrid, tol_M: float = 1e-3,
-                       opts: ReachOptions = ReachOptions(), nt: int = 300,
+                       opts: ReachOptions = ReachOptions(), nt: int = DEFAULT_NT,
                        gamma_hint: float | None = None) -> ValueCurve:
     """Minimal-norm values over a strictly increasing grid of horizons.
 

@@ -300,52 +300,52 @@ def test_gradcheck_errors_small(tmp_path):
     assert read_summary(out)["outputs"]["max_rel_error"] <= 1e-6
 
 
-@pytest.mark.parametrize("dt", [1e-4, 5e-4, 1e-2])
-def test_step_count_rule_from_dt(tmp_path, dt):
-    """With nt null every subcommand takes round(T / dt) steps clipped to
-    [200, 2000]; T is the subcommand's own horizon for simulate, minnorm and
-    gradcheck, and 1 for the rest."""
-    def steps(T):
-        return int(np.clip(round(T / dt), 200, 2000))
-
-    runs = {
-        "gamma": ({}, steps(1.0)),
-        "mintime": ({"M": 0.0}, steps(1.0)),
-        "equivalence": ({"T_grid": [], "M_grid": []}, steps(1.0)),
-        "sweep": ({"M_grid": [0.0]}, steps(1.0)),
-        "oracle-compare": ({"M_values": [0.0]}, steps(1.0)),
-        "simulate": ({"horizon": 0.3}, steps(0.3)),
-        "minnorm": ({"T": 0.2}, steps(0.2)),
-        "gradcheck": ({"T": 0.25, "pairs": 1}, steps(0.25)),
-    }
-    for command, (experiment, expected) in runs.items():
-        cfg = write_config(tmp_path, grid={"ell": 1.0, "n": 15}, nt=None, dt=dt,
-                           experiment=experiment)
-        out = tmp_path / command
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        if command in ("minnorm", "mintime"):
-            nt = len((out / "control_norms.csv").read_text().splitlines()) - 1
-        else:
-            nt = read_summary(out)["diagnostics"]["nt"]
-        assert nt == expected, command
-
-
 @pytest.mark.parametrize("command, experiment", [
-    ("simulate", {"horizon": 1e10}),
-    ("minnorm", {"T": 1e10}),
-    ("gradcheck", {"T": 1e10, "pairs": 1}),
+    ("simulate", {"horizon": 0.3}),
+    ("gamma", {}),
+    ("minnorm", {"T": 0.05}),
+    ("mintime", {"M": 5.0}),
+    ("equivalence", {"T_grid": [], "M_grid": []}),
+    ("sweep", {"M_grid": [0.0]}),
+    ("oracle-compare", {"M_values": [0.0]}),
+    ("gradcheck", {"T": 0.25, "pairs": 1}),
 ])
-def test_step_count_from_an_overflowing_ratio_is_clipped(tmp_path, command, experiment):
-    # T / dt overflows to inf, which round() refuses: the ratio is clipped
-    # to 2000 before rounding.
-    cfg = write_config(tmp_path, grid={"ell": 1.0, "n": 15}, nt=None, dt=1e-300,
-                       experiment=experiment)
+def test_every_subcommand_runs_the_configs_nt_steps(tmp_path, command, experiment):
+    # nt is not the default 300, so a handler that falls back to it fails.
+    cfg = write_config(tmp_path, grid={"ell": 1.0, "n": 15}, nt=37, experiment=experiment)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    if command == "minnorm":
-        assert len((out / "control_norms.csv").read_text().splitlines()) == 1 + 2000
+    if command in ("minnorm", "mintime"):
+        nt = len((out / "control_norms.csv").read_text().splitlines()) - 1
     else:
-        assert read_summary(out)["diagnostics"]["nt"] == 2000
+        nt = read_summary(out)["diagnostics"]["nt"]
+    assert nt == 37
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("mintime", ["nonlinearity.l=5"], "nonlinearity.l: unknown field"),
+    ("mintime", ["grid.N=31"], "grid.N: unknown field"),
+    ("mintime", ["solver.tol_M=1e-9"], "solver.tol_M: unknown field"),
+    ("mintime", ["rr=0.4"], "rr: unknown field"),
+    ("mintime", ['y0.mode={"1":3}'], "y0.mode: unknown field"),
+    ("gamma", ['y0={"modes":{"1":2.0},"file":"does-not-exist.txt"}'],
+     "y0: expected a 'modes' map or a 'file' path, not both"),
+    ("mintime", ["dt=0.004"], "dt: unknown field"),
+    ("mintime", ["nt=null"], "nt: expected a positive integer, got None"),
+], ids=["nonlinearity.l", "grid.N", "solver.tol_M", "rr", "y0.mode", "y0-both", "dt",
+        "nt-null"])
+def test_a_field_the_parser_does_not_read_is_refused(tmp_path, capsys, solve_calls, command,
+                                                    overrides, message):
+    # Each of these configs ran with exit 0 on the values it had without the
+    # field, and the y0 with both a map and a file never opened the file.
+    config = Path(__file__).resolve().parents[1] / "configs" / "linear_equivalence.json"
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out), "--override", "experiment.M=5"]
+    for spec in overrides:
+        argv += ["--override", spec]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not out.exists() and not solve_calls.forward
 
 
 @pytest.mark.parametrize("command, updates, message", [
@@ -554,7 +554,7 @@ def test_gradcheck_non_numeric_horizon_is_field_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("nonlinearity.L", float("nan")),
-    ("dt", float("inf")),
+    ("r", float("inf")),
     ("nt", 300.0),
     ("solver.max_iters", True),
     ("solver.eps_feas", float("nan")),

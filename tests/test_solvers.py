@@ -16,6 +16,7 @@ from heatctl import (
     Problem,
     ReachOptions,
     ScalarInstance,
+    SolverDivergenceError,
     SpatialGrid,
     TargetBall,
     ValuePoint,
@@ -1014,8 +1015,9 @@ def test_curves_refuse_a_setting_through_the_problem(curve, grid, setting, field
 
 # ---------------------------------------------------------------------------
 # Large norm bounds: known defects of the minimal time, pinned until fixed.
-# At 1e6 the oracle's stagnation test passes after one step, and at inf the
-# point keeps the dual pair's control-less upper end (ROADMAP item 3).
+# At 1e6 the oracle's stagnation test passes after one step, at 1e200 its
+# bang-bang start overflows, and at inf the point keeps the dual pair's
+# control-less upper end (ROADMAP item 3).
 
 
 @pytest.fixture(scope="module", params=[F_ZERO, F_TANH], ids=["zero", "tanh"])
@@ -1036,3 +1038,12 @@ def test_an_infinite_bound_returns_a_control():
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     point = minimal_time(Problem(y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT), math.inf)
     assert isinstance(point.control, ControlSignal)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverDivergenceError,
+                   reason="the oracle's bang-bang start at level 1e200 overflows the "
+                          "terminal objective")
+def test_a_huge_bound_returns_a_control_that_reaches_the_ball():
+    y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
+    point = minimal_time(Problem(y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT), 1e200)
+    assert BALL.reaches(float(solve_forward(y0, point.control, F_ZERO, SMALL_MASKED).norms[-1]))

@@ -2,11 +2,11 @@
 
 Runs each subcommand on each config in a fresh interpreter (``python -m
 heatctl.cli``), adding only the experiment fields the config lacks, plus
-step-count (``dt``), free-decay-edge, masked-control curve, second reaction
+step-count (``nt``), free-decay-edge, masked-control curve, second reaction
 term (``bounded_odd_rational``), initial state off the first mode, other
 spellings of the first mode, tolerance-below-float-spacing, failure,
-refused-config, overflowing step-count, extreme closed-form and
-negative-first-mode variants.  Prints one line per run:
+refused-config, huge-horizon, extreme closed-form, negative-first-mode and
+unknown-field variants.  Prints one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
 
@@ -52,15 +52,15 @@ NEEDS = {
 
 # (label, config, subcommand, extra overrides) beyond the plain runs.
 VARIANTS = [
-    # step count from dt instead of nt
-    *[(f"dt={dt}", "linear_equivalence", cmd, ["nt=null", f"dt={dt}"])
-      for dt in (0.004, 0.0005)
-      for cmd in ("simulate", "gamma", "minnorm", "mintime", "sweep")],
-    ("dt=0.004", "linear_equivalence", "equivalence",
-     ["nt=null", "dt=0.004", "experiment.T_grid=[0.08]", "experiment.M_grid=[5]"]),
-    ("dt=0.004", "oracle_compare", "oracle-compare", ["nt=null", "dt=0.004"]),
-    ("dt=0.004", "linear_equivalence", "gradcheck",
-     ["nt=null", "dt=0.004", "experiment.T=0.9"]),
+    # step counts other than 300, from 200 to 2000
+    *[(f"nt={nt}", "linear_equivalence", cmd, [f"nt={nt}"])
+      for steps in (250, 2000)
+      for cmd, nt in (("simulate", 200), ("gamma", steps), ("minnorm", 200),
+                      ("mintime", steps), ("sweep", steps))],
+    ("nt=250", "linear_equivalence", "equivalence",
+     ["nt=250", "experiment.T_grid=[0.08]", "experiment.M_grid=[5]"]),
+    ("nt=250", "oracle_compare", "oracle-compare", ["nt=250"]),
+    ("nt=225", "linear_equivalence", "gradcheck", ["nt=225", "experiment.T=0.9"]),
     # free-decay edge: zero bound, horizon past the free-decay time
     ("edge", "tanh_sweep", "mintime", ["experiment.M=0"]),
     ("edge", "tanh_sweep", "minnorm", ["experiment.T=1"]),
@@ -128,8 +128,8 @@ VARIANTS = [
     *[("refused", "linear_equivalence", cmd, [f"r={r}"])
       for r in ("5e-324", "1e-200")
       for cmd in ("gamma", "mintime")],
-    # step counts from a ratio T/dt that overflows to inf
-    *[("overflow", "linear_equivalence", cmd, ["nt=null", "dt=1e-300", f"experiment.{key}=1e10"])
+    # huge horizons in 2000 steps
+    *[("nt=2000", "linear_equivalence", cmd, ["nt=2000", f"experiment.{key}=1e10"])
       for cmd, key in (("minnorm", "T"), ("simulate", "horizon"), ("gradcheck", "T"))],
     # closed forms at a vanishing horizon and a huge bound
     ("extreme", "linear_equivalence", "sweep", ["experiment.T_grid=[1e-300]"]),
@@ -138,6 +138,10 @@ VARIANTS = [
     # a negative first-mode coefficient, the mirror image of the closed-form instance
     *[("negative", "oracle_compare", cmd, ['y0={"modes":{"1":-2.0}}'])
       for cmd in ("oracle-compare", "sweep")],
+    # config fields the parser does not read, and a step count that is not one
+    ("unknown", "linear_equivalence", "mintime", ["dt=0.004"]),
+    ("unknown", "tanh_sweep", "sweep", ["solver.tol_M=1e-9"]),
+    ("refused", "linear_equivalence", "gamma", ["nt=null"]),
 ]
 
 
