@@ -14,8 +14,9 @@ or an unusable ``--out`` (one ``out:`` line), 3 initial state inside the
 target ball, 4 failed computation (no feasible bound, a diverging solve or
 an array too large to allocate; one ``failed:`` line on stderr).  Every
 handler solves in the config's ``nt`` steps, which :meth:`Setup.steps_for`
-refuses when they would not fit in the host's memory.  A config field outside
-``experiment`` that the parser does not read is a config error.
+refuses when they would not fit in the host's memory.  A config field that
+no subcommand reads is a config error; ``experiment`` may hold the fields of
+every subcommand (:data:`EXPERIMENT_FIELDS`), so one config serves them all.
 ``equivalence`` and ``oracle-compare`` solve their points through
 ``solvers._map_points`` (forked workers, identical outputs), and each worker
 returns only the scalar record written for its point.
@@ -61,6 +62,12 @@ from .solvers import (
     verify_equivalence_bound,
     verify_equivalence_time,
 )
+
+# The experiment fields the handlers read, of all subcommands together.
+EXPERIMENT_FIELDS = frozenset({
+    "horizon", "envelope_tol", "T", "M", "T_grid", "M_grid", "M_values", "T_values",
+    "pairs", "seed", "fd_step", "amplitude",
+})
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -352,10 +359,12 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
         fail("solver.eps_feas",
              f"expected a positive finite number below 1, got {eps_feas_given!r}")
 
-    # Each handler reads its own part of experiment, so none of it is unknown.
+    # Each handler reads its own part of experiment; a field none reads is unknown.
     experiment = section("experiment")
+    unread_experiment = [key for key in experiment if key not in EXPERIMENT_FIELDS]
     for prefix, unread in (("", top), ("grid.", grid_cfg), ("nonlinearity.", nl_cfg),
-                           ("y0.", y0_cfg), ("solver.", sol)):
+                           ("y0.", y0_cfg), ("solver.", sol),
+                           ("experiment.", unread_experiment)):
         errors.extend(f"{prefix}{key}: unknown field" for key in unread)
 
     if errors:

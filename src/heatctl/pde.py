@@ -31,15 +31,28 @@ formulas above (the tests keep that loop as the reference).  The one
 exception is the adjoint with the zero reaction, whose skipped update
 ``w - 0*w`` would turn a ``-0.0`` entry into ``+0.0`` and an infinite one
 into NaN.
+
+LAPACK ``dpbtrf`` (the factor) and ``dpbtrs`` (the solve) are taken from
+scipy's compiled extension ``scipy.linalg._flapack``, loaded from its file
+without running the ``scipy.linalg`` package: importing that package costs
+about 0.25 s and 18 MB (most of it numpy modules pulled in by scipy's
+array-API layer) for two routines.  They are the same f2py objects that
+``cholesky_banded`` and ``get_lapack_funcs`` return, so the steps do not
+change; :func:`diffusion_factor` makes the checks ``cholesky_banded`` makes.
+A test in ``tests/test_pde.py`` asserts that importing heatctl leaves
+``scipy.linalg`` out of ``sys.modules``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+import scipy
 
 from .core import (
     ControlSignal,
@@ -53,7 +66,29 @@ from .core import (
     zero_reaction,
 )
 
-_pbtrs, = get_lapack_funcs(("pbtrs",), (np.empty(0),))
+
+def _load_flapack():
+    """scipy's LAPACK extension module, executed without its package.
+
+    The extension enters itself in ``sys.modules`` as it loads; that entry is
+    taken out again, since its package is not there to hold it, and a later
+    ``import scipy.linalg`` loads it as a submodule as usual.
+    """
+    name = "scipy.linalg._flapack"
+    finder = importlib.machinery.FileFinder(
+        f"{scipy.__path__[0]}/linalg",
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension {name} was not found", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+_flapack = _load_flapack()
+_pbtrf, _pbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 
 @dataclass(frozen=True)
@@ -170,12 +205,24 @@ def principal_eigenvalue(g: SpatialGrid) -> float:
 
 
 def diffusion_factor(g: SpatialGrid, dt: float):
-    """Banded Cholesky factor of (I + dt*A), reused across time steps."""
+    """Banded Cholesky factor of (I + dt*A), reused across time steps.
+
+    LAPACK ``dpbtrf`` with the checks of ``scipy.linalg.cholesky_banded``:
+    ValueError on a non-finite entry, :class:`numpy.linalg.LinAlgError` when
+    I + dt*A is not positive definite.
+    """
     r = dt / g.h ** 2
     ab = np.zeros((2, g.n))
     ab[0, 1:] = -r
     ab[1, :] = 1.0 + 2.0 * r
-    return cholesky_banded(ab, lower=False)
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = _pbtrf(ab)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrf")
+    return factor
 
 
 def diffusion_solve(factor, b: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from heatctl.cli import (
     EXIT_FAILED,
     EXIT_INITIAL_STATE,
     EXIT_OK,
+    EXPERIMENT_FIELDS,
     HANDLERS,
     build_setup,
     canonical_json,
@@ -332,12 +333,18 @@ def test_every_subcommand_runs_the_configs_nt_steps(tmp_path, command, experimen
      "y0: expected a 'modes' map or a 'file' path, not both"),
     ("mintime", ["dt=0.004"], "dt: unknown field"),
     ("mintime", ["nt=null"], "nt: expected a positive integer, got None"),
+    ("simulate", ["experiment.horizon=0.1", "experiment.envelope_tl=0"],
+     "experiment.envelope_tl: unknown field"),
+    ("gradcheck", ["experiment.pairs=1", "experiment.Seed=5"], "experiment.Seed: unknown field"),
 ], ids=["nonlinearity.l", "grid.N", "solver.tol_M", "rr", "y0.mode", "y0-both", "dt",
-        "nt-null"])
+        "nt-null", "experiment.envelope_tl", "experiment.Seed"])
 def test_a_field_the_parser_does_not_read_is_refused(tmp_path, capsys, solve_calls, command,
                                                     overrides, message):
     # Each of these configs ran with exit 0 on the values it had without the
-    # field, and the y0 with both a map and a file never opened the file.
+    # field, and the y0 with both a map and a file never opened the file:
+    # simulate with the default envelope_tol (envelope_passed true, where
+    # envelope_tol=0 gives false), gradcheck with seed 0.  The config's own
+    # T_grid and M_grid, which other subcommands read, are not refused.
     config = Path(__file__).resolve().parents[1] / "configs" / "linear_equivalence.json"
     out = tmp_path / "out"
     argv = [command, "--config", str(config), "--out", str(out), "--override", "experiment.M=5"]
@@ -346,6 +353,15 @@ def test_a_field_the_parser_does_not_read_is_refused(tmp_path, capsys, solve_cal
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config: {message}\n"
     assert not out.exists() and not solve_calls.forward
+
+
+def test_a_config_may_hold_the_experiment_fields_of_every_subcommand(tmp_path):
+    experiment = {"horizon": 0.1, "envelope_tol": 1e-3, "T": 0.05, "M": 5.0,
+                  "T_grid": [0.05], "M_grid": [5.0], "M_values": [5.0], "T_values": [0.05],
+                  "pairs": 1, "seed": 0, "fd_step": 1e-5, "amplitude": 1.0}
+    assert set(experiment) == EXPERIMENT_FIELDS
+    cfg = write_config(tmp_path, grid={"ell": 1.0, "n": 15}, nt=37, experiment=experiment)
+    assert main(["gamma", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command, updates, message", [

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from heatctl import (
     ControlSignal,
@@ -380,6 +384,49 @@ def test_diffusion_solve_rejects_wrong_length(length):
     factor = diffusion_factor(GRID, 1e-3)
     with pytest.raises(ValueError, match="length"):
         diffusion_solve(factor, np.ones(length))
+
+
+def banded_operator(g, dt):
+    """I + dt*A in the upper banded storage of ``cholesky_banded``."""
+    r = dt / g.h ** 2
+    ab = np.zeros((2, g.n))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    return ab
+
+
+@pytest.mark.parametrize("g, dt", [(GRID, 1e-3), (GRID, 1.0 / 3.0), (MASKED, 3.3e-4),
+                                   (SpatialGrid.build(n=1, ell=2.0), 0.07)])
+def test_diffusion_factor_is_scipys_cholesky_banded(g, dt):
+    assert np.array_equal(diffusion_factor(g, dt),
+                          cholesky_banded(banded_operator(g, dt), lower=False))
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_diffusion_factor_refuses_a_non_finite_step(dt):
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        diffusion_factor(GRID, dt)
+
+
+def test_diffusion_factor_refuses_an_indefinite_operator():
+    # dt = -h^2 makes the first diagonal entry 1 - 2 = -1
+    dt = -GRID.h ** 2
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky_banded(banded_operator(GRID, dt), lower=False)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        diffusion_factor(GRID, dt)
+
+
+def test_importing_heatctl_leaves_scipy_linalg_out():
+    # scipy.linalg's import took half the start of the CLI; pde takes its
+    # two LAPACK routines from the extension module alone.
+    code = ("import sys, heatctl, heatctl.cli; "
+            "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout.split() == ["False", "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,8 @@ def test_min_terminal_norm_argument_checks():
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0])
 def test_free_run_refuses_a_horizon_outside_the_positive_floats(T):
-    # nan and inf reached the solves: scipy refused a NaN array, or the
-    # search diverged
+    # nan and inf reached the solves: diffusion_factor refused the
+    # non-finite step T/nt, or the search diverged
     with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {T}"):
         FreeRun(Y0, T, 300, F_ZERO, GRID, BALL)
 

@@ -267,7 +267,8 @@ def small():
 
 @pytest.mark.parametrize("T", [math.nan, math.inf], ids=["nan", "inf"])
 def test_minimal_norm_refuses_a_non_finite_horizon(small, T, solve_calls):
-    # scipy raised "array must not contain infs or NaNs" from inside a solve
+    # diffusion_factor refused the non-finite step T/nt with "array must not
+    # contain infs or NaNs" from inside a solve
     with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {T}"):
         minimal_norm(small, T)
     assert not solve_calls.forward
@@ -989,8 +990,9 @@ def test_problem_refuses_a_setting_before_any_solve(field, value, gamma, monkeyp
     # Let through, tol_t nan or inf makes minimal_time(problem, 5.0) return
     # the bracket [0, 0.14236] after one probe (the value is 0.09315); nt 0,
     # -3 and 2.5 raise ZeroDivisionError, numpy's "negative dimensions" and a
-    # TypeError; a NaN in y0 raises scipy's "must not contain infs or NaNs",
-    # or with gamma given "forward solve produced non-finite states".
+    # TypeError; a NaN in y0 makes the free-decay horizon NaN, which FreeRun
+    # refuses ("horizon must be positive and finite"), or with gamma given
+    # raises "forward solve produced non-finite states".
     def no_free_decay(*args, **kwargs):
         raise AssertionError("free_decay_time ran")
 
