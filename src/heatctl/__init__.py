@@ -39,7 +39,6 @@ from .pde import (
 )
 from .reach import (
     FreeRun,
-    ReachOptions,
     ReachResult,
     dual_bound_enclosure,
     dual_lower_bound,

@@ -49,7 +49,7 @@ from .core import (
 )
 from .oracle import ScalarInstance, scalar_minimal_norm, scalar_minimal_time
 from .pde import _sine_vector, decay_envelope_check, hitting_time, principal_eigenvalue
-from .reach import FreeRun, ReachOptions, gradient_fd_check, is_linear
+from .reach import MAX_ITERS, FreeRun, gradient_fd_check, is_linear
 from .solvers import (
     DEFAULT_NT,
     Problem,
@@ -170,7 +170,7 @@ class Setup:
     nt: int
     tol_t: float
     tol_m: float
-    opts: ReachOptions
+    max_iters: int
     experiment: dict
 
     def steps_for(self) -> int:
@@ -188,7 +188,7 @@ class Setup:
     def problem(self) -> Problem:
         """The control problem of this config; :meth:`steps_for` checks its nt first."""
         return Problem(self.y0, self.ball, self.f, self.grid, nt=self.steps_for(),
-                       tol_t=self.tol_t, tol_m=self.tol_m, opts=self.opts)
+                       tol_t=self.tol_t, tol_m=self.tol_m, max_iters=self.max_iters)
 
 
 def _is_number(value, integer: bool = False) -> bool:
@@ -349,10 +349,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
     sol = section("solver")
     tol_t = number("solver.tol_t", sol.pop("tol_t", 1e-3))
     tol_m = number("solver.tol_m", sol.pop("tol_m", 1e-3))
-    reach_opts = dict(
-        max_iters=number("solver.max_iters", sol.pop("max_iters", 200), integer=True),
-        eps_stag=number("solver.eps_stag", sol.pop("eps_stag", 1e-7)),
-    )
+    max_iters = number("solver.max_iters", sol.pop("max_iters", MAX_ITERS), integer=True)
     eps_feas_given = sol.pop("eps_feas", 1e-3)
     eps_feas = number("solver.eps_feas", eps_feas_given)
     if eps_feas is not None and eps_feas >= 1.0:
@@ -370,8 +367,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
     if errors:
         raise ConfigError(errors)
     return Setup(modes=modes, grid=grid, f=f, y0=y0, ball=TargetBall(r, eps_feas), nt=nt,
-                 tol_t=tol_t, tol_m=tol_m, opts=ReachOptions(**reach_opts),
-                 experiment=experiment)
+                 tol_t=tol_t, tol_m=tol_m, max_iters=max_iters, experiment=experiment)
 
 
 def _require_number(exp: dict, key: str, sign: str = "positive") -> float:
@@ -559,7 +555,7 @@ def run_sweep(setup: Setup):
         if grid is None:
             continue
         curve = curve_of(grid, setup.y0, setup.ball, setup.f, setup.grid, tol,
-                         opts=setup.opts, nt=setup.nt, gamma_hint=gamma)
+                         max_iters=setup.max_iters, nt=setup.nt, gamma_hint=gamma)
         records = [_point_record(p, None if inst is None else closed_form(inst, p.parameter))
                    for p in curve.points]
         series[f"{name}_curve.csv"] = (

@@ -48,6 +48,8 @@ first, or the doubled step when <s,Delta> <= 0 (:func:`_spectral_step`;
 Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988), and for the projected form
 Birgin, Martinez & Raydan, SIAM J. Optim. 10 (2000)).  The new gradient is
 the one the next iteration solves anyway, so the rule costs no adjoint solve.
+The stagnation stop is fixed too: an accepted step that moves the control v
+by at most ``EPS_STAG``*min(M, max_k ||v_k||)*sqrt(T), relative to v's size.
 """
 
 from __future__ import annotations
@@ -88,24 +90,10 @@ STEP_GROWTH = 2.0
 MAX_BACKTRACKS = 45
 
 
-@dataclass(frozen=True)
-class ReachOptions:
-    """The oracle's budget, as a config sets it.
-
-    ``max_iters`` bounds the descent iterations; ``eps_stag`` ends the descent
-    once an accepted step moves the control by less than eps_stag*M*sqrt(T).
-    The feasibility slack is the ball's.  The step rule is fixed: a spectral
-    step with backtracking (module docstring).
-    """
-
-    max_iters: int = 200
-    eps_stag: float = 1e-7
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("the iteration budget must be positive")
-        if self.eps_stag <= 0.0:
-            raise ValueError("tolerances must be positive")
+# The default budget of descent iterations, and the relative stagnation stop
+# (both :func:`min_terminal_norm`).
+MAX_ITERS = 200
+EPS_STAG = 1e-7
 
 
 @dataclass(frozen=True)
@@ -529,17 +517,21 @@ def bangbang_ray(free: FreeRun, M: float) -> ControlSignal | None:
     return None
 
 
-def min_terminal_norm(free: FreeRun, M: float, opts: ReachOptions = ReachOptions(),
+def min_terminal_norm(free: FreeRun, M: float, max_iters: int = MAX_ITERS,
                       warm_start: ControlSignal | None = None) -> ReachResult:
     """Minimize the terminal norm over pointwise-bounded controls at free's
-    horizon (its y0, T, nt, f and g), towards free's ball.
+    horizon (its y0, T, nt, f and g), towards free's ball, in at most
+    ``max_iters`` descent iterations (ValueError below 1).
 
     Terminates early as feasible once J drops below 0.5*(r - eps_feas_rel*r)^2
-    (free's ball's slack), otherwise on stagnation of the projected step or on
-    the iteration budget.
+    (free's ball's slack), otherwise on the iteration budget or once an
+    accepted step moves the control by at most
+    ``EPS_STAG``*min(M, max_k ||v_k||)*sqrt(T), v the control accepted.
     Backtracking enforces a non-increasing objective sequence, and every
     iteration starts with one adjoint solve, its gradient.
 
+    It starts from the best of the zero control, the bang-bang control at a
+    finite level M and ``warm_start``, skipping a start whose run overflows.
     ``warm_start`` must have free's nt steps (else :class:`ValueError`); its
     step length is not checked, so a control can be reused across horizons
     with the same nt.  M = 0 takes the same path as every other bound: the
@@ -547,6 +539,8 @@ def min_terminal_norm(free: FreeRun, M: float, opts: ReachOptions = ReachOptions
     """
     if M < 0.0:
         raise ValueError(f"norm bound must be nonnegative, got {M}")
+    if max_iters < 1:
+        raise ValueError(f"the iteration budget must be positive, got {max_iters}")
     y0, f, g, nt = free.y0, free.f, free.g, free.nt
     if warm_start is not None and warm_start.nt != nt:
         raise ValueError(f"warm start has {warm_start.nt} steps, expected {nt}")
@@ -561,27 +555,31 @@ def min_terminal_norm(free: FreeRun, M: float, opts: ReachOptions = ReachOptions
     v = np.zeros((nt, g.n))
     j, traj = _objective(free.trajectory), free.trajectory
     candidates = []
-    try:
-        candidates.append(bangbang_values(free.masked, free.norms, -M))
-    except DegenerateCostateError:
-        pass
+    if math.isfinite(M):
+        try:
+            candidates.append(bangbang_values(free.masked, free.norms, -M))
+        except DegenerateCostateError:
+            pass
     if warm_start is not None:
         candidates.append(_project_values(warm_start.values * g.omega_mask, M, h))
     for cand in candidates:
-        j_c, traj_c = _run(y0, cand, dt, f, g)
+        try:
+            j_c, traj_c = _run(y0, cand, dt, f, g)
+        except SolverDivergenceError:
+            continue
         if j_c < j:
             v, j, traj = cand, j_c, traj_c
     history = [j]
 
     step = 1.0 / principal_eigenvalue(g)
     step_cap = step * 1e4
-    move_scale = M * math.sqrt(free.T)
+    sqrt_t = math.sqrt(free.T)
     iterations = 0
     converged = False
     # After an accepted step: the step s and the gradient it was taken along,
     # for the spectral step once the new gradient is solved.
     s = grad_prev = None
-    for _ in range(opts.max_iters):
+    for _ in range(max_iters):
         if j <= target_j:
             converged = True
             break
@@ -604,7 +602,7 @@ def min_terminal_norm(free: FreeRun, M: float, opts: ReachOptions = ReachOptions
         move = math.sqrt(dt * h * float(np.sum(s ** 2)))
         v, j, traj = trial, j_trial, traj_trial
         history.append(j)
-        if move <= opts.eps_stag * move_scale:
+        if move <= EPS_STAG * min(M, float(np.max(step_l2_norms(v, h)))) * sqrt_t:
             converged = True
             break
     else:

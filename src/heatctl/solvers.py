@@ -112,7 +112,7 @@ from .core import (
 )
 from .pde import hitting_time, principal_eigenvalue, solve_forward
 from .reach import (
-    ReachOptions,
+    MAX_ITERS,
     accept,
     bangbang_ray,
     dual_bound_enclosure,
@@ -315,11 +315,12 @@ def free_decay_time(y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
 @dataclass(frozen=True, eq=False)
 class Problem:
     """One control problem: y0, the ball, f and g, solved in nt steps with
-    the value functions' tolerances and the oracle's budget.  It refuses
-    (ValueError naming the field) a tolerance outside (0, inf), an nt that
-    is not a positive int, and a y0 that is not finite, then keeps a
-    read-only copy of y0 and the free-decay time ``gamma``, found unless
-    given (ValueError when 0 or not finite), and certifies ``zero`` lazily."""
+    the value functions' tolerances and the oracle's budget ``max_iters``.
+    It refuses (ValueError naming the field) a tolerance outside (0, inf),
+    an nt or max_iters that is not a positive int, and a y0 that is not
+    finite, then keeps a read-only copy of y0 and the free-decay time
+    ``gamma``, found unless given (ValueError when 0 or not finite), and
+    certifies ``zero`` lazily."""
 
     y0: np.ndarray
     ball: TargetBall
@@ -328,15 +329,16 @@ class Problem:
     nt: int = DEFAULT_NT
     tol_t: float = 1e-3
     tol_m: float = 1e-3
-    opts: ReachOptions = ReachOptions()
+    max_iters: int = MAX_ITERS
     gamma: float | None = None
 
     def __post_init__(self):
         for name, tol in (("tol_t", self.tol_t), ("tol_m", self.tol_m)):
             if not 0.0 < tol < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {tol}")
-        if isinstance(self.nt, bool) or not isinstance(self.nt, (int, np.integer)) or self.nt < 1:
-            raise ValueError(f"nt must be a positive integer, got {self.nt!r}")
+        for name, count in (("nt", self.nt), ("max_iters", self.max_iters)):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"{name} must be a positive integer, got {count!r}")
         y0 = np.array(self.y0, dtype=float)
         if not np.isfinite(y0).all():
             raise ValueError("y0 must be finite")
@@ -450,7 +452,7 @@ def minimal_norm(problem: Problem, T: float) -> ValuePoint:
     def probe(M, warm_start=None):
         if M < bound:
             return _Decided(False)
-        return min_terminal_norm(free, M, problem.opts, warm_start=warm_start)
+        return min_terminal_norm(free, M, problem.max_iters, warm_start=warm_start)
 
     doublings = 0
     if control is not None:
@@ -526,12 +528,12 @@ def minimal_time(problem: Problem, M: float) -> ValuePoint:
             return _Decided(False)
         if is_linear(f):
             bound, level, control = dual_pair(free, lambda lo, hi: hi <= M or lo > M)
-            if level <= M:
+            if control is not None and level <= M:
                 return _Decided(True, control)
             if bound > M:
                 refuted.append(T)
                 return _Decided(False)
-        return min_terminal_norm(free, M, problem.opts, warm_start=warm_start)
+        return min_terminal_norm(free, M, problem.max_iters, warm_start=warm_start)
 
     log = [_Decided(True, zero)]
     lo, hi, control = _bisect(probe, log, 0.0, gamma, zero, width)
@@ -623,7 +625,7 @@ def verify_equivalence_bound(problem: Problem, M: float) -> EquivalenceBoundRepo
 
 def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                        g: SpatialGrid, tol_T: float = 1e-3,
-                       opts: ReachOptions = ReachOptions(), nt: int = DEFAULT_NT,
+                       max_iters: int = MAX_ITERS, nt: int = DEFAULT_NT,
                        gamma_hint: float | None = None) -> ValueCurve:
     """Minimal-time values over a strictly increasing grid of norm bounds.
 
@@ -634,7 +636,7 @@ def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
     M_grid = [float(m) for m in M_grid]
     if not M_grid or any(b <= a for a, b in zip(M_grid, M_grid[1:])):
         raise ValueError("norm-bound grid must be nonempty and strictly increasing")
-    problem = Problem(y0, ball, f, g, nt=nt, tol_t=tol_T, opts=opts, gamma=gamma_hint)
+    problem = Problem(y0, ball, f, g, nt=nt, tol_t=tol_T, max_iters=max_iters, gamma=gamma_hint)
     problem.zero  # certified here once, not in each forked worker
     points = tuple(_map_points(partial(minimal_time, problem), M_grid))
     values = [p.value for p in points]
@@ -647,7 +649,7 @@ def minimal_time_curve(M_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
 
 def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: NonlinearitySpec,
                        g: SpatialGrid, tol_M: float = 1e-3,
-                       opts: ReachOptions = ReachOptions(), nt: int = DEFAULT_NT,
+                       max_iters: int = MAX_ITERS, nt: int = DEFAULT_NT,
                        gamma_hint: float | None = None) -> ValueCurve:
     """Minimal-norm values over a strictly increasing grid of horizons.
 
@@ -658,7 +660,7 @@ def minimal_norm_curve(T_grid, y0: np.ndarray, ball: TargetBall, f: Nonlinearity
     T_grid = [float(t) for t in T_grid]
     if not T_grid or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
         raise ValueError("horizon grid must be nonempty and strictly increasing")
-    problem = Problem(y0, ball, f, g, nt=nt, tol_m=tol_M, opts=opts, gamma=gamma_hint)
+    problem = Problem(y0, ball, f, g, nt=nt, tol_m=tol_M, max_iters=max_iters, gamma=gamma_hint)
     if T_grid[0] <= 0.0 or T_grid[-1] > problem.gamma * (1.0 + 1e-9):
         raise ValueError(f"horizon grid must lie in (0, {problem.gamma:.6g}] "
                          "(the free-decay time)")

@@ -331,13 +331,14 @@ def test_every_subcommand_runs_the_configs_nt_steps(tmp_path, command, experimen
     ("mintime", ['y0.mode={"1":3}'], "y0.mode: unknown field"),
     ("gamma", ['y0={"modes":{"1":2.0},"file":"does-not-exist.txt"}'],
      "y0: expected a 'modes' map or a 'file' path, not both"),
+    ("mintime", ["solver.eps_stag=1e-7"], "solver.eps_stag: unknown field"),
     ("mintime", ["dt=0.004"], "dt: unknown field"),
     ("mintime", ["nt=null"], "nt: expected a positive integer, got None"),
     ("simulate", ["experiment.horizon=0.1", "experiment.envelope_tl=0"],
      "experiment.envelope_tl: unknown field"),
     ("gradcheck", ["experiment.pairs=1", "experiment.Seed=5"], "experiment.Seed: unknown field"),
-], ids=["nonlinearity.l", "grid.N", "solver.tol_M", "rr", "y0.mode", "y0-both", "dt",
-        "nt-null", "experiment.envelope_tl", "experiment.Seed"])
+], ids=["nonlinearity.l", "grid.N", "solver.tol_M", "rr", "y0.mode", "y0-both",
+        "solver.eps_stag", "dt", "nt-null", "experiment.envelope_tl", "experiment.Seed"])
 def test_a_field_the_parser_does_not_read_is_refused(tmp_path, capsys, solve_calls, command,
                                                     overrides, message):
     # Each of these configs ran with exit 0 on the values it had without the
@@ -353,6 +354,21 @@ def test_a_field_the_parser_does_not_read_is_refused(tmp_path, capsys, solve_cal
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config: {message}\n"
     assert not out.exists() and not solve_calls.forward
+
+
+def test_mintime_at_a_larger_bound_is_no_longer(tmp_path):
+    # The oracle's stagnation test, scaled by M, ended unfinished descents
+    # after one step at M = 1e6, where mintime gave tau = 0.13099 (near
+    # gamma) against 0.0016236 at M = 1e4.
+    config = Path(__file__).resolve().parents[1] / "configs" / "tanh_sweep.json"
+    tau = {}
+    for M in ("1e4", "1e6"):
+        out = tmp_path / M
+        assert main(["mintime", "--config", str(config), "--out", str(out), "--override",
+                     "grid.n=31", "--override", "nt=60", "--override",
+                     f"experiment.M={M}"]) == EXIT_OK
+        tau[M] = read_summary(out)["outputs"]["tau"]
+    assert tau["1e6"] <= tau["1e4"]
 
 
 def test_a_config_may_hold_the_experiment_fields_of_every_subcommand(tmp_path):

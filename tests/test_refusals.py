@@ -8,7 +8,6 @@ from heatctl import (
     AdjointTrajectory,
     ControlSignal,
     DimensionMismatchError,
-    ReachOptions,
     SpatialGrid,
     StateTrajectory,
     TargetBall,
@@ -84,10 +83,6 @@ CASES = {
                             ValueError, r"must lie in \[0, 1\], got 1.5"),
     "scaling-theta-below": (lambda: control_scaling_gap(Y0, controls(2), -0.1, F, G),
                             ValueError, r"must lie in \[0, 1\], got -0.1"),
-    "options-eps-stag-zero": (lambda: ReachOptions(eps_stag=0.0),
-                              ValueError, "tolerances must be positive"),
-    "options-eps-stag-negative": (lambda: ReachOptions(eps_stag=-1e-7),
-                                  ValueError, "tolerances must be positive"),
     "fd-check-steps": (lambda: gradient_fd_check(Y0, 0.03, controls(3), controls(4), F, G),
                        DimensionMismatchError, "different step counts"),
     "bracket-y0-shape": (lambda: bracket(y0=Y0[:-1]),

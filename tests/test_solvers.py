@@ -14,9 +14,7 @@ from heatctl import (
     NoFeasibleBoundError,
     NonlinearitySpec,
     Problem,
-    ReachOptions,
     ScalarInstance,
-    SolverDivergenceError,
     SpatialGrid,
     TargetBall,
     ValuePoint,
@@ -405,7 +403,7 @@ def test_curves_require_increasing_grids():
 # ---------------------------------------------------------------------------
 # The bisection driver against the two loops it replaced
 
-def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=ReachOptions(), nt=300,
+def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, max_iters=200, nt=300,
                            gamma_hint=None, record=None):
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
@@ -423,7 +421,7 @@ def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=ReachOptions(), n
 
     def probe(M, warm):
         nonlocal calls, inconclusive
-        res = min_terminal_norm(free, M, opts, warm_start=warm)
+        res = min_terminal_norm(free, M, max_iters, warm_start=warm)
         if record is not None:
             record.append((M, res))
         calls += 1
@@ -462,7 +460,7 @@ def reference_minimal_norm(T, y0, ball, f, g, tol_M=1e-3, opts=ReachOptions(), n
                                    "doublings": doublings})
 
 
-def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=ReachOptions(), nt=300,
+def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, max_iters=200, nt=300,
                            gamma_hint=None, record=None):
     y0 = np.asarray(y0, dtype=float)
     gamma = gamma_hint if gamma_hint is not None else free_decay_time(y0, ball, f, g, nt=nt)
@@ -478,7 +476,7 @@ def reference_minimal_time(M, y0, ball, f, g, tol_T=1e-3, opts=ReachOptions(), n
 
     def probe(T, warm):
         nonlocal calls, inconclusive
-        res = min_terminal_norm(FreeRun(y0, T, nt, f, g, ball), M, opts, warm_start=warm)
+        res = min_terminal_norm(FreeRun(y0, T, nt, f, g, ball), M, max_iters, warm_start=warm)
         if record is not None:
             record.append((T, res))
         calls += 1
@@ -640,7 +638,7 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
             refutations.append(assert_refuted_cold_point(point, ref, probes, ref_probes))
         else:
             assert_certified_point(point, ref, probes, width, y0, f, g,
-                                   conclusive="opts" not in kwargs)
+                                   conclusive="max_iters" not in kwargs)
         del oracle_probes[:]
         return point
 
@@ -652,9 +650,8 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
     for M in (0.0, 1.0, 20.0):
         check(minimal_time, M, reference_minimal_time, time_width)
     # a short iteration budget leaves some probes inconclusive
-    few = ReachOptions(max_iters=5)
-    check(minimal_norm, 0.3 * gamma, reference_minimal_norm, norm_width, opts=few)
-    check(minimal_time, 5.0, reference_minimal_time, time_width, opts=few)
+    check(minimal_norm, 0.3 * gamma, reference_minimal_norm, norm_width, max_iters=5)
+    check(minimal_time, 5.0, reference_minimal_time, time_width, max_iters=5)
     if not is_linear(f):
         assert sum(refutations) > 0
 
@@ -662,11 +659,10 @@ def test_bisection_driver_matches_reference_loops(f, g, oracle_probes):
 def test_bisection_driver_exhaustion_errors_match_reference_loops():
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     args = (y0, BALL, F_TANH, SMALL_MASKED)
-    one_step = ReachOptions(max_iters=1)
     with pytest.raises(NoFeasibleBoundError) as new:
-        minimal_norm(Problem(*args, nt=SMALL_NT, opts=one_step), 0.002)
+        minimal_norm(Problem(*args, nt=SMALL_NT, max_iters=1), 0.002)
     with pytest.raises(NoFeasibleBoundError) as ref:
-        reference_minimal_norm(0.002, *args, opts=one_step, nt=SMALL_NT)
+        reference_minimal_norm(0.002, *args, max_iters=1, nt=SMALL_NT)
     assert str(new.value) == str(ref.value)
     assert "norm bound 1.15e+18" in str(new.value)
 
@@ -984,7 +980,8 @@ def refused_problem(field, value, gamma):
 @pytest.mark.parametrize("field, value", [
     ("tol_t", math.nan), ("tol_t", math.inf), ("tol_t", 0.0), ("tol_m", math.nan),
     ("tol_m", math.inf), ("tol_m", -1e-3), ("nt", 0), ("nt", -3), ("nt", 2.5), ("nt", True),
-    ("y0", math.nan), ("y0", math.inf)])
+    ("max_iters", 0), ("max_iters", 2.5), ("max_iters", True), ("y0", math.nan),
+    ("y0", math.inf)])
 def test_problem_refuses_a_setting_before_any_solve(field, value, gamma, monkeypatch,
                                                      solve_calls):
     # Let through, tol_t nan or inf makes minimal_time(problem, 5.0) return
@@ -1016,10 +1013,10 @@ def test_curves_refuse_a_setting_through_the_problem(curve, grid, setting, field
 
 
 # ---------------------------------------------------------------------------
-# Large norm bounds: known defects of the minimal time, pinned until fixed.
-# At 1e6 the oracle's stagnation test passes after one step, at 1e200 its
-# bang-bang start overflows, and at inf the point keeps the dual pair's
-# control-less upper end (ROADMAP item 3).
+# Large norm bounds.  The oracle's stagnation test once scaled with M, so at
+# 1e6 it passed after one step; at 1e200 its bang-bang start overflowed and
+# ended the point; and at inf the point kept the dual pair's control-less
+# upper end.
 
 
 @pytest.fixture(scope="module", params=[F_ZERO, F_TANH], ids=["zero", "tanh"])
@@ -1028,23 +1025,16 @@ def masked_small(request):
     return Problem(y0, BALL, request.param, SMALL_MASKED, nt=SMALL_NT)
 
 
-@pytest.mark.xfail(strict=True, reason="tau/gamma goes 0.0122 -> 0.0405 (f = 0) and "
-                                       "0.0122 -> 0.9849 (tanh) from M = 1e4 to 1e6")
 def test_a_larger_bound_gives_no_longer_minimal_time(masked_small):
     assert minimal_time(masked_small, 1e6).value <= minimal_time(masked_small, 1e4).value
 
 
-@pytest.mark.xfail(strict=True, reason="the M = inf point settles on the dual pair's "
-                                       "(lo, inf, None) and returns no control")
 def test_an_infinite_bound_returns_a_control():
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     point = minimal_time(Problem(y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT), math.inf)
     assert isinstance(point.control, ControlSignal)
 
 
-@pytest.mark.xfail(strict=True, raises=SolverDivergenceError,
-                   reason="the oracle's bang-bang start at level 1e200 overflows the "
-                          "terminal objective")
 def test_a_huge_bound_returns_a_control_that_reaches_the_ball():
     y0 = 2.0 * dirichlet_eigs(SMALL_MASKED, 1).eigenvectors[0]
     point = minimal_time(Problem(y0, BALL, F_ZERO, SMALL_MASKED, nt=SMALL_NT), 1e200)

@@ -5,8 +5,8 @@ heatctl.cli``), adding only the experiment fields the config lacks, plus
 step-count (``nt``), free-decay-edge, masked-control curve, second reaction
 term (``bounded_odd_rational``), initial state off the first mode, other
 spellings of the first mode, tolerance-below-float-spacing, failure,
-refused-config, huge-horizon, extreme closed-form, negative-first-mode and
-unknown-field variants.  Prints one line per run:
+large-bound, refused-config, huge-horizon, extreme closed-form,
+negative-first-mode and unknown-field variants.  Prints one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
 
@@ -100,6 +100,8 @@ VARIANTS = [
     ("fail", "tanh_sweep", "mintime", ["experiment.M=1e300"]),
     ("fail", "tanh_sweep", "minnorm", ["experiment.T=0.01", "solver.max_iters=1"]),
     ("fail", "linear_equivalence", "minnorm", ["omega=[0.1,0.4]", "experiment.T=0.007"]),
+    # a large bound, at which the oracle must run its descent as at a moderate one
+    ("large", "tanh_sweep", "mintime", ["experiment.M=1e6"]),
     # grids whose Laplacian has no eigenvalues in the positive finite floats
     *[("refused", "linear_equivalence", cmd, [grid])
       for grid in ("grid.n=1000000000000", "grid.n=100000000000000000000",
