@@ -13,10 +13,12 @@ Exit codes: 0 success, 2 invalid config (field-level diagnostics on stderr)
 or an unusable ``--out`` (one ``out:`` line), 3 initial state inside the
 target ball, 4 failed computation (no feasible bound, a diverging solve or
 an array too large to allocate; one ``failed:`` line on stderr).  Every
-handler solves in the config's ``nt`` steps, which :meth:`Setup.steps_for`
-refuses when they would not fit in the host's memory.  A config field that
-no subcommand reads is a config error; ``experiment`` may hold the fields of
-every subcommand (:data:`EXPERIMENT_FIELDS`), so one config serves them all.
+handler solves in the config's ``nt`` steps, which :func:`main` refuses
+before the handler runs when they would not fit in the host's memory.  A
+config field that no subcommand reads is a config error.  :func:`build_setup`
+checks the ``experiment`` fields of the subcommand run (:data:`EXPERIMENT`)
+with the rest of the config; ``experiment`` may hold the fields of every
+subcommand (:data:`EXPERIMENT_FIELDS`), so one config serves them all.
 ``equivalence`` and ``oracle-compare`` solve their points through
 ``solvers._map_points`` (forked workers, identical outputs), and each worker
 returns only the scalar record written for its point.
@@ -63,11 +65,31 @@ from .solvers import (
     verify_equivalence_time,
 )
 
-# The experiment fields the handlers read, of all subcommands together.
-EXPERIMENT_FIELDS = frozenset({
-    "horizon", "envelope_tol", "T", "M", "T_grid", "M_grid", "M_values", "T_values",
-    "pairs", "seed", "fd_step", "amplitude",
-})
+# Kinds of config values; each is also the noun of its error message.
+INT, FLOAT, NONEMPTY_LIST, LIST = "integer", "finite number", "nonempty list", "list"
+REQUIRED = object()  # the default of a field the subcommand cannot run without
+
+# Each subcommand's experiment fields: key -> (kind, sign, default).  A sign is
+# "positive" (> 0), "nonnegative" (>= 0) or None (any); a list's sign holds for
+# each entry.  A default is not checked; None lets a handler see the field is absent.
+EXPERIMENT = {
+    "simulate": {"horizon": (FLOAT, "positive", REQUIRED),
+                 "envelope_tol": (FLOAT, "nonnegative", 1e-3)},
+    "gamma": {},
+    "minnorm": {"T": (FLOAT, "positive", REQUIRED)},
+    "mintime": {"M": (FLOAT, "nonnegative", REQUIRED)},
+    "equivalence": {"T_grid": (LIST, "positive", REQUIRED),
+                    "M_grid": (LIST, "nonnegative", REQUIRED)},
+    "sweep": {"M_grid": (NONEMPTY_LIST, "nonnegative", None),
+              "T_grid": (NONEMPTY_LIST, "positive", None)},
+    "oracle-compare": {"M_values": (NONEMPTY_LIST, "nonnegative", ()),
+                       "T_values": (NONEMPTY_LIST, "positive", ())},
+    "gradcheck": {"T": (FLOAT, "positive", 0.1), "pairs": (INT, "positive", 8),
+                  "seed": (INT, "nonnegative", 0), "fd_step": (FLOAT, "positive", 1e-5),
+                  "amplitude": (FLOAT, None, 1.0)},
+}
+# The experiment fields of all subcommands together.
+EXPERIMENT_FIELDS = frozenset(key for fields in EXPERIMENT.values() for key in fields)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -171,23 +193,11 @@ class Setup:
     tol_t: float
     tol_m: float
     max_iters: int
-    experiment: dict
-
-    def steps_for(self) -> int:
-        """Time steps per solve, ``nt``; MemoryError when 28 arrays of
-        (nt+1)*n floats (one process held 25) exceed the host."""
-        try:
-            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        except (AttributeError, ValueError, OSError):  # not reported here
-            memory = -1
-        if 0 < memory < 28 * (self.nt + 1) * self.grid.n * 8:
-            raise MemoryError(f"grid.n={self.grid.n} and nt={self.nt} need more than the "
-                              "host's memory")
-        return self.nt
+    experiment: dict  # the subcommand's EXPERIMENT fields, checked, defaults filled in
 
     def problem(self) -> Problem:
-        """The control problem of this config; :meth:`steps_for` checks its nt first."""
-        return Problem(self.y0, self.ball, self.f, self.grid, nt=self.steps_for(),
+        """The control problem of this config."""
+        return Problem(self.y0, self.ball, self.f, self.grid, nt=self.nt,
                        tol_t=self.tol_t, tol_m=self.tol_m, max_iters=self.max_iters)
 
 
@@ -201,38 +211,23 @@ def _is_number(value, integer: bool = False) -> bool:
         return False
 
 
-def config_number(field: str, value, integer: bool = False, sign: str | None = "positive"):
-    """Check one numeric config field and return it as an int or a float.
-
-    ``sign`` is "positive" (> 0), "nonnegative" (>= 0) or None (any sign).
-    Raises :class:`ConfigError` naming the field when the value is not a
-    finite number of that kind.
-    """
-    ok = _is_number(value, integer)
-    if ok and sign == "positive":
-        ok = value > 0
-    elif ok and sign == "nonnegative":
-        ok = value >= 0
-    if not ok:
-        what = "integer" if integer else "finite number"
-        if sign:
-            what = f"{sign} {what}"
-        raise ConfigError([f"{field}: expected a {what}, got {value!r}"])
-    return value if integer else float(value)
-
-
-def build_setup(cfg: dict, config_dir: Path) -> Setup:
+def build_setup(cfg: dict, config_dir: Path, command: str) -> Setup:
+    """Check the whole config and build its domain objects; :class:`ConfigError`
+    lists every offending field.  Only ``command``'s experiment fields are
+    checked by value, those of the other subcommands by name."""
     errors: list[str] = []
 
     def fail(field, msg):
         errors.append(f"{field}: {msg}")
 
-    def number(field, value, **kind):
-        try:
-            return config_number(field, value, **kind)
-        except ConfigError as exc:
-            errors.extend(exc.errors)
-            return None
+    def number(field, value, kind=FLOAT, sign="positive"):
+        """``value`` as an int (kind INT) or a float; None, with an error, unless
+        it is a finite number of that kind and sign and not a bool."""
+        if _is_number(value, kind == INT) and (
+                sign is None or value > 0 or sign == "nonnegative" and value == 0):
+            return value if kind == INT else float(value)
+        fail(field, f"expected a {sign + ' ' if sign else ''}{kind}, got {value!r}")
+        return None
 
     # Each field is popped from a copy of its section as it is read, so what
     # is left at the end is unknown; cfg itself stays as given (it is hashed).
@@ -248,7 +243,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
         return dict(value)
 
     grid_cfg = section("grid")
-    n = number("grid.n", grid_cfg.pop("n", 127), integer=True)
+    n = number("grid.n", grid_cfg.pop("n", 127), INT)
     ell = number("grid.ell", grid_cfg.pop("ell", 1.0))
     if ell is None:
         ell = 1.0
@@ -344,20 +339,38 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
             if y0 is not None and not math.isfinite(l2_norm(y0, grid)):
                 fail("y0", "the initial state's L2 norm is not finite")
 
-    nt = number("nt", top.pop("nt", DEFAULT_NT), integer=True)
+    nt = number("nt", top.pop("nt", DEFAULT_NT), INT)
 
     sol = section("solver")
     tol_t = number("solver.tol_t", sol.pop("tol_t", 1e-3))
     tol_m = number("solver.tol_m", sol.pop("tol_m", 1e-3))
-    max_iters = number("solver.max_iters", sol.pop("max_iters", MAX_ITERS), integer=True)
+    max_iters = number("solver.max_iters", sol.pop("max_iters", MAX_ITERS), INT)
     eps_feas_given = sol.pop("eps_feas", 1e-3)
     eps_feas = number("solver.eps_feas", eps_feas_given)
     if eps_feas is not None and eps_feas >= 1.0:
         fail("solver.eps_feas",
              f"expected a positive finite number below 1, got {eps_feas_given!r}")
 
-    # Each handler reads its own part of experiment; a field none reads is unknown.
+    # The subcommand's own experiment fields are checked by value, unless
+    # experiment is not an object; a field no subcommand reads is unknown.
+    before = len(errors)
     experiment = section("experiment")
+    fields = EXPERIMENT[command] if len(errors) == before else {}
+    checked = {}
+    for key, (kind, sign, default) in fields.items():
+        field, value = f"experiment.{key}", experiment.get(key, default)
+        if value is REQUIRED:
+            fail(field, "required by this subcommand")
+        elif key not in experiment:
+            checked[key] = default
+        elif kind in (INT, FLOAT):
+            checked[key] = number(field, value, kind, sign)
+        elif not isinstance(value, (list, tuple)) or not (value or kind == LIST):
+            fail(field, f"expected a {kind} of finite numbers")
+        # all() stops at the first bad entry, the only one reported
+        elif all(number(f"{field}[{i}]", v, sign=sign) is not None
+                 for i, v in enumerate(value)):
+            checked[key] = [float(v) for v in value]
     unread_experiment = [key for key in experiment if key not in EXPERIMENT_FIELDS]
     for prefix, unread in (("", top), ("grid.", grid_cfg), ("nonlinearity.", nl_cfg),
                            ("y0.", y0_cfg), ("solver.", sol),
@@ -367,27 +380,7 @@ def build_setup(cfg: dict, config_dir: Path) -> Setup:
     if errors:
         raise ConfigError(errors)
     return Setup(modes=modes, grid=grid, f=f, y0=y0, ball=TargetBall(r, eps_feas), nt=nt,
-                 tol_t=tol_t, tol_m=tol_m, max_iters=max_iters, experiment=experiment)
-
-
-def _require_number(exp: dict, key: str, sign: str = "positive") -> float:
-    if key not in exp:
-        raise ConfigError([f"experiment.{key}: required by this subcommand"])
-    return config_number(f"experiment.{key}", exp[key], sign=sign)
-
-
-def _number_list(exp: dict, key: str, sign: str, required: bool = True,
-                 allow_empty: bool = False):
-    """A list of numbers, each checked by :func:`config_number` with ``sign``."""
-    if key not in exp:
-        if required:
-            raise ConfigError([f"experiment.{key}: required by this subcommand"])
-        return None
-    val = exp[key]
-    if not isinstance(val, (list, tuple)) or (not val and not allow_empty):
-        what = "a list" if allow_empty else "a nonempty list"
-        raise ConfigError([f"experiment.{key}: expected {what} of finite numbers"])
-    return [config_number(f"experiment.{key}[{i}]", v, sign=sign) for i, v in enumerate(val)]
+                 tol_t=tol_t, tol_m=tol_m, max_iters=max_iters, experiment=checked)
 
 
 def _refuse_horizons_past(key: str, horizons, limit: float, what: str) -> None:
@@ -443,11 +436,9 @@ def _point_record(point: ValuePoint, oracle_value: float | None = None) -> dict:
 
 
 def run_simulate(setup: Setup):
-    T = _require_number(setup.experiment, "horizon")
-    tol = config_number("experiment.envelope_tol",
-                        setup.experiment.get("envelope_tol", 1e-3), sign="nonnegative")
-    traj = FreeRun(setup.y0, T, setup.steps_for(), setup.f, setup.grid, setup.ball).trajectory
-    report = decay_envelope_check(traj, setup.grid, tol)
+    T = setup.experiment["horizon"]
+    traj = FreeRun(setup.y0, T, setup.nt, setup.f, setup.grid, setup.ball).trajectory
+    report = decay_envelope_check(traj, setup.grid, setup.experiment["envelope_tol"])
     t_hit = hitting_time(traj, setup.ball)
     lam1 = principal_eigenvalue(setup.grid)
     envelope = report.initial_norm * np.exp(-lam1 * traj.times)
@@ -483,20 +474,17 @@ def _value_point_run(point: ValuePoint, parameter: str, value: str):
 
 
 def run_minnorm(setup: Setup):
-    T = _require_number(setup.experiment, "T")
-    point = minimal_norm(setup.problem(), T)
+    point = minimal_norm(setup.problem(), setup.experiment["T"])
     return _value_point_run(point, "T", "alpha")
 
 
 def run_mintime(setup: Setup):
-    M = _require_number(setup.experiment, "M", sign="nonnegative")
-    point = minimal_time(setup.problem(), M)
+    point = minimal_time(setup.problem(), setup.experiment["M"])
     return _value_point_run(point, "M", "tau")
 
 
 def run_equivalence(setup: Setup):
-    T_grid = _number_list(setup.experiment, "T_grid", "positive", allow_empty=True)
-    M_grid = _number_list(setup.experiment, "M_grid", "nonnegative", allow_empty=True)
+    T_grid, M_grid = setup.experiment["T_grid"], setup.experiment["M_grid"]
     problem = setup.problem()
     _refuse_horizons_past("T_grid", T_grid, problem.gamma, "the free-decay time")
 
@@ -531,8 +519,7 @@ def run_equivalence(setup: Setup):
 
 
 def run_sweep(setup: Setup):
-    M_grid = _number_list(setup.experiment, "M_grid", "nonnegative", required=False)
-    T_grid = _number_list(setup.experiment, "T_grid", "positive", required=False)
+    M_grid, T_grid = setup.experiment["M_grid"], setup.experiment["T_grid"]
     if M_grid is None and T_grid is None:
         raise ConfigError(["experiment: sweep needs an M_grid and/or a T_grid"])
     for key, grid in (("M_grid", M_grid), ("T_grid", T_grid)):
@@ -574,8 +561,7 @@ def run_oracle_compare(setup: Setup):
             "experiment: oracle-compare needs the closed-form instance "
             "(omega covering the whole interval, zero nonlinearity, y0 on mode 1)"
         ])
-    M_values = _number_list(setup.experiment, "M_values", "nonnegative", required=False) or []
-    T_values = _number_list(setup.experiment, "T_values", "positive", required=False) or []
+    M_values, T_values = setup.experiment["M_values"], setup.experiment["T_values"]
     if not M_values and not T_values:
         raise ConfigError(["experiment: oracle-compare needs M_values and/or T_values"])
     _refuse_horizons_past("T_values", T_values, inst.free_decay_time,
@@ -610,14 +596,9 @@ def run_oracle_compare(setup: Setup):
 
 
 def run_gradcheck(setup: Setup):
-    exp = setup.experiment
-    T = config_number("experiment.T", exp.get("T", 0.1))
-    pairs = config_number("experiment.pairs", exp.get("pairs", 8), integer=True)
-    seed = config_number("experiment.seed", exp.get("seed", 0), integer=True,
-                         sign="nonnegative")
-    fd_step = config_number("experiment.fd_step", exp.get("fd_step", 1e-5))
-    amplitude = config_number("experiment.amplitude", exp.get("amplitude", 1.0), sign=None)
-    nt = setup.steps_for()
+    T, pairs, seed, fd_step, amplitude = (
+        setup.experiment[key] for key in ("T", "pairs", "seed", "fd_step", "amplitude"))
+    nt = setup.nt
     dt = T / nt
     rng = np.random.default_rng(seed)
     rows = []
@@ -703,7 +684,7 @@ def main(argv=None) -> int:
     try:
         for spec in args.override:
             apply_override(cfg, spec)
-        setup = build_setup(cfg, config_path.parent)
+        setup = build_setup(cfg, config_path.parent, args.command)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config: {line}", file=sys.stderr)
@@ -731,6 +712,16 @@ def main(argv=None) -> int:
     if nearest is not None and not nearest.is_dir():
         print(f"out: {nearest} exists and is not a directory", file=sys.stderr)
         return EXIT_CONFIG
+    # Refuse a run whose 28 arrays of (nt+1)*n floats (one process held 25)
+    # exceed the host's memory, where the host reports it.
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        memory = -1
+    if 0 < memory < 28 * (setup.nt + 1) * setup.grid.n * 8:
+        print(f"failed: grid.n={setup.grid.n} and nt={setup.nt} need more than the host's "
+              "memory", file=sys.stderr)
+        return EXIT_FAILED
 
     started = time.perf_counter()
     try:

@@ -206,7 +206,8 @@ def validate_nonlinearity(f: NonlinearitySpec, samples: np.ndarray) -> Nonlinear
     if samples.min() > -10.0 or samples.max() < 10.0:
         raise ValueError("samples must span at least [-10, 10]")
     deriv = np.abs(np.asarray(f.fprime(samples), dtype=float))
-    product = np.asarray(f.f(samples), dtype=float) * samples
+    with np.errstate(over="ignore"):  # f(y)*y of a huge bound L is +inf, which passes
+        product = np.asarray(f.f(samples), dtype=float) * samples
     origin = float(np.asarray(f.f(np.zeros(1)))[0])
     max_d = float(deriv.max())
     min_p = float(product.min())

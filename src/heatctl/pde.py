@@ -245,7 +245,7 @@ def solve_forward(y0: np.ndarray, u: ControlSignal, f: NonlinearitySpec,
     """Integrate the controlled equation over the control's time grid.
 
     Raises :class:`SolverDivergenceError` on non-finite states, which cannot
-    occur for a dissipative reaction term unless dt is far too large.
+    occur for a dissipative reaction term unless the step dt = T/nt is far too large.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (g.n,):
@@ -264,7 +264,7 @@ def solve_forward(y0: np.ndarray, u: ControlSignal, f: NonlinearitySpec,
         y = diffusion_solve(factor, z - dt * f.f(z) if reacts else z)
         states[k + 1] = y
     if not np.isfinite(states).all():
-        raise SolverDivergenceError("forward solve produced non-finite states; reduce dt")
+        raise SolverDivergenceError("forward solve produced non-finite states; increase nt")
     norms = step_l2_norms(states, g.h)
     return StateTrajectory(dt=dt, nt=nt, states=states, norms=norms, stage_states=stages)
 

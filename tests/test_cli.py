@@ -13,8 +13,12 @@ from heatctl.cli import (
     EXIT_FAILED,
     EXIT_INITIAL_STATE,
     EXIT_OK,
+    EXPERIMENT,
     EXPERIMENT_FIELDS,
+    FLOAT,
     HANDLERS,
+    INT,
+    REQUIRED,
     build_setup,
     canonical_json,
     main,
@@ -402,6 +406,21 @@ def test_failed_computation_exits_with_one_line(tmp_path, capsys, command, updat
     assert not out.exists()
 
 
+def test_a_huge_reaction_bound_fails_with_one_line_naming_nt(tmp_path, capsys):
+    # The nonlinearity check's f(y)*y overflowed with two RuntimeWarning lines
+    # before the failed: line, which told the user to reduce dt, a field the
+    # config does not have.
+    cfg = write_config(tmp_path, grid={"ell": 1.0, "n": 31}, nt=60,
+                       nonlinearity={"kind": "scaled_tanh", "L": 1e308})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILED
+    assert capsys.readouterr().err == (
+        "failed: forward solve produced non-finite states; increase nt\n")
+    assert not out.exists()
+
+
 def test_state_array_too_large_to_allocate_exits_with_one_line(tmp_path, capsys, monkeypatch):
     # numpy refuses the (nt, n) arrays of 10^12 steps (924 TiB) before
     # touching memory; that exited with a traceback.  Where sysconf reports
@@ -636,7 +655,7 @@ def test_y0_mode_on_a_large_grid_builds_one_sine_vector():
     n = 5_000_000
     cfg = json.loads(json.dumps(LINEAR_CONFIG))
     cfg["grid"]["n"], cfg["y0"] = n, {"modes": {str(n): 1.0}}
-    setup = build_setup(cfg, Path("."))
+    setup = build_setup(cfg, Path("."), "gamma")
     j = np.array([1, n // 2 + 1, n])
     np.testing.assert_array_equal(setup.y0[j - 1], np.sin(n * j * np.pi / (n + 1)) * math.sqrt(2.0))
     assert setup.modes == ((n, 1.0),)
@@ -766,3 +785,74 @@ def test_the_memory_check_is_skipped_where_the_host_does_not_report_it(tmp_path,
     host_memory(monkeypatch, None)
     cfg = write_config(tmp_path)
     assert main(["gamma", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def _bad_experiment_values(kind, sign):
+    """Values of each kind the field must refuse, by case name."""
+    wrong_sign = {"positive": 0, "nonnegative": -1}.get(sign)
+    if kind in (INT, FLOAT):
+        cases = {"bool": True, "nan": float("nan"), "inf": float("inf"), "string": "abc"}
+        if kind == INT:
+            cases["fraction"] = 2.5
+        if wrong_sign is not None:
+            cases["sign"] = wrong_sign
+        return cases
+    cases = {"bool": True, "string": "abc", "entry-bool": [True],
+             "entry-nan": [float("nan")], "entry-inf": [float("-inf")], "entry-string": ["abc"]}
+    if wrong_sign is not None:
+        cases["entry-sign"] = [wrong_sign]
+    return cases
+
+
+EXPERIMENT_CASES = [
+    (command, key, case, value)
+    for command, fields in EXPERIMENT.items()
+    for key, (kind, sign, default) in fields.items()
+    for case, value in [*_bad_experiment_values(kind, sign).items(),
+                        *([("absent", None)] if default is REQUIRED else [])]
+]
+
+
+@pytest.mark.parametrize("command, key, case, value", EXPERIMENT_CASES,
+                         ids=[f"{c}-{k}-{case}" for c, k, case, _ in EXPERIMENT_CASES])
+def test_every_experiment_field_refuses_a_bad_value_in_one_line(tmp_path, capsys, solve_calls,
+                                                                command, key, case, value):
+    experiment = {k: v for k, v in EVERY_FIELD.items() if k in EXPERIMENT[command]}
+    if case == "absent":
+        del experiment[key]
+    else:
+        experiment[key] = value
+    cfg = write_config(tmp_path, experiment=experiment)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith((f"config: experiment.{key}: ", f"config: experiment.{key}[0]: "))
+    assert not out.exists() and not solve_calls.forward
+
+
+def test_experiment_errors_are_listed_with_the_other_config_errors(tmp_path, capsys,
+                                                                   solve_calls):
+    # The experiment field was checked by the handler, after the rest of the
+    # config had passed: only the tol_t line was printed.
+    cfg = write_config(tmp_path, solver={"tol_t": float("nan")}, experiment={"T": -1})
+    assert main(["minnorm", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config: solver.tol_t: expected a positive finite number, got nan\n"
+        "config: experiment.T: expected a positive finite number, got -1\n")
+    assert not solve_calls.forward
+
+
+def test_an_experiment_error_comes_before_the_initial_state_check(tmp_path, capsys):
+    cfg = write_config(tmp_path, y0={"modes": {"1": 0.4}}, experiment={"M": -1})
+    assert main(["mintime", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config: experiment.M: expected a nonnegative finite number, got -1\n")
+
+
+def test_an_experiment_that_is_not_an_object_is_one_line(tmp_path, capsys):
+    # not also one line for each required field it lacks
+    cfg = write_config(tmp_path, experiment=[0.05])
+    assert main(["equivalence", "--config", str(cfg), "--out", str(tmp_path / "out")]) == (
+        EXIT_CONFIG)
+    assert capsys.readouterr().err == "config: experiment: expected an object, got [0.05]\n"

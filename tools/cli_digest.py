@@ -6,7 +6,7 @@ step-count (``nt``), free-decay-edge, masked-control curve, second reaction
 term (``bounded_odd_rational``), initial state off the first mode, other
 spellings of the first mode, tolerance-below-float-spacing, failure,
 large-bound, refused-config, huge-horizon, extreme closed-form,
-negative-first-mode and unknown-field variants.  Prints one line per run:
+negative-first-mode, unknown-field and experiment-field variants.  Prints one line per run:
 
     <label> <config> <subcommand> exit=<code> stderr=<sha256[:16]> out=<sha256[:16]>
 
@@ -144,6 +144,12 @@ VARIANTS = [
     ("unknown", "linear_equivalence", "mintime", ["dt=0.004"]),
     ("unknown", "tanh_sweep", "sweep", ["solver.tol_M=1e-9"]),
     ("refused", "linear_equivalence", "gamma", ["nt=null"]),
+    # experiment fields of the wrong kind or sign
+    ("field", "linear_equivalence", "gradcheck", ["experiment.seed=-1"]),
+    ("field", "linear_equivalence", "gradcheck", ["experiment.pairs=2.5"]),
+    ("field", "linear_equivalence", "simulate", ["experiment.envelope_tol=true"]),
+    ("field", "linear_equivalence", "minnorm", ['experiment.T="abc"']),
+    ("field", "linear_equivalence", "equivalence", ["experiment.T_grid=0.05"]),
 ]
 
 
